@@ -12,10 +12,17 @@ import (
 	"repro/internal/storage"
 )
 
-// arenaChunkWords sizes the arena's allocation unit: 32K words (256 KB)
+// arenaChunkWords caps the arena's allocation unit: 32K words (256 KB)
 // amortizes one heap allocation over thousands of rows while staying small
 // enough that a mostly-empty final chunk wastes little.
 const arenaChunkWords = 32 * 1024
+
+// arenaFirstChunkWords sizes the first chunk: most result sets are an
+// index lookup's row or an aggregate's few, and a 256 KB chunk made and
+// cleared for one row was the dearest thing such a query did. Chunks
+// double from here to the cap, so a large result pays eight small
+// allocations more than it would starting at the cap.
+const arenaFirstChunkWords = 128
 
 // Arena carves row storage out of contiguous word chunks, replacing the
 // one-heap-slice-per-row pattern on the engines' emit paths. Rows are
@@ -24,17 +31,16 @@ const arenaChunkWords = 32 * 1024
 // of the result. The zero value is ready to use. An Arena is not
 // goroutine-safe: parallel engines keep one per worker.
 type Arena struct {
-	cur []storage.Word // current chunk, carved by reslicing up to cap
+	cur  []storage.Word // current chunk, carved by reslicing up to cap
+	next int            // words in the next chunk; 0 before the first
 }
 
 // NewRow returns a zeroed width-long slice backed by the arena.
 func (a *Arena) NewRow(width int) []storage.Word {
 	if cap(a.cur)-len(a.cur) < width {
-		size := arenaChunkWords
-		if width > size {
-			size = width
-		}
+		size := max(a.next, arenaFirstChunkWords, width)
 		a.cur = make([]storage.Word, 0, size)
+		a.next = min(2*size, arenaChunkWords)
 	}
 	off := len(a.cur)
 	a.cur = a.cur[:off+width]

@@ -110,6 +110,47 @@ func TestArenaRowsSurviveChunkGrowth(t *testing.T) {
 	}
 }
 
+// TestOneRowSetIsSmall: the first chunk is sized for the common result, an
+// index lookup's row or an aggregate's, not for a scan's. With a chunk of
+// arenaChunkWords from the start a one-row set cost 256 KiB.
+func TestOneRowSetIsSmall(t *testing.T) {
+	for _, width := range []int{6, arenaFirstChunkWords + 5} {
+		s := New(make([]plan.Column, width))
+		s.NewRow()[0] = w(1)
+		want := max(width, arenaFirstChunkWords)
+		if got := cap(s.arena.cur); got != want {
+			t.Errorf("first chunk of a %d-wide set holds %d words, want %d", width, got, want)
+		}
+	}
+	// A one-row set is three allocations: the Set, its one-element Rows and
+	// the chunk, which is all but some hundred bytes of the total.
+	cols := make([]plan.Column, 6)
+	var s *Set
+	if allocs := testing.AllocsPerRun(100, func() { s = New(cols); s.NewRow() }); allocs > 3 {
+		t.Errorf("a one-row set takes %.0f allocations, want at most 3", allocs)
+	}
+	if bytes := 8*cap(s.arena.cur) + 256; bytes >= 2048 {
+		t.Errorf("a one-row set allocates about %d bytes, want under 2 KiB", bytes)
+	}
+}
+
+// TestArenaGrowthCostsFewChunks: doubling from the small first chunk to the
+// cap may cost a large result only a handful of allocations more than
+// starting at the cap did (BenchmarkScanMaterialize's shape: 1M rows of 4).
+func TestArenaGrowthCostsFewChunks(t *testing.T) {
+	const rows, width = 1_000_000, 4
+	atCap := (rows*width + arenaChunkWords - 1) / arenaChunkWords
+	got := testing.AllocsPerRun(1, func() {
+		var a Arena
+		for i := 0; i < rows; i++ {
+			a.NewRow(width)
+		}
+	})
+	if int(got) > atCap+12 {
+		t.Errorf("%d rows of %d words took %.0f chunks, want at most %d+12", rows, width, got, atCap)
+	}
+}
+
 // TestArenaOversizedRow: a row wider than the chunk gets its own chunk.
 func TestArenaOversizedRow(t *testing.T) {
 	var a Arena

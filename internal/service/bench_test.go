@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -116,6 +117,24 @@ func BenchmarkServiceThroughputWithWriter(b *testing.B) {
 			}
 			b.ReportMetric(rep.QPS, "qps")
 			b.ReportMetric(float64(commits.Load())/rep.Elapsed.Seconds(), "commits/s")
+		})
+	}
+}
+
+// BenchmarkEncodeResult is the result-encoding layer on its own: a reply
+// of the benchmark's `recent` shape (8 columns: four int64, two float64,
+// two dictionary strings) streamed to io.Discard. rows=1 is a point
+// lookup's reply, rows=50000 is wide_result's 2.7 MB.
+func BenchmarkEncodeResult(b *testing.B) {
+	for _, rows := range []int{1, 50_000} {
+		res := recentLike(rows)
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := streamResult(io.Discard, res, 1, nil, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

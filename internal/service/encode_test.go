@@ -1,0 +1,432 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/exec/result"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/storage"
+)
+
+// Values the encoder must render exactly as encoding/json does (and the
+// non-finite floats, which encoding/json refuses and the encoder nulls).
+var (
+	edgeInts   = []int64{0, 1, -1, 42, math.MinInt64, math.MaxInt64, 1 << 53, -(1 << 53) - 1}
+	edgeFloats = []float64{
+		0, math.Copysign(0, -1), 1, -1.5, 0.1, 123456.789,
+		1e-6, 0.99e-6, 1.5e-7, -1e-7, 1e-10, 1e-100, // either side of the 'e' cutoff below
+		1e20, 9.99e20, 1e21, 1.5e21, -1e21, 1e100, // and above
+		5e-324, 2.2250738585072009e-308, math.SmallestNonzeroFloat64, // denormals
+		math.MaxFloat64, -math.MaxFloat64, 1.0 / 3.0,
+		0.004, 0.01, 0.07, 0.29, 1.15, -123.4, 500, 1.005, 9999999999999.99, // short decimals
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	edgeStrings = []string{
+		"", "plain", "region-17", `say "hi"`, `back\slash`, "tab\tnewline\nreturn\r", "\b\f", "nul\x00\x01\x1f",
+		"<script>&amp;</script>", "del\x7f", "caf\u00e9 \u4e16\u754c \U0001F600", "line\u2028sep\u2029par",
+		"bad\xffutf8", "\xc3", "\xe2\x80", "\xed\xa0\x80", strings.Repeat("x", 300) + "\"",
+	}
+)
+
+// wantCell is encoding/json's rendering of the value a word stands for.
+func wantCell(t *testing.T, word storage.Word, c plan.Column) string {
+	t.Helper()
+	var v any
+	switch {
+	case word == storage.Null:
+		v = nil
+	case c.Type == storage.Int64:
+		v = storage.DecodeInt(word)
+	case c.Type == storage.Float64:
+		f := storage.DecodeFloat(word)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return "null"
+		}
+		v = f
+	case c.Type == storage.Bool:
+		v = storage.DecodeBool(word)
+	case c.Dict != nil && word < storage.Word(c.Dict.Len()):
+		v = c.Dict.Value(word)
+	default:
+		v = word
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// reply is the envelope as a client decodes it, cells left raw.
+type reply struct {
+	Cols     []colJSON           `json:"cols"`
+	Rows     [][]json.RawMessage `json:"rows"`
+	RowCount int                 `json:"rowCount"`
+	Micros   int64               `json:"micros"`
+	Trace    []obs.OpReport      `json:"trace,omitempty"`
+	Epoch    uint64              `json:"epoch,omitempty"`
+}
+
+func stream(t *testing.T, res *result.Set, micros int64, trace []obs.OpReport, epoch uint64) []byte {
+	t.Helper()
+	var traceJSON []byte
+	if len(trace) > 0 {
+		var err error
+		if traceJSON, err = json.Marshal(trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := streamResult(&buf, res, micros, traceJSON, epoch); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// randomSet draws a set whose cells come from the edge pools above; string
+// columns get a dictionary two times in three, a raw-code column otherwise.
+func randomSet(rng *rand.Rand) *result.Set {
+	types := []storage.Type{storage.Int64, storage.Float64, storage.Bool, storage.String}
+	dict := storage.BuildDict(edgeStrings)
+	cols := make([]plan.Column, rng.Intn(7)) // zero columns included
+	for i := range cols {
+		cols[i] = plan.Column{Name: edgeStrings[rng.Intn(len(edgeStrings))], Type: types[rng.Intn(len(types))]}
+		if cols[i].Type == storage.String && rng.Intn(3) > 0 {
+			cols[i].Dict = dict
+		}
+	}
+	res := result.New(cols)
+	for n := rng.Intn(40); n > 0; n-- { // zero rows included
+		row := res.NewRow()
+		for j, c := range cols {
+			switch {
+			case rng.Intn(8) == 0:
+				row[j] = storage.Null
+			case c.Type == storage.Int64:
+				row[j] = storage.EncodeInt(edgeInts[rng.Intn(len(edgeInts))])
+			case c.Type == storage.Float64:
+				row[j] = storage.EncodeFloat(edgeFloats[rng.Intn(len(edgeFloats))])
+			case c.Type == storage.Bool:
+				row[j] = storage.Word(rng.Intn(2))
+			default: // a code, now and then one past the dictionary
+				row[j] = storage.Word(rng.Intn(dict.Len() + 2))
+			}
+		}
+	}
+	return res
+}
+
+// TestStreamResultMatchesEncodingJSON: over generated sets the streamed
+// document decodes, has the declared shape, and every cell is byte for
+// byte json.Marshal of the value the word stands for.
+func TestStreamResultMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 400; iter++ {
+		res := randomSet(rng)
+		micros := rng.Int63n(1 << 40)
+		out := stream(t, res, micros, nil, 0)
+		var got reply
+		if err := json.Unmarshal(out, &got); err != nil {
+			t.Fatalf("set %d does not decode: %v\n%s", iter, err, out)
+		}
+		if got.RowCount != len(res.Rows) || len(got.Rows) != len(res.Rows) || len(got.Cols) != len(res.Cols) || got.Micros != micros {
+			t.Fatalf("set %d: shape %d rows (%d declared) x %d cols, micros %d; want %d x %d, %d",
+				iter, len(got.Rows), got.RowCount, len(got.Cols), got.Micros, len(res.Rows), len(res.Cols), micros)
+		}
+		// ref is the document built from the source, for encoding/json to
+		// render whole.
+		ref := reply{Cols: make([]colJSON, len(res.Cols)), Rows: make([][]json.RawMessage, len(res.Rows)), RowCount: len(res.Rows), Micros: micros}
+		for j, c := range res.Cols {
+			ref.Cols[j] = colJSON{Name: c.Name, Type: c.Type.String()}
+		}
+		for i, row := range res.Rows {
+			if len(got.Rows[i]) != len(row) {
+				t.Fatalf("set %d row %d has %d cells, want %d", iter, i, len(got.Rows[i]), len(row))
+			}
+			ref.Rows[i] = make([]json.RawMessage, len(row))
+			for j, word := range row {
+				want := wantCell(t, word, res.Cols[j])
+				if string(got.Rows[i][j]) != want {
+					t.Fatalf("set %d cell [%d][%d] (%v, word %#x) = %s, want %s", iter, i, j, res.Cols[j].Type, word, got.Rows[i][j], want)
+				}
+				ref.Rows[i][j] = json.RawMessage(want)
+			}
+		}
+		want, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, append(want, '\n')) {
+			t.Fatalf("set %d: document differs from encoding/json's:\n got %s\nwant %s", iter, out, want)
+		}
+	}
+}
+
+// TestStreamResultGolden pins the envelope: field order, separators, the
+// trailing newline, and that a client finds rowCount in the last 64 bytes.
+func TestStreamResultGolden(t *testing.T) {
+	dict := storage.BuildDict([]string{"a<b", "open"})
+	res := result.New([]plan.Column{
+		{Name: "id", Type: storage.Int64},
+		{Name: "price", Type: storage.Float64},
+		{Name: "ok", Type: storage.Bool},
+		{Name: "status", Type: storage.String, Dict: dict},
+		{Name: "code", Type: storage.String},
+	})
+	res.Append([]storage.Word{storage.EncodeInt(-7), storage.EncodeFloat(2.5), 1, dict.MustCode("open"), 9})
+	res.Append([]storage.Word{storage.Null, storage.EncodeFloat(1e-7), 0, dict.MustCode("a<b"), storage.Null})
+
+	const head = `{"cols":[{"name":"id","type":"int64"},{"name":"price","type":"float64"},{"name":"ok","type":"bool"},` +
+		`{"name":"status","type":"string"},{"name":"code","type":"string"}],` +
+		`"rows":[[-7,2.5,true,"open",9],[null,1e-7,false,"a\u003cb",null]],"rowCount":2,"micros":1234`
+
+	plain := stream(t, res, 1234, nil, 0)
+	if want := head + "}\n"; string(plain) != want {
+		t.Errorf("plain reply:\n got %s\nwant %s", plain, want)
+	}
+	if tail := plain[max(0, len(plain)-64):]; !bytes.Contains(tail, []byte(`"rowCount":`)) {
+		t.Errorf("rowCount not in the last 64 bytes: %q", tail)
+	}
+
+	trace := []obs.OpReport{{Op: "scan", Detail: "R", RowsIn: 10, RowsOut: 2, Nanos: 99}}
+	explained := stream(t, res, 1234, trace, 5)
+	if want := head + `,"trace":[{"op":"scan","detail":"R","depth":0,"rowsIn":10,"rowsOut":2,"nanos":99}],"epoch":5}` + "\n"; string(explained) != want {
+		t.Errorf("explained reply:\n got %s\nwant %s", explained, want)
+	}
+}
+
+// TestStreamResultSpansBlocks: a reply of many blocks is the same document
+// as its rows would make in one, with no cell split or lost at a boundary,
+// and a long string next to a block's end moves to the next block whole.
+func TestStreamResultSpansBlocks(t *testing.T) {
+	long := strings.Repeat("<", 3000) // 18,000 bytes escaped
+	dict := storage.BuildDict([]string{long, "s"})
+	res := result.New([]plan.Column{{Name: "n", Type: storage.Int64}, {Name: "s", Type: storage.String, Dict: dict}})
+	for i := 0; i < 30_000; i++ {
+		row := res.NewRow()
+		row[0] = storage.EncodeInt(int64(i))
+		if i%997 == 0 {
+			row[1] = dict.MustCode(long)
+		} else {
+			row[1] = dict.MustCode("s")
+		}
+	}
+	var w countingWriter
+	if err := streamResult(&w, res, 1, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes < 4 || w.largest > encodeBlock {
+		t.Fatalf("%d writes, largest %d bytes: want several, none over a block", w.writes, w.largest)
+	}
+	var got reply
+	if err := json.Unmarshal(w.buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != len(res.Rows) {
+		t.Fatalf("%d rows decoded, want %d", len(got.Rows), len(res.Rows))
+	}
+	for i, row := range got.Rows {
+		if want := wantCell(t, res.Rows[i][1], res.Cols[1]); string(row[0]) != fmt.Sprint(i) || string(row[1]) != want {
+			t.Fatalf("row %d = %s, %.20s...", i, row[0], row[1])
+		}
+	}
+}
+
+// TestStreamResultRowsWithoutCells: rows of a set without columns are
+// brackets only, and those are streamed in blocks too.
+func TestStreamResultRowsWithoutCells(t *testing.T) {
+	res := result.New(nil)
+	for i := 0; i < 100_000; i++ { // 300,000 bytes of "[],"
+		res.NewRow()
+	}
+	var w countingWriter
+	if err := streamResult(&w, res, 1, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes < 4 || w.largest > encodeBlock {
+		t.Fatalf("%d writes, largest %d bytes: want several, none over a block", w.writes, w.largest)
+	}
+	var got reply
+	if err := json.Unmarshal(w.buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != len(res.Rows) || got.RowCount != len(res.Rows) {
+		t.Fatalf("%d rows decoded, %d declared, want %d", len(got.Rows), got.RowCount, len(res.Rows))
+	}
+}
+
+type countingWriter struct {
+	buf             bytes.Buffer
+	writes, largest int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.largest = max(w.largest, len(p))
+	return w.buf.Write(p)
+}
+
+// FuzzAppendJSONString: for any string the appender's output is
+// json.Marshal's.
+func FuzzAppendJSONString(f *testing.F) {
+	for _, s := range edgeStrings {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONString(%q) = %s, want %s", s, got, want)
+		}
+	})
+}
+
+// TestAppendJSONFloatMatchesEncodingJSON: random doubles, two-decimal
+// values of every magnitude and their neighbours all format as json.Marshal
+// formats them.
+func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	check := func(f float64) {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return
+		}
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONFloat(%b) = %s, want %s", f, got, want)
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+		cents := float64(rng.Int63n(1e15)>>uint(rng.Intn(50))) / 100
+		check(cents)
+		check(-cents)
+		check(math.Nextafter(cents, 0))
+		check(math.Nextafter(cents, math.Inf(1)))
+		check(rng.Float64() * 1000)
+	}
+}
+
+// recentLike builds rows of the benchmark's `recent` table: two ids, two
+// small measures, two prices with cents, an 8-value and a 64-value string.
+func recentLike(rows int) *result.Set {
+	status, region := make([]string, 8), make([]string, 64)
+	for i := range status {
+		status[i] = fmt.Sprintf("st-%d", i)
+	}
+	for i := range region {
+		region[i] = fmt.Sprintf("region-%d", i)
+	}
+	sd, rd := storage.BuildDict(status), storage.BuildDict(region)
+	res := result.New([]plan.Column{
+		{Name: "id", Type: storage.Int64}, {Name: "customer", Type: storage.Int64},
+		{Name: "m1", Type: storage.Int64}, {Name: "m2", Type: storage.Int64},
+		{Name: "price", Type: storage.Float64}, {Name: "discount", Type: storage.Float64},
+		{Name: "status", Type: storage.String, Dict: sd}, {Name: "region", Type: storage.String, Dict: rd},
+	})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < rows; i++ {
+		row := res.NewRow()
+		row[0] = storage.EncodeInt(int64(i))
+		row[1] = storage.EncodeInt(rng.Int63n(1_000_000))
+		row[2] = storage.EncodeInt(rng.Int63n(1000))
+		row[3] = storage.EncodeInt(rng.Int63n(1000))
+		row[4] = storage.EncodeFloat(float64(rng.Intn(100_000)) / 100)
+		row[5] = storage.EncodeFloat(float64(rng.Intn(100_000)) / 100)
+		row[6] = storage.Word(rng.Intn(len(status)))
+		row[7] = storage.Word(rng.Intn(len(region)))
+	}
+	return res
+}
+
+// TestStreamResultAllocsAreConstant: what a reply allocates does not grow
+// with its rows.
+func TestStreamResultAllocsAreConstant(t *testing.T) {
+	block := make([]byte, 0, encodeBlock)
+	allocs := func(rows int) float64 {
+		res := recentLike(rows)
+		return testing.AllocsPerRun(5, func() {
+			var err error
+			if raceEnabled {
+				// The race detector's sync.Pool drops blocks at random, so
+				// there the block is this test's.
+				_, err = appendResult(block, io.Discard, res, 1, nil, 0)
+			} else {
+				err = streamResult(io.Discard, res, 1, nil, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(100_000)
+	if small != large || small > 8 {
+		t.Errorf("allocations per reply: %v for 10 rows, %v for 100,000; want the same constant, at most 8", small, large)
+	}
+}
+
+// failingWriter is a ResponseWriter whose connection breaks after limit
+// bytes: the Write that crosses the limit fails, and so does every later
+// one.
+type failingWriter struct {
+	*httptest.ResponseRecorder
+	limit, written    int
+	writesAfterFailed int
+	failed            bool
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.writesAfterFailed++
+		return 0, errors.New("broken pipe")
+	}
+	if w.written+len(p) > w.limit {
+		w.failed = true
+		return 0, errors.New("broken pipe")
+	}
+	w.written += len(p)
+	return len(p), nil
+}
+
+// TestWriteResultStopsWhenClientIsGone: after the first failed Write the
+// writer formats nothing more, and says so under the request's id.
+func TestWriteResultStopsWhenClientIsGone(t *testing.T) {
+	s := New(NewDemoDB(10), Config{Workers: 1})
+	defer s.Close()
+	var logged bytes.Buffer
+	s.SetLogger(slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelDebug})))
+
+	res := recentLike(50_000) // about forty blocks
+	w := &failingWriter{ResponseRecorder: httptest.NewRecorder(), limit: 3 * encodeBlock}
+	r := httptest.NewRequest(http.MethodPost, "/query", nil)
+	r = r.WithContext(WithQueryID(r.Context(), "gone-1"))
+	start := time.Now()
+	s.writeResult(w, r, res, time.Since(start), nil)
+
+	if !w.failed {
+		t.Fatal("the writer never reached the limit")
+	}
+	if w.writesAfterFailed > 1 {
+		t.Errorf("%d Writes followed the failed one, want at most 1", w.writesAfterFailed)
+	}
+	if !strings.Contains(logged.String(), "id=gone-1") || !strings.Contains(logged.String(), "broken pipe") {
+		t.Errorf("no debug line naming the query and the error: %q", logged.String())
+	}
+}

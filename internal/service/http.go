@@ -11,10 +11,7 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/exec/result"
-	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/storage"
 )
 
 // HTTP front-end: a plain JSON-over-HTTP surface for the service.
@@ -33,12 +30,9 @@ import (
 //	GET  /history                                   -> in-process metrics history ring
 //	GET  /replication                               -> per-follower cursors and lag / apply position
 //
-// Results decode words by column type: int64/float64/bool become JSON
-// numbers/booleans; string columns whose provenance is a base table
-// decode through that table's dictionary to real strings, computed
-// string expressions without a dictionary stay codes. NULL is JSON null.
-// Malformed plans get a 400 whose error names the offending field;
-// admission rejections get a 429.
+// Results are streamed by writeResult (encode.go). Malformed plans get
+// a 400 whose error names the offending field; admission rejections get
+// a 429.
 //
 // /load streams the request body (CSV rows or NDJSON arrays) into a
 // table, batch-wise, so the body is not size-limited like plan requests.
@@ -144,17 +138,6 @@ type colJSON struct {
 	Type string `json:"type"`
 }
 
-type resultJSON struct {
-	Cols     []colJSON      `json:"cols"`
-	Rows     [][]any        `json:"rows"`
-	RowCount int            `json:"rowCount"`
-	Micros   int64          `json:"micros"`
-	Trace    []obs.OpReport `json:"trace,omitempty"`
-	// Epoch is the MVCC catalog version the query executed against
-	// (EXPLAIN ANALYZE only — set alongside Trace).
-	Epoch uint64 `json:"epoch,omitempty"`
-}
-
 type errorJSON struct {
 	Error string `json:"error"`
 	Field string `json:"field,omitempty"`
@@ -184,12 +167,7 @@ func (s *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	out := encodeResult(res, time.Since(start))
-	if tr != nil {
-		out.Trace = tr.Report()
-		out.Epoch = tr.Epoch
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeResult(w, r, res, time.Since(start), tr)
 }
 
 func (s *DB) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -233,7 +211,7 @@ func (s *DB) handleExec(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, encodeResult(res, time.Since(start)))
+	s.writeResult(w, r, res, time.Since(start), nil)
 }
 
 func (s *DB) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -515,68 +493,16 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, resp)
 }
 
+// writeJSON marshals before the status line goes out, so a value
+// encoding/json cannot carry (a NaN ratio, say) is a 500 that says so and
+// not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorJSON{Error: "encoding response: " + err.Error()}) // a struct of strings cannot fail
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-// encodeResult renders a result set with words decoded by column type.
-// String columns carrying a dictionary (those descending untransformed
-// from a base table — plan.Output threads the reference) decode to real
-// strings; a dictionary value table published before the decode covers
-// every code in the result, so this is safe after the catalog lock is
-// released even while loads append new values.
-func encodeResult(res *result.Set, took time.Duration) resultJSON {
-	cols := make([]colJSON, len(res.Cols))
-	dicts := make([][]string, len(res.Cols))
-	for i, c := range res.Cols {
-		cols[i] = colJSON{Name: c.Name, Type: c.Type.String()}
-		if c.Type == storage.String && c.Dict != nil {
-			dicts[i] = c.Dict.Values()
-		}
-	}
-	rows := make([][]any, len(res.Rows))
-	for i, r := range res.Rows {
-		row := make([]any, len(r))
-		for j, word := range r {
-			row[j] = decodeWord(word, colType(res.Cols, j), dictValues(dicts, j))
-		}
-		rows[i] = row
-	}
-	return resultJSON{Cols: cols, Rows: rows, RowCount: len(rows), Micros: took.Microseconds()}
-}
-
-func colType(cols []plan.Column, j int) storage.Type {
-	if j < len(cols) {
-		return cols[j].Type
-	}
-	return storage.Int64
-}
-
-func dictValues(dicts [][]string, j int) []string {
-	if j < len(dicts) {
-		return dicts[j]
-	}
-	return nil
-}
-
-func decodeWord(w storage.Word, t storage.Type, dict []string) any {
-	if w == storage.Null {
-		return nil
-	}
-	switch t {
-	case storage.Int64:
-		return storage.DecodeInt(w)
-	case storage.Float64:
-		return storage.DecodeFloat(w)
-	case storage.Bool:
-		return storage.DecodeBool(w)
-	default: // String
-		if int(w) < len(dict) {
-			return dict[w]
-		}
-		return w // computed expression without provenance: raw code
-	}
+	_, _ = w.Write(append(body, '\n')) // nothing to do for a client that has gone
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -201,5 +202,59 @@ func TestHTTPOptimize(t *testing.T) {
 	resp, out = post(t, srv.URL+"/query", demoQueryJSON(1000))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after optimize status = %d, body = %v", resp.StatusCode, out)
+	}
+}
+
+// TestHTTPNonFiniteFloatIsNull: /load accepts NaN and Inf (strconv parses
+// them) and JSON cannot carry them; the reply must still be a document,
+// with null in the cell. It used to be a 200 with an empty body.
+func TestHTTPNonFiniteFloatIsNull(t *testing.T) {
+	srv, _ := newTestServer(t)
+
+	resp, out := post(t, srv.URL+"/load?table=f&format=csv&create=id:int64,v:float64", "1,NaN\n")
+	if resp.StatusCode != http.StatusOK || out["rows"].(float64) != 1 {
+		t.Fatalf("load status = %d, body = %v", resp.StatusCode, out)
+	}
+	resp, out = post(t, srv.URL+"/query", `{"plan": {"op": "scan", "table": "f", "cols": [0, 1]}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status = %d, body = %v", resp.StatusCode, out)
+	}
+	if out["rowCount"].(float64) != 1 {
+		t.Fatalf("rowCount = %v, want 1", out["rowCount"])
+	}
+	if row := out["rows"].([]any)[0].([]any); row[0].(float64) != 1 || row[1] != nil {
+		t.Fatalf("row = %v, want [1 null]", row)
+	}
+}
+
+// TestWriteJSONUnencodable: a value encoding/json refuses is a 500 with an
+// error body, not a 200 with nothing in it.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"ratio": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var out errorJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error == "" {
+		t.Fatalf("body %q: err %v, want an error document", rec.Body, err)
+	}
+}
+
+// TestHTTPReplyFraming: a small reply is one Write, so net/http gives it a
+// Content-Length; a large one is streamed in blocks, chunked.
+func TestHTTPReplyFraming(t *testing.T) {
+	srv, _ := newTestServer(t)
+
+	resp, out := post(t, srv.URL+"/query", demoQueryJSON(10_000))
+	if resp.ContentLength <= 0 {
+		t.Errorf("one-row reply has Content-Length %d, want it set (body %v)", resp.ContentLength, out)
+	}
+	resp, out = post(t, srv.URL+"/query", `{"plan": {"op": "scan", "table": "R", "cols": [0, 1, 2, 3]}}`)
+	if resp.StatusCode != http.StatusOK || out["rowCount"].(float64) != testRows {
+		t.Fatalf("scan status = %d, rowCount = %v", resp.StatusCode, out["rowCount"])
+	}
+	if resp.ContentLength != -1 || len(resp.TransferEncoding) == 0 || resp.TransferEncoding[0] != "chunked" {
+		t.Errorf("%d-row reply: Content-Length %d, Transfer-Encoding %v; want chunked", testRows, resp.ContentLength, resp.TransferEncoding)
 	}
 }
