@@ -6,10 +6,10 @@
 // Typical use:
 //
 //	db := core.Open()
-//	db.CreateTable(schema, cols...)          // loads under NSM
+//	db.CreateTable(schema, cols...)          // publishes a version: the table under NSM
 //	res := db.Query(plan)                    // compiled execution
 //	db.AddWorkload(w)                        // declare the query mix
-//	report := db.OptimizeLayouts()           // BPi over every table
+//	report := db.OptimizeLayouts()           // BPi over every table, one more version
 //	res = db.Query(plan)                     // now runs on PDSM
 //
 // Alternative processors (Volcano, bulk, HYRISE-style) are available via
@@ -33,7 +33,6 @@ import (
 	"repro/internal/exec/vector"
 	"repro/internal/exec/volcano"
 	"repro/internal/index"
-	"repro/internal/layout"
 	"repro/internal/mem"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -42,13 +41,14 @@ import (
 
 // DB is a memory-resident database instance. The catalog is versioned:
 // the current version is published through an atomic pointer (see
-// mvcc.go), readers pin it with Snapshot, and the MVCC write path
-// (BeginWrite) builds the next version copy-on-write and publishes it
-// with one pointer swap. The in-place mutators below (CreateTable,
-// AddTable, Query over Insert, ApplyLayout, OptimizeLayouts, index
-// creation) edit the current version's catalog directly; they are for
-// single-writer use — experiment wiring, recovery replay, and the serial
-// paper baselines — and must not run concurrently with anything.
+// mvcc.go), readers pin it with Snapshot, and a WriteTxn (BeginWrite)
+// builds the next version copy-on-write and publishes it with one pointer
+// swap — the only way a catalog changes. The one-shot methods below
+// (CreateTable, AddTable, the index builders, OptimizeLayouts, Query of a
+// plan.Insert) are single-writer conveniences: each opens a WriteTxn,
+// makes its one change and commits, so pinned snapshots never see it, but
+// no two writers may overlap. A served database is written through the
+// service layer, which owns the commit mutex and the WAL.
 type DB struct {
 	id       uint64                  // process-unique, distinguishes epochs across SwapCore
 	cur      atomic.Pointer[version] // published catalog version
@@ -59,7 +59,6 @@ type DB struct {
 	geometry mem.Geometry
 	engine   exec.Engine
 	mix      *workload.Workload
-	adaptive *adaptiveState
 }
 
 var nextDBID atomic.Uint64
@@ -118,40 +117,52 @@ func (db *DB) Catalog() *plan.Catalog { return db.cur.Load().cat }
 // Geometry returns the hardware model used for cost estimation.
 func (db *DB) Geometry() mem.Geometry { return db.geometry }
 
+// write publishes one version holding whatever fn changes.
+func (db *DB) write(fn func(tx *WriteTxn)) {
+	tx := db.BeginWrite()
+	fn(tx)
+	tx.Commit()
+}
+
 // CreateTable loads a relation built with storage.Builder into the
 // database under the N-ary layout and returns it.
 func (db *DB) CreateTable(b *storage.Builder) *storage.Relation {
 	rel := b.Build(storage.NSM(b.Schema().Width()))
-	db.Catalog().Add(rel)
+	db.AddTable(rel)
 	return rel
 }
 
 // AddTable registers an existing relation.
-func (db *DB) AddTable(rel *storage.Relation) { db.Catalog().Add(rel) }
+func (db *DB) AddTable(rel *storage.Relation) {
+	db.write(func(tx *WriteTxn) { tx.AddTable(rel) })
+}
 
 // Table returns a registered relation.
 func (db *DB) Table(name string) *storage.Relation { return db.Catalog().Table(name) }
 
 // CreateHashIndex builds and registers a hash index on table.attr.
 func (db *DB) CreateHashIndex(table string, attr int) {
-	rel := db.Catalog().Table(table)
-	db.Catalog().AddIndex(table, attr, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, attr))
+	db.write(func(tx *WriteTxn) { tx.mustCreateIndex(table, attr, index.KindHash) })
 }
 
 // CreateTreeIndex builds and registers a red-black tree index.
 func (db *DB) CreateTreeIndex(table string, attr int) {
-	rel := db.Catalog().Table(table)
-	db.Catalog().AddIndex(table, attr, index.BuildOn(index.NewRBTree(), rel, attr))
+	db.write(func(tx *WriteTxn) { tx.mustCreateIndex(table, attr, index.KindRBTree) })
 }
 
-// Query executes a plan with the compiled (JiT-style) engine. In adaptive
-// mode (EnableAdaptive) the query is added to the observed workload and
-// may trigger a background re-layout.
-func (db *DB) Query(p plan.Node) *result.Set {
-	res := db.engine.Run(p, db.Catalog())
-	db.observe(p)
-	return res
+// run executes p on engine e against the current version; a plan.Insert
+// is published as one version instead, whatever the engine (exec.RunInsert
+// serves them all).
+func (db *DB) run(e exec.Engine, p plan.Node) (res *result.Set) {
+	if ins, ok := p.(plan.Insert); ok {
+		db.write(func(tx *WriteTxn) { res = tx.Insert(ins.Table, ins.Rows) })
+		return res
+	}
+	return e.Run(p, db.Catalog())
 }
+
+// Query executes a plan with the compiled (JiT-style) engine.
+func (db *DB) Query(p plan.Node) *result.Set { return db.run(db.engine, p) }
 
 // Engines lists the available processing models by name.
 func Engines() map[string]exec.Engine {
@@ -165,13 +176,13 @@ func Engines() map[string]exec.Engine {
 }
 
 // QueryWith executes a plan under a named processing model ("jit",
-// "volcano", "bulk", "hyrise").
+// "volcano", "bulk", "hyrise", "vector").
 func (db *DB) QueryWith(engineName string, p plan.Node) (*result.Set, error) {
 	e, ok := Engines()[engineName]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown engine %q", engineName)
 	}
-	return e.Run(p, db.Catalog()), nil
+	return db.run(e, p), nil
 }
 
 // AddWorkload declares the query mix used by OptimizeLayouts.
@@ -201,54 +212,10 @@ type LayoutChange struct {
 }
 
 // OptimizeLayouts runs BPi over every table referenced by the declared
-// workload and materializes the chosen layouts, returning the per-table
-// decisions. Registered indexes are rebuilt on the re-laid-out relations.
-func (db *DB) OptimizeLayouts() []LayoutChange {
-	est := costmodel.NewEstimator(db.Catalog(), db.geometry)
-	o := layout.NewOptimizer(est)
-	var changes []LayoutChange
-	for _, tbl := range db.mix.Tables() {
-		rel := db.Catalog().Table(tbl)
-		oldLayout := rel.Layout
-		oldCost := db.mix.Cost(est, map[string]storage.Layout{tbl: oldLayout})
-		best, newCost := o.Optimize(tbl, db.mix)
-		if !best.Equal(oldLayout) && newCost < oldCost {
-			reindexed := rel.WithLayout(best)
-			db.Catalog().Add(reindexed)
-			rebuildIndexes(db.Catalog(), tbl, reindexed)
-			changes = append(changes, LayoutChange{
-				Table: tbl, Old: oldLayout, New: best, OldCost: oldCost, NewCost: newCost,
-			})
-		}
-	}
+// workload and publishes the chosen layouts as one version, returning the
+// per-table decisions. Registered indexes are rebuilt on the re-laid-out
+// relations.
+func (db *DB) OptimizeLayouts() (changes []LayoutChange) {
+	db.write(func(tx *WriteTxn) { changes = tx.OptimizeLayouts() })
 	return changes
-}
-
-// ApplyLayout materializes table under the given layout unconditionally —
-// no cost comparison — and rebuilds its registered indexes. It is the
-// replay path of the persistence layer: a logged re-layout decision is
-// re-applied verbatim on recovery, so the restored physical design matches
-// what the optimizer picked, not what a replayed optimization over a
-// different intermediate state would pick.
-func (db *DB) ApplyLayout(table string, l storage.Layout) {
-	rel := db.Catalog().Table(table)
-	if rel.Layout.Equal(l) {
-		return
-	}
-	relaid := rel.WithLayout(l)
-	db.Catalog().Add(relaid)
-	rebuildIndexes(db.Catalog(), table, relaid)
-}
-
-func rebuildIndexes(c *plan.Catalog, table string, rel *storage.Relation) {
-	for attr := 0; attr < rel.Schema.Width(); attr++ {
-		if idx := c.Index(table, attr); idx != nil {
-			switch idx.Kind() {
-			case "hash":
-				c.AddIndex(table, attr, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, attr))
-			case "rbtree":
-				c.AddIndex(table, attr, index.BuildOn(index.NewRBTree(), rel, attr))
-			}
-		}
-	}
 }

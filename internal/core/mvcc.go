@@ -187,18 +187,24 @@ func (tx *WriteTxn) Insert(table string, rows [][]storage.Word) *result.Set {
 	return exec.RunInsert(plan.Insert{Table: table, Rows: rows}, tx.cat)
 }
 
-// ApplyLayout materializes table under the given layout (no cost
-// comparison) and rebuilds its registered indexes, all within the
-// transaction's private version.
-func (tx *WriteTxn) ApplyLayout(table string, l storage.Layout) {
-	rel := tx.cat.Table(table)
-	if rel.Layout.Equal(l) {
-		return
-	}
-	relaid := rel.WithLayout(l)
-	tx.cat.Add(relaid)
-	rebuildIndexes(tx.cat, table, relaid)
+// relayout swaps table's relation for a copy under layout l and rebuilds
+// the table's registered indexes over it.
+func (tx *WriteTxn) relayout(table string, rel *storage.Relation, l storage.Layout) {
+	tx.cat.Add(rel.WithLayout(l))
 	tx.cowed[table] = true
+	for _, def := range tx.cat.IndexDefs(table) {
+		tx.mustCreateIndex(table, def.Attr, def.Kind)
+	}
+}
+
+// ApplyLayout materializes table under the given layout with no cost
+// comparison and rebuilds its registered indexes. WAL replay re-applies a
+// logged decision through it, so the restored design is what the optimizer
+// picked, not what a re-run over a different intermediate state would.
+func (tx *WriteTxn) ApplyLayout(table string, l storage.Layout) {
+	if rel := tx.cat.Table(table); !rel.Layout.Equal(l) {
+		tx.relayout(table, rel, l)
+	}
 }
 
 // OptimizeLayouts runs BPi over every table referenced by the declared
@@ -214,10 +220,7 @@ func (tx *WriteTxn) OptimizeLayouts() []LayoutChange {
 		oldCost := tx.db.mix.Cost(est, map[string]storage.Layout{tbl: oldLayout})
 		best, newCost := o.Optimize(tbl, tx.db.mix)
 		if !best.Equal(oldLayout) && newCost < oldCost {
-			reindexed := rel.WithLayout(best)
-			tx.cat.Add(reindexed)
-			rebuildIndexes(tx.cat, tbl, reindexed)
-			tx.cowed[tbl] = true
+			tx.relayout(tbl, rel, best)
 			changes = append(changes, LayoutChange{
 				Table: tbl, Old: oldLayout, New: best, OldCost: oldCost, NewCost: newCost,
 			})
@@ -226,18 +229,25 @@ func (tx *WriteTxn) OptimizeLayouts() []LayoutChange {
 	return changes
 }
 
-// CreateHashIndex builds and registers a hash index on table.attr in the
-// transaction's version.
-func (tx *WriteTxn) CreateHashIndex(table string, attr int) {
+// CreateIndex builds an index of the given kind (index.KindHash,
+// index.KindRBTree) on table.attr and registers it in the transaction's
+// version. An unknown kind is an error and changes nothing.
+func (tx *WriteTxn) CreateIndex(table string, attr int, kind string) error {
 	rel := tx.cat.Table(table)
-	tx.cat.AddIndex(table, attr, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, attr))
+	idx, err := index.New(kind, rel.Rows())
+	if err != nil {
+		return err
+	}
+	tx.cat.AddIndex(table, attr, index.BuildOn(idx, rel, attr))
+	return nil
 }
 
-// CreateTreeIndex builds and registers a red-black tree index on
-// table.attr in the transaction's version.
-func (tx *WriteTxn) CreateTreeIndex(table string, attr int) {
-	rel := tx.cat.Table(table)
-	tx.cat.AddIndex(table, attr, index.BuildOn(index.NewRBTree(), rel, attr))
+// mustCreateIndex is CreateIndex for a kind the caller took from the
+// index package or from a live index.
+func (tx *WriteTxn) mustCreateIndex(table string, attr int, kind string) {
+	if err := tx.CreateIndex(table, attr, kind); err != nil {
+		panic(err)
+	}
 }
 
 // DictAppend appends values to the dictionary of a string attribute,
@@ -272,24 +282,4 @@ func (tx *WriteTxn) Commit() uint64 {
 	db.verMu.Unlock()
 	db.reclaim()
 	return next.epoch
-}
-
-// Insert is the in-place (non-MVCC) insert used by recovery replay and
-// single-writer embedders: rows are appended directly into the published
-// version. See the DB doc comment for the single-writer caveat.
-func (db *DB) Insert(table string, rows [][]storage.Word) *result.Set {
-	return exec.RunInsert(plan.Insert{Table: table, Rows: rows}, db.Catalog())
-}
-
-// DictAppend is the in-place (non-MVCC) dictionary append used by
-// recovery replay, mirroring WriteTxn.DictAppend.
-func (db *DB) DictAppend(table string, attr int, values []string) {
-	rel := db.Catalog().Table(table)
-	if rel.Dicts[attr] == nil {
-		rel.Dicts[attr] = storage.BuildDict(nil)
-	}
-	d := rel.Dicts[attr]
-	for _, v := range values {
-		d.AppendCode(v)
-	}
 }

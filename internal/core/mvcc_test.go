@@ -66,10 +66,64 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestOneShotMutatorsIsolated pins a snapshot before each of core.DB's
+// one-shot mutators and asserts what the Snapshot type promises: the
+// pinned catalog does not change, the call publishes exactly one version,
+// and the superseded one is reclaimed when the pin drops.
+func TestOneShotMutatorsIsolated(t *testing.T) {
+	db, schema := buildDB(3000)
+	db.AddWorkload("buys", buyQuery(db, schema), 100)
+	other := storage.NewRelation(storage.NewSchema("other",
+		storage.Attribute{Name: "k", Type: storage.Int64}), storage.NSM(1))
+
+	for _, tc := range []struct {
+		name    string
+		mutate  func()
+		changed func(c *plan.Catalog) bool // true once the mutation is visible in c
+	}{
+		{"CreateHashIndex", func() { db.CreateHashIndex("events", 0) },
+			func(c *plan.Catalog) bool { return c.Index("events", 0) != nil }},
+		{"OptimizeLayouts", func() { db.OptimizeLayouts() },
+			func(c *plan.Catalog) bool { return c.Table("events").Layout.Kind() != "row" }},
+		{"Query(Insert)", func() {
+			db.Query(plan.Insert{Table: "events", Rows: [][]storage.Word{{
+				storage.EncodeInt(3000), db.Table("events").Dict(1).MustCode("buy"),
+				storage.EncodeInt(7), storage.EncodeInt(0), storage.EncodeInt(0),
+			}}})
+		}, func(c *plan.Catalog) bool { return c.Table("events").Rows() != 3000 }},
+		{"AddTable", func() { db.AddTable(other) },
+			func(c *plan.Catalog) bool { return c.Has("other") }},
+	} {
+		snap := db.Snapshot()
+		rel, epoch := snap.Catalog().Table("events"), db.Epoch()
+		if tc.changed(snap.Catalog()) {
+			t.Fatalf("%s: already visible before the call", tc.name)
+		}
+		tc.mutate()
+		if tc.changed(snap.Catalog()) {
+			t.Errorf("%s changed the catalog of a pinned snapshot", tc.name)
+		}
+		if snap.Catalog().Table("events") != rel {
+			t.Errorf("%s replaced the relation inside a pinned snapshot", tc.name)
+		}
+		if !tc.changed(db.Catalog()) {
+			t.Errorf("%s is not visible in the published catalog", tc.name)
+		}
+		if got := db.Epoch(); got != epoch+1 {
+			t.Errorf("%s moved the epoch %d -> %d, want one version", tc.name, epoch, got)
+		}
+		snap.Release()
+		if lv := db.LiveVersions(); lv != 1 {
+			t.Errorf("%s: %d live versions after release, want 1", tc.name, lv)
+		}
+	}
+}
+
 // TestAbandonedWriteTxn asserts a transaction that never commits leaves
 // no trace in the published catalog.
 func TestAbandonedWriteTxn(t *testing.T) {
 	db, _ := buildDB(100)
+	epoch0 := db.Epoch()
 	tx := db.BeginWrite()
 	tx.Insert("events", [][]storage.Word{{
 		storage.EncodeInt(100), tx.Catalog().Table("events").Dicts[1].AppendCode("view"),
@@ -79,8 +133,8 @@ func TestAbandonedWriteTxn(t *testing.T) {
 	if c, _ := countAll(t, db.Catalog()); c != 100 {
 		t.Fatalf("abandoned transaction leaked into published catalog: %d rows", c)
 	}
-	if db.Epoch() != 1 {
-		t.Fatalf("abandoned transaction advanced the epoch to %d", db.Epoch())
+	if db.Epoch() != epoch0 {
+		t.Fatalf("abandoned transaction advanced the epoch %d -> %d", epoch0, db.Epoch())
 	}
 }
 
@@ -115,6 +169,7 @@ func TestSnapshotStableAcrossRelayout(t *testing.T) {
 // pin drops — the live-version count stays bounded.
 func TestVersionReclamation(t *testing.T) {
 	db, _ := buildDB(50)
+	reclaimed0 := db.VersionsReclaimed()
 	row := func(tx *WriteTxn, id int64) [][]storage.Word {
 		return [][]storage.Word{{
 			storage.EncodeInt(id), tx.Catalog().Table("events").Dicts[1].AppendCode("click"),
@@ -131,8 +186,8 @@ func TestVersionReclamation(t *testing.T) {
 			t.Fatalf("commit %d with no readers: %d live versions, want 1", i, lv)
 		}
 	}
-	if db.VersionsReclaimed() != 5 {
-		t.Fatalf("reclaimed %d versions, want 5", db.VersionsReclaimed())
+	if got := db.VersionsReclaimed() - reclaimed0; got != 5 {
+		t.Fatalf("reclaimed %d versions, want 5", got)
 	}
 
 	// A pinned reader holds exactly its own version alive across commits.

@@ -86,7 +86,7 @@ func Ingest(opt Options) *Report {
 	})
 
 	start = time.Now()
-	if _, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, _, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		panic(err)
 	}
 	rTook := time.Since(start)

@@ -84,4 +84,4 @@ func (h *HashIndex) Clone() Index {
 }
 
 // Kind returns "hash".
-func (h *HashIndex) Kind() string { return "hash" }
+func (h *HashIndex) Kind() string { return KindHash }

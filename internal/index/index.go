@@ -6,7 +6,11 @@
 // query Q6.
 package index
 
-import "repro/internal/storage"
+import (
+	"fmt"
+
+	"repro/internal/storage"
+)
 
 // Index is the common interface of all index structures.
 type Index interface {
@@ -16,13 +20,33 @@ type Index interface {
 	Lookup(key storage.Word, dst []int32) []int32
 	// Len returns the number of (key,row) entries.
 	Len() int
-	// Kind names the structure ("hash" or "rbtree").
+	// Kind names the structure (KindHash or KindRBTree).
 	Kind() string
 	// Clone returns an independent copy: inserts into the clone never
 	// become visible through the original. The MVCC write path clones the
 	// indexes of every table it touches, so readers of a pinned catalog
 	// version keep probing an immutable structure.
 	Clone() Index
+}
+
+// The index kinds: what Kind reports, what snapshots and WAL records
+// store, and what New accepts.
+const (
+	KindHash   = "hash"
+	KindRBTree = "rbtree"
+)
+
+// New returns an empty index of the named kind, sized for the expected
+// entry count. Kinds arrive from snapshot files and WAL records, so an
+// unknown one is an error, not a panic.
+func New(kind string, expected int) (Index, error) {
+	switch kind {
+	case KindHash:
+		return NewHashIndex(expected), nil
+	case KindRBTree:
+		return NewRBTree(), nil
+	}
+	return nil, fmt.Errorf("index: unknown kind %q", kind)
 }
 
 // BuildOn constructs an index over an existing relation attribute.

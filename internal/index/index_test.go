@@ -173,3 +173,21 @@ func TestBuildOn(t *testing.T) {
 		t.Errorf("BuildOn lookup = %v, want [0 2]", got)
 	}
 }
+
+// TestNewByKind pins the constructor that snapshot restore, WAL replay
+// and relayout share: every kind an index reports constructs that index,
+// anything else is an error.
+func TestNewByKind(t *testing.T) {
+	for _, kind := range []string{KindHash, KindRBTree} {
+		idx, err := New(kind, 100)
+		if err != nil {
+			t.Fatalf("New(%q): %v", kind, err)
+		}
+		if idx.Kind() != kind || idx.Len() != 0 {
+			t.Fatalf("New(%q) = %s index with %d entries", kind, idx.Kind(), idx.Len())
+		}
+	}
+	if idx, err := New("btree", 0); err == nil {
+		t.Fatalf("New of an unknown kind returned %v", idx)
+	}
+}

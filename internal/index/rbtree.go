@@ -31,7 +31,7 @@ func NewRBTree() *RBTree { return &RBTree{} }
 func (t *RBTree) Len() int { return t.n }
 
 // Kind returns "rbtree".
-func (t *RBTree) Kind() string { return "rbtree" }
+func (t *RBTree) Kind() string { return KindRBTree }
 
 // Clone deep-copies the tree, including the per-key row lists (Insert
 // appends to them in place, so sharing their backing arrays would leak

@@ -26,7 +26,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		if _, err := WriteSnapshot(&buf, db, 0); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -158,22 +158,28 @@ func Open(opts Options) (*core.DB, *Manager, error) {
 		}
 	}
 
+	// Snapshot and WAL go into one transaction on a fresh database: a
+	// recovery that fails anywhere publishes nothing.
 	db := core.Open()
+	tx := db.BeginWrite()
 	var epoch uint64
 	if f, err := os.Open(snapPath); err == nil {
-		restored, snapEpoch, rerr := restoreSnapshot(f)
+		snap, rerr := DecodeSnapshot(f)
 		f.Close()
+		if rerr == nil {
+			rerr = snap.RestoreTo(tx)
+		}
 		if rerr != nil {
 			return nil, nil, fmt.Errorf("persist: reading %s: %w", snapPath, rerr)
 		}
-		db, epoch = restored, snapEpoch
+		epoch = snap.Epoch
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
 	}
 	if err := completeRotation(walPath, newPath, epoch); err != nil {
 		return nil, nil, err
 	}
-	applied, err := replayWAL(walPath, db, epoch)
+	applied, err := replayWAL(walPath, tx, epoch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -186,6 +192,7 @@ func Open(opts Options) (*core.DB, *Manager, error) {
 		w.close()
 		return nil, nil, err
 	}
+	tx.Commit()
 	return db, &Manager{
 		dir: opts.Dir, fsync: opts.Fsync, w: w, reader: reader,
 		committed: w.size, records: int64(applied), epoch: epoch,

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -121,6 +122,13 @@ func TestRecoveryDifferential(t *testing.T) {
 	}
 	defer m2.Close()
 
+	// Snapshot and WAL tail arrive as one published version.
+	if got, want := recovered.Epoch(), core.Open().Epoch()+1; got != want {
+		t.Fatalf("recovery left the database at epoch %d, want %d (one commit)", got, want)
+	}
+	if lv := recovered.LiveVersions(); lv != 1 {
+		t.Fatalf("recovery left %d live versions, want 1", lv)
+	}
 	for _, table := range db.Catalog().Names() {
 		assertBitIdentical(t, table, db, recovered)
 	}
@@ -141,5 +149,39 @@ func TestRecoveryDifferential(t *testing.T) {
 					name, eng, want.Len(), got.Len())
 			}
 		}
+	}
+}
+
+// TestRecoveryFailsWholeOnBadMiddleRecord recovers a snapshot plus a WAL
+// tail whose middle record passes its CRC but cannot be applied (it names
+// a table that does not exist). The records before it were already
+// replayed when the error surfaces; Open must hand back no database
+// rather than one holding half the log.
+func TestRecoveryFailsWholeOnBadMiddleRecord(t *testing.T) {
+	dir := t.TempDir()
+	db := buildTestDB(t, 50)
+	_, m, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(db); err != nil {
+		t.Fatal(err)
+	}
+	ev := [][]storage.Word{{storage.EncodeInt(1), storage.Word(0)}}
+	for _, table := range []string{"events", "ghost", "events"} {
+		if err := m.LogInsert(table, 2, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, m2, err := Open(Options{Dir: dir})
+	if !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("err = %v, want ErrWALCorrupt", err)
+	}
+	if recovered != nil || m2 != nil {
+		t.Fatalf("failed recovery returned a database (%v) or a manager (%v)", recovered, m2)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -92,27 +93,17 @@ func SnapTable(c *plan.Catalog, name string) *TableSnap {
 	}
 }
 
-// Restore materializes the snapshot into a relation and registers it and
-// its indexes on db.
-func (t *TableSnap) Restore(db *core.DB) error { return t.RestoreTo(db) }
-
-// RestoreTo materializes the snapshot into a relation and registers it
-// and its indexes on any replay target (a core.DB in place, or a
-// core.WriteTxn building the next MVCC version).
-func (t *TableSnap) RestoreTo(dst Target) error {
+// restore materializes the table into a relation and registers it and
+// its indexes in tx.
+func (t *TableSnap) restore(tx *core.WriteTxn) error {
 	rel, err := storage.RestoreRelation(t.Schema, t.Layout, t.Parts, t.Dicts, t.Rows)
 	if err != nil {
 		return err
 	}
-	dst.AddTable(rel)
+	tx.AddTable(rel)
 	for _, def := range t.Indexes {
-		switch def.Kind {
-		case "hash":
-			dst.CreateHashIndex(t.Schema.Name, def.Attr)
-		case "rbtree":
-			dst.CreateTreeIndex(t.Schema.Name, def.Attr)
-		default:
-			return fmt.Errorf("%w: unknown index kind %q on %s", ErrCorrupt, def.Kind, t.Schema.Name)
+		if err := tx.CreateIndex(t.Schema.Name, def.Attr, def.Kind); err != nil {
+			return fmt.Errorf("%w: %v on %s", ErrCorrupt, err, t.Schema.Name)
 		}
 	}
 	return nil
@@ -165,26 +156,34 @@ type Snapshot struct {
 	Tables []*TableSnap
 }
 
-// ReadSnapshot decodes a snapshot and restores every table (and its
-// indexes) into a fresh core.DB. Decode failures return errors wrapping
-// the named sentinel errors above; the function never panics on corrupt
-// input.
-func ReadSnapshot(r io.Reader) (*core.DB, error) {
-	db, _, err := restoreSnapshot(r)
-	return db, err
+// RestoreTo materializes every table of the snapshot, and its indexes,
+// in tx — the one restore loop, which local recovery continues with the
+// WAL before it commits.
+func (s *Snapshot) RestoreTo(tx *core.WriteTxn) error {
+	for _, t := range s.Tables {
+		if err := t.restore(tx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func restoreSnapshot(r io.Reader) (*core.DB, uint64, error) {
+// ReadSnapshot decodes a snapshot and restores every table (and its
+// indexes) into a fresh core.DB, published as one version; it returns the
+// database and the snapshot's checkpoint epoch. Decode failures return
+// errors wrapping the named sentinel errors above; the function never
+// panics on corrupt input.
+func ReadSnapshot(r io.Reader) (*core.DB, uint64, error) {
 	snap, err := DecodeSnapshot(r)
 	if err != nil {
 		return nil, 0, err
 	}
 	db := core.Open()
-	for _, t := range snap.Tables {
-		if err := t.Restore(db); err != nil {
-			return nil, 0, err
-		}
+	tx := db.BeginWrite()
+	if err := snap.RestoreTo(tx); err != nil {
+		return nil, 0, err
 	}
+	tx.Commit()
 	return db, snap.Epoch, nil
 }
 
@@ -517,8 +516,8 @@ func decodeTable(payload []byte) (*TableSnap, error) {
 		if idxs[i].Kind, err = d.str(); err != nil {
 			return nil, err
 		}
-		if idxs[i].Kind != "hash" && idxs[i].Kind != "rbtree" {
-			return nil, fmt.Errorf("%w: unknown index kind %q", ErrCorrupt, idxs[i].Kind)
+		if _, err := index.New(idxs[i].Kind, 0); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 	if d.off != len(d.buf) {

@@ -127,16 +127,19 @@ func assertBitIdentical(t *testing.T, table string, a, b *core.DB) {
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	db := buildTestDB(t, 500)
 	var buf bytes.Buffer
-	n, err := WriteSnapshot(&buf, db, 0)
+	n, err := WriteSnapshot(&buf, db, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteSnapshot reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	got, epoch, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if epoch != 7 {
+		t.Fatalf("checkpoint epoch %d, want the 7 it was written with", epoch)
 	}
 	if want := db.Catalog().Names(); !reflect.DeepEqual(got.Catalog().Names(), want) {
 		t.Fatalf("tables %v, want %v", got.Catalog().Names(), want)
@@ -147,7 +150,7 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	// A second write of the restored DB must produce identical bytes —
 	// the encoding is canonical.
 	var buf2 bytes.Buffer
-	if _, err := WriteSnapshot(&buf2, got, 0); err != nil {
+	if _, err := WriteSnapshot(&buf2, got, epoch); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -178,7 +181,7 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mut := tc.mutate(append([]byte(nil), good...))
-			_, err := ReadSnapshot(bytes.NewReader(mut))
+			_, _, err := ReadSnapshot(bytes.NewReader(mut))
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}

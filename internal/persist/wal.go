@@ -242,8 +242,8 @@ func walEpochBody(epoch uint64) []byte {
 	return e.buf
 }
 
-// replayWAL applies the log at path to db, given the epoch of the
-// snapshot the database was restored from. It returns the number of
+// replayWAL applies the log at path to tx, given the epoch of the
+// snapshot the transaction was restored from. It returns the number of
 // records applied.
 //
 //   - A WAL whose leading epoch record matches snapEpoch is replayed; a
@@ -254,7 +254,7 @@ func walEpochBody(epoch uint64) []byte {
 //     instead of replayed as duplicates.
 //   - A HIGHER epoch (or corruption followed by further valid data)
 //     returns ErrWALCorrupt — the log cannot be trusted.
-func replayWAL(path string, db *core.DB, snapEpoch uint64) (int, error) {
+func replayWAL(path string, tx *core.WriteTxn, snapEpoch uint64) (int, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -304,7 +304,7 @@ func replayWAL(path string, db *core.DB, snapEpoch uint64) (int, error) {
 				return 0, fmt.Errorf("%w: WAL epoch %d newer than snapshot epoch %d",
 					ErrWALCorrupt, epoch, snapEpoch)
 			}
-		} else if err := ApplyRecord(db, body); err != nil {
+		} else if err := ApplyRecordTo(tx, body); err != nil {
 			return applied, fmt.Errorf("persist: WAL record at offset %d: %w", off, err)
 		} else {
 			applied++
@@ -329,17 +329,12 @@ func decodeEpochRecord(body []byte) (uint64, error) {
 	return d.uvarint()
 }
 
-// ApplyRecord replays one decoded record body against db in place — the
-// local recovery path, where the database is private to the opener.
-func ApplyRecord(db *core.DB, body []byte) error { return ApplyRecordTo(db, body) }
-
-// ApplyRecordTo replays one decoded record body against any replay
-// target. Local recovery and replication followers share it: a replica
-// applying shipped records through this path (into a core.WriteTxn, so
-// its readers never see a half-applied chunk) reconstructs the primary's
-// physical design — layouts, dictionary codes, index definitions —
-// bit-identically.
-func ApplyRecordTo(dst Target, body []byte) error {
+// ApplyRecordTo replays one decoded record body into a write
+// transaction. Local recovery and replication followers share it, so a
+// replica applying shipped records reconstructs the primary's physical
+// design — layouts, dictionary codes, index definitions — bit-identically,
+// and neither publishes a half-applied log.
+func ApplyRecordTo(dst *core.WriteTxn, body []byte) error {
 	if len(body) == 0 {
 		return fmt.Errorf("%w: empty body", ErrWALCorrupt)
 	}
@@ -384,7 +379,7 @@ func ApplyRecordTo(dst Target, body []byte) error {
 		if err != nil {
 			return err
 		}
-		return t.RestoreTo(dst)
+		return t.restore(dst)
 	case walRelayout:
 		d := &dec{buf: payload}
 		table, err := d.str()
@@ -468,13 +463,8 @@ func ApplyRecordTo(dst Target, body []byte) error {
 		if attr >= dst.Catalog().Table(table).Schema.Width() {
 			return fmt.Errorf("%w: index on attribute %d of table %q", ErrWALCorrupt, attr, table)
 		}
-		switch kind {
-		case "hash":
-			dst.CreateHashIndex(table, attr)
-		case "rbtree":
-			dst.CreateTreeIndex(table, attr)
-		default:
-			return fmt.Errorf("%w: unknown index kind %q", ErrWALCorrupt, kind)
+		if err := dst.CreateIndex(table, attr, kind); err != nil {
+			return fmt.Errorf("%w: %v", ErrWALCorrupt, err)
 		}
 		return nil
 	case walEpoch:

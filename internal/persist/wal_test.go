@@ -44,7 +44,9 @@ func TestWALReplayAppliesRecords(t *testing.T) {
 	if err := m.LogInsert("t", 2, rows); err != nil {
 		t.Fatal(err)
 	}
-	db.ApplyLayout("t", storage.DSM(2))
+	tx := db.BeginWrite()
+	tx.ApplyLayout("t", storage.DSM(2))
+	tx.Commit()
 	if err := m.LogRelayout("t", storage.DSM(2)); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/service"
 )
@@ -160,18 +159,12 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, readErrBody(resp.Body))
 	}
-	snap, err := persist.DecodeSnapshot(resp.Body)
+	db, epoch, err := persist.ReadSnapshot(resp.Body)
 	if err != nil {
-		return fmt.Errorf("repl: decoding shipped snapshot: %w", err)
-	}
-	db := core.Open()
-	for _, t := range snap.Tables {
-		if err := t.Restore(db); err != nil {
-			return fmt.Errorf("repl: restoring shipped table: %w", err)
-		}
+		return fmt.Errorf("repl: restoring shipped snapshot: %w", err)
 	}
 	r.svc.SwapCore(db)
-	r.epoch, r.offset, r.records = snap.Epoch, 0, 0
+	r.epoch, r.offset, r.records = epoch, 0, 0
 	r.ready, r.stall = true, 0
 	r.svc.NoteReplicaSync()
 	r.svc.SetReplicaProgress(r.epoch, 0, 0, 0, 0)

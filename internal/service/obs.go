@@ -70,7 +70,7 @@ func (s *DB) initMetrics() {
 	counter("db_plan_cache_hits_total", "Executions that reused a compiled plan.", s.stats.planHits.Load)
 	counter("db_plan_cache_misses_total", "Executions that compiled their plan.", s.stats.planMisses.Load)
 	counter("db_plan_cache_evictions_total", "Compiled plans evicted by the LRU.", s.stats.planEvictions.Load)
-	counter("db_relayouts_total", "OptimizeLayouts runs.", s.stats.relayouts.Load)
+	counter("db_relayouts_total", "OptimizeLayouts runs that published a layout change.", s.stats.relayouts.Load)
 	counter("db_loads_total", "Completed bulk loads.", s.stats.loads.Load)
 	counter("db_loaded_rows_total", "Rows ingested by bulk loads.", s.stats.loadedRows.Load)
 

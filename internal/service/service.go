@@ -818,8 +818,11 @@ func (s *DB) invalidate() {
 // materialized copy-on-write and publish in one atomic version swap, so
 // queries running on pinned snapshots finish against the old partitions
 // untouched. With persistence attached, each decision is WAL-logged
-// before the publish so recovery re-applies the exact chosen layouts. A
-// replica refuses: its layouts are the primary's, shipped via the WAL.
+// before the publish so recovery re-applies the exact chosen layouts; if
+// the log rejects one, the call returns ErrDurability and publishes only
+// the decisions logged before it, so memory never holds a layout the log
+// does not. A replica refuses: its layouts are the primary's, shipped via
+// the WAL.
 func (s *DB) OptimizeLayouts() ([]core.LayoutChange, error) {
 	if err := s.writeGuard(); err != nil {
 		return nil, err
@@ -828,16 +831,24 @@ func (s *DB) OptimizeLayouts() ([]core.LayoutChange, error) {
 	defer s.commitMu.Unlock()
 	tx := s.core().BeginWrite()
 	changes := tx.OptimizeLayouts()
-	s.stats.relayouts.Add(1)
+	var logErr error
 	if m := s.mgr(); m != nil {
-		for _, ch := range changes {
+		for i, ch := range changes {
 			if err := m.LogRelayout(ch.Table, ch.New); err != nil {
 				s.stats.persistErrs.Add(1)
+				logErr = fmt.Errorf("%w: relayout of %q not logged, %d of %d decisions published: %v", ErrDurability, ch.Table, i, len(changes), err)
+				changes = changes[:i]
+				tx = s.core().BeginWrite()
+				for _, logged := range changes {
+					tx.ApplyLayout(logged.Table, logged.New)
+				}
+				break
 			}
 		}
 	}
 	if len(changes) > 0 {
 		tx.Commit()
+		s.stats.relayouts.Add(1)
 		s.invalidate()
 		data := map[string]string{"tables": strconv.Itoa(len(changes))}
 		for _, ch := range changes {
@@ -845,7 +856,7 @@ func (s *DB) OptimizeLayouts() ([]core.LayoutChange, error) {
 		}
 		s.Event(EventRelayout, "layout optimizer changed physical layouts", data)
 	}
-	return changes, nil
+	return changes, logErr
 }
 
 // Checkpoint snapshots the full catalog to the data directory and
@@ -987,7 +998,7 @@ type Stats struct {
 	PlanCacheHits int64 `json:"planCacheHits"`      // executions reusing a compiled plan
 	PlanCacheMiss int64 `json:"planCacheMisses"`    // executions that compiled
 	PlanEvictions int64 `json:"planCacheEvictions"` // LRU evictions (not DDL flushes)
-	Relayouts     int64 `json:"relayouts"`          // OptimizeLayouts runs
+	Relayouts     int64 `json:"relayouts"`          // OptimizeLayouts runs that published
 	Rows          int64 `json:"rows"`               // total result rows served
 	ExecNanos     int64 `json:"execNanos"`          // summed wall time inside execution
 	InFlight      int64 `json:"inFlight"`           // currently executing
