@@ -1,10 +1,11 @@
 package plan
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/expr"
+	"repro/internal/jsonx"
 	"repro/internal/storage"
 )
 
@@ -20,6 +21,16 @@ import (
 // order-preserving encoding (what MarshalNode emits, since plan constants
 // do not carry their type). Decoding errors name the offending field by
 // its dotted path, e.g. `plan.child.filter.op`.
+//
+// Both directions are one pass over bytes: decode.go reads through a
+// jsonx.Scanner, AppendNode writes the canonical form directly, and
+// neither builds an intermediate tree.
+
+// MaxNesting bounds how deep a decoded plan document may nest nodes,
+// predicates and expressions, counted together along one path. Check,
+// Normalize, AppendNode and the compilers all recurse over the tree, and a
+// remote plan must not pick their stack depth.
+const MaxNesting = 128
 
 // maxCodeSpace bounds an inset predicate's dictionary-code space: the
 // decoded bitset allocates space/8 bytes eagerly, so a remote plan must
@@ -31,6 +42,8 @@ const maxCodeSpace = 1 << 24
 type FieldError struct {
 	Field string // dotted path from the root, e.g. "plan.left.cols[2]"
 	Msg   string
+
+	rooted bool // Field is already absolute: under must not prefix it
 }
 
 func (e *FieldError) Error() string {
@@ -41,835 +54,252 @@ func fieldErrf(path, format string, args ...any) error {
 	return &FieldError{Field: path, Msg: fmt.Sprintf(format, args...)}
 }
 
+// Inside this file and decode.go field paths are built only once something
+// has failed: the function that finds a fault names it relative to the
+// value it was handling ("" for the value itself, "table" for its member),
+// and each enclosing value prefixes the member or element the failing value
+// sat in as the error travels up. The happy path carries no path at all.
+
+// under prefixes err's field with seg, a member name or an "[i]" element.
+// An error that already names an absolute path is left alone.
+func under(seg string, err error) error {
+	fe, ok := err.(*FieldError)
+	switch {
+	case !ok || fe.rooted:
+	case fe.Field == "" || fe.Field[0] == '[':
+		fe.Field = seg + fe.Field
+	default:
+		fe.Field = seg + "." + fe.Field
+	}
+	return err
+}
+
+func elem(i int) string { return "[" + strconv.Itoa(i) + "]" }
+
 // MarshalNode encodes a plan to its canonical JSON form. Every plan built
 // from the package's node types round-trips through UnmarshalNode.
-func MarshalNode(n Node) ([]byte, error) {
-	v, err := nodeToJSON(n, "plan")
+func MarshalNode(n Node) ([]byte, error) { return AppendNode(nil, n) }
+
+// AppendNode appends the canonical JSON form of n to dst: object keys in
+// sorted order, strings escaped as encoding/json escapes them, no
+// whitespace — byte for byte what json.Marshal makes of the equivalent
+// map[string]any tree. On an error dst is returned as it came.
+func AppendNode(dst []byte, n Node) ([]byte, error) {
+	out, err := appendNode(dst, n)
 	if err != nil {
-		return nil, err
+		return dst, under("plan", err)
 	}
-	return json.Marshal(v)
+	return out, nil
 }
 
-// UnmarshalNode decodes a plan from JSON, validating structure as it goes;
-// errors name the offending field. The result is structurally valid but
-// not yet bound to any catalog — run Check before executing it.
-func UnmarshalNode(data []byte) (Node, error) {
-	return decodeNode(data, "plan")
-}
-
-// ---------------------------------------------------------------- marshal
-
-func nodeToJSON(n Node, path string) (map[string]any, error) {
+func appendNode(b []byte, n Node) ([]byte, error) {
+	var err error
 	switch v := n.(type) {
 	case Scan:
-		m := map[string]any{"op": "scan", "table": v.Table, "cols": intsOrEmpty(v.Cols)}
+		b = appendInts(append(b, `{"cols":`...), v.Cols)
 		if v.Filter != nil {
-			p, err := predToJSON(v.Filter, path+".filter")
-			if err != nil {
-				return nil, err
+			if b, err = appendPred(append(b, `,"filter":`...), v.Filter); err != nil {
+				return nil, under("filter", err)
 			}
-			m["filter"] = p
 		}
-		return m, nil
+		b = jsonx.AppendString(append(b, `,"op":"scan","table":`...), v.Table)
 	case Select:
-		child, err := nodeToJSON(v.Child, path+".child")
-		if err != nil {
-			return nil, err
+		if b, err = appendNode(append(b, `{"child":`...), v.Child); err != nil {
+			return nil, under("child", err)
 		}
-		p, err := predToJSON(v.Pred, path+".pred")
-		if err != nil {
-			return nil, err
+		b = append(b, `,"op":"select","pred":`...)
+		if v.Pred == nil {
+			b = append(b, "null"...)
+		} else if b, err = appendPred(b, v.Pred); err != nil {
+			return nil, under("pred", err)
 		}
-		return map[string]any{"op": "select", "child": child, "pred": p}, nil
 	case Project:
-		child, err := nodeToJSON(v.Child, path+".child")
-		if err != nil {
-			return nil, err
+		if b, err = appendNode(append(b, `{"child":`...), v.Child); err != nil {
+			return nil, under("child", err)
 		}
-		exprs := make([]any, len(v.Exprs))
-		for i, e := range v.Exprs {
-			ej, err := exprToJSON(e, fmt.Sprintf("%s.exprs[%d]", path, i))
-			if err != nil {
-				return nil, err
+		b = append(b, `,"exprs":[`...)
+		for i, x := range v.Exprs {
+			if b, err = appendExpr(appendComma(b, i), x); err != nil {
+				return nil, under("exprs", under(elem(i), err))
 			}
-			exprs[i] = ej
 		}
-		return map[string]any{"op": "project", "child": child, "exprs": exprs, "names": v.Names}, nil
+		b = append(b, `],"names":`...)
+		if v.Names == nil {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, '[')
+			for i, name := range v.Names {
+				b = jsonx.AppendString(appendComma(b, i), name)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, `,"op":"project"`...)
 	case HashJoin:
-		left, err := nodeToJSON(v.Left, path+".left")
-		if err != nil {
-			return nil, err
+		if b, err = appendNode(append(b, `{"left":`...), v.Left); err != nil {
+			return nil, under("left", err)
 		}
-		right, err := nodeToJSON(v.Right, path+".right")
-		if err != nil {
-			return nil, err
+		b = strconv.AppendInt(append(b, `,"leftKey":`...), int64(v.LeftKey), 10)
+		if b, err = appendNode(append(b, `,"op":"hashjoin","right":`...), v.Right); err != nil {
+			return nil, under("right", err)
 		}
-		return map[string]any{
-			"op": "hashjoin", "left": left, "right": right,
-			"leftKey": v.LeftKey, "rightKey": v.RightKey,
-		}, nil
+		b = strconv.AppendInt(append(b, `,"rightKey":`...), int64(v.RightKey), 10)
 	case Aggregate:
-		child, err := nodeToJSON(v.Child, path+".child")
-		if err != nil {
-			return nil, err
-		}
-		aggs := make([]any, len(v.Aggs))
+		b = append(b, `{"aggs":[`...)
 		for i, a := range v.Aggs {
-			aj, err := aggToJSON(a, fmt.Sprintf("%s.aggs[%d]", path, i))
-			if err != nil {
-				return nil, err
+			if b, err = appendAgg(appendComma(b, i), a); err != nil {
+				return nil, under("aggs", under(elem(i), err))
 			}
-			aggs[i] = aj
 		}
-		return map[string]any{
-			"op": "aggregate", "child": child,
-			"groupBy": intsOrEmpty(v.GroupBy), "aggs": aggs,
-		}, nil
+		if b, err = appendNode(append(b, `],"child":`...), v.Child); err != nil {
+			return nil, under("child", err)
+		}
+		b = appendInts(append(b, `,"groupBy":`...), v.GroupBy)
+		b = append(b, `,"op":"aggregate"`...)
 	case Sort:
-		child, err := nodeToJSON(v.Child, path+".child")
-		if err != nil {
-			return nil, err
+		if b, err = appendNode(append(b, `{"child":`...), v.Child); err != nil {
+			return nil, under("child", err)
 		}
-		keys := make([]any, len(v.Keys))
+		b = append(b, `,"keys":[`...)
 		for i, k := range v.Keys {
-			keys[i] = map[string]any{"pos": k.Pos, "desc": k.Desc}
+			b = strconv.AppendBool(append(appendComma(b, i), `{"desc":`...), k.Desc)
+			b = strconv.AppendInt(append(b, `,"pos":`...), int64(k.Pos), 10)
+			b = append(b, '}')
 		}
-		return map[string]any{"op": "sort", "child": child, "keys": keys}, nil
+		b = append(b, `],"op":"sort"`...)
 	case Limit:
-		child, err := nodeToJSON(v.Child, path+".child")
-		if err != nil {
-			return nil, err
+		if b, err = appendNode(append(b, `{"child":`...), v.Child); err != nil {
+			return nil, under("child", err)
 		}
-		return map[string]any{"op": "limit", "child": child, "n": v.N}, nil
+		b = strconv.AppendInt(append(b, `,"n":`...), int64(v.N), 10)
+		b = append(b, `,"op":"limit"`...)
 	case Insert:
-		rows := make([]any, len(v.Rows))
-		for i, r := range v.Rows {
-			row := make([]any, len(r))
-			for j, w := range r {
-				row[j] = map[string]any{"word": w}
+		b = append(b, `{"op":"insert","rows":[`...)
+		for i, row := range v.Rows {
+			b = append(appendComma(b, i), '[')
+			for j, w := range row {
+				b = appendWord(appendComma(b, j), w)
 			}
-			rows[i] = row
+			b = append(b, ']')
 		}
-		return map[string]any{"op": "insert", "table": v.Table, "rows": rows}, nil
+		b = jsonx.AppendString(append(b, `],"table":`...), v.Table)
 	case nil:
-		return nil, fieldErrf(path, "missing plan node")
+		return nil, fieldErrf("", "missing plan node")
+	default:
+		return nil, fieldErrf("", "unsupported plan node type %T", n)
 	}
-	return nil, fieldErrf(path, "unsupported plan node type %T", n)
+	return append(b, '}'), nil
 }
 
-func intsOrEmpty(xs []int) []int {
-	if xs == nil {
-		return []int{}
+func appendComma(b []byte, i int) []byte {
+	if i > 0 {
+		return append(b, ',')
 	}
-	return xs
+	return b
 }
 
-func predToJSON(p expr.Pred, path string) (map[string]any, error) {
+// appendInts writes a nil list as [], never null: Cols and GroupBy decode
+// to the same plan either way, and the cache key must not tell them apart.
+func appendInts(b []byte, xs []int) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		b = strconv.AppendInt(appendComma(b, i), int64(x), 10)
+	}
+	return append(b, ']')
+}
+
+func appendWord(b []byte, w storage.Word) []byte {
+	return append(strconv.AppendUint(append(b, `{"word":`...), w, 10), '}')
+}
+
+func appendAttr(b []byte, attr int) []byte {
+	return strconv.AppendInt(append(b, `{"attr":`...), int64(attr), 10)
+}
+
+func appendPred(b []byte, p expr.Pred) ([]byte, error) {
 	switch v := p.(type) {
 	case expr.Cmp:
-		return map[string]any{"pred": "cmp", "attr": v.Attr, "op": v.Op.String(), "val": map[string]any{"word": v.Val}}, nil
+		b = jsonx.AppendString(append(appendAttr(b, v.Attr), `,"op":`...), v.Op.String())
+		b = appendWord(append(b, `,"pred":"cmp","val":`...), v.Val)
 	case expr.Between:
-		return map[string]any{
-			"pred": "between", "attr": v.Attr,
-			"lo": map[string]any{"word": v.Lo}, "hi": map[string]any{"word": v.Hi},
-		}, nil
+		b = appendWord(append(appendAttr(b, v.Attr), `,"hi":`...), v.Hi)
+		b = appendWord(append(b, `,"lo":`...), v.Lo)
+		b = append(b, `,"pred":"between"`...)
 	case expr.InSet:
 		if v.Set == nil {
-			return nil, fieldErrf(path+".codes", "inset predicate has no code set")
+			return nil, fieldErrf("codes", "inset predicate has no code set")
 		}
-		return map[string]any{"pred": "inset", "attr": v.Attr, "codes": v.Set.Codes(), "space": v.Set.Size()}, nil
+		b = append(appendAttr(b, v.Attr), `,"codes":[`...)
+		for i, c := range v.Set.Codes() {
+			b = strconv.AppendUint(appendComma(b, i), c, 10)
+		}
+		b = strconv.AppendInt(append(b, `],"pred":"inset","space":`...), int64(v.Set.Size()), 10)
 	case expr.NotNull:
-		return map[string]any{"pred": "notnull", "attr": v.Attr}, nil
+		b = append(appendAttr(b, v.Attr), `,"pred":"notnull"`...)
 	case expr.And:
-		return predListToJSON("and", v.Preds, path)
+		return appendPredList(b, "and", v.Preds)
 	case expr.Or:
-		return predListToJSON("or", v.Preds, path)
+		return appendPredList(b, "or", v.Preds)
 	case expr.True:
-		return map[string]any{"pred": "true"}, nil
+		b = append(b, `{"pred":"true"`...)
 	case nil:
-		return nil, nil
+		return nil, fieldErrf("", "missing predicate")
+	default:
+		return nil, fieldErrf("", "unsupported predicate type %T", p)
 	}
-	return nil, fieldErrf(path, "unsupported predicate type %T", p)
+	return append(b, '}'), nil
 }
 
-func predListToJSON(kind string, preds []expr.Pred, path string) (map[string]any, error) {
-	out := make([]any, len(preds))
+func appendPredList(b []byte, kind string, preds []expr.Pred) ([]byte, error) {
+	b = append(append(append(b, `{"pred":"`...), kind...), `","preds":[`...)
 	for i, c := range preds {
-		cj, err := predToJSON(c, fmt.Sprintf("%s.preds[%d]", path, i))
-		if err != nil {
-			return nil, err
+		var err error
+		if b, err = appendPred(appendComma(b, i), c); err != nil {
+			return nil, under("preds", under(elem(i), err))
 		}
-		if cj == nil {
-			return nil, fieldErrf(fmt.Sprintf("%s.preds[%d]", path, i), "missing predicate")
-		}
-		out[i] = cj
 	}
-	return map[string]any{"pred": kind, "preds": out}, nil
+	return append(b, "]}"...), nil
 }
 
-func exprToJSON(e expr.Expr, path string) (map[string]any, error) {
-	switch v := e.(type) {
+func appendExpr(b []byte, x expr.Expr) ([]byte, error) {
+	var err error
+	switch v := x.(type) {
 	case expr.Col:
-		return map[string]any{"expr": "col", "attr": v.Attr, "type": v.Ty.String()}, nil
+		b = jsonx.AppendString(append(appendAttr(b, v.Attr), `,"expr":"col","type":`...), v.Ty.String())
 	case expr.Const:
-		return map[string]any{"expr": "const", "type": v.Ty.String(), "val": map[string]any{"word": v.Val}}, nil
+		b = jsonx.AppendString(append(b, `{"expr":"const","type":`...), v.Ty.String())
+		b = appendWord(append(b, `,"val":`...), v.Val)
 	case expr.Arith:
-		l, err := exprToJSON(v.L, path+".left")
-		if err != nil {
-			return nil, err
+		if b, err = appendExpr(append(b, `{"expr":"arith","left":`...), v.L); err != nil {
+			return nil, under("left", err)
 		}
-		r, err := exprToJSON(v.R, path+".right")
-		if err != nil {
-			return nil, err
+		b = jsonx.AppendString(append(b, `,"op":`...), arithOpName(v.Op))
+		if b, err = appendExpr(append(b, `,"right":`...), v.R); err != nil {
+			return nil, under("right", err)
 		}
-		return map[string]any{"expr": "arith", "op": arithOpName(v.Op), "left": l, "right": r}, nil
 	case nil:
-		return nil, fieldErrf(path, "missing expression")
+		return nil, fieldErrf("", "missing expression")
+	default:
+		return nil, fieldErrf("", "unsupported expression type %T", x)
 	}
-	return nil, fieldErrf(path, "unsupported expression type %T", e)
+	return append(b, '}'), nil
 }
 
-func aggToJSON(a expr.AggSpec, path string) (map[string]any, error) {
-	m := map[string]any{"agg": a.Kind.String(), "name": a.Name}
+func appendAgg(b []byte, a expr.AggSpec) ([]byte, error) {
+	b = jsonx.AppendString(append(b, `{"agg":`...), a.Kind.String())
 	if a.Arg != nil {
-		aj, err := exprToJSON(a.Arg, path+".arg")
-		if err != nil {
-			return nil, err
+		var err error
+		if b, err = appendExpr(append(b, `,"arg":`...), a.Arg); err != nil {
+			return nil, under("arg", err)
 		}
-		m["arg"] = aj
 	} else if a.Kind != expr.Count {
-		return nil, fieldErrf(path+".arg", "aggregate %q requires an argument", a.Kind)
+		return nil, fieldErrf("arg", "aggregate %q requires an argument", a.Kind)
 	}
-	return m, nil
+	return append(jsonx.AppendString(append(b, `,"name":`...), a.Name), '}'), nil
 }
 
 func arithOpName(op expr.ArithOp) string {
-	switch op {
-	case expr.Add:
-		return "+"
-	case expr.Sub:
-		return "-"
-	case expr.Mul:
-		return "*"
-	default:
-		return "/"
+	if int(op) < len(arithOps) {
+		return arithOps[op]
 	}
-}
-
-// -------------------------------------------------------------- unmarshal
-
-// obj is one decoded JSON object plus the path it sits at, the unit the
-// tagged-union decoders work on.
-type obj struct {
-	path string
-	m    map[string]json.RawMessage
-}
-
-func decodeObj(data []byte, path string) (*obj, error) {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fieldErrf(path, "expected a JSON object: %v", err)
-	}
-	if m == nil {
-		return nil, fieldErrf(path, "expected a JSON object, got null")
-	}
-	return &obj{path: path, m: m}, nil
-}
-
-func (o *obj) has(key string) bool { _, ok := o.m[key]; return ok }
-
-func (o *obj) at(key string) string { return o.path + "." + key }
-
-func (o *obj) str(key string) (string, error) {
-	raw, ok := o.m[key]
-	if !ok {
-		return "", fieldErrf(o.at(key), "missing required field")
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return "", fieldErrf(o.at(key), "expected a string")
-	}
-	return s, nil
-}
-
-func (o *obj) intField(key string) (int, error) {
-	raw, ok := o.m[key]
-	if !ok {
-		return 0, fieldErrf(o.at(key), "missing required field")
-	}
-	var n int
-	if err := json.Unmarshal(raw, &n); err != nil {
-		return 0, fieldErrf(o.at(key), "expected an integer")
-	}
-	return n, nil
-}
-
-func (o *obj) boolField(key string) (bool, error) {
-	raw, ok := o.m[key]
-	if !ok {
-		return false, nil
-	}
-	var b bool
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return false, fieldErrf(o.at(key), "expected a boolean")
-	}
-	return b, nil
-}
-
-func (o *obj) intList(key string, required bool) ([]int, error) {
-	raw, ok := o.m[key]
-	if !ok {
-		if required {
-			return nil, fieldErrf(o.at(key), "missing required field")
-		}
-		return nil, nil
-	}
-	var xs []int
-	if err := json.Unmarshal(raw, &xs); err != nil {
-		return nil, fieldErrf(o.at(key), "expected an array of integers")
-	}
-	return xs, nil
-}
-
-func (o *obj) rawList(key string, required bool) ([]json.RawMessage, error) {
-	raw, ok := o.m[key]
-	if !ok {
-		if required {
-			return nil, fieldErrf(o.at(key), "missing required field")
-		}
-		return nil, nil
-	}
-	var xs []json.RawMessage
-	if err := json.Unmarshal(raw, &xs); err != nil {
-		return nil, fieldErrf(o.at(key), "expected an array")
-	}
-	return xs, nil
-}
-
-func decodeNode(data []byte, path string) (Node, error) {
-	o, err := decodeObj(data, path)
-	if err != nil {
-		return nil, err
-	}
-	op, err := o.str("op")
-	if err != nil {
-		return nil, err
-	}
-	switch op {
-	case "scan":
-		table, err := o.str("table")
-		if err != nil {
-			return nil, err
-		}
-		cols, err := o.intList("cols", true)
-		if err != nil {
-			return nil, err
-		}
-		for i, c := range cols {
-			if c < 0 {
-				return nil, fieldErrf(fmt.Sprintf("%s.cols[%d]", path, i), "attribute index must be >= 0, got %d", c)
-			}
-		}
-		var filter expr.Pred
-		if o.has("filter") {
-			filter, err = decodePred(o.m["filter"], o.at("filter"))
-			if err != nil {
-				return nil, err
-			}
-		}
-		return Scan{Table: table, Filter: filter, Cols: cols}, nil
-	case "select":
-		child, err := o.childNode("child")
-		if err != nil {
-			return nil, err
-		}
-		if !o.has("pred") {
-			return nil, fieldErrf(o.at("pred"), "missing required field")
-		}
-		pred, err := decodePred(o.m["pred"], o.at("pred"))
-		if err != nil {
-			return nil, err
-		}
-		return Select{Child: child, Pred: pred}, nil
-	case "project":
-		child, err := o.childNode("child")
-		if err != nil {
-			return nil, err
-		}
-		raws, err := o.rawList("exprs", true)
-		if err != nil {
-			return nil, err
-		}
-		if len(raws) == 0 {
-			return nil, fieldErrf(o.at("exprs"), "projection needs at least one expression")
-		}
-		exprs := make([]expr.Expr, len(raws))
-		for i, r := range raws {
-			e, err := decodeExpr(r, fmt.Sprintf("%s.exprs[%d]", path, i))
-			if err != nil {
-				return nil, err
-			}
-			exprs[i] = e
-		}
-		var names []string
-		if o.has("names") {
-			if err := json.Unmarshal(o.m["names"], &names); err != nil {
-				return nil, fieldErrf(o.at("names"), "expected an array of strings")
-			}
-			if len(names) > len(exprs) {
-				return nil, fieldErrf(o.at("names"), "%d names for %d expressions", len(names), len(exprs))
-			}
-		}
-		return Project{Child: child, Exprs: exprs, Names: names}, nil
-	case "hashjoin":
-		left, err := o.childNode("left")
-		if err != nil {
-			return nil, err
-		}
-		right, err := o.childNode("right")
-		if err != nil {
-			return nil, err
-		}
-		lk, err := o.intField("leftKey")
-		if err != nil {
-			return nil, err
-		}
-		rk, err := o.intField("rightKey")
-		if err != nil {
-			return nil, err
-		}
-		if lk < 0 {
-			return nil, fieldErrf(o.at("leftKey"), "key position must be >= 0, got %d", lk)
-		}
-		if rk < 0 {
-			return nil, fieldErrf(o.at("rightKey"), "key position must be >= 0, got %d", rk)
-		}
-		return HashJoin{Left: left, Right: right, LeftKey: lk, RightKey: rk}, nil
-	case "aggregate":
-		child, err := o.childNode("child")
-		if err != nil {
-			return nil, err
-		}
-		groupBy, err := o.intList("groupBy", false)
-		if err != nil {
-			return nil, err
-		}
-		for i, g := range groupBy {
-			if g < 0 {
-				return nil, fieldErrf(fmt.Sprintf("%s.groupBy[%d]", path, i), "group position must be >= 0, got %d", g)
-			}
-		}
-		raws, err := o.rawList("aggs", true)
-		if err != nil {
-			return nil, err
-		}
-		if len(raws) == 0 {
-			return nil, fieldErrf(o.at("aggs"), "aggregate needs at least one aggregate spec")
-		}
-		aggs := make([]expr.AggSpec, len(raws))
-		for i, r := range raws {
-			a, err := decodeAgg(r, fmt.Sprintf("%s.aggs[%d]", path, i))
-			if err != nil {
-				return nil, err
-			}
-			aggs[i] = a
-		}
-		return Aggregate{Child: child, GroupBy: groupBy, Aggs: aggs}, nil
-	case "sort":
-		child, err := o.childNode("child")
-		if err != nil {
-			return nil, err
-		}
-		raws, err := o.rawList("keys", true)
-		if err != nil {
-			return nil, err
-		}
-		if len(raws) == 0 {
-			return nil, fieldErrf(o.at("keys"), "sort needs at least one key")
-		}
-		keys := make([]SortKey, len(raws))
-		for i, r := range raws {
-			kpath := fmt.Sprintf("%s.keys[%d]", path, i)
-			ko, err := decodeObj(r, kpath)
-			if err != nil {
-				return nil, err
-			}
-			pos, err := ko.intField("pos")
-			if err != nil {
-				return nil, err
-			}
-			if pos < 0 {
-				return nil, fieldErrf(ko.at("pos"), "sort position must be >= 0, got %d", pos)
-			}
-			desc, err := ko.boolField("desc")
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = SortKey{Pos: pos, Desc: desc}
-		}
-		return Sort{Child: child, Keys: keys}, nil
-	case "limit":
-		child, err := o.childNode("child")
-		if err != nil {
-			return nil, err
-		}
-		n, err := o.intField("n")
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fieldErrf(o.at("n"), "limit must be >= 0, got %d", n)
-		}
-		return Limit{Child: child, N: n}, nil
-	case "insert":
-		table, err := o.str("table")
-		if err != nil {
-			return nil, err
-		}
-		raws, err := o.rawList("rows", true)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([][]storage.Word, len(raws))
-		for i, r := range raws {
-			rpath := fmt.Sprintf("%s.rows[%d]", path, i)
-			var cells []json.RawMessage
-			if err := json.Unmarshal(r, &cells); err != nil {
-				return nil, fieldErrf(rpath, "expected an array of values")
-			}
-			row := make([]storage.Word, len(cells))
-			for j, cell := range cells {
-				w, err := decodeValue(cell, fmt.Sprintf("%s[%d]", rpath, j))
-				if err != nil {
-					return nil, err
-				}
-				row[j] = w
-			}
-			rows[i] = row
-		}
-		return Insert{Table: table, Rows: rows}, nil
-	case "":
-		return nil, fieldErrf(o.at("op"), "missing operator name")
-	}
-	return nil, fieldErrf(o.at("op"), "unknown operator %q (want scan, select, project, hashjoin, aggregate, sort, limit or insert)", op)
-}
-
-func (o *obj) childNode(key string) (Node, error) {
-	raw, ok := o.m[key]
-	if !ok {
-		return nil, fieldErrf(o.at(key), "missing required field")
-	}
-	return decodeNode(raw, o.at(key))
-}
-
-func decodePred(data []byte, path string) (expr.Pred, error) {
-	o, err := decodeObj(data, path)
-	if err != nil {
-		return nil, err
-	}
-	kind, err := o.str("pred")
-	if err != nil {
-		return nil, err
-	}
-	attr := func() (int, error) {
-		a, err := o.intField("attr")
-		if err != nil {
-			return 0, err
-		}
-		if a < 0 {
-			return 0, fieldErrf(o.at("attr"), "attribute index must be >= 0, got %d", a)
-		}
-		return a, nil
-	}
-	switch kind {
-	case "cmp":
-		a, err := attr()
-		if err != nil {
-			return nil, err
-		}
-		opName, err := o.str("op")
-		if err != nil {
-			return nil, err
-		}
-		op, ok := cmpOpByName(opName)
-		if !ok {
-			return nil, fieldErrf(o.at("op"), "unknown comparison %q (want =, <>, <, <=, > or >=)", opName)
-		}
-		if !o.has("val") {
-			return nil, fieldErrf(o.at("val"), "missing required field")
-		}
-		val, err := decodeValue(o.m["val"], o.at("val"))
-		if err != nil {
-			return nil, err
-		}
-		return expr.Cmp{Attr: a, Op: op, Val: val}, nil
-	case "between":
-		a, err := attr()
-		if err != nil {
-			return nil, err
-		}
-		for _, key := range []string{"lo", "hi"} {
-			if !o.has(key) {
-				return nil, fieldErrf(o.at(key), "missing required field")
-			}
-		}
-		lo, err := decodeValue(o.m["lo"], o.at("lo"))
-		if err != nil {
-			return nil, err
-		}
-		hi, err := decodeValue(o.m["hi"], o.at("hi"))
-		if err != nil {
-			return nil, err
-		}
-		return expr.Between{Attr: a, Lo: lo, Hi: hi}, nil
-	case "inset":
-		a, err := attr()
-		if err != nil {
-			return nil, err
-		}
-		var codes []storage.Word
-		if raw, ok := o.m["codes"]; !ok {
-			return nil, fieldErrf(o.at("codes"), "missing required field")
-		} else if err := json.Unmarshal(raw, &codes); err != nil {
-			return nil, fieldErrf(o.at("codes"), "expected an array of dictionary codes")
-		}
-		space := 0
-		if o.has("space") {
-			if space, err = o.intField("space"); err != nil {
-				return nil, err
-			}
-			// The bitset allocates space/8 bytes up front, so the bound is
-			// a request-size guard, not just a sanity check: it must hold
-			// before NewCodeSet runs.
-			if space < 0 || space > maxCodeSpace {
-				return nil, fieldErrf(o.at("space"), "code space must be in [0, %d], got %d", maxCodeSpace, space)
-			}
-		}
-		for _, c := range codes {
-			if c >= maxCodeSpace {
-				return nil, fieldErrf(o.at("codes"), "dictionary code %d over the %d limit", c, maxCodeSpace)
-			}
-			if int(c) >= space {
-				space = int(c) + 1
-			}
-		}
-		return expr.InSet{Attr: a, Set: storage.NewCodeSet(codes, space)}, nil
-	case "notnull":
-		a, err := attr()
-		if err != nil {
-			return nil, err
-		}
-		return expr.NotNull{Attr: a}, nil
-	case "and", "or":
-		raws, err := o.rawList("preds", true)
-		if err != nil {
-			return nil, err
-		}
-		preds := make([]expr.Pred, len(raws))
-		for i, r := range raws {
-			p, err := decodePred(r, fmt.Sprintf("%s.preds[%d]", path, i))
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = p
-		}
-		if kind == "and" {
-			return expr.And{Preds: preds}, nil
-		}
-		return expr.Or{Preds: preds}, nil
-	case "true":
-		return expr.True{}, nil
-	case "":
-		return nil, fieldErrf(o.at("pred"), "missing predicate kind")
-	}
-	return nil, fieldErrf(o.at("pred"), "unknown predicate %q (want cmp, between, inset, notnull, and, or or true)", kind)
-}
-
-func cmpOpByName(s string) (expr.CmpOp, bool) {
-	for op := expr.Eq; op <= expr.Ge; op++ {
-		if op.String() == s {
-			return op, true
-		}
-	}
-	return 0, false
-}
-
-func decodeExpr(data []byte, path string) (expr.Expr, error) {
-	o, err := decodeObj(data, path)
-	if err != nil {
-		return nil, err
-	}
-	kind, err := o.str("expr")
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case "col":
-		a, err := o.intField("attr")
-		if err != nil {
-			return nil, err
-		}
-		if a < 0 {
-			return nil, fieldErrf(o.at("attr"), "attribute index must be >= 0, got %d", a)
-		}
-		ty, err := o.typeField("type")
-		if err != nil {
-			return nil, err
-		}
-		return expr.Col{Attr: a, Ty: ty}, nil
-	case "const":
-		ty, err := o.typeField("type")
-		if err != nil {
-			return nil, err
-		}
-		if !o.has("val") {
-			return nil, fieldErrf(o.at("val"), "missing required field")
-		}
-		val, err := decodeValue(o.m["val"], o.at("val"))
-		if err != nil {
-			return nil, err
-		}
-		return expr.Const{Val: val, Ty: ty}, nil
-	case "arith":
-		opName, err := o.str("op")
-		if err != nil {
-			return nil, err
-		}
-		var op expr.ArithOp
-		switch opName {
-		case "+":
-			op = expr.Add
-		case "-":
-			op = expr.Sub
-		case "*":
-			op = expr.Mul
-		case "/":
-			op = expr.Div
-		default:
-			return nil, fieldErrf(o.at("op"), "unknown arithmetic operator %q (want +, -, * or /)", opName)
-		}
-		for _, key := range []string{"left", "right"} {
-			if !o.has(key) {
-				return nil, fieldErrf(o.at(key), "missing required field")
-			}
-		}
-		l, err := decodeExpr(o.m["left"], o.at("left"))
-		if err != nil {
-			return nil, err
-		}
-		r, err := decodeExpr(o.m["right"], o.at("right"))
-		if err != nil {
-			return nil, err
-		}
-		if l.Type() != r.Type() {
-			return nil, fieldErrf(o.at("right"), "operand types differ: %s vs %s", l.Type(), r.Type())
-		}
-		return expr.Arith{Op: op, L: l, R: r}, nil
-	case "":
-		return nil, fieldErrf(o.at("expr"), "missing expression kind")
-	}
-	return nil, fieldErrf(o.at("expr"), "unknown expression %q (want col, const or arith)", kind)
-}
-
-func (o *obj) typeField(key string) (storage.Type, error) {
-	s, err := o.str(key)
-	if err != nil {
-		return 0, err
-	}
-	switch s {
-	case "int64":
-		return storage.Int64, nil
-	case "float64":
-		return storage.Float64, nil
-	case "string":
-		return storage.String, nil
-	case "bool":
-		return storage.Bool, nil
-	}
-	return 0, fieldErrf(o.at(key), "unknown type %q (want int64, float64, string or bool)", s)
-}
-
-func decodeAgg(data []byte, path string) (expr.AggSpec, error) {
-	o, err := decodeObj(data, path)
-	if err != nil {
-		return expr.AggSpec{}, err
-	}
-	kindName, err := o.str("agg")
-	if err != nil {
-		return expr.AggSpec{}, err
-	}
-	var kind expr.AggKind
-	switch kindName {
-	case "count":
-		kind = expr.Count
-	case "sum":
-		kind = expr.Sum
-	case "min":
-		kind = expr.Min
-	case "max":
-		kind = expr.Max
-	case "avg":
-		kind = expr.Avg
-	default:
-		return expr.AggSpec{}, fieldErrf(o.at("agg"), "unknown aggregate %q (want count, sum, min, max or avg)", kindName)
-	}
-	spec := expr.AggSpec{Kind: kind}
-	if o.has("name") {
-		if spec.Name, err = o.str("name"); err != nil {
-			return expr.AggSpec{}, err
-		}
-	}
-	if o.has("arg") {
-		if spec.Arg, err = decodeExpr(o.m["arg"], o.at("arg")); err != nil {
-			return expr.AggSpec{}, err
-		}
-	} else if kind != expr.Count {
-		return expr.AggSpec{}, fieldErrf(o.at("arg"), "aggregate %q requires an argument", kindName)
-	}
-	return spec, nil
-}
-
-// decodeValue decodes a typed constant object into its word encoding.
-// Exactly one of the value fields must be present.
-func decodeValue(data []byte, path string) (storage.Word, error) {
-	o, err := decodeObj(data, path)
-	if err != nil {
-		return 0, err
-	}
-	var found []string
-	for _, key := range []string{"int", "float", "bool", "code", "word"} {
-		if o.has(key) {
-			found = append(found, key)
-		}
-	}
-	if len(found) != 1 {
-		return 0, fieldErrf(path, "want exactly one of int, float, bool, code or word, got %d", len(found))
-	}
-	switch key := found[0]; key {
-	case "int":
-		var v int64
-		if err := json.Unmarshal(o.m[key], &v); err != nil {
-			return 0, fieldErrf(o.at(key), "expected an integer")
-		}
-		return storage.EncodeInt(v), nil
-	case "float":
-		var v float64
-		if err := json.Unmarshal(o.m[key], &v); err != nil {
-			return 0, fieldErrf(o.at(key), "expected a number")
-		}
-		return storage.EncodeFloat(v), nil
-	case "bool":
-		var v bool
-		if err := json.Unmarshal(o.m[key], &v); err != nil {
-			return 0, fieldErrf(o.at(key), "expected a boolean")
-		}
-		return storage.EncodeBool(v), nil
-	default: // "code", "word": raw unsigned encodings
-		var v storage.Word
-		if err := json.Unmarshal(o.m[key], &v); err != nil {
-			return 0, fieldErrf(o.at(key), "expected an unsigned integer")
-		}
-		return v, nil
-	}
+	return "/"
 }

@@ -9,9 +9,9 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/exec/result"
+	"repro/internal/jsonx"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -112,9 +112,9 @@ func appendResult(b []byte, w io.Writer, res *result.Set, micros int64, trace []
 			b = append(b, ',')
 		}
 		b = append(b, `{"name":`...)
-		b = appendJSONString(b, c.Name)
+		b = jsonx.AppendString(b, c.Name)
 		b = append(b, `,"type":`...)
-		b = appendJSONString(b, c.Type.String())
+		b = jsonx.AppendString(b, c.Type.String())
 		b = append(b, '}')
 	}
 	b = append(b, `],"rows":[`...)
@@ -172,7 +172,7 @@ func appendResult(b []byte, w io.Writer, res *result.Set, micros int64, trace []
 				if b, err = flushOver(w, b, 6*len(v)+maxScalarCell); err != nil {
 					return b, err
 				}
-				b = appendJSONString(b, v)
+				b = jsonx.AppendString(b, v)
 			}
 		}
 		b = append(b, ']')
@@ -216,68 +216,4 @@ func appendJSONFloat(b []byte, f float64) []byte {
 		b = b[:n-1]
 	}
 	return b
-}
-
-// jsonSafe marks the ASCII bytes encoding/json copies unescaped with its
-// default HTML-safe escaping: everything printable but " \ < > &.
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return t
-}()
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal, byte for byte what
-// encoding/json produces: safe ASCII runs are copied, " and \ and the
-// short control escapes get a backslash, other control bytes and < > &
-// become \u00XX, U+2028 and U+2029 are escaped, and each byte of invalid
-// UTF-8 becomes the six characters \ufffd.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

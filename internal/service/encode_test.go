@@ -279,23 +279,6 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// FuzzAppendJSONString: for any string the appender's output is
-// json.Marshal's.
-func FuzzAppendJSONString(f *testing.F) {
-	for _, s := range edgeStrings {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Fatalf("appendJSONString(%q) = %s, want %s", s, got, want)
-		}
-	})
-}
-
 // TestAppendJSONFloatMatchesEncodingJSON: random doubles, two-decimal
 // values of every magnitude and their neighbours all format as json.Marshal
 // formats them.

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/jsonx"
 	"repro/internal/plan"
 )
 
@@ -120,13 +121,81 @@ func (s *DB) withQueryID(next http.Handler) http.Handler {
 	})
 }
 
+// planRequest is the body of /query and /prepare:
+//
+//	{"plan": <plan JSON>, "explain": bool, "engine": "jit"|"vector"}
+//
+// Member names match exactly; members other than these are skipped.
 type planRequest struct {
-	Plan json.RawMessage `json:"plan"`
-	// Explain runs the plan with per-operator tracing and embeds the
+	plan plan.Node
+	// explain runs the plan with per-operator tracing and embeds the
 	// report as "trace" in the response (EXPLAIN ANALYZE).
-	Explain bool `json:"explain,omitempty"`
-	// Engine selects "jit" (default) or "vector" for read plans.
-	Engine string `json:"engine,omitempty"`
+	explain bool
+	// engine selects "jit" (default) or "vector" for read plans.
+	engine string
+}
+
+// parsePlanRequest reads the body in one pass: the envelope's members go
+// through the scanner, and the plan is decoded by plan.UnmarshalNodePrefix
+// straight out of the body where its member starts, so no byte of the
+// request is visited twice. A fault inside the plan is a *plan.FieldError.
+func parsePlanRequest(body []byte) (req planRequest, err error) {
+	s := jsonx.Scanner{Data: body}
+	ok := s.Consume('{')
+	for first := true; ok; first = false {
+		var more bool
+		var key, engine []byte
+		if more, ok = s.More(first, '}'); !ok || !more {
+			break
+		}
+		if key, ok = s.Key(); !ok {
+			break
+		}
+		switch string(key) {
+		case "plan":
+			var end int
+			if ok = req.plan == nil; !ok { // given twice
+				break
+			}
+			if req.plan, end, err = plan.UnmarshalNodePrefix(body[s.Pos:]); err != nil {
+				return planRequest{}, err
+			}
+			s.Pos += end
+		case "explain":
+			if req.explain, ok = s.Bool(); !ok {
+				ok = s.Literal("null")
+			}
+		case "engine":
+			if engine, ok = s.String(); !ok {
+				ok = s.Literal("null")
+			}
+			req.engine = string(engine)
+		default:
+			ok = s.SkipValue(plan.MaxNesting)
+		}
+	}
+	switch {
+	case !ok || !s.End():
+		return planRequest{}, fmt.Errorf("malformed JSON body near byte %d", s.Pos)
+	case req.plan == nil:
+		return planRequest{}, fmt.Errorf("request body needs a \"plan\" field")
+	}
+	return req, nil
+}
+
+// readPlanRequest reads and parses a /query or /prepare body, writing the
+// error response on failure.
+func readPlanRequest(w http.ResponseWriter, r *http.Request) (planRequest, bool) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return planRequest{}, false
+	}
+	req, err := parsePlanRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return planRequest{}, false
+	}
+	return req, true
 }
 
 type execRequest struct {
@@ -144,23 +213,14 @@ type errorJSON struct {
 }
 
 func (s *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req planRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if len(req.Plan) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("request body needs a \"plan\" field"))
-		return
-	}
-	p, err := plan.UnmarshalNode(req.Plan)
-	if err != nil {
-		writeQueryError(w, err)
+	req, ok := readPlanRequest(w, r)
+	if !ok {
 		return
 	}
 	start := time.Now()
-	res, tr, err := s.QueryEx(p, QueryOpts{
-		Explain: req.Explain,
-		Engine:  req.Engine,
+	res, tr, err := s.QueryEx(req.plan, QueryOpts{
+		Explain: req.explain,
+		Engine:  req.engine,
 		QueryID: QueryIDFrom(r.Context()),
 	})
 	if err != nil {
@@ -171,20 +231,11 @@ func (s *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *DB) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req planRequest
-	if !readJSON(w, r, &req) {
+	req, ok := readPlanRequest(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Plan) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("request body needs a \"plan\" field"))
-		return
-	}
-	p, err := plan.UnmarshalNode(req.Plan)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	st, err := s.Prepare(p)
+	st, err := s.Prepare(req.plan)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -443,20 +494,44 @@ func (s *DB) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// readBody reads a POST body of at most maxRequestBytes, writing the error
+// response on failure. A declared Content-Length sizes the buffer exactly;
+// a chunked body is read through a limit, growing as it goes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
+		return nil, false
+	}
+	tooLarge := func() ([]byte, bool) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request over %d bytes", maxRequestBytes))
+		return nil, false
+	}
+	var body []byte
+	var err error
+	switch n := r.ContentLength; {
+	case n > maxRequestBytes:
+		return tooLarge()
+	case n >= 0:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	default:
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
+		return nil, false
+	}
+	if len(body) > maxRequestBytes {
+		return tooLarge()
+	}
+	return body, true
+}
+
 // readJSON decodes a POST body into dst, writing the error response on
 // failure.
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
-		return false
-	}
-	if len(body) > maxRequestBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request over %d bytes", maxRequestBytes))
+	body, ok := readBody(w, r)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(body, dst); err != nil {

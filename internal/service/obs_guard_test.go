@@ -63,7 +63,7 @@ func TestDisarmedTraceOverheadGuard(t *testing.T) {
 			db := s.core()
 			snap := db.Snapshot()
 			defer snap.Release()
-			return s.lookup(q, cacheKey(db, snap.Epoch(), bkey)).prep.Exec()
+			return s.lookup(q, cacheKey{core: db.ID(), epoch: snap.Epoch(), plan: bkey}).prep.Exec()
 		}()
 		s.stats.queries.Add(1)
 		s.stats.rows.Add(int64(res.Len()))
@@ -120,7 +120,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 	db := s.core()
 	snap := db.Snapshot()
-	entry := s.lookup(q, cacheKey(db, snap.Epoch(), key))
+	entry := s.lookup(q, cacheKey{core: db.ID(), epoch: snap.Epoch(), plan: key})
 	snap.Release()
 	prep := entry.prep
 

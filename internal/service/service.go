@@ -32,6 +32,7 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"errors"
@@ -233,13 +234,13 @@ type replCounters struct {
 type planLRU struct {
 	cap    int
 	ll     *list.List
-	m      map[string]*list.Element
-	shapes map[string]int // normalized shape key → entries holding it
+	m      map[cacheKey]*list.Element
+	shapes map[digest]int // normalized shape key → entries holding it
 }
 
 type planLRUEntry struct {
-	key   string
-	shape string
+	key   cacheKey
+	shape digest
 	entry *cachedPlan
 }
 
@@ -250,13 +251,13 @@ func newPlanLRU(capacity int) *planLRU {
 	return &planLRU{
 		cap:    capacity,
 		ll:     list.New(),
-		m:      make(map[string]*list.Element, capacity),
-		shapes: map[string]int{},
+		m:      make(map[cacheKey]*list.Element, capacity),
+		shapes: map[digest]int{},
 	}
 }
 
 // get returns the cached entry and marks it most recently used.
-func (c *planLRU) get(key string) (*cachedPlan, bool) {
+func (c *planLRU) get(key cacheKey) (*cachedPlan, bool) {
 	el, ok := c.m[key]
 	if !ok {
 		return nil, false
@@ -267,7 +268,7 @@ func (c *planLRU) get(key string) (*cachedPlan, bool) {
 
 // add inserts a new entry as most recently used and returns the number of
 // entries evicted to stay within the cap.
-func (c *planLRU) add(key, shape string, entry *cachedPlan) int {
+func (c *planLRU) add(key cacheKey, shape digest, entry *cachedPlan) int {
 	c.m[key] = c.ll.PushFront(&planLRUEntry{key: key, shape: shape, entry: entry})
 	c.shapes[shape]++
 	evicted := 0
@@ -283,7 +284,7 @@ func (c *planLRU) add(key, shape string, entry *cachedPlan) int {
 }
 
 // remove drops key if it still maps to entry.
-func (c *planLRU) remove(key string, entry *cachedPlan) {
+func (c *planLRU) remove(key cacheKey, entry *cachedPlan) {
 	if el, ok := c.m[key]; ok && el.Value.(*planLRUEntry).entry == entry {
 		c.ll.Remove(el)
 		delete(c.m, key)
@@ -291,7 +292,7 @@ func (c *planLRU) remove(key string, entry *cachedPlan) {
 	}
 }
 
-func (c *planLRU) dropShape(shape string) {
+func (c *planLRU) dropShape(shape digest) {
 	if n := c.shapes[shape] - 1; n > 0 {
 		c.shapes[shape] = n
 	} else {
@@ -314,7 +315,7 @@ type cachedPlan struct {
 	// the compile closure; fp is the workload-capture footprint resolved
 	// alongside compilation, so every later execution records through
 	// precomputed atomic-counter pointers.
-	shape     string
+	shape     digest
 	shapeJSON []byte
 	fp        *workload.Footprint
 }
@@ -327,7 +328,7 @@ type Stmt struct {
 	ID   string
 	Cols []plan.Column
 	node plan.Node
-	key  string
+	key  digest
 }
 
 // New wraps db in a serving layer. The service owns a fresh shared pool
@@ -414,12 +415,17 @@ func (s *DB) Unwrap() *core.DB { return s.core() }
 // consistent view load it once and pin a snapshot off that instance.
 func (s *DB) core() *core.DB { return s.dbPtr.Load() }
 
+// digest is the SHA-256 of a canonical plan encoding. Remote plans key
+// compiled code, so the hash has to stay collision-resistant.
+type digest [sha256.Size]byte
+
 // cacheKey scopes a plan digest to one catalog version: compiled plans
 // bake partition addresses and dictionary bounds in, so an entry must
 // never be reused across epochs — nor across cores (SwapCore restarts
 // epochs at 1, which is why the process-unique core id is in the key).
-func cacheKey(db *core.DB, epoch uint64, key string) string {
-	return fmt.Sprintf("%d|%d|%s", db.ID(), epoch, key)
+type cacheKey struct {
+	core, epoch uint64
+	plan        digest
 }
 
 // admit reserves an execution slot, waiting up to the queue timeout.
@@ -452,11 +458,8 @@ func (s *DB) admit() (release func(), err error) {
 // run under the shared read lock; Insert plans take the write lock and
 // invalidate the plan cache. Results are row-identical to core.DB.Query.
 func (s *DB) Query(p plan.Node) (*result.Set, error) {
-	key, err := planKey(p)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(p, key)
+	res, _, err := s.QueryEx(p, QueryOpts{})
+	return res, err
 }
 
 // QueryJSON decodes a JSON-encoded plan and executes it; the decode error,
@@ -527,7 +530,8 @@ func (s *DB) Exec(id string) (*result.Set, error) {
 	if !ok {
 		return nil, fmt.Errorf("service: unknown statement %q", id)
 	}
-	return s.run(st.node, st.key)
+	res, _, err := s.runOpts(st.node, st.key, QueryOpts{})
+	return res, err
 }
 
 // CloseStmt drops a statement handle (the cached compiled form stays,
@@ -562,24 +566,22 @@ type QueryOpts struct {
 // set, also returns the filled execution trace (nil for inserts run
 // without tracing support, never nil for traced reads).
 func (s *DB) QueryEx(p plan.Node, o QueryOpts) (*result.Set, *obs.QueryTrace, error) {
-	key, err := planKey(p)
-	if err != nil {
-		return nil, nil, err
+	// Only reads go through the plan cache; an insert needs no key.
+	var key digest
+	if _, ok := p.(plan.Insert); !ok {
+		var err error
+		if key, err = planKey(p); err != nil {
+			return nil, nil, err
+		}
 	}
 	return s.runOpts(p, key, o)
-}
-
-// run is the shared execution path of Query and Exec.
-func (s *DB) run(p plan.Node, key string) (*result.Set, error) {
-	res, _, err := s.runOpts(p, key, QueryOpts{})
-	return res, err
 }
 
 // runOpts admits, executes and accounts one request. The end-to-end
 // latency histograms start before admission (queue wait is part of what
 // the client sees); stats.execNanos keeps its historical meaning of
 // time inside execution only.
-func (s *DB) runOpts(p plan.Node, key string, o QueryOpts) (*result.Set, *obs.QueryTrace, error) {
+func (s *DB) runOpts(p plan.Node, key digest, o QueryOpts) (*result.Set, *obs.QueryTrace, error) {
 	e2e := time.Now()
 	release, err := s.admit()
 	if err != nil {
@@ -624,7 +626,7 @@ func (s *DB) runOpts(p plan.Node, key string, o QueryOpts) (*result.Set, *obs.Qu
 // Both pin an MVCC snapshot for the whole compile+execute and run
 // lock-free against it: concurrent commits publish new versions without
 // this query ever observing them.
-func (s *DB) runRead(p plan.Node, key, engine string, armed bool) (*result.Set, *obs.QueryTrace, error) {
+func (s *DB) runRead(p plan.Node, key digest, engine string, armed bool) (*result.Set, *obs.QueryTrace, error) {
 	switch engine {
 	case "", "jit":
 	case "vector":
@@ -636,7 +638,7 @@ func (s *DB) runRead(p plan.Node, key, engine string, armed bool) (*result.Set, 
 	snap := db.Snapshot()
 	defer snap.Release()
 	cat := snap.Catalog()
-	ckey := cacheKey(db, snap.Epoch(), key)
+	ckey := cacheKey{core: db.ID(), epoch: snap.Epoch(), plan: key}
 	entry := s.lookup(p, ckey)
 	entry.once.Do(func() {
 		if err := plan.Check(p, cat); err != nil {
@@ -648,7 +650,7 @@ func (s *DB) runRead(p plan.Node, key, engine string, armed bool) (*result.Set, 
 		// compilation: every execution of this entry then records
 		// through precomputed atomic-counter pointers.
 		entry.fp = s.capture.Resolve(cat, entry.prep.Accesses(),
-			entry.shape, entry.shapeJSON, p)
+			string(entry.shape[:]), entry.shapeJSON, p)
 		s.registerHeat(entry.prep.Accesses())
 	})
 	if entry.err != nil {
@@ -674,7 +676,7 @@ func (s *DB) runRead(p plan.Node, key, engine string, armed bool) (*result.Set, 
 // from scratch, and likewise resolves its capture footprint per request
 // (the price of the uncached engine, bounded by the same <2% guard as
 // the jit path's per-exec Record).
-func (s *DB) runReadVector(p plan.Node, key string, armed bool) (*result.Set, *obs.QueryTrace, error) {
+func (s *DB) runReadVector(p plan.Node, key digest, armed bool) (*result.Set, *obs.QueryTrace, error) {
 	snap := s.core().Snapshot()
 	defer snap.Release()
 	cat := snap.Catalog()
@@ -683,7 +685,7 @@ func (s *DB) runReadVector(p plan.Node, key string, armed bool) (*result.Set, *o
 	}
 	shape, shapeJSON := shapeOf(p, key)
 	accs := vector.Accesses(p, cat)
-	fp := s.capture.Resolve(cat, accs, shape, shapeJSON, p)
+	fp := s.capture.Resolve(cat, accs, string(shape[:]), shapeJSON, p)
 	s.registerHeat(accs)
 	eng := vector.NewParallel(s.opt)
 	if !armed {
@@ -753,12 +755,11 @@ func (s *DB) runInsert(p plan.Node, qid string) (*result.Set, error) {
 // an evicted plan just recompiles.
 const defaultPlanCacheSize = 1024
 
-// lookup returns the cache entry for key (already epoch-scoped by the
-// caller via cacheKey), creating it if needed. Entries are created under
-// planMu and compiled through their once. New entries are tagged
-// with their normalized shape, computed outside the cache lock; misses pay
-// one extra marshal, hits none.
-func (s *DB) lookup(p plan.Node, key string) *cachedPlan {
+// lookup returns the cache entry for key, creating it if needed. Entries
+// are created under planMu and compiled through their once. New entries are
+// tagged with their normalized shape, computed outside the cache lock;
+// misses pay one extra marshal, hits none.
+func (s *DB) lookup(p plan.Node, key cacheKey) *cachedPlan {
 	s.planMu.Lock()
 	if entry, ok := s.plans.get(key); ok {
 		s.planMu.Unlock()
@@ -766,7 +767,7 @@ func (s *DB) lookup(p plan.Node, key string) *cachedPlan {
 		return entry
 	}
 	s.planMu.Unlock()
-	shape, shapeJSON := shapeOf(p, key)
+	shape, shapeJSON := shapeOf(p, key.plan)
 
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
@@ -787,18 +788,17 @@ func (s *DB) lookup(p plan.Node, key string) *cachedPlan {
 // returns the normalized encoding (the workload capture retains it for
 // display). On a marshal failure the full key doubles as the shape —
 // over-counting shapes is safer than conflating them.
-func shapeOf(p plan.Node, fallback string) (string, []byte) {
-	data, err := plan.MarshalNode(plan.Normalize(p))
+func shapeOf(p plan.Node, fallback digest) (digest, []byte) {
+	sum, data, err := hashPlan(plan.Normalize(p), true)
 	if err != nil {
 		return fallback, nil
 	}
-	sum := sha256.Sum256(data)
-	return string(sum[:]), data
+	return sum, data
 }
 
 // forget drops a cache entry that turned out not to be worth keeping
 // (validation failures), if it is still the one the key maps to.
-func (s *DB) forget(key string, entry *cachedPlan) {
+func (s *DB) forget(key cacheKey, entry *cachedPlan) {
 	s.planMu.Lock()
 	s.plans.remove(key, entry)
 	s.planMu.Unlock()
@@ -1137,14 +1137,35 @@ func (s *DB) Stats() Stats {
 	return st
 }
 
+// keyBufs holds the buffers plans are encoded into to be hashed.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxKeyBuf is the largest encoding buffer worth keeping: remote plans can
+// be megabytes, and the pool should not pin one of those per P.
+const maxKeyBuf = 64 << 10
+
+// hashPlan digests the plan's canonical JSON encoding; keep asks for a
+// copy of the encoding as well.
+func hashPlan(p plan.Node, keep bool) (sum digest, enc []byte, err error) {
+	buf := keyBufs.Get().(*[]byte)
+	data, err := plan.AppendNode((*buf)[:0], p)
+	if err == nil {
+		sum = sha256.Sum256(data)
+		if keep {
+			enc = bytes.Clone(data)
+		}
+	}
+	if cap(data) <= maxKeyBuf {
+		*buf = data
+		keyBufs.Put(buf)
+	}
+	return sum, enc, err
+}
+
 // planKey computes the cache key: a digest of the plan's canonical JSON
 // encoding. Hashing keeps per-entry key memory constant — remote plans
 // can be megabytes — while equivalent plans still collide onto one entry.
-func planKey(p plan.Node) (string, error) {
-	data, err := plan.MarshalNode(p)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return string(sum[:]), nil
+func planKey(p plan.Node) (digest, error) {
+	sum, _, err := hashPlan(p, false)
+	return sum, err
 }

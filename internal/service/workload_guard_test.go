@@ -135,14 +135,14 @@ func BenchmarkCaptureOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			shape, shapeJSON := shapeOf(q, key)
 			accs := vector.Accesses(q, cat)
-			s.capture.Resolve(cat, accs, shape, shapeJSON, q)
+			s.capture.Resolve(cat, accs, string(shape[:]), shapeJSON, q)
 		}
 	})
 	b.Run("record", func(b *testing.B) {
 		b.ReportAllocs()
 		db := s.core()
 		snap := db.Snapshot()
-		entry := s.lookup(q, cacheKey(db, snap.Epoch(), key))
+		entry := s.lookup(q, cacheKey{core: db.ID(), epoch: snap.Epoch(), plan: key})
 		snap.Release()
 		for i := 0; i < b.N; i++ {
 			entry.fp.Record()
