@@ -2,7 +2,6 @@ package jit
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/exec/par"
@@ -20,10 +19,10 @@ import (
 // into per-morsel partial accumulators; integer addition is exact, so the
 // morsel-order reduction is bit-identical to the serial loop.
 //
-// When the trace is armed, the same kernel runs with its morsels timed
-// from the outside: the fused scan-aggregate loop is one operator pair in
-// the trace — the scan op takes the per-morsel lanes, the group-by op the
-// reduction totals — without touching the loop body itself.
+// The kernel counts nothing per row beyond its own count: an armed trace
+// times each morsel from the outside and books the fused loop as one
+// operator pair — the scan op takes the per-morsel lanes, the group-by op
+// the reduction totals.
 func fastScanAggregate(p *pipe, v plan.Aggregate, opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]storage.Word, bool) {
 	if len(p.stages) != 0 || p.complex != nil || p.useIndex || len(v.GroupBy) != 0 {
 		return nil, false
@@ -117,37 +116,22 @@ func fastScanAggregate(p *pipe, v plan.Aggregate, opt par.Options, tr *obs.Query
 	n := p.rel.Rows()
 	var accs []int64
 	var count int64
-	aggStart := time.Now()
+	aggStart := clock(tr)
+	scanOp := tr.Op(p.srcOp)
 	if opt.Parallel() {
 		type partial struct {
 			accs  []int64
 			count int64
 		}
 		parts := make([]partial, opt.Morsels(n))
-		if tr == nil {
-			par.Run(n, opt, func(_, m, lo, hi int) {
-				a, cnt := accumulate(lo, hi)
-				parts[m] = partial{accs: a, count: cnt}
-			})
-		} else {
-			morsels, workers := opt.Morsels(n), opt.WorkerCount()
-			scanOp := tr.Op(p.srcOp)
-			par.Run(n, opt, func(w, m, lo, hi int) {
-				start := time.Now()
-				a, cnt := accumulate(lo, hi)
-				nanos := time.Since(start).Nanoseconds()
-				parts[m] = partial{accs: a, count: cnt}
-				scanOp.Add(int64(hi-lo), cnt, nanos)
-				if l := scanOp.Lane(w); l != nil {
-					l.Rows += cnt
-					l.Nanos += nanos
-					l.Morsels++
-					if par.ExpectedWorker(m, morsels, workers) != w {
-						l.Stolen++
-					}
-				}
-			})
-		}
+		par.Run(n, opt, func(w, m, lo, hi int) {
+			start := clock(tr)
+			a, cnt := accumulate(lo, hi)
+			parts[m] = partial{accs: a, count: cnt}
+			if tr != nil {
+				addMorsel(scanOp, w, int64(hi-lo), cnt, since(start), stolen(opt, n, w, m))
+			}
+		})
 		accs = make([]int64, len(sums))
 		for _, pt := range parts {
 			count += pt.count
@@ -158,19 +142,10 @@ func fastScanAggregate(p *pipe, v plan.Aggregate, opt par.Options, tr *obs.Query
 	} else {
 		accs, count = accumulate(0, n)
 		if tr != nil {
-			nanos := time.Since(aggStart).Nanoseconds()
-			scanOp := tr.Op(p.srcOp)
-			scanOp.Add(int64(n), count, nanos)
-			if l := scanOp.Lane(0); l != nil {
-				l.Rows += count
-				l.Nanos += nanos
-				l.Morsels++
-			}
+			addMorsel(scanOp, 0, int64(n), count, since(aggStart), false)
 		}
 	}
-	if tr != nil {
-		tr.Op(aggIdx).Add(count, 1, time.Since(aggStart).Nanoseconds())
-	}
+	tr.Op(aggIdx).Add(count, 1, since(aggStart))
 
 	row := make([]storage.Word, len(v.Aggs))
 	for i, pos := range sumIdx {
@@ -361,61 +336,34 @@ func genericAggregate(p *pipe, v plan.Aggregate, opt par.Options, tr *obs.QueryT
 		}
 	}
 
+	start := clock(tr)
+	var folded int64
+	var rows [][]storage.Word
 	if p.parallelizable(opt) && expr.MergeExact(v.Aggs) {
 		n := p.rel.Rows()
 		sinks := make([]*groupSink, opt.Morsels(n))
 		pool := make([]*pipeWorker, opt.WorkerCount())
-		if tr == nil {
-			par.Run(n, opt, func(w, m, lo, hi int) {
-				ws := p.worker(pool, w)
-				ms := newGroupSink(v, specs, args)
-				ws.pipe.runRange(lo, hi, ws.regs, ms.fold)
-				sinks[m] = ms
-			})
-			total := newGroupSink(v, specs, args)
-			for _, ms := range sinks {
-				total.merge(ms)
-			}
-			return total.rows()
-		}
-		morsels, workers := opt.Morsels(n), opt.WorkerCount()
-		var folded atomic.Int64
-		aggStart := time.Now()
+		var emitted atomic.Int64
 		par.Run(n, opt, func(w, m, lo, hi int) {
 			ws := p.worker(pool, w)
 			ms := newGroupSink(v, specs, args)
-			cn := make([]int64, 2+len(p.stages))
-			start := time.Now()
-			ws.pipe.runRangeCount(lo, hi, ws.regs, cn, ms.fold)
-			nanos := time.Since(start).Nanoseconds()
+			start := clock(tr)
+			ws.pipe.runRange(lo, hi, ws.regs, ms.fold)
 			sinks[m] = ms
-			var stolen int64
-			if par.ExpectedWorker(m, morsels, workers) != w {
-				stolen = 1
+			if tr != nil {
+				emitted.Add(ws.pipe.flushCounts(tr, w, stolen(opt, n, w, m), start))
 			}
-			p.flushCounts(tr, w, cn, nanos, 1, stolen)
-			folded.Add(emittedOf(cn, len(p.stages)))
 		})
 		total := newGroupSink(v, specs, args)
 		for _, ms := range sinks {
 			total.merge(ms)
 		}
-		rows := total.rows()
-		tr.Op(aggIdx).Add(folded.Load(), int64(len(rows)), time.Since(aggStart).Nanoseconds())
-		return rows
+		folded, rows = emitted.Load(), total.rows()
+	} else {
+		sink := newGroupSink(v, specs, args)
+		folded = p.runSerial(tr, sink.fold)
+		rows = sink.rows()
 	}
-
-	// Clone for the same reason as the serial row path: stage buffers and
-	// the index-lookup scratch are per-execution state under concurrency.
-	sink := newGroupSink(v, specs, args)
-	q := p.cloneForWorker()
-	if tr == nil {
-		q.run(sink.fold)
-		return sink.rows()
-	}
-	start := time.Now()
-	folded := q.runTraced(tr, sink.fold)
-	rows := sink.rows()
-	tr.Op(aggIdx).Add(folded, int64(len(rows)), time.Since(start).Nanoseconds())
+	tr.Op(aggIdx).Add(folded, int64(len(rows)), since(start))
 	return rows
 }

@@ -91,7 +91,8 @@ type stage struct {
 
 	buf []storage.Word // output registers of width-changing stages
 
-	opIdx int // trace-op index of the operator this stage implements
+	opIdx int   // trace-op index of the operator this stage implements
+	out   int64 // rows this stage passed on since the last flush (per clone)
 }
 
 // mapSlot computes one output register; column references compile to plain
@@ -119,6 +120,11 @@ type pipe struct {
 	stages    []stage
 	outWidth  int
 	srcOp     int // trace-op index of the source scan
+
+	// Source counts since the last flush (per clone, like the stage
+	// counts): rows read from the table or index, and rows past the
+	// fused source filter.
+	scanned, passed int64
 }
 
 // compilePipe lowers a plan subtree into a pipeline. The caller must not

@@ -1,8 +1,6 @@
 package jit
 
 import (
-	"time"
-
 	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/obs"
@@ -17,10 +15,10 @@ func (p *pipe) parallelizable(opt par.Options) bool {
 }
 
 // cloneForWorker gives one worker — or one concurrent execution — its own
-// executable view of the pipe. Stage output buffers and the index-lookup
-// scratch are the only state the fused loop mutates besides the register
-// file, so the clone shares the compiled tests, loads and probe tables
-// with the original and replaces just those.
+// executable view of the pipe. Stage output buffers, the index-lookup
+// scratch and the operator counts are the only state the fused loop
+// mutates besides the register file, so the clone shares the compiled
+// tests, loads and probe tables with the original and replaces just those.
 func (p *pipe) cloneForWorker() *pipe {
 	q := *p
 	q.indexRows = nil
@@ -60,34 +58,18 @@ func (p *pipe) runParallelRows(opt par.Options, tr *obs.QueryTrace) [][]storage.
 	n := p.rel.Rows()
 	slots := make([][][]storage.Word, opt.Morsels(n))
 	pool := make([]*pipeWorker, opt.WorkerCount())
-	if tr == nil {
-		par.Run(n, opt, func(w, m, lo, hi int) {
-			ws := p.worker(pool, w)
-			var rows [][]storage.Word
-			ws.pipe.runRange(lo, hi, ws.regs, func(regs []storage.Word) {
-				rows = append(rows, ws.arena.Copy(regs))
-			})
-			slots[m] = rows
+	par.Run(n, opt, func(w, m, lo, hi int) {
+		ws := p.worker(pool, w)
+		start := clock(tr)
+		var rows [][]storage.Word
+		ws.pipe.runRange(lo, hi, ws.regs, func(regs []storage.Word) {
+			rows = append(rows, ws.arena.Copy(regs))
 		})
-	} else {
-		morsels, workers := opt.Morsels(n), opt.WorkerCount()
-		par.Run(n, opt, func(w, m, lo, hi int) {
-			ws := p.worker(pool, w)
-			var rows [][]storage.Word
-			cn := make([]int64, 2+len(p.stages))
-			start := time.Now()
-			ws.pipe.runRangeCount(lo, hi, ws.regs, cn, func(regs []storage.Word) {
-				rows = append(rows, ws.arena.Copy(regs))
-			})
-			nanos := time.Since(start).Nanoseconds()
-			slots[m] = rows
-			var stolen int64
-			if par.ExpectedWorker(m, morsels, workers) != w {
-				stolen = 1
-			}
-			p.flushCounts(tr, w, cn, nanos, 1, stolen)
-		})
-	}
+		slots[m] = rows
+		if tr != nil {
+			ws.pipe.flushCounts(tr, w, stolen(opt, n, w, m), start)
+		}
+	})
 	total := 0
 	for _, s := range slots {
 		total += len(s)

@@ -2,7 +2,6 @@ package jit
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/exec/par"
@@ -79,12 +78,9 @@ func PrepareOpt(n plan.Node, c *plan.Catalog, opt par.Options) *Prepared {
 			protos:  tb.protos,
 			workers: workers,
 			exec: func(tr *obs.QueryTrace) [][]storage.Word {
-				if tr == nil {
-					return exec.RunInsert(ins, c).Rows
-				}
-				start := time.Now()
+				start := clock(tr)
 				rows := exec.RunInsert(ins, c).Rows
-				tr.Op(idx).Add(int64(len(ins.Rows)), int64(len(rows)), time.Since(start).Nanoseconds())
+				tr.Op(idx).Add(int64(len(ins.Rows)), int64(len(rows)), since(start))
 				return rows
 			},
 		}
@@ -110,7 +106,8 @@ func (p *Prepared) Accesses() []exec.TableAccess { return p.accesses }
 func (p *Prepared) Exec() *result.Set { return p.ExecTraced(nil) }
 
 // ExecTraced runs the compiled query, threading tr (from NewTrace) through
-// every operator. A nil trace takes the untouched hot loops.
+// every operator. Traced or not, an execution runs the same loops; a nil
+// trace reads no clock and flushes no counts.
 func (p *Prepared) ExecTraced(tr *obs.QueryTrace) *result.Set {
 	out := result.New(p.cols)
 	out.Rows = p.exec(tr)
@@ -136,13 +133,9 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 		child := prepareNode(v.Child, c, opt, tb, depth+1)
 		return func(tr *obs.QueryTrace) [][]storage.Word {
 			rows := child(tr)
-			if tr == nil {
-				sortpar.Sort(rows, v.Keys, opt)
-				return rows
-			}
-			start := time.Now()
+			start := clock(tr)
 			sortpar.Sort(rows, v.Keys, opt)
-			tr.Op(idx).Add(int64(len(rows)), int64(len(rows)), time.Since(start).Nanoseconds())
+			tr.Op(idx).Add(int64(len(rows)), int64(len(rows)), since(start))
 			return rows
 		}
 	case plan.Limit:
@@ -177,15 +170,8 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 			if p.parallelizable(opt) {
 				return p.runParallelRows(opt, tr)
 			}
-			// Serial execution mutates stage buffers and the index-lookup
-			// scratch, so concurrent Execs each run a private clone.
 			r := &runner{}
-			q := p.cloneForWorker()
-			if tr == nil {
-				q.run(r.emitRow)
-			} else {
-				q.runTraced(tr, r.emitRow)
-			}
+			p.runSerial(tr, r.emitRow)
 			return r.rows
 		}
 	}
@@ -202,19 +188,34 @@ func (r *runner) emitRow(regs []storage.Word) {
 	r.rows = append(r.rows, r.arena.Copy(regs))
 }
 
-// run drives the pipeline serially: index lookups take the fetch loop
-// below, table scans take the fused range loop in runRange. The emit
-// indirection is the only per-row call left; the paper's hot shapes avoid
-// even that through the fast paths in aggregate.go.
-func (p *pipe) run(emit func([]storage.Word)) {
-	if !p.useIndex {
-		p.runRange(0, p.rel.Rows(), make([]storage.Word, p.srcWidth), emit)
-		return
+// runSerial drives the pipeline over its whole source on the calling
+// goroutine — the index fetch loop or the fused range loop — and, when tr
+// is armed, accounts the run as worker 0's one morsel. Serial execution
+// mutates stage buffers, counts and the index-lookup scratch, so every
+// call runs a private clone and concurrent Execs never share one. It
+// returns the emitted-row count of an armed run (0 disarmed).
+func (p *pipe) runSerial(tr *obs.QueryTrace, emit func([]storage.Word)) int64 {
+	start := clock(tr)
+	q := p.cloneForWorker()
+	if q.useIndex {
+		q.runIndex(emit)
+	} else {
+		q.runRange(0, q.rel.Rows(), make([]storage.Word, q.srcWidth), emit)
 	}
+	if tr == nil {
+		return 0
+	}
+	return q.flushCounts(tr, 0, false, start)
+}
+
+// runIndex is the index-backed source loop: it fetches the lookup result
+// and runs the same per-row body as runRange over those rows only.
+func (p *pipe) runIndex(emit func([]storage.Word)) {
 	regs := make([]storage.Word, p.srcWidth)
 	var complexRow int
 	complexFn := func(a int) storage.Word { return p.rel.Value(complexRow, a) }
 	p.indexRows = p.idx.Lookup(p.key, p.indexRows[:0])
+	p.scanned += int64(len(p.indexRows))
 rows:
 	for _, r := range p.indexRows {
 		row := int(r)
@@ -234,6 +235,7 @@ rows:
 			l := &p.loads[i]
 			regs[l.reg] = l.data[row*l.stride+l.off]
 		}
+		p.passed++
 		p.pushStages(0, regs, emit)
 	}
 }
@@ -241,10 +243,12 @@ rows:
 // runRange is the fused scan loop over the row range [lo, hi): compiled
 // tests by direct slice access, register loads, then the stages. It is the
 // unit the morsel scheduler drives — each worker runs it on its claimed
-// morsel with worker-private regs and a worker-private pipe clone.
+// morsel with worker-private regs and a worker-private pipe clone, whose
+// counts it advances whether or not a trace will read them.
 func (p *pipe) runRange(lo, hi int, regs []storage.Word, emit func([]storage.Word)) {
 	var complexRow int
 	complexFn := func(a int) storage.Word { return p.rel.Value(complexRow, a) }
+	p.scanned += int64(hi - lo)
 rows:
 	for row := lo; row < hi; row++ {
 		for i := range p.baseTests {
@@ -263,6 +267,7 @@ rows:
 			l := &p.loads[i]
 			regs[l.reg] = l.data[row*l.stride+l.off]
 		}
+		p.passed++
 		p.pushStages(0, regs, emit)
 	}
 }
@@ -294,9 +299,9 @@ func passTest(t *test, w storage.Word) bool {
 	}
 }
 
-// pushStages advances a register image through the stages starting at si.
-// Only multi-match probes recurse; the single-match path stays in the flat
-// loop.
+// pushStages advances a register image through the stages starting at si,
+// counting each stage's survivors in the stage itself. Only multi-match
+// probes recurse; the single-match path stays in the flat loop.
 func (p *pipe) pushStages(si int, regs []storage.Word, emit func([]storage.Word)) {
 	for ; si < len(p.stages); si++ {
 		st := &p.stages[si]
@@ -332,17 +337,18 @@ func (p *pipe) pushStages(si int, regs []storage.Word, emit func([]storage.Word)
 			w := st.addWidth
 			buf := st.buf
 			copy(buf[w:], regs)
-			if len(matches) == 1 {
-				copy(buf[:w], build[int(matches[0])*w:])
-				regs = buf
-				continue
+			if len(matches) > 1 {
+				st.out += int64(len(matches))
+				for _, m := range matches {
+					copy(buf[:w], build[int(m)*w:])
+					p.pushStages(si+1, buf, emit)
+				}
+				return
 			}
-			for _, m := range matches {
-				copy(buf[:w], build[int(m)*w:])
-				p.pushStages(si+1, buf, emit)
-			}
-			return
+			copy(buf[:w], build[int(matches[0])*w:])
+			regs = buf
 		}
+		st.out++
 	}
 	emit(regs)
 }

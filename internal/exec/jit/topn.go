@@ -3,7 +3,6 @@ package jit
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/exec/par"
 	"repro/internal/exec/sortpar"
@@ -28,12 +27,9 @@ func prepareTopN(srt plan.Sort, k int, c *plan.Catalog, opt par.Options, tb *tra
 		child := prepareNode(srt.Child, c, opt, tb, depth+1)
 		return func(tr *obs.QueryTrace) [][]storage.Word {
 			rows := child(tr)
-			if tr == nil {
-				return topNRows(rows, srt.Keys, k)
-			}
-			start := time.Now()
+			start := clock(tr)
 			out := topNRows(rows, srt.Keys, k)
-			tr.Op(idx).Add(int64(len(rows)), int64(len(out)), time.Since(start).Nanoseconds())
+			tr.Op(idx).Add(int64(len(rows)), int64(len(out)), since(start))
 			return out
 		}
 	}
@@ -42,23 +38,15 @@ func prepareTopN(srt plan.Sort, k int, c *plan.Catalog, opt par.Options, tb *tra
 		if p.parallelizable(opt) {
 			return p.runParallelTopN(srt.Keys, k, opt, tr, idx)
 		}
+		start := clock(tr)
 		t := sortpar.NewTopN(srt.Keys, k)
 		seq := 0
-		offer := func(regs []storage.Word) {
+		p.runSerial(tr, func(regs []storage.Word) {
 			t.Offer(regs, 0, seq)
 			seq++
-		}
-		// Serial execution mutates stage buffers and the index-lookup
-		// scratch, so concurrent Execs each run a private clone.
-		q := p.cloneForWorker()
-		if tr == nil {
-			q.run(offer)
-			return sortpar.MergeTopN([]*sortpar.TopN{t}, srt.Keys, k)
-		}
-		start := time.Now()
-		q.runTraced(tr, offer)
+		})
 		out := sortpar.MergeTopN([]*sortpar.TopN{t}, srt.Keys, k)
-		tr.Op(idx).Add(int64(seq), int64(len(out)), time.Since(start).Nanoseconds())
+		tr.Op(idx).Add(int64(seq), int64(len(out)), since(start))
 		return out
 	}
 }
@@ -70,24 +58,8 @@ func (p *pipe) runParallelTopN(keys []plan.SortKey, k int, opt par.Options, tr *
 	n := p.rel.Rows()
 	pool := make([]*pipeWorker, opt.WorkerCount())
 	tops := make([]*sortpar.TopN, opt.WorkerCount())
-	if tr == nil {
-		par.Run(n, opt, func(w, m, lo, hi int) {
-			ws := p.worker(pool, w)
-			if tops[w] == nil {
-				tops[w] = sortpar.NewTopN(keys, k)
-			}
-			t := tops[w]
-			seq := 0
-			ws.pipe.runRange(lo, hi, ws.regs, func(regs []storage.Word) {
-				t.Offer(regs, m, seq)
-				seq++
-			})
-		})
-		return sortpar.MergeTopN(tops, keys, k)
-	}
-	morsels, workers := opt.Morsels(n), opt.WorkerCount()
 	var offered atomic.Int64
-	allStart := time.Now()
+	allStart := clock(tr)
 	par.Run(n, opt, func(w, m, lo, hi int) {
 		ws := p.worker(pool, w)
 		if tops[w] == nil {
@@ -95,22 +67,17 @@ func (p *pipe) runParallelTopN(keys []plan.SortKey, k int, opt par.Options, tr *
 		}
 		t := tops[w]
 		seq := 0
-		cn := make([]int64, 2+len(p.stages))
-		start := time.Now()
-		ws.pipe.runRangeCount(lo, hi, ws.regs, cn, func(regs []storage.Word) {
+		start := clock(tr)
+		ws.pipe.runRange(lo, hi, ws.regs, func(regs []storage.Word) {
 			t.Offer(regs, m, seq)
 			seq++
 		})
-		nanos := time.Since(start).Nanoseconds()
-		var stolen int64
-		if par.ExpectedWorker(m, morsels, workers) != w {
-			stolen = 1
+		if tr != nil {
+			offered.Add(ws.pipe.flushCounts(tr, w, stolen(opt, n, w, m), start))
 		}
-		p.flushCounts(tr, w, cn, nanos, 1, stolen)
-		offered.Add(int64(seq))
 	})
 	out := sortpar.MergeTopN(tops, keys, k)
-	tr.Op(topIdx).Add(offered.Load(), int64(len(out)), time.Since(allStart).Nanoseconds())
+	tr.Op(topIdx).Add(offered.Load(), int64(len(out)), since(allStart))
 	return out
 }
 

@@ -3,22 +3,19 @@ package jit
 import (
 	"time"
 
-	"repro/internal/expr"
+	"repro/internal/exec/par"
 	"repro/internal/obs"
-	"repro/internal/storage"
 )
 
-// Tracing in the jit engine is a compiled specialization, not an
-// instrumented hot loop: the fused loops in run.go stay untouched, and an
-// armed trace (tr != nil) routes execution through the counting variants
-// below instead. The disarmed path therefore executes exactly the
-// instructions it executed before tracing existed — one nil check per
-// pipeline or breaker, never per row — which is what keeps the disarmed
-// overhead on the serving benchmark under the 2% budget.
+// Tracing in the jit engine reads the counts of the loops that serve every
+// query: runRange, runIndex and pushStages count, traced or not, into
+// their worker's private pipe clone — the source's rows scanned and rows
+// past the fused filter in the pipe, each stage's survivors in the stage.
+// An armed trace (tr != nil) reads the clock and flushes those counts once
+// per morsel or serial run, never per row; a disarmed execution reads no
+// clock and flushes nothing, so it pays only the increments themselves.
 //
-// Counts layout for one pipe: cn[0] = rows scanned (source input),
-// cn[1] = rows surviving the fused source filter, cn[2+i] = rows leaving
-// stage i. An operator's input is its predecessor's output, so the chain
+// An operator's input is its predecessor's output, so the chain of counts
 // reconstructs per-operator rows in/out exactly. Wall time is measured
 // per morsel around the fused loop and attributed to every operator fused
 // into it (the paper's point is precisely that these operators share one
@@ -42,164 +39,55 @@ func (tb *traceBuild) setStatic(i int, rowsIn, rowsOut, nanos int64) {
 	p.Static, p.RowsIn, p.RowsOut, p.Nanos = true, rowsIn, rowsOut, nanos
 }
 
-// emittedOf returns the pipe's emitted-row count from a counts slice.
-func emittedOf(cn []int64, stages int) int64 {
-	if stages == 0 {
-		return cn[1]
+// clock reads the time for an armed trace and returns the zero time for a
+// disarmed one, which since then reports as 0 without reading the clock.
+func clock(tr *obs.QueryTrace) time.Time {
+	if tr == nil {
+		return time.Time{}
 	}
-	return cn[2+stages-1]
+	return time.Now()
 }
 
-// flushCounts folds one morsel's (or one serial run's) counts into the
-// trace: totals via atomics, the claiming worker's lane directly (lane w
-// is only ever written by worker w).
-func (p *pipe) flushCounts(tr *obs.QueryTrace, worker int, cn []int64, nanos, morsels, stolen int64) {
-	src := tr.Op(p.srcOp)
-	src.Add(cn[0], cn[1], nanos)
-	if l := src.Lane(worker); l != nil {
-		l.Rows += cn[1]
+func since(start time.Time) int64 {
+	if start.IsZero() {
+		return 0
+	}
+	return time.Since(start).Nanoseconds()
+}
+
+// stolen reports whether worker w claimed morsel m of an n-row scan away
+// from the worker a static block partitioning would have given it.
+func stolen(opt par.Options, n, w, m int) bool {
+	return par.ExpectedWorker(m, opt.Morsels(n), opt.WorkerCount()) != w
+}
+
+// addMorsel accounts one morsel (or one serial run) of a fused operator:
+// totals via atomics, the claiming worker's lane directly (lane w is only
+// ever written by worker w).
+func addMorsel(op *obs.OpTrace, worker int, rowsIn, rowsOut, nanos int64, stolen bool) {
+	op.Add(rowsIn, rowsOut, nanos)
+	if l := op.Lane(worker); l != nil {
+		l.Rows += rowsOut
 		l.Nanos += nanos
-		l.Morsels += morsels
-		l.Stolen += stolen
+		l.Morsels++
+		if stolen {
+			l.Stolen++
+		}
 	}
-	in := cn[1]
+}
+
+// flushCounts folds the counts this clone gathered since its last flush —
+// one morsel, or one serial run started at start — into the trace as
+// worker's, zeroes them, and returns the rows the pipeline emitted.
+func (p *pipe) flushCounts(tr *obs.QueryTrace, worker int, stolen bool, start time.Time) int64 {
+	nanos := since(start)
+	addMorsel(tr.Op(p.srcOp), worker, p.scanned, p.passed, nanos, stolen)
+	in := p.passed
+	p.scanned, p.passed = 0, 0
 	for i := range p.stages {
-		op := tr.Op(p.stages[i].opIdx)
-		op.Add(in, cn[2+i], nanos)
-		if l := op.Lane(worker); l != nil {
-			l.Rows += cn[2+i]
-			l.Nanos += nanos
-			l.Morsels += morsels
-			l.Stolen += stolen
-		}
-		in = cn[2+i]
+		st := &p.stages[i]
+		addMorsel(tr.Op(st.opIdx), worker, in, st.out, nanos, stolen)
+		in, st.out = st.out, 0
 	}
-}
-
-// runTraced drives the pipe serially through the counting loops and
-// flushes the counts as worker 0. It returns the emitted-row count.
-func (p *pipe) runTraced(tr *obs.QueryTrace, emit func([]storage.Word)) int64 {
-	cn := make([]int64, 2+len(p.stages))
-	start := time.Now()
-	if p.useIndex {
-		p.runIndexCount(cn, emit)
-	} else {
-		p.runRangeCount(0, p.rel.Rows(), make([]storage.Word, p.srcWidth), cn, emit)
-	}
-	p.flushCounts(tr, 0, cn, time.Since(start).Nanoseconds(), 1, 0)
-	return emittedOf(cn, len(p.stages))
-}
-
-// runRangeCount is runRange with per-operator counting.
-func (p *pipe) runRangeCount(lo, hi int, regs []storage.Word, cn []int64, emit func([]storage.Word)) {
-	cn[0] += int64(hi - lo)
-	var complexRow int
-	complexFn := func(a int) storage.Word { return p.rel.Value(complexRow, a) }
-rows:
-	for row := lo; row < hi; row++ {
-		for i := range p.baseTests {
-			t := &p.baseTests[i]
-			if !passTest(t, t.data[row*t.stride+t.off]) {
-				continue rows
-			}
-		}
-		if p.complex != nil {
-			complexRow = row
-			if !expr.EvalPred(p.complex, complexFn) {
-				continue rows
-			}
-		}
-		for i := range p.loads {
-			l := &p.loads[i]
-			regs[l.reg] = l.data[row*l.stride+l.off]
-		}
-		cn[1]++
-		p.pushStagesCount(0, regs, cn, emit)
-	}
-}
-
-// runIndexCount is the index-backed source loop of run with counting.
-func (p *pipe) runIndexCount(cn []int64, emit func([]storage.Word)) {
-	regs := make([]storage.Word, p.srcWidth)
-	var complexRow int
-	complexFn := func(a int) storage.Word { return p.rel.Value(complexRow, a) }
-	p.indexRows = p.idx.Lookup(p.key, p.indexRows[:0])
-	cn[0] += int64(len(p.indexRows))
-rows:
-	for _, r := range p.indexRows {
-		row := int(r)
-		for i := range p.baseTests {
-			t := &p.baseTests[i]
-			if !passTest(t, t.data[row*t.stride+t.off]) {
-				continue rows
-			}
-		}
-		if p.complex != nil {
-			complexRow = row
-			if !expr.EvalPred(p.complex, complexFn) {
-				continue rows
-			}
-		}
-		for i := range p.loads {
-			l := &p.loads[i]
-			regs[l.reg] = l.data[row*l.stride+l.off]
-		}
-		cn[1]++
-		p.pushStagesCount(0, regs, cn, emit)
-	}
-}
-
-// pushStagesCount is pushStages with per-stage survivor counting.
-func (p *pipe) pushStagesCount(si int, regs []storage.Word, cn []int64, emit func([]storage.Word)) {
-	for ; si < len(p.stages); si++ {
-		st := &p.stages[si]
-		switch st.kind {
-		case stFilter:
-			for i := range st.tests {
-				t := &st.tests[i]
-				if !passTest(t, regs[t.pos]) {
-					return
-				}
-			}
-			if st.complex != nil {
-				if !expr.EvalPred(st.complex, func(a int) storage.Word { return regs[a] }) {
-					return
-				}
-			}
-			cn[2+si]++
-		case stMap:
-			buf := st.buf
-			for i := range st.maps {
-				m := &st.maps[i]
-				if m.isMove {
-					buf[i] = regs[m.srcReg]
-				} else {
-					buf[i] = expr.EvalExpr(m.e, func(a int) storage.Word { return regs[a] })
-				}
-			}
-			regs = buf
-			cn[2+si]++
-		case stProbe:
-			matches, build := st.jt.Lookup(regs[st.keyReg])
-			if len(matches) == 0 {
-				return
-			}
-			w := st.addWidth
-			buf := st.buf
-			copy(buf[w:], regs)
-			if len(matches) == 1 {
-				copy(buf[:w], build[int(matches[0])*w:])
-				regs = buf
-				cn[2+si]++
-				continue
-			}
-			for _, m := range matches {
-				copy(buf[:w], build[int(m)*w:])
-				cn[2+si]++
-				p.pushStagesCount(si+1, buf, cn, emit)
-			}
-			return
-		}
-	}
-	emit(regs)
+	return in
 }

@@ -1,12 +1,9 @@
 package vector
 
 import (
-	"time"
-
 	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -32,24 +29,11 @@ type scanWorker struct {
 }
 
 func newParScan(rel *storage.Relation, filter expr.Pred, cols []int, opt par.Options) *parScanIt {
-	return newParScanTraced(rel, filter, cols, opt, nil)
-}
-
-// newParScanTraced is newParScan with an optional armed trace op: each
-// morsel's wall time, surviving rows and steal classification land in the
-// claiming worker's lane. A nil op adds one branch per morsel, nothing
-// per row.
-func newParScanTraced(rel *storage.Relation, filter expr.Pred, cols []int, opt par.Options, op *obs.OpTrace) *parScanIt {
 	n := rel.Rows()
 	conjs := conjuncts(filter)
 	slots := make([][]batch, opt.Morsels(n))
 	pool := make([]*scanWorker, opt.WorkerCount())
-	morsels, workers := opt.Morsels(n), opt.WorkerCount()
 	par.Run(n, opt, func(w, m, lo, hi int) {
-		var start time.Time
-		if op != nil {
-			start = time.Now()
-		}
 		ws := pool[w]
 		if ws == nil {
 			ws = &scanWorker{sel: make([]int32, 0, BatchSize)}
@@ -89,20 +73,6 @@ func newParScanTraced(rel *storage.Relation, filter expr.Pred, cols []int, opt p
 			out = append(out, b)
 		}
 		slots[m] = out
-		if op != nil {
-			var emitted int64
-			for _, b := range out {
-				emitted += int64(b.n)
-			}
-			if l := op.Lane(w); l != nil {
-				l.Rows += emitted
-				l.Nanos += time.Since(start).Nanoseconds()
-				l.Morsels++
-				if par.ExpectedWorker(m, morsels, workers) != w {
-					l.Stolen++
-				}
-			}
-		}
 	})
 	return &parScanIt{slots: slots}
 }

@@ -45,17 +45,6 @@ func NewParallel(opt par.Options) Engine { return Engine{opt: opt} }
 // Name returns "vector".
 func (Engine) Name() string { return "vector" }
 
-// Accesses reports the base-table footprint of executing n on this
-// engine: the tables and attribute positions the batch iterators read and
-// the rows they scan. The vector path builds its iterator tree per
-// request (nothing is cached), so the service's workload capture calls
-// this at request time; the index-vs-scan decision inside build mirrors
-// exec.PlanIndexAccess, which is exactly what CollectAccesses consults,
-// so the reported footprint matches what next() loops touch.
-func Accesses(n plan.Node, c *plan.Catalog) []exec.TableAccess {
-	return exec.CollectAccesses(n, c)
-}
-
 // batch is one vector of tuples, column-major. Columns are reused across
 // next() calls; consumers must copy what they keep.
 type batch struct {
@@ -110,7 +99,7 @@ func build(n plan.Node, c *plan.Catalog, opt par.Options) biter {
 	case plan.HashJoin:
 		return newJoin(v, c, opt)
 	case plan.Aggregate:
-		return newAgg(v, c, opt)
+		return newAgg(build(v.Child, c, opt), v)
 	case plan.Sort:
 		return newMaterialized(build(v.Child, c, opt), func(rows [][]storage.Word) [][]storage.Word {
 			sortpar.Sort(rows, v.Keys, opt)
@@ -358,7 +347,8 @@ type joinIt struct {
 }
 
 func newJoin(v plan.HashJoin, c *plan.Catalog, opt par.Options) *joinIt {
-	jt, leftWidth := buildSide(build(v.Left, c, opt), len(plan.Output(v.Left, c)), v.LeftKey, opt)
+	leftWidth := len(plan.Output(v.Left, c))
+	jt := buildSide(build(v.Left, c, opt), leftWidth, v.LeftKey, opt)
 	return &joinIt{
 		right:      build(v.Right, c, opt),
 		jt:         jt,
@@ -370,8 +360,8 @@ func newJoin(v plan.HashJoin, c *plan.Catalog, opt par.Options) *joinIt {
 
 // buildSide drains the build child into the flat row-major form BuildFlat
 // consumes (serial builds adopt the buffer without another copy) and
-// returns the probe table plus the number of build rows.
-func buildSide(leftIt biter, leftWidth, leftKey int, opt par.Options) (*joinpar.Table, int) {
+// returns the probe table.
+func buildSide(leftIt biter, leftWidth, leftKey int, opt par.Options) *joinpar.Table {
 	var flat []storage.Word
 	for {
 		b, ok := leftIt.next()
@@ -384,7 +374,7 @@ func buildSide(leftIt biter, leftWidth, leftKey int, opt par.Options) (*joinpar.
 			}
 		}
 	}
-	return joinpar.BuildFlat(flat, leftKey, leftWidth, opt), leftWidth
+	return joinpar.BuildFlat(flat, leftKey, leftWidth, opt)
 }
 
 func (j *joinIt) next() (batch, bool) {
@@ -426,11 +416,7 @@ type aggIt struct {
 	pos  int
 }
 
-func newAgg(v plan.Aggregate, c *plan.Catalog, opt par.Options) *aggIt {
-	return newAggFrom(build(v.Child, c, opt), v)
-}
-
-func newAggFrom(child biter, v plan.Aggregate) *aggIt {
+func newAgg(child biter, v plan.Aggregate) *aggIt {
 	type group struct {
 		key    []storage.Word
 		states []expr.AggState

@@ -142,7 +142,6 @@ func ByID(id string) func(Options) *Report {
 		"breakers":        Breakers,
 		"repl":            Repl,
 		"obs":             Obs,
-		"workload":        WorkloadExp,
 		"mvcc":            MVCC,
 	}
 	return m[id]
@@ -153,7 +152,7 @@ func IDs() []string {
 	ids := []string{
 		"fig3", "fig6", "fig8", "table3", "table4", "fig9", "fig10", "fig11", "fig12", "table5",
 		"ablation-costfn", "ablation-cuts", "ablation-sparse", "ingest", "breakers", "repl", "obs",
-		"workload", "mvcc",
+		"mvcc",
 	}
 	sort.Strings(ids)
 	return ids

@@ -2,18 +2,17 @@ package obs
 
 import "sync/atomic"
 
-// QueryTrace is one query execution's operator-level account: the
-// engines thread a trace through execution and each operator adds the
+// QueryTrace is one query execution's operator-level account: the jit
+// engine threads a trace through execution and each operator adds the
 // rows it consumed, the rows it produced, and the wall time of the fused
-// loop (or iterator) that evaluated it. Morsel-driven operators
-// additionally fill per-worker lanes — rows, nanos, morsels claimed and
-// morsels stolen per worker — which is the raw signal the adaptive
-// layout optimizer needs (per-operator access frequencies) and what
-// EXPLAIN ANALYZE renders.
+// loop that evaluated it. Morsel-driven operators additionally fill
+// per-worker lanes — rows, nanos, morsels claimed and morsels stolen per
+// worker — which is the raw signal the layout advisor needs (per-operator
+// access frequencies) and what EXPLAIN ANALYZE renders.
 //
-// A nil *QueryTrace disarms tracing: engines check for nil once per
-// execution (or per breaker) and take their untouched hot loops, so a
-// disarmed trace costs nothing per row.
+// A nil *QueryTrace disarms tracing. Armed or not, an execution runs the
+// same counting loops; only an armed one reads the clock and flushes its
+// counts here, once per morsel or pipeline breaker, never per row.
 type QueryTrace struct {
 	workers int
 	ops     []*OpTrace
@@ -48,25 +47,17 @@ func NewTrace(protos []OpProto, workers int) *QueryTrace {
 	if workers < 1 {
 		workers = 1
 	}
-	t := &QueryTrace{workers: workers}
-	for _, p := range protos {
-		t.AddOp(p)
+	t := &QueryTrace{workers: workers, ops: make([]*OpTrace, len(protos))}
+	for i, p := range protos {
+		o := &OpTrace{proto: p, lanes: make([]Lane, workers)}
+		if p.Static {
+			o.rowsIn.Store(p.RowsIn)
+			o.rowsOut.Store(p.RowsOut)
+			o.nanos.Store(p.Nanos)
+		}
+		t.ops[i] = o
 	}
 	return t
-}
-
-// AddOp appends an operator to the trace and returns its accumulator —
-// the construction path of engines that discover their operator shape
-// while building the execution (the vector engine's iterator tree).
-func (t *QueryTrace) AddOp(p OpProto) *OpTrace {
-	o := &OpTrace{proto: p, lanes: make([]Lane, t.workers)}
-	if p.Static {
-		o.rowsIn.Store(p.RowsIn)
-		o.rowsOut.Store(p.RowsOut)
-		o.nanos.Store(p.Nanos)
-	}
-	t.ops = append(t.ops, o)
-	return o
 }
 
 // Op returns the i-th operator accumulator (nil when out of range, so

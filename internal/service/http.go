@@ -123,7 +123,7 @@ func (s *DB) withQueryID(next http.Handler) http.Handler {
 
 // planRequest is the body of /query and /prepare:
 //
-//	{"plan": <plan JSON>, "explain": bool, "engine": "jit"|"vector"}
+//	{"plan": <plan JSON>, "explain": bool}
 //
 // Member names match exactly; members other than these are skipped.
 type planRequest struct {
@@ -131,8 +131,6 @@ type planRequest struct {
 	// explain runs the plan with per-operator tracing and embeds the
 	// report as "trace" in the response (EXPLAIN ANALYZE).
 	explain bool
-	// engine selects "jit" (default) or "vector" for read plans.
-	engine string
 }
 
 // parsePlanRequest reads the body in one pass: the envelope's members go
@@ -144,7 +142,7 @@ func parsePlanRequest(body []byte) (req planRequest, err error) {
 	ok := s.Consume('{')
 	for first := true; ok; first = false {
 		var more bool
-		var key, engine []byte
+		var key []byte
 		if more, ok = s.More(first, '}'); !ok || !more {
 			break
 		}
@@ -165,11 +163,6 @@ func parsePlanRequest(body []byte) (req planRequest, err error) {
 			if req.explain, ok = s.Bool(); !ok {
 				ok = s.Literal("null")
 			}
-		case "engine":
-			if engine, ok = s.String(); !ok {
-				ok = s.Literal("null")
-			}
-			req.engine = string(engine)
 		default:
 			ok = s.SkipValue(plan.MaxNesting)
 		}
@@ -220,7 +213,6 @@ func (s *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, tr, err := s.QueryEx(req.plan, QueryOpts{
 		Explain: req.explain,
-		Engine:  req.engine,
 		QueryID: QueryIDFrom(r.Context()),
 	})
 	if err != nil {

@@ -16,7 +16,9 @@ import (
 // comparison interleaves min-of-N rounds so scheduling noise and thermal
 // drift hit both sides alike, and retries before failing — a timing
 // assertion, not a proof, but it catches a per-row cost sneaking into
-// the disarmed path.
+// the disarmed path. The baseline also omits the workload capture's
+// per-execution Footprint.Record, so this guard prices that cost too: with
+// one cached execution path, it is the only per-request capture cost left.
 func TestDisarmedTraceOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short")
@@ -47,8 +49,8 @@ func TestDisarmedTraceOverheadGuard(t *testing.T) {
 	// baseline is the seed request path verbatim: hash the plan, admit,
 	// execute the cached compiled form under the read lock, bump the
 	// stats counters. Everything the observability change added — e2e
-	// timestamps, histogram observes, the armed check, trace threading —
-	// is deliberately absent.
+	// timestamps, histogram observes, the armed check, trace threading,
+	// the capture's Record — is deliberately absent.
 	baseline := func() {
 		bkey, err := planKey(q)
 		if err != nil {

@@ -57,41 +57,10 @@ func TestExplainTraceJIT(t *testing.T) {
 	}
 }
 
-func TestExplainTraceVector(t *testing.T) {
-	want := reference(t, testRows, DemoQuery(0.01))
-	s := New(NewDemoDB(testRows), Config{Workers: 2})
-	defer s.Close()
-
-	res, tr, err := s.QueryEx(DemoQuery(0.01), QueryOpts{Explain: true, Engine: "vector"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !result.Equal(res, want[0]) {
-		t.Fatal("vector traced result differs from serial reference")
-	}
-	if tr == nil {
-		t.Fatal("Explain returned no trace")
-	}
-	ops := map[string]bool{}
-	for _, op := range tr.Report() {
-		ops[op.Op] = true
-	}
-	if !ops["scan"] || !ops["group-by"] {
-		t.Fatalf("vector trace ops = %v, want scan and group-by", ops)
-	}
-}
-
-func TestUnknownEngineRejected(t *testing.T) {
-	s := New(NewDemoDB(testRows), Config{Workers: 1})
-	defer s.Close()
-	if _, _, err := s.QueryEx(DemoQuery(0.01), QueryOpts{Engine: "volcano"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
-// TestTracedResultsIdentical runs traced and untraced queries on both
-// engines concurrently (the -race exercise for the trace hot path) and
-// asserts every result is row-identical to the serial reference.
+// TestTracedResultsIdentical runs traced and untraced queries
+// concurrently (the -race exercise for the counting loops and their
+// flushes) and asserts every result is row-identical to the serial
+// reference.
 func TestTracedResultsIdentical(t *testing.T) {
 	queries := []plan.Node{DemoQuery(0.0001), DemoQuery(0.01), DemoQuery(0.1)}
 	want := reference(t, testRows, queries...)
@@ -108,9 +77,6 @@ func TestTracedResultsIdentical(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				qi := (g + i) % len(queries)
 				o := QueryOpts{Explain: (g+i)%2 == 0}
-				if g%2 == 1 {
-					o.Engine = "vector"
-				}
 				res, tr, err := s.QueryEx(queries[qi], o)
 				if err != nil {
 					errs <- err

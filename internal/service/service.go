@@ -47,7 +47,6 @@ import (
 	"repro/internal/exec/jit"
 	"repro/internal/exec/par"
 	"repro/internal/exec/result"
-	"repro/internal/exec/vector"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/plan"
@@ -182,8 +181,8 @@ type DB struct {
 
 	// Workload telemetry: always-on capture of per-column access
 	// frequencies and plan-shape counts. Footprints are resolved once
-	// per compilation (jit) or per request (vector, uncached by design);
-	// the per-execution cost is Footprint.Record — atomic adds only.
+	// per compilation; the per-execution cost is Footprint.Record —
+	// atomic adds only.
 	// The advisor (Advise, StartAdvisor) converts the captured mix into
 	// the optimizer's declaration form and prices layout drift; it never
 	// relays anything.
@@ -551,10 +550,6 @@ type QueryOpts struct {
 	// Explain returns the per-operator execution trace alongside the
 	// result (EXPLAIN ANALYZE: the plan runs for real, with counters).
 	Explain bool
-	// Engine picks the execution engine for read plans: "" or "jit"
-	// (compiled, plan-cached — the default) or "vector" (batch-at-a-time
-	// vectorized, uncached). Inserts ignore it.
-	Engine string
 	// QueryID is the request's correlation id (the X-Query-Id the HTTP
 	// layer assigned or accepted). Inserts stamp it onto the WAL commit,
 	// so the same id resurfaces in the primary's commit log line, the
@@ -599,7 +594,7 @@ func (s *DB) runOpts(p plan.Node, key digest, o QueryOpts) (*result.Set, *obs.Qu
 		// A non-zero slow-query threshold arms tracing on every read, so
 		// a query that turns out slow logs its real operator numbers.
 		armed := o.Explain || s.slowNanos.Load() > 0
-		res, tr, err = s.runRead(p, key, o.Engine, armed)
+		res, tr, err = s.runRead(p, key, armed)
 	}
 	elapsed := time.Since(start)
 	if err != nil {
@@ -620,20 +615,11 @@ func (s *DB) runOpts(p plan.Node, key digest, o QueryOpts) (*result.Set, *obs.Qu
 	return res, tr, nil
 }
 
-// runRead executes a read plan on the selected engine, tracing when
-// armed. The jit path is the cached default; "vector" compiles nothing
-// and runs uncached, so it is the cross-check engine, not the fast one.
-// Both pin an MVCC snapshot for the whole compile+execute and run
-// lock-free against it: concurrent commits publish new versions without
-// this query ever observing them.
-func (s *DB) runRead(p plan.Node, key digest, engine string, armed bool) (*result.Set, *obs.QueryTrace, error) {
-	switch engine {
-	case "", "jit":
-	case "vector":
-		return s.runReadVector(p, key, armed)
-	default:
-		return nil, nil, fmt.Errorf("service: unknown engine %q (want \"jit\" or \"vector\")", engine)
-	}
+// runRead executes a read plan through the plan cache's compiled jit
+// form, tracing when armed. It pins an MVCC snapshot for the whole
+// compile+execute and runs lock-free against it: concurrent commits
+// publish new versions without this query ever observing them.
+func (s *DB) runRead(p plan.Node, key digest, armed bool) (*result.Set, *obs.QueryTrace, error) {
 	db := s.core()
 	snap := db.Snapshot()
 	defer snap.Release()
@@ -659,43 +645,13 @@ func (s *DB) runRead(p plan.Node, key digest, engine string, armed bool) (*resul
 		s.forget(ckey, entry)
 		return nil, nil, entry.err
 	}
-	if !armed {
-		res := entry.prep.Exec()
-		entry.fp.Record()
-		return res, nil, nil
+	var tr *obs.QueryTrace
+	if armed {
+		tr = entry.prep.NewTrace()
+		tr.Epoch = snap.Epoch()
 	}
-	tr := entry.prep.NewTrace()
-	tr.Epoch = snap.Epoch()
 	res := entry.prep.ExecTraced(tr)
 	entry.fp.Record()
-	return res, tr, nil
-}
-
-// runReadVector is the vectorized read path: pinned to one snapshot like
-// the jit path, but never cached — each request builds its iterator tree
-// from scratch, and likewise resolves its capture footprint per request
-// (the price of the uncached engine, bounded by the same <2% guard as
-// the jit path's per-exec Record).
-func (s *DB) runReadVector(p plan.Node, key digest, armed bool) (*result.Set, *obs.QueryTrace, error) {
-	snap := s.core().Snapshot()
-	defer snap.Release()
-	cat := snap.Catalog()
-	if err := plan.Check(p, cat); err != nil {
-		return nil, nil, err
-	}
-	shape, shapeJSON := shapeOf(p, key)
-	accs := vector.Accesses(p, cat)
-	fp := s.capture.Resolve(cat, accs, string(shape[:]), shapeJSON, p)
-	s.registerHeat(accs)
-	eng := vector.NewParallel(s.opt)
-	if !armed {
-		res := eng.Run(p, cat)
-		fp.Record()
-		return res, nil, nil
-	}
-	res, tr := eng.RunTraced(p, cat)
-	tr.Epoch = snap.Epoch()
-	fp.Record()
 	return res, tr, nil
 }
 

@@ -3,12 +3,14 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/exec"
 	"repro/internal/layout"
 	"repro/internal/plan"
 	"repro/internal/workload"
@@ -59,19 +61,6 @@ func TestCaptureCountsThroughService(t *testing.T) {
 	}
 	if len(rep.TopShapes) != 1 || rep.TopShapes[0].Count != 3 {
 		t.Errorf("shapes = %+v", rep.TopShapes)
-	}
-
-	// The uncached vector path records too (its footprint resolves per
-	// request) and collapses onto the same normalized shape.
-	if _, _, err := s.QueryEx(q, QueryOpts{Engine: "vector"}); err != nil {
-		t.Fatal(err)
-	}
-	rep = s.WorkloadSnapshot()
-	if got := rep.Tables[0].Queries; got != 4 {
-		t.Errorf("after vector exec Queries = %d, want 4", got)
-	}
-	if len(rep.TopShapes) != 1 || rep.TopShapes[0].Count != 4 {
-		t.Errorf("vector exec did not share the jit shape: %+v", rep.TopShapes)
 	}
 }
 
@@ -247,5 +236,91 @@ func getJSON(t *testing.T, url string, dst any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
 		t.Fatalf("decoding %s: %v", url, err)
+	}
+}
+
+// BenchmarkCaptureOverhead isolates the capture layer's two costs: the
+// footprint resolution a plan-cache miss pays once per compilation, and
+// the Record every execution pays.
+func BenchmarkCaptureOverhead(b *testing.B) {
+	q := DemoQuery(0.1)
+	s := New(NewDemoDB(10_000), Config{Workers: 0})
+	defer s.Close()
+	if _, err := s.Query(q); err != nil {
+		b.Fatal(err)
+	}
+	key, err := planKey(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("resolve", func(b *testing.B) {
+		b.ReportAllocs()
+		snap := s.core().Snapshot()
+		defer snap.Release()
+		cat := snap.Catalog()
+		for i := 0; i < b.N; i++ {
+			shape, shapeJSON := shapeOf(q, key)
+			accs := exec.CollectAccesses(q, cat)
+			s.capture.Resolve(cat, accs, string(shape[:]), shapeJSON, q)
+		}
+	})
+	b.Run("record", func(b *testing.B) {
+		b.ReportAllocs()
+		db := s.core()
+		snap := db.Snapshot()
+		entry := s.lookup(q, cacheKey{core: db.ID(), epoch: snap.Epoch(), plan: key})
+		snap.Release()
+		for i := 0; i < b.N; i++ {
+			entry.fp.Record()
+		}
+	})
+}
+
+// skewedCapture returns a service whose capture holds a skewed mix of two
+// shapes over a 50,000-row demo table: the selective query 21 times, the
+// wide one twice.
+func skewedCapture(b *testing.B) *DB {
+	s := New(NewDemoDB(50_000), Config{Workers: 1})
+	// Advise runs in a loop below; silence the drift warning it would
+	// otherwise log on every iteration.
+	s.SetDriftWarnRatio(math.Inf(1))
+	hot, cool := DemoQuery(0.01), DemoQuery(0.5)
+	for i := 0; i < 21; i++ {
+		if _, err := s.Query(hot); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Query(cool); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+// BenchmarkWorkloadSnapshot is the read side of GET /workload: copying the
+// captured heat and the shape ring.
+func BenchmarkWorkloadSnapshot(b *testing.B) {
+	s := skewedCapture(b)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.WorkloadSnapshot()
+	}
+}
+
+// BenchmarkAdvise is one advisor pass (GET /advisor): captured mix ->
+// workload declaration -> BPi optimizer per touched table.
+func BenchmarkAdvise(b *testing.B) {
+	s := skewedCapture(b)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := s.Advise(); len(rep.Advice) != 1 {
+			b.Fatalf("advice = %+v, want table R", rep.Advice)
+		}
 	}
 }
