@@ -238,22 +238,41 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// TestQueueWaitObserved drives more concurrent queries than MaxInFlight
-// so some must queue, then checks the queue-wait histogram saw them.
+// TestQueueWaitObserved holds the only admission slot while queries
+// arrive, so they must queue, then checks the queue-wait histogram saw
+// them.
 func TestQueueWaitObserved(t *testing.T) {
 	s := New(NewDemoDB(testRows), Config{Workers: 2, MaxInFlight: 1, QueueTimeout: 5 * time.Second})
 	defer s.Close()
+	release, err := s.admit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = s.Query(DemoQuery(0.1))
+			_, err := s.Query(DemoQuery(0.1))
+			errs <- err
 		}()
 	}
+	for deadline := time.Now().Add(2 * time.Second); s.Stats().Queued == 0; {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatal("no query queued behind the held admission slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
 	wg.Wait()
-	if s.Stats().Queued == 0 {
-		t.Skip("no query queued — timing did not produce contention")
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	rec := httptest.NewRecorder()
 	s.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
