@@ -81,9 +81,9 @@ func workerCounts() []int {
 }
 
 // BenchmarkParallelScaling measures the morsel scheduler: the Figure 3
-// aggregate (fused fast path) and the bare filtered scan (arena-backed row
-// emit) on the column layout, for the JiT and vectorized engines across
-// the worker sweep. workers=1 is the serial engine — the paper's
+// aggregate (jit's scan-aggregate kernel) and the bare filtered scan
+// (arena-backed row emit) on the column layout, for the JiT and vectorized
+// engines across the worker sweep. workers=1 is the serial engine — the paper's
 // configuration — so each series' first entry is the scaling baseline.
 func BenchmarkParallelScaling(b *testing.B) {
 	setup := experiments.NewFig3Setup(1_000_000)

@@ -179,8 +179,8 @@ func TestEnginesAgreeUngroupedAggregate(t *testing.T) {
 }
 
 // TestJitFastPathShape exercises the paper's Figure 2c query shape (single
-// equality filter, four integer sums) which takes the fused fast path in
-// the jit engine, and checks it against the other engines.
+// equality filter, four integer sums) which runs in the jit engine's
+// scan-aggregate kernel, and checks it against the other engines.
 func TestJitFastPathShape(t *testing.T) {
 	cats := testCatalogs(700, 5)
 	res := runAll(t, func(rel *storage.Relation) plan.Node {
@@ -193,7 +193,7 @@ func TestJitFastPathShape(t *testing.T) {
 		}}
 	}, cats)
 	if res.Len() != 1 {
-		t.Fatal("fast path must produce one row")
+		t.Fatal("the Figure 2c aggregate must produce one row")
 	}
 }
 

@@ -11,152 +11,6 @@ import (
 	"repro/internal/storage"
 )
 
-// fastScanAggregate handles: pipeline without stages, index or interpreted
-// residue; no grouping; aggregates restricted to count(*) and sum/count
-// over integer columns. It compiles to the paper's single fused loop: scan,
-// compare, accumulate — all operators merged, values never leaving the
-// "registers". Under the morsel scheduler the loop runs once per morsel
-// into per-morsel partial accumulators; integer addition is exact, so the
-// morsel-order reduction is bit-identical to the serial loop.
-//
-// The kernel counts nothing per row beyond its own count: an armed trace
-// times each morsel from the outside and books the fused loop as one
-// operator pair — the scan op takes the per-morsel lanes, the group-by op
-// the reduction totals.
-func fastScanAggregate(p *pipe, v plan.Aggregate, opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]storage.Word, bool) {
-	if len(p.stages) != 0 || p.complex != nil || p.useIndex || len(v.GroupBy) != 0 {
-		return nil, false
-	}
-	type sumSlot struct {
-		data   []storage.Word
-		stride int
-		off    int
-	}
-	var sums []sumSlot
-	var sumIdx []int // aggregate position of each sum
-	countPos := -1
-	for i, spec := range v.Aggs {
-		switch spec.Kind {
-		case expr.Count:
-			if countPos >= 0 {
-				return nil, false
-			}
-			countPos = i
-		case expr.Sum:
-			col, ok := spec.Arg.(expr.Col)
-			if !ok || col.Ty != storage.Int64 {
-				return nil, false
-			}
-			if col.Attr >= len(p.loads) {
-				return nil, false
-			}
-			l := p.loads[col.Attr]
-			sums = append(sums, sumSlot{data: l.data, stride: l.stride, off: l.off})
-			sumIdx = append(sumIdx, i)
-		default:
-			return nil, false
-		}
-	}
-
-	// The generated-loop analogue, parameterized by row range so the same
-	// kernel serves the serial loop and every morsel: specializations by
-	// test count with the accumulation inlined. The four-sum case is the
-	// paper's example query.
-	accumulate := func(lo, hi int) ([]int64, int64) {
-		accs := make([]int64, len(sums))
-		var count int64
-		switch {
-		case len(p.baseTests) == 1 && len(sums) == 4:
-			t := p.baseTests[0]
-			s0, s1, s2, s3 := sums[0], sums[1], sums[2], sums[3]
-			var a0, a1, a2, a3 int64
-			for row := lo; row < hi; row++ {
-				if passTest(&t, t.data[row*t.stride+t.off]) {
-					count++
-					if w := s0.data[row*s0.stride+s0.off]; w != storage.Null {
-						a0 += storage.DecodeInt(w)
-					}
-					if w := s1.data[row*s1.stride+s1.off]; w != storage.Null {
-						a1 += storage.DecodeInt(w)
-					}
-					if w := s2.data[row*s2.stride+s2.off]; w != storage.Null {
-						a2 += storage.DecodeInt(w)
-					}
-					if w := s3.data[row*s3.stride+s3.off]; w != storage.Null {
-						a3 += storage.DecodeInt(w)
-					}
-				}
-			}
-			accs[0], accs[1], accs[2], accs[3] = a0, a1, a2, a3
-		default:
-			for row := lo; row < hi; row++ {
-				pass := true
-				for i := range p.baseTests {
-					t := &p.baseTests[i]
-					if !passTest(t, t.data[row*t.stride+t.off]) {
-						pass = false
-						break
-					}
-				}
-				if !pass {
-					continue
-				}
-				count++
-				for i := range sums {
-					s := &sums[i]
-					if w := s.data[row*s.stride+s.off]; w != storage.Null {
-						accs[i] += storage.DecodeInt(w)
-					}
-				}
-			}
-		}
-		return accs, count
-	}
-
-	n := p.rel.Rows()
-	var accs []int64
-	var count int64
-	aggStart := clock(tr)
-	scanOp := tr.Op(p.srcOp)
-	if opt.Parallel() {
-		type partial struct {
-			accs  []int64
-			count int64
-		}
-		parts := make([]partial, opt.Morsels(n))
-		par.Run(n, opt, func(w, m, lo, hi int) {
-			start := clock(tr)
-			a, cnt := accumulate(lo, hi)
-			parts[m] = partial{accs: a, count: cnt}
-			if tr != nil {
-				addMorsel(scanOp, w, int64(hi-lo), cnt, since(start), stolen(opt, n, w, m))
-			}
-		})
-		accs = make([]int64, len(sums))
-		for _, pt := range parts {
-			count += pt.count
-			for i := range accs {
-				accs[i] += pt.accs[i]
-			}
-		}
-	} else {
-		accs, count = accumulate(0, n)
-		if tr != nil {
-			addMorsel(scanOp, 0, int64(n), count, since(aggStart), false)
-		}
-	}
-	tr.Op(aggIdx).Add(count, 1, since(aggStart))
-
-	row := make([]storage.Word, len(v.Aggs))
-	for i, pos := range sumIdx {
-		row[pos] = storage.EncodeInt(accs[i])
-	}
-	if countPos >= 0 {
-		row[countPos] = storage.EncodeInt(count)
-	}
-	return [][]storage.Word{row}, true
-}
-
 // argComp is one compiled aggregate argument: column references become
 // register moves, computed expressions stay interpreted.
 type argComp struct {
@@ -209,16 +63,17 @@ func (s *groupSink) addGroup(key []storage.Word) int32 {
 	return id
 }
 
-// groupOf locates (or creates) the tuple's group.
-func (s *groupSink) groupOf(regs []storage.Word) int32 {
-	switch len(s.v.GroupBy) {
+// groupOf locates (or creates) the group whose key sits at positions pos
+// of regs: a tuple's registers at GroupBy, or another sink's key.
+func (s *groupSink) groupOf(regs []storage.Word, pos []int) int32 {
+	switch len(pos) {
 	case 0:
 		if len(s.states) == 0 {
 			return s.addGroup(nil)
 		}
 		return 0
 	case 1:
-		k := regs[s.v.GroupBy[0]]
+		k := regs[pos[0]]
 		id, ok := s.ids1[k]
 		if !ok {
 			id = s.addGroup([]storage.Word{k})
@@ -226,12 +81,12 @@ func (s *groupSink) groupOf(regs []storage.Word) int32 {
 		}
 		return id
 	default:
-		k := exec.MakeGroupKey(regs, s.v.GroupBy)
+		k := exec.MakeGroupKey(regs, pos)
 		id, ok := s.idsN[k]
 		if !ok {
-			key := make([]storage.Word, len(s.v.GroupBy))
-			for i, pos := range s.v.GroupBy {
-				key[i] = regs[pos]
+			key := make([]storage.Word, len(pos))
+			for i, p := range pos {
+				key[i] = regs[p]
 			}
 			id = s.addGroup(key)
 			s.idsN[k] = id
@@ -243,7 +98,7 @@ func (s *groupSink) groupOf(regs []storage.Word) int32 {
 // fold is the per-tuple path: one AddValue per aggregate with no
 // expression walking for the common Sum(col)/Min(col)/Max(col) case.
 func (s *groupSink) fold(regs []storage.Word) {
-	st := s.states[s.groupOf(regs)]
+	st := s.states[s.groupOf(regs, s.v.GroupBy)]
 	for i := range st {
 		a := &s.args[i]
 		switch {
@@ -257,39 +112,14 @@ func (s *groupSink) fold(regs []storage.Word) {
 	}
 }
 
-// lookupKey finds the receiver's group id for another sink's key, creating
-// the group if new.
-func (s *groupSink) lookupKey(key []storage.Word) int32 {
-	switch len(s.v.GroupBy) {
-	case 0:
-		if len(s.states) == 0 {
-			return s.addGroup(nil)
-		}
-		return 0
-	case 1:
-		k := key[0]
-		id, ok := s.ids1[k]
-		if !ok {
-			id = s.addGroup(key)
-			s.ids1[k] = id
-		}
-		return id
-	default:
-		var k exec.GroupKey
-		copy(k[:], key)
-		id, ok := s.idsN[k]
-		if !ok {
-			id = s.addGroup(key)
-			s.idsN[k] = id
-		}
-		return id
-	}
-}
-
 // merge folds o's groups into s in o's discovery order.
 func (s *groupSink) merge(o *groupSink) {
+	pos := make([]int, len(s.v.GroupBy))
+	for i := range pos {
+		pos[i] = i
+	}
 	for g := range o.states {
-		st := s.states[s.lookupKey(o.keys[g])]
+		st := s.states[s.groupOf(o.keys[g], pos)]
 		for i := range st {
 			st[i].Merge(&o.states[g][i])
 		}

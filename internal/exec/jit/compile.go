@@ -10,9 +10,11 @@
 // compilation model.
 //
 // Where Go differs from LLVM codegen: instead of emitting machine code we
-// specialize at plan-compile time into monomorphic loop bodies; the hot
-// shapes of the paper's experiments (conjunctive scans, scan-aggregate,
-// index point lookups) additionally take fully inlined fast paths.
+// specialize at plan-compile time into loop bodies that still dispatch on
+// test and aggregate kinds per row. The paper's hot shape — a filtered scan
+// feeding counts and integer sums, grouped on at most one dictionary column
+// — runs in the scan-aggregate kernel (scanagg.go), which dispatches once
+// per chunk instead, leaving each loop a load, a compare or add, a store.
 package jit
 
 import (
@@ -28,28 +30,25 @@ import (
 	"repro/internal/storage"
 )
 
-type testKind uint8
-
-const (
-	tCmp testKind = iota
-	tBetween
-	tInSet
-	tNotNull
-)
-
-// test is one compiled conjunct. For base-table tests, data/stride/off
-// address the partition slice directly; for register tests data is nil and
-// pos indexes the pipeline registers.
+// test is one compiled conjunct: a code-set probe when set is not nil,
+// else the unsigned range check w-lo <= span (see lowerTest). For
+// base-table tests, data/stride/off address the partition slice directly;
+// for register tests data is nil and pos indexes the pipeline registers.
 type test struct {
-	kind   testKind
-	data   []storage.Word
-	stride int
-	off    int
-	pos    int
-	op     expr.CmpOp
-	val    storage.Word
-	lo, hi storage.Word
-	set    *storage.CodeSet
+	data     []storage.Word
+	stride   int
+	off      int
+	pos      int
+	lo, span storage.Word
+	set      *storage.CodeSet
+}
+
+// pass reports whether w passes t.
+func (t *test) pass(w storage.Word) bool {
+	if t.set != nil {
+		return t.set.Contains(w)
+	}
+	return w-t.lo <= t.span
 }
 
 // load copies one base attribute into a register slot.
@@ -58,6 +57,7 @@ type load struct {
 	stride int
 	off    int
 	reg    int
+	dict   *storage.Dict // nil unless the attribute is dictionary-coded
 }
 
 type stageKind uint8
@@ -217,7 +217,7 @@ func compileScan(v plan.Scan, c *plan.Catalog, tb *traceBuild, depth int) *pipe 
 	p.loads = make([]load, 0, len(v.Cols))
 	for i, attr := range v.Cols {
 		a := rel.Access(attr)
-		p.loads = append(p.loads, load{data: a.Data, stride: a.Stride, off: a.Off, reg: i})
+		p.loads = append(p.loads, load{data: a.Data, stride: a.Stride, off: a.Off, reg: i, dict: rel.Dict(attr)})
 	}
 	return p
 }
@@ -262,18 +262,42 @@ func compileRegPred(p expr.Pred) ([]test, expr.Pred) {
 	return tests, expr.Conj(rest...)
 }
 
+// lowerTest compiles a conjunct to one test shape. Every comparison,
+// Between and NotNull is a range of words, Null being the largest (a range
+// open at the top passes Null, as the comparison does); w != v is the
+// range from v+1 around to v-1. A comparison no word passes becomes the
+// empty code set, InSet its own set.
 func lowerTest(p expr.Pred) (test, bool) {
+	lo, hi, empty := storage.Word(0), storage.Null, false
 	switch v := p.(type) {
 	case expr.Cmp:
-		return test{kind: tCmp, op: v.Op, val: v.Val}, true
+		switch v.Op {
+		case expr.Eq:
+			lo, hi = v.Val, v.Val
+		case expr.Ne:
+			return test{lo: v.Val + 1, span: storage.Null - 1}, true
+		case expr.Lt:
+			hi, empty = v.Val-1, v.Val == 0
+		case expr.Le:
+			hi = v.Val
+		case expr.Gt:
+			lo, empty = v.Val+1, v.Val == storage.Null
+		default:
+			lo = v.Val
+		}
 	case expr.Between:
-		return test{kind: tBetween, lo: v.Lo, hi: v.Hi}, true
+		lo, hi, empty = v.Lo, v.Hi, v.Lo > v.Hi
 	case expr.InSet:
-		return test{kind: tInSet, set: v.Set}, true
+		return test{set: v.Set}, true
 	case expr.NotNull:
-		return test{kind: tNotNull}, true
+		hi = storage.Null - 1
+	default:
+		return test{}, false
 	}
-	return test{}, false
+	if empty {
+		return test{set: storage.NewCodeSet(nil, 0)}, true
+	}
+	return test{lo: lo, span: hi - lo}, true
 }
 
 func attrOf(p expr.Pred) int {

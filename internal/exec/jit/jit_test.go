@@ -13,9 +13,9 @@ import (
 )
 
 // The cross-engine differential suite in package exec covers semantics;
-// these tests pin down the compiler's internal decisions: which plans take
-// the fused fast path, how pipelines decompose, and multi-match probe
-// behaviour.
+// these tests pin down the compiler's internal decisions: how pipelines
+// decompose, index sources and multi-match probe behaviour (which plans the
+// scan-aggregate kernel serves is pinned in scanagg_test.go).
 
 func buildIdx(rel *storage.Relation) index.Index {
 	return index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0)
@@ -54,52 +54,6 @@ func fig2cPlan() plan.Aggregate {
 			{Kind: expr.Sum, Arg: expr.IntCol(2), Name: "sd"},
 			{Kind: expr.Sum, Arg: expr.IntCol(3), Name: "se"},
 		},
-	}
-}
-
-// TestFastPathTaken: the Figure 2c shape must be eligible for the fused
-// fast path and agree with the generic sink.
-func TestFastPathTaken(t *testing.T) {
-	c := jitCatalog(5000)
-	v := fig2cPlan()
-	p := compilePipe(v.Child, c, par.Serial(), &traceBuild{}, 0)
-	fast, ok := fastScanAggregate(p, v, par.Serial(), nil, -1)
-	if !ok {
-		t.Fatal("Figure 2c shape must take the fused fast path")
-	}
-	slow := genericAggregate(compilePipe(v.Child, c, par.Serial(), &traceBuild{}, 0), v, par.Serial(), nil, -1)
-	if len(fast) != 1 || len(slow) != 1 {
-		t.Fatal("both paths must emit one row")
-	}
-	for i := range fast[0] {
-		if fast[0][i] != slow[0][i] {
-			t.Fatalf("fast path column %d = %d, generic = %d",
-				i, storage.DecodeInt(fast[0][i]), storage.DecodeInt(slow[0][i]))
-		}
-	}
-}
-
-// TestFastPathRejections: shapes outside the contract fall back.
-func TestFastPathRejections(t *testing.T) {
-	c := jitCatalog(100)
-	base := fig2cPlan()
-
-	grouped := base
-	grouped.GroupBy = []int{0}
-	if _, ok := fastScanAggregate(compilePipe(grouped.Child, c, par.Serial(), &traceBuild{}, 0), grouped, par.Serial(), nil, -1); ok {
-		t.Error("grouped aggregation must not take the fast path")
-	}
-
-	avg := base
-	avg.Aggs = []expr.AggSpec{{Kind: expr.Avg, Arg: expr.IntCol(0), Name: "x"}}
-	if _, ok := fastScanAggregate(compilePipe(avg.Child, c, par.Serial(), &traceBuild{}, 0), avg, par.Serial(), nil, -1); ok {
-		t.Error("avg must not take the fast path")
-	}
-
-	arith := base
-	arith.Aggs = []expr.AggSpec{{Kind: expr.Sum, Arg: expr.Arith{Op: expr.Add, L: expr.IntCol(0), R: expr.IntConst(1)}, Name: "x"}}
-	if _, ok := fastScanAggregate(compilePipe(arith.Child, c, par.Serial(), &traceBuild{}, 0), arith, par.Serial(), nil, -1); ok {
-		t.Error("computed aggregate arguments must not take the fast path")
 	}
 }
 

@@ -158,9 +158,12 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 	case plan.Aggregate:
 		idx := tb.add("group-by", fmt.Sprintf("groupBy=%d aggs=%d", len(v.GroupBy), len(v.Aggs)), depth)
 		p := compilePipe(v.Child, c, opt, tb, depth+1)
+		k := compileScanAgg(p, v)
 		return func(tr *obs.QueryTrace) [][]storage.Word {
-			if rows, ok := fastScanAggregate(p, v, opt, tr, idx); ok {
-				return rows
+			if k != nil {
+				if rows, ok := k.run(opt, tr, idx); ok {
+					return rows
+				}
 			}
 			return genericAggregate(p, v, opt, tr, idx)
 		}
@@ -221,7 +224,7 @@ rows:
 		row := int(r)
 		for i := range p.baseTests {
 			t := &p.baseTests[i]
-			if !passTest(t, t.data[row*t.stride+t.off]) {
+			if !t.pass(t.data[row*t.stride+t.off]) {
 				continue rows
 			}
 		}
@@ -253,7 +256,7 @@ rows:
 	for row := lo; row < hi; row++ {
 		for i := range p.baseTests {
 			t := &p.baseTests[i]
-			if !passTest(t, t.data[row*t.stride+t.off]) {
+			if !t.pass(t.data[row*t.stride+t.off]) {
 				continue rows
 			}
 		}
@@ -272,33 +275,6 @@ rows:
 	}
 }
 
-// passTest evaluates one compiled test on a value.
-func passTest(t *test, w storage.Word) bool {
-	switch t.kind {
-	case tCmp:
-		switch t.op {
-		case expr.Eq:
-			return w == t.val
-		case expr.Ne:
-			return w != t.val
-		case expr.Lt:
-			return w < t.val
-		case expr.Le:
-			return w <= t.val
-		case expr.Gt:
-			return w > t.val
-		default:
-			return w >= t.val
-		}
-	case tBetween:
-		return w >= t.lo && w <= t.hi
-	case tInSet:
-		return t.set.Contains(w)
-	default: // tNotNull
-		return w != storage.Null
-	}
-}
-
 // pushStages advances a register image through the stages starting at si,
 // counting each stage's survivors in the stage itself. Only multi-match
 // probes recurse; the single-match path stays in the flat loop.
@@ -309,7 +285,7 @@ func (p *pipe) pushStages(si int, regs []storage.Word, emit func([]storage.Word)
 		case stFilter:
 			for i := range st.tests {
 				t := &st.tests[i]
-				if !passTest(t, regs[t.pos]) {
+				if !t.pass(regs[t.pos]) {
 					return
 				}
 			}

@@ -29,7 +29,8 @@ const (
 
 // oracleCatalogs returns one catalog per layout over the same data: r (five
 // int columns with values 0..99 and a hash index on e), dim (unique keys
-// 0..49) and dup (keys 0..39, each one to three times).
+// 0..49), dup (keys 0..39, each one to three times) and orders (with Nulls,
+// see ordersRelation).
 func oracleCatalogs() map[string]*plan.Catalog {
 	rng := rand.New(rand.NewSource(23))
 	ints := func(n int, f func(i int) int64) []int64 {
@@ -69,13 +70,16 @@ func oracleCatalogs() map[string]*plan.Catalog {
 	ub.SetInts(1, ints(len(dupKeys), func(i int) int64 { return int64(i) }))
 	dup := ub.Build(storage.NSM(2))
 
+	orders := ordersRelation(oracleRows, 23, true)
+
 	cats := map[string]*plan.Catalog{}
 	for name, layout := range map[string]func(int) storage.Layout{"row": storage.NSM, "column": storage.DSM} {
 		rel := r.WithLayout(layout(5))
 		c := plan.NewCatalog().
 			Add(rel).
 			Add(dim.WithLayout(layout(2))).
-			Add(dup.WithLayout(layout(2)))
+			Add(dup.WithLayout(layout(2))).
+			Add(orders.WithLayout(layout(12)))
 		c.AddIndex("r", 4, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 4))
 		cats[name] = c
 	}
@@ -124,7 +128,7 @@ func oraclePlans() []oraclePlan {
 			},
 			Pred: cmp(1, expr.Lt, 50),
 		}},
-		// TestFastPathTaken's shape: the fused scan-aggregate loop.
+		// The Figure 2c shape: the scan-aggregate kernel, ungrouped.
 		{"fast-aggregate", plan.Aggregate{
 			Child: scanR(cmp(0, expr.Eq, 7), 1, 2, 3, 4),
 			Aggs: []expr.AggSpec{
@@ -135,6 +139,16 @@ func oraclePlans() []oraclePlan {
 			},
 		}},
 		{"grouped-aggregate", grouped},
+		// The kernel's grouped form: dictionary codes as group slots, Null
+		// keys in a slot of their own.
+		{"dict-grouped-null-keys", plan.Aggregate{
+			Child:   plan.Scan{Table: "orders", Filter: cmp(1, expr.Lt, 600_000), Cols: []int{11, 6}},
+			GroupBy: []int{0},
+			Aggs: []expr.AggSpec{
+				{Kind: expr.Sum, Arg: expr.IntCol(1), Name: "m5"},
+				{Kind: expr.Count, Name: "n"},
+			},
+		}},
 		{"grouped-over-map", plan.Aggregate{
 			Child: plan.Project{
 				Child: scanR(nil, 1, 2),

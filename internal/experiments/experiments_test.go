@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/exec/result"
 	"repro/internal/mem"
+	"repro/internal/plan"
 )
 
 // TestFig3SetupCorrectness: the example query returns the same sums on all
@@ -30,27 +35,89 @@ func TestFig3SetupCorrectness(t *testing.T) {
 	}
 }
 
-// TestFig3Shape asserts the headline result on a mid-size instance:
-// the JiT engine beats Volcano by at least 5x on every layout at 1%
-// selectivity (the paper reports 2 orders of magnitude on 25M tuples;
-// the gap grows with data size, so the small-instance bound is loose).
+// TestFig3Shape asserts the headline result's ordinal shape on a mid-size
+// instance, at every selectivity of the sweep: JiT on the hand-optimized
+// PDSM is the fastest engine × layout cell (within 1.2x of whichever is
+// fastest), at least 5x faster than every Volcano cell (the paper reports
+// 2 orders of magnitude on 25M tuples; the gap grows with data size, so the
+// small-instance bound is loose), and bulk is not slower than Volcano.
+// A burst of noise from a machine's other tenants can sink one measurement
+// of one cell; a shape violation survives measuring again, so each
+// selectivity gets three attempts.
 func TestFig3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
+	if testing.Short() || raceEnabled() {
+		t.Skip("timing-sensitive; the race detector's instrumentation reshapes every timing")
 	}
 	setup := NewFig3Setup(300_000)
-	q := setup.Query(0.01)
-	engines := Fig3Engines()
-	times := map[string]time.Duration{}
-	for _, e := range engines {
-		times[e.Name()] = medianTime(3, func() { e.Run(q, setup.Catalogs["hybrid"]) })
+	for _, s := range Fig3Selectivities {
+		var errs []string
+		for attempt := 0; attempt < 3; attempt++ {
+			if errs = fig3ShapeErrors(fig3Cells(setup, setup.Query(s), 7)); len(errs) == 0 {
+				break
+			}
+		}
+		for _, err := range errs {
+			t.Errorf("s=%g: %s", s, err)
+		}
 	}
-	if times["jit"]*5 > times["volcano"] {
-		t.Errorf("jit (%v) should be at least 5x faster than volcano (%v) on PDSM", times["jit"], times["volcano"])
+}
+
+// raceEnabled reports whether the test binary runs under the race detector.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
 	}
-	if times["bulk"] > times["volcano"] {
-		t.Errorf("bulk (%v) should not be slower than volcano (%v)", times["bulk"], times["volcano"])
+	return false
+}
+
+// fig3ShapeErrors lists how the cell medians depart from Figure 3's shape.
+func fig3ShapeErrors(times map[string]time.Duration) []string {
+	var errs []string
+	jit := times["jit/hybrid"]
+	for cell, d := range times {
+		if float64(jit) > 1.2*float64(d) {
+			errs = append(errs, fmt.Sprintf("jit/hybrid (%v) should be within 1.2x of the fastest cell, %s takes %v", jit, cell, d))
+		}
+		if strings.HasPrefix(cell, "volcano/") && jit*5 > d {
+			errs = append(errs, fmt.Sprintf("jit/hybrid (%v) should be at least 5x faster than %s (%v)", jit, cell, d))
+		}
 	}
+	if times["bulk/hybrid"] > times["volcano/hybrid"] {
+		errs = append(errs, fmt.Sprintf("bulk (%v) should not be slower than volcano (%v) on PDSM", times["bulk/hybrid"], times["volcano/hybrid"]))
+	}
+	return errs
+}
+
+// fig3Cells times q on every engine × layout cell of Figure 3 and returns
+// each cell's median. Each of rounds rounds times every cell once, so a
+// noisy moment lands on all cells alike. Each timed run follows a
+// collection and then an untimed run: the cell starts from its own data in
+// cache, the collector's aftermath lands on the untimed run, and no other
+// cell's garbage is charged to it.
+func fig3Cells(setup *Fig3Setup, q plan.Node, rounds int) map[string]time.Duration {
+	samples := map[string][]time.Duration{}
+	for range rounds {
+		for _, e := range Fig3Engines() {
+			for layout, cat := range setup.Catalogs {
+				runtime.GC()
+				e.Run(q, cat)
+				start := time.Now()
+				e.Run(q, cat)
+				cell := e.Name() + "/" + layout
+				samples[cell] = append(samples[cell], time.Since(start))
+			}
+		}
+	}
+	medians := map[string]time.Duration{}
+	for cell, ds := range samples {
+		slices.Sort(ds)
+		medians[cell] = ds[len(ds)/2]
+	}
+	return medians
 }
 
 // TestFig6Shape: the model-vs-simulator sweep reproduces the paper's
