@@ -13,9 +13,9 @@ import (
 )
 
 // The cross-engine differential suite in package exec covers semantics;
-// these tests pin down the compiler's internal decisions: how pipelines
-// decompose, index sources and multi-match probe behaviour (which plans the
-// scan-aggregate kernel serves is pinned in scanagg_test.go).
+// these tests pin down the compiler's internal decisions: which plans take
+// the scan-aggregate kernel (its full contract is in scanagg_test.go), how
+// pipelines decompose, index sources and multi-match probe behaviour.
 
 func buildIdx(rel *storage.Relation) index.Index {
 	return index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0)
@@ -54,6 +54,61 @@ func fig2cPlan() plan.Aggregate {
 			{Kind: expr.Sum, Arg: expr.IntCol(2), Name: "sd"},
 			{Kind: expr.Sum, Arg: expr.IntCol(3), Name: "se"},
 		},
+	}
+}
+
+// scanAggregate runs v through the scan-aggregate kernel serially; ok is
+// false when the kernel does not serve it.
+func scanAggregate(v plan.Aggregate, c *plan.Catalog) ([][]storage.Word, bool) {
+	k := compileScanAgg(compilePipe(v.Child, c, par.Serial(), &traceBuild{}, 0), v)
+	if k == nil {
+		return nil, false
+	}
+	return k.run(par.Serial(), nil, -1)
+}
+
+// TestFastPathTaken: the Figure 2c shape must be served by the
+// scan-aggregate kernel and agree with the generic sink.
+func TestFastPathTaken(t *testing.T) {
+	c := jitCatalog(5000)
+	v := fig2cPlan()
+	fast, ok := scanAggregate(v, c)
+	if !ok {
+		t.Fatal("Figure 2c shape must take the scan-aggregate kernel")
+	}
+	slow := genericAggregate(compilePipe(v.Child, c, par.Serial(), &traceBuild{}, 0), v, par.Serial(), nil, -1)
+	if len(fast) != 1 || len(slow) != 1 {
+		t.Fatal("both paths must emit one row")
+	}
+	for i := range fast[0] {
+		if fast[0][i] != slow[0][i] {
+			t.Fatalf("kernel column %d = %d, generic = %d",
+				i, storage.DecodeInt(fast[0][i]), storage.DecodeInt(slow[0][i]))
+		}
+	}
+}
+
+// TestFastPathRejections: shapes outside the kernel's contract fall back.
+func TestFastPathRejections(t *testing.T) {
+	c := jitCatalog(100)
+	base := fig2cPlan()
+
+	grouped := base
+	grouped.GroupBy = []int{0}
+	if _, ok := scanAggregate(grouped, c); ok {
+		t.Error("grouping on a column without a dictionary must not take the kernel")
+	}
+
+	avg := base
+	avg.Aggs = []expr.AggSpec{{Kind: expr.Avg, Arg: expr.IntCol(0), Name: "x"}}
+	if _, ok := scanAggregate(avg, c); ok {
+		t.Error("avg must not take the kernel")
+	}
+
+	arith := base
+	arith.Aggs = []expr.AggSpec{{Kind: expr.Sum, Arg: expr.Arith{Op: expr.Add, L: expr.IntCol(0), R: expr.IntConst(1)}, Name: "x"}}
+	if _, ok := scanAggregate(arith, c); ok {
+		t.Error("computed aggregate arguments must not take the kernel")
 	}
 }
 
