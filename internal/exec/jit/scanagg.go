@@ -1,6 +1,8 @@
 package jit
 
 import (
+	"slices"
+
 	"repro/internal/exec/par"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -8,18 +10,16 @@ import (
 	"repro/internal/storage"
 )
 
-// The scan-aggregate kernel serves aggregates of counts and int64 column
-// sums, ungrouped or grouped on one dictionary-coded column, over a bare
-// base-table scan (no stages, interpreted residue or index source): the
-// paper's example query and every Figure 3 cell. Where the pipe loops
+// The scan-aggregate kernel serves counts and int64 column sums, ungrouped
+// or grouped on one dictionary-coded column, over a bare base-table scan:
+// the paper's example query and every Figure 3 cell. Where the pipe loops
 // switch on test and aggregate kinds per row, the kernel dispatches once
-// per chunk of chunkRows rows: the first test writes the passing rows into
-// a selection vector, later tests compact it, and each aggregate is one
-// loop over the vector, or over the contiguous rows when all passed — the
-// staging point of Relaxed Operator Fusion (Menon, Pavlo, Mowry, VLDB 2017)
-// without code generation. A group's slot is its dictionary code plus one,
-// so Null, the all-ones word, wraps to slot 0; each morsel lists the slots
-// it touched first, and merging the lists in morsel order reproduces
+// per chunk of chunkRows rows: the first test writes a selection vector,
+// later tests compact it, and each aggregate is one loop over it (or over
+// the contiguous rows when all passed) — the staging point of Relaxed
+// Operator Fusion (Menon, Pavlo, Mowry, VLDB 2017) without code generation.
+// A group's slot is its dictionary code plus one, so Null wraps to slot 0;
+// merging each morsel's first-touched slots in morsel order reproduces
 // genericAggregate's group order.
 
 const (
@@ -27,20 +27,16 @@ const (
 	maxDictGroups = 4096 // larger dictionaries group in genericAggregate
 )
 
-// first writes the rows of [lo, hi) that pass s into sel. Every row is
-// written and the cursor passes only passing ones, so the range loop
-// compiles without a branch to mispredict.
+// first writes the rows of [lo, hi) that pass s into sel. The range loop
+// writes every row and advances past passing ones: no branch to mispredict.
 func (s *test) first(lo, hi int, sel []int32) []int32 {
 	d, st, v, span, n := s.data[s.off:], s.stride, s.lo, s.span, 0
 	sel = sel[:hi-lo]
 	if s.set != nil {
-		for r := lo; r < hi; r++ {
-			sel[n] = int32(r)
-			if s.set.Contains(d[r*st]) {
-				n++
-			}
+		for i := range sel {
+			sel[i] = int32(lo + i)
 		}
-		return sel[:n]
+		return s.shrink(sel)
 	}
 	for r := lo; r < hi; r++ {
 		sel[n] = int32(r)
@@ -71,8 +67,7 @@ type scanAgg struct {
 	key  *load  // the group key; nil when ungrouped
 }
 
-// compileScanAgg returns the kernel for v over p, or nil when v is outside
-// the kernel's contract.
+// compileScanAgg returns the kernel for v over p, or nil outside its contract.
 func compileScanAgg(p *pipe, v plan.Aggregate) *scanAgg {
 	if len(p.stages) != 0 || p.complex != nil || p.useIndex || len(v.GroupBy) > 1 {
 		return nil
@@ -98,9 +93,8 @@ func compileScanAgg(p *pipe, v plan.Aggregate) *scanAgg {
 	return k
 }
 
-// aggWorker is one worker's kernel state: the accumulators every morsel it
-// claims folds into (counts and integer sums merge exactly in any order),
-// the morsel that last touched each slot, and the chunk's scratch vectors.
+// aggWorker is one worker's kernel state: the accumulators its morsels fold
+// into (counts and integer sums merge exactly), and per-chunk scratch.
 type aggWorker struct {
 	acc   []int64 // slot g's count at [g], its sum i at [(i+1)*slots+g]
 	stamp []int32 // morsel+1 of the slot's last touch
@@ -108,11 +102,19 @@ type aggWorker struct {
 	slot  []int32 // the group slot of each passing row
 }
 
-// run executes the kernel. It reports false, having done nothing, when the
-// group dictionary has grown past maxDictGroups; its length is read here,
-// at execution, because inserts grow a shared dictionary. An armed trace
-// books each morsel's rows read and passed on the scan's lanes, and the
-// fold on the group-by, as the pipe loops do.
+// morselRun is one morsel's outcome, booked only once no morsel met a bad
+// key: genericAggregate, which then runs instead, books its own.
+type morselRun struct {
+	w                   int
+	rows, passed, nanos int64
+	first               []int32 // the slots the morsel touched first, in row order
+	bad                 bool
+}
+
+// run executes the kernel. It reports false, having booked nothing, when
+// the dictionary, read here because inserts grow it, has passed
+// maxDictGroups, or a key is bad: neither Null nor a code, as an insert of
+// a raw word can store. A trace books what the pipe loops book.
 func (k *scanAgg) run(opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]storage.Word, bool) {
 	slots := 1
 	if k.key != nil {
@@ -120,42 +122,43 @@ func (k *scanAgg) run(opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]stor
 			return nil, false
 		}
 	}
-	start, n, scanOp := clock(tr), k.p.rel.Rows(), tr.Op(k.p.srcOp)
-	pool := make([]*aggWorker, opt.WorkerCount())
-	firsts := make([][]int32, max(opt.Morsels(n), 1))
+	start, n, pool, runs := clock(tr), k.p.rel.Rows(), make([]*aggWorker, opt.WorkerCount()), make([]morselRun, 1)
 	body := func(w, m, lo, hi int) {
 		if pool[w] == nil {
 			pool[w] = &aggWorker{acc: make([]int64, slots*(1+len(k.sums))), stamp: make([]int32, slots),
 				sel: make([]int32, chunkRows), slot: make([]int32, chunkRows)}
 		}
 		mstart := clock(tr)
-		passed, first := k.morsel(pool[w], m, lo, hi)
-		firsts[m] = first
-		if tr != nil {
-			addMorsel(scanOp, w, int64(hi-lo), passed, since(mstart), stolen(opt, n, w, m))
-		}
+		runs[m] = k.morsel(pool[w], m, lo, hi)
+		runs[m].w, runs[m].rows, runs[m].nanos = w, int64(hi-lo), since(mstart)
 	}
 	if opt.Parallel() {
+		runs = make([]morselRun, opt.Morsels(n))
 		par.Run(n, opt, body)
 	} else {
 		body(0, 0, 0, n)
 	}
+	if slices.ContainsFunc(runs, func(r morselRun) bool { return r.bad }) {
+		return nil, false
+	}
 
-	acc := make([]int64, slots*(1+len(k.sums)))
+	acc, order, seen, scanOp := make([]int64, slots*(1+len(k.sums))), []int32{0}, make([]bool, slots), tr.Op(k.p.srcOp)
 	for _, ws := range pool {
 		for i := 0; ws != nil && i < len(acc); i++ {
 			acc[i] += ws.acc[i]
 		}
 	}
-	order, seen := []int32{0}, make([]bool, slots)
 	if k.key != nil {
 		order = order[:0]
-		for _, first := range firsts {
-			for _, g := range first {
-				if !seen[g] {
-					seen[g] = true
-					order = append(order, g)
-				}
+	}
+	for m, r := range runs {
+		if tr != nil {
+			addMorsel(scanOp, r.w, r.rows, r.passed, r.nanos, stolen(opt, n, r.w, m))
+		}
+		for _, g := range r.first {
+			if !seen[g] {
+				seen[g] = true
+				order = append(order, g)
 			}
 		}
 	}
@@ -175,20 +178,15 @@ func (k *scanAgg) run(opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]stor
 	return rows, true
 }
 
-// morsel runs rows [lo, hi) chunk by chunk into ws. It returns the rows
-// that passed the tests and, when grouped, the slots morsel m touched
-// first, in row order.
-func (k *scanAgg) morsel(ws *aggWorker, m, lo, hi int) (passed int64, first []int32) {
+// morsel runs morsel m, rows [lo, hi), chunk by chunk into ws.
+func (k *scanAgg) morsel(ws *aggWorker, m, lo, hi int) (r morselRun) {
 	slots := len(ws.stamp)
 	for c := lo; c < hi; c += chunkRows {
-		e := min(c+chunkRows, hi)
-		p := passing{lo: c, n: e - c, sel: k.filter(c, e, ws.sel)}
-		if p.sel != nil {
-			if p.n = len(p.sel); p.n == 0 {
-				continue
-			}
+		p := k.filter(c, min(c+chunkRows, hi), ws.sel)
+		if p.n == 0 {
+			continue
 		}
-		passed += int64(p.n)
+		r.passed += int64(p.n)
 		if k.key == nil {
 			ws.acc[0] += int64(p.n)
 			i := 0
@@ -201,29 +199,30 @@ func (k *scanAgg) morsel(ws *aggWorker, m, lo, hi int) (passed int64, first []in
 			continue
 		}
 		slot := ws.slot[:p.n]
-		first = k.slotRows(ws, int32(m+1), p, slot, first)
+		if r.first, r.bad = k.slotRows(ws, int32(m+1), p, slot, r.first); r.bad {
+			return r
+		}
 		for i := range k.sums {
 			sumSlots(&k.sums[i], p, slot, ws.acc[(i+1)*slots:(i+2)*slots])
 		}
 	}
-	return passed, first
+	return r
 }
 
-// filter returns the rows of chunk [lo, hi) that pass every test, or nil
-// when all of them do.
-func (k *scanAgg) filter(lo, hi int, sel []int32) []int32 {
-	tests := k.p.baseTests
+// filter returns the rows of chunk [lo, hi) that pass every test.
+func (k *scanAgg) filter(lo, hi int, sel []int32) passing {
+	all, tests := passing{lo: lo, n: hi - lo}, k.p.baseTests
 	if len(tests) == 0 {
-		return nil
+		return all
 	}
 	sel = tests[0].first(lo, hi, sel)
 	for i := 1; i < len(tests) && len(sel) > 0; i++ {
 		sel = tests[i].shrink(sel)
 	}
 	if len(sel) == hi-lo {
-		return nil
+		return all
 	}
-	return sel
+	return passing{lo: lo, n: len(sel), sel: sel}
 }
 
 // passing is a chunk's n passing rows: lo+i, or sel[i] when sel is not nil.
@@ -239,10 +238,9 @@ func (p passing) row(i int) int {
 	return int(p.sel[i])
 }
 
-// quarter returns the i-th row of each quarter of the first 4q passing
-// rows, q = n/4. The sums walk the four quarters together: one stream
-// through a wide partition outruns the hardware prefetcher, four keep
-// enough lines in flight.
+// quarter returns the i-th row of each quarter of the first 4q passing rows,
+// q = n/4. One stream through a wide partition outruns the hardware
+// prefetcher; the sums walk four together to keep enough lines in flight.
 func (p passing) quarter(i, q int) (int, int, int, int) {
 	if p.sel == nil {
 		return p.lo + i, p.lo + q + i, p.lo + 2*q + i, p.lo + 3*q + i
@@ -250,9 +248,8 @@ func (p passing) quarter(i, q int) (int, int, int, int) {
 	return int(p.sel[i]), int(p.sel[q+i]), int(p.sel[2*q+i]), int(p.sel[3*q+i])
 }
 
-// sumRows4 adds four columns' values over the passing rows to acc[0:4] in
-// one pass, so a partition holding all four — the PDSM of the paper's
-// example query — is read once.
+// sumRows4 adds four columns over the passing rows to acc[0:4] in one pass,
+// reading once a partition that holds all four (the paper's PDSM).
 func sumRows4(l []load, p passing, acc []int64) {
 	d0, d1, d2, d3 := l[0].data[l[0].off:], l[1].data[l[1].off:], l[2].data[l[2].off:], l[3].data[l[3].off:]
 	s0, s1, s2, s3 := l[0].stride, l[1].stride, l[2].stride, l[3].stride
@@ -294,12 +291,16 @@ func intOf(w storage.Word) int64 {
 	return storage.DecodeInt(w)
 }
 
-// slotRows writes each passing row's group slot into slot, counts it, and
-// appends to first every slot stamp's morsel touches for the first time.
-func (k *scanAgg) slotRows(ws *aggWorker, stamp int32, p passing, slot, first []int32) []int32 {
-	d, s := k.key.data[k.key.off:], k.key.stride
+// slotRows writes and counts each passing row's group slot, appending to
+// first the slots morsel stamp touches first. It stops at a bad key.
+func (k *scanAgg) slotRows(ws *aggWorker, stamp int32, p passing, slot, first []int32) (_ []int32, bad bool) {
+	d, s, slots := k.key.data[k.key.off:], k.key.stride, storage.Word(len(ws.stamp))
 	for i := range slot {
-		g := int32(d[p.row(i)*s] + 1)
+		w := d[p.row(i)*s] + 1
+		if w >= slots {
+			return first, true
+		}
+		g := int32(w)
 		slot[i] = g
 		ws.acc[g]++
 		if ws.stamp[g] != stamp {
@@ -307,11 +308,10 @@ func (k *scanAgg) slotRows(ws *aggWorker, stamp int32, p passing, slot, first []
 			first = append(first, g)
 		}
 	}
-	return first
+	return first, false
 }
 
-// sumSlots adds one column's values over the passing rows to their slots'
-// accumulators in acc.
+// sumSlots adds one column over the passing rows to their slots in acc.
 func sumSlots(l *load, p passing, slot []int32, acc []int64) {
 	d, s := l.data[l.off:], l.stride
 	for i, g := range slot {

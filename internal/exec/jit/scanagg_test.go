@@ -352,6 +352,47 @@ func TestScanAggDictionaryGrowth(t *testing.T) {
 	}
 }
 
+// TestScanAggKeysOutsideDictionary: an insert can store any word in a
+// string column. Keys that are neither Null nor a dictionary code — the
+// first word past Len, one further out, one whose low 32 bits are a code,
+// and one with the sign bit set — each form a group of their own, as in
+// genericAggregate and bulk, and the trace books the scan once. Each key
+// is alone in its relation, so each must be caught on its own.
+func TestScanAggKeysOutsideDictionary(t *testing.T) {
+	rel := ordersRelation(5000, 7, true)
+	n := storage.Word(rel.Dict(11).Len())
+	v := plan.Aggregate{
+		Child:   plan.Scan{Table: "orders", Cols: []int{11, 6}},
+		GroupBy: []int{0},
+		Aggs:    []expr.AggSpec{{Kind: expr.Count, Name: "n"}, {Kind: expr.Sum, Arg: expr.IntCol(1), Name: "m5"}},
+	}
+	for _, key := range []storage.Word{n, n + 10, 1<<32 | 3, storage.EncodeInt(5)} {
+		next := rel.CloneForWrite()
+		vals := make([]storage.Word, 12)
+		for a := range vals {
+			vals[a] = storage.EncodeInt(7)
+		}
+		vals[10], vals[11] = 0, key
+		next.AppendRow(vals)
+		c := plan.NewCatalog().Add(next)
+		for _, opt := range []par.Options{par.Serial(), {Workers: 2, MorselRows: 512}} {
+			t.Run(fmt.Sprintf("key=%#x/workers=%d", key, opt.WorkerCount()), func(t *testing.T) {
+				checkKernel(t, v, c, opt)
+				checkTrace(t, v, c, opt)
+				n := int64(-1)
+				for _, row := range PrepareOpt(v, c, opt).Exec().Rows {
+					if row[0] == key {
+						n = storage.DecodeInt(row[1])
+					}
+				}
+				if n != 1 {
+					t.Fatalf("the key's group counts %d rows, want 1", n)
+				}
+			})
+		}
+	}
+}
+
 var benchOrders = sync.OnceValue(func() *plan.Catalog {
 	return plan.NewCatalog().Add(ordersRelation(1_000_000, 1, false))
 })

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -40,19 +39,25 @@ func TestFig3SetupCorrectness(t *testing.T) {
 // PDSM is the fastest engine × layout cell (within 1.2x of whichever is
 // fastest), at least 5x faster than every Volcano cell (the paper reports
 // 2 orders of magnitude on 25M tuples; the gap grows with data size, so the
-// small-instance bound is loose), and bulk is not slower than Volcano.
+// small-instance bound is loose), and bulk is not slower than Volcano. The
+// race detector's instrumentation distorts the close ratios among the fast
+// cells, so under it the 1.2x bound is not checked and the coarse ones take
+// 3 rounds instead of 7.
 // A burst of noise from a machine's other tenants can sink one measurement
 // of one cell; a shape violation survives measuring again, so each
 // selectivity gets three attempts.
 func TestFig3Shape(t *testing.T) {
-	if testing.Short() || raceEnabled() {
-		t.Skip("timing-sensitive; the race detector's instrumentation reshapes every timing")
+	if testing.Short() {
+		t.Skip("timing-sensitive")
 	}
-	setup := NewFig3Setup(300_000)
+	setup, rounds := NewFig3Setup(300_000), 7
+	if raceEnabled {
+		rounds = 3
+	}
 	for _, s := range Fig3Selectivities {
 		var errs []string
 		for attempt := 0; attempt < 3; attempt++ {
-			if errs = fig3ShapeErrors(fig3Cells(setup, setup.Query(s), 7)); len(errs) == 0 {
+			if errs = fig3ShapeErrors(fig3Cells(setup, setup.Query(s), rounds)); len(errs) == 0 {
 				break
 			}
 		}
@@ -62,24 +67,12 @@ func TestFig3Shape(t *testing.T) {
 	}
 }
 
-// raceEnabled reports whether the test binary runs under the race detector.
-func raceEnabled() bool {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" {
-				return s.Value == "true"
-			}
-		}
-	}
-	return false
-}
-
 // fig3ShapeErrors lists how the cell medians depart from Figure 3's shape.
 func fig3ShapeErrors(times map[string]time.Duration) []string {
 	var errs []string
 	jit := times["jit/hybrid"]
 	for cell, d := range times {
-		if float64(jit) > 1.2*float64(d) {
+		if !raceEnabled && float64(jit) > 1.2*float64(d) {
 			errs = append(errs, fmt.Sprintf("jit/hybrid (%v) should be within 1.2x of the fastest cell, %s takes %v", jit, cell, d))
 		}
 		if strings.HasPrefix(cell, "volcano/") && jit*5 > d {
