@@ -10,13 +10,14 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/jsonx"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
-// The /query and /exec reply, streamed straight from the result set's
+// The /query and /exec reply, formatted straight from the result set's
 // words. The document is what encoding/json would produce for
 //
 //	{"cols":[{"name","type"}...],"rows":[[...]...],"rowCount":N,"micros":N
@@ -29,22 +30,28 @@ import (
 // real strings, computed string expressions without a dictionary stay
 // codes. NULL is JSON null, and so is a non-finite float, which JSON
 // cannot carry.
+//
+// Rows are encoded in chunks of encodeChunkRows, one pooled block per
+// chunk, on the service's morsel pool: a wave of encodeWaveChunks chunks
+// is formatted in parallel, then the handler writes the wave's blocks in
+// row order and starts the next. A reply therefore holds one wave of
+// blocks however many rows it has, and a reply of one chunk is formatted
+// inline and sent in a single Write (net/http then sets Content-Length on
+// it itself).
 
-// encodeBlock is the streaming unit: rows are formatted into one pooled
-// block that is handed to the ResponseWriter whenever it fills, so a reply
-// costs one block of memory however many rows it has, and a reply smaller
-// than a block is a single Write (net/http then sets Content-Length on
-// the small ones itself).
-const encodeBlock = 64 << 10
+// encodeChunkRows is the rows one worker formats into one block.
+const encodeChunkRows = 2048
 
-// maxScalarCell bounds one formatted non-string cell with its separators:
-// a float64 in 'f' format is at most 25 bytes, an int64 20.
-const maxScalarCell = 32
+// encodeWaveChunks is the chunks formatted before any is written.
+const encodeWaveChunks = 8
 
-var blockPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, encodeBlock)
-	return &b
-}}
+// maxPooledBlock caps the blocks kept for reuse: one grown by a very long
+// string is left to the collector.
+const maxPooledBlock = 1 << 20
+
+// encoderPool holds replyEncoders, so a reply allocates nothing once the
+// pool is warm.
+var encoderPool = sync.Pool{New: func() any { return newReplyEncoder() }}
 
 // writeResult answers a /query or /exec request with the result set.
 // took is measured by the caller, before encoding starts. A Write error
@@ -64,7 +71,7 @@ func (s *DB) writeResult(w http.ResponseWriter, r *http.Request, res *result.Set
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if err := streamResult(w, res, took.Microseconds(), trace, epoch); err != nil {
+	if err := streamResult(w, s.opt, res, took.Microseconds(), trace, epoch); err != nil {
 		s.logger().Debug("reply abandoned",
 			slog.String("id", QueryIDFrom(r.Context())),
 			slog.String("error", err.Error()),
@@ -72,42 +79,55 @@ func (s *DB) writeResult(w http.ResponseWriter, r *http.Request, res *result.Set
 	}
 }
 
-// streamResult writes the reply document to w block by block and returns
-// the first Write error without formatting anything further. trace is the
-// already marshalled "trace" value (nil to omit it); epoch 0 is omitted.
-func streamResult(w io.Writer, res *result.Set, micros int64, trace []byte, epoch uint64) error {
-	bp := blockPool.Get().(*[]byte)
-	b, err := appendResult((*bp)[:0], w, res, micros, trace, epoch)
-	// A block that grew past its size (one very long string) is left to
-	// the collector, so the pool holds encodeBlock-sized blocks only.
-	if cap(b) == encodeBlock {
-		*bp = b[:0]
-		blockPool.Put(bp)
-	}
+// streamResult writes the reply document to w wave by wave, encoding each
+// wave's chunks on opt's workers, and returns the first Write error
+// without formatting anything further. trace is the already marshalled
+// "trace" value (nil to omit it); epoch 0 is omitted.
+func streamResult(w io.Writer, opt par.Options, res *result.Set, micros int64, trace []byte, epoch uint64) error {
+	e := encoderPool.Get().(*replyEncoder)
+	err := e.encode(w, opt, res, micros, trace, epoch)
+	encoderPool.Put(e)
 	return err
 }
 
-// flushOver writes b out to w and starts it over when fewer than room
-// bytes of the block are left; the error is w's.
-func flushOver(w io.Writer, b []byte, room int) ([]byte, error) {
-	if len(b) == 0 || len(b) <= encodeBlock-room {
-		return b, nil
-	}
-	_, err := w.Write(b)
-	return b[:0], err
+// replyEncoder formats one reply at a time. Block i holds chunk i of the
+// wave being encoded; the first block of a reply starts with the
+// document's head and its last one ends with the tail. Workers share the
+// encoder, each appending only to the blocks of the chunks it claimed.
+type replyEncoder struct {
+	blocks [encodeWaveChunks][]byte
+	res    *result.Set
+	dicts  [][]string
+	base   int                              // first row of the wave being encoded
+	chunk  func(worker, morsel, lo, hi int) // appendChunk, bound once
 }
 
-// appendResult formats the document into b, writing b out to w and
-// starting over whenever the block is full. It returns the block for
-// reuse.
-func appendResult(b []byte, w io.Writer, res *result.Set, micros int64, trace []byte, epoch uint64) ([]byte, error) {
-	var err error
-	b = append(b, `{"cols":[`...)
-	for i, c := range res.Cols {
-		// Worst case every byte of a name becomes a six-byte escape.
-		if b, err = flushOver(w, b, 6*len(c.Name)+2*maxScalarCell); err != nil {
-			return b, err
+func newReplyEncoder() *replyEncoder {
+	e := &replyEncoder{}
+	e.chunk = e.appendChunk
+	return e
+}
+
+// encode is streamResult on this encoder. It leaves the encoder holding
+// no reference to res, its blocks empty and none larger than
+// maxPooledBlock.
+func (e *replyEncoder) encode(w io.Writer, opt par.Options, res *result.Set, micros int64, trace []byte, epoch uint64) error {
+	defer e.reset()
+	e.res, e.base = res, 0
+	// A string column's value table is captured once. A table published
+	// before the decode covers every code in the result, so this is safe
+	// after the catalog lock is released even while loads append values. A
+	// string column without one (a computed expression) stays codes.
+	e.dicts = e.dicts[:0]
+	for _, c := range res.Cols {
+		var dict []string
+		if c.Type == storage.String && c.Dict != nil {
+			dict = c.Dict.Values()
 		}
+		e.dicts = append(e.dicts, dict)
+	}
+	b := append(e.blocks[0], `{"cols":[`...)
+	for i, c := range res.Cols {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -117,33 +137,52 @@ func appendResult(b []byte, w io.Writer, res *result.Set, micros int64, trace []
 		b = jsonx.AppendString(b, c.Type.String())
 		b = append(b, '}')
 	}
-	b = append(b, `],"rows":[`...)
+	e.blocks[0] = append(b, `],"rows":[`...)
 
-	// The column's type picks a cell's encoder; what a string column needs
-	// besides is its value table, captured here once. A table published
-	// before the decode covers every code in the result, so this is safe
-	// after the catalog lock is released even while loads append values. A
-	// string column without one (a computed expression) stays codes.
-	dicts := make([][]string, len(res.Cols))
-	for i, c := range res.Cols {
-		if c.Type == storage.String && c.Dict != nil {
-			dicts[i] = c.Dict.Values()
+	opt.MorselRows = encodeChunkRows
+	n := len(res.Rows)
+	for ; ; e.base += encodeChunkRows * encodeWaveChunks {
+		rows := min(n-e.base, encodeChunkRows*encodeWaveChunks)
+		par.Run(rows, opt, e.chunk)
+		used := max(opt.Morsels(rows), 1) // a reply without rows still has its head
+		last := e.base+rows == n
+		if last {
+			e.blocks[used-1] = appendTail(e.blocks[used-1], n, micros, trace, epoch)
+		}
+		for i, b := range e.blocks[:used] {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			e.blocks[i] = b[:0]
+		}
+		if last {
+			return nil
 		}
 	}
-	for i, row := range res.Rows {
-		// Once per row for the brackets (all a row without cells has), once
-		// per cell for the cell.
-		if b, err = flushOver(w, b, maxScalarCell); err != nil {
-			return b, err
+}
+
+func (e *replyEncoder) reset() {
+	e.res = nil
+	clear(e.dicts)
+	for i, b := range e.blocks {
+		if cap(b) > maxPooledBlock {
+			b = nil
 		}
+		e.blocks[i] = b[:0]
+	}
+}
+
+// appendChunk is the par.Run body: it appends rows [base+lo, base+hi) to
+// the morsel's block.
+func (e *replyEncoder) appendChunk(_, morsel, lo, hi int) {
+	cols, rows, dicts := e.res.Cols, e.res.Rows, e.dicts
+	b := e.blocks[morsel]
+	for i := e.base + lo; i < e.base+hi; i++ {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, '[')
-		for j, word := range row {
-			if b, err = flushOver(w, b, maxScalarCell); err != nil {
-				return b, err
-			}
+		for j, word := range rows[i] {
 			if j > 0 {
 				b = append(b, ',')
 			}
@@ -152,8 +191,8 @@ func appendResult(b []byte, w io.Writer, res *result.Set, micros int64, trace []
 				continue
 			}
 			typ := storage.Int64 // a cell beyond the declared columns
-			if j < len(res.Cols) {
-				typ = res.Cols[j].Type
+			if j < len(cols) {
+				typ = cols[j].Type
 			}
 			switch typ {
 			case storage.Int64:
@@ -163,26 +202,22 @@ func appendResult(b []byte, w io.Writer, res *result.Set, micros int64, trace []
 			case storage.Bool:
 				b = strconv.AppendBool(b, storage.DecodeBool(word))
 			default: // String
-				dict := dicts[j]
-				if word >= storage.Word(len(dict)) {
+				if dict := dicts[j]; word < storage.Word(len(dict)) {
+					b = jsonx.AppendString(b, dict[word])
+				} else {
 					b = strconv.AppendUint(b, word, 10)
-					break
 				}
-				v := dict[word]
-				if b, err = flushOver(w, b, 6*len(v)+maxScalarCell); err != nil {
-					return b, err
-				}
-				b = jsonx.AppendString(b, v)
 			}
 		}
 		b = append(b, ']')
 	}
+	e.blocks[morsel] = b
+}
 
-	if b, err = flushOver(w, b, len(trace)+128); err != nil { // 128: the fixed-size tail
-		return b, err
-	}
+// appendTail closes the rows array and appends the fields after it.
+func appendTail(b []byte, rows int, micros int64, trace []byte, epoch uint64) []byte {
 	b = append(b, `],"rowCount":`...)
-	b = strconv.AppendInt(b, int64(len(res.Rows)), 10)
+	b = strconv.AppendInt(b, int64(rows), 10)
 	b = append(b, `,"micros":`...)
 	b = strconv.AppendInt(b, micros, 10)
 	if trace != nil {
@@ -193,9 +228,7 @@ func appendResult(b []byte, w io.Writer, res *result.Set, micros int64, trace []
 		b = append(b, `,"epoch":`...)
 		b = strconv.AppendUint(b, epoch, 10)
 	}
-	b = append(b, "}\n"...)
-	_, err = w.Write(b)
-	return b, err
+	return append(b, "}\n"...)
 }
 
 // appendJSONFloat formats f as encoding/json does: the shortest decimal
@@ -203,6 +236,33 @@ func appendResult(b []byte, w io.Writer, res *result.Set, micros int64, trace []
 // two-digit negative exponent trimmed to one ("1e-07" is "1e-7"). JSON has
 // no NaN or infinity; those become null.
 func appendJSONFloat(b []byte, f float64) []byte {
+	// Short decimals (prices, loaded decimal text) take a fast path. If
+	// t = round(f·1e6) gives back f divided by 1e6 (an exactly rounded
+	// division of two exact operands), the decimal t·1e-6 parses to f. Below
+	// 1e9, t < 2^50 and ulp(f) < 1e-6, so no other decimal of at most six
+	// fraction digits does, and t without its trailing zeros is the
+	// shortest one: what AppendFloat(f, 'f', -1, 64) prints.
+	if a := math.Abs(f); a >= 1e-6 && a < 1e9 {
+		if t := math.RoundToEven(f * 1e6); t/1e6 == f {
+			if t < 0 {
+				b = append(b, '-')
+			}
+			u := uint64(math.Abs(t))
+			b = strconv.AppendUint(b, u/1e6, 10)
+			frac, pow := u%1e6, uint64(1e6)
+			if frac == 0 {
+				return b
+			}
+			for ; frac%10 == 0; frac /= 10 {
+				pow /= 10
+			}
+			// pow+frac is a 1 and then frac zero-padded: the 1 becomes the point.
+			n := len(b)
+			b = strconv.AppendUint(b, pow+frac, 10)
+			b[n] = '.'
+			return b
+		}
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return append(b, "null"...)
 	}

@@ -11,10 +11,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -32,6 +34,7 @@ var (
 		5e-324, 2.2250738585072009e-308, math.SmallestNonzeroFloat64, // denormals
 		math.MaxFloat64, -math.MaxFloat64, 1.0 / 3.0,
 		0.004, 0.01, 0.07, 0.29, 1.15, -123.4, 500, 1.005, 9999999999999.99, // short decimals
+		999999999.999999, 1e9, 1 << 50 / 1e6, math.Nextafter(0.3, 1), // either side of the short-decimal bounds; 0.1+0.2
 		math.NaN(), math.Inf(1), math.Inf(-1),
 	}
 	edgeStrings = []string{
@@ -80,6 +83,27 @@ type reply struct {
 	Epoch    uint64              `json:"epoch,omitempty"`
 }
 
+// wantDocument is encoding/json's rendering of the reply for res, built
+// cell by cell from the source words.
+func wantDocument(t *testing.T, res *result.Set, micros int64) []byte {
+	t.Helper()
+	ref := reply{Cols: make([]colJSON, len(res.Cols)), Rows: make([][]json.RawMessage, len(res.Rows)), RowCount: len(res.Rows), Micros: micros}
+	for j, c := range res.Cols {
+		ref.Cols[j] = colJSON{Name: c.Name, Type: c.Type.String()}
+	}
+	for i, row := range res.Rows {
+		ref.Rows[i] = make([]json.RawMessage, len(row))
+		for j, word := range row {
+			ref.Rows[i][j] = json.RawMessage(wantCell(t, word, res.Cols[j]))
+		}
+	}
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(want, '\n')
+}
+
 func stream(t *testing.T, res *result.Set, micros int64, trace []obs.OpReport, epoch uint64) []byte {
 	t.Helper()
 	var traceJSON []byte
@@ -90,15 +114,16 @@ func stream(t *testing.T, res *result.Set, micros int64, trace []obs.OpReport, e
 		}
 	}
 	var buf bytes.Buffer
-	if err := streamResult(&buf, res, micros, traceJSON, epoch); err != nil {
+	if err := streamResult(&buf, par.Serial(), res, micros, traceJSON, epoch); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// randomSet draws a set whose cells come from the edge pools above; string
-// columns get a dictionary two times in three, a raw-code column otherwise.
-func randomSet(rng *rand.Rand) *result.Set {
+// randomSet draws a set of rows rows whose cells come from the edge pools
+// above; string columns get a dictionary two times in three, a raw-code
+// column otherwise.
+func randomSet(rng *rand.Rand, rows int) *result.Set {
 	types := []storage.Type{storage.Int64, storage.Float64, storage.Bool, storage.String}
 	dict := storage.BuildDict(edgeStrings)
 	cols := make([]plan.Column, rng.Intn(7)) // zero columns included
@@ -109,7 +134,7 @@ func randomSet(rng *rand.Rand) *result.Set {
 		}
 	}
 	res := result.New(cols)
-	for n := rng.Intn(40); n > 0; n-- { // zero rows included
+	for n := rows; n > 0; n-- {
 		row := res.NewRow()
 		for j, c := range cols {
 			switch {
@@ -129,13 +154,55 @@ func randomSet(rng *rand.Rand) *result.Set {
 	return res
 }
 
+// boundarySet is a set of the given rows with every column type, cells
+// drawn from the edge pools (Nulls, NaN/±Inf and codes past the dictionary
+// included), whose first and last rows carry a string longer than a pooled
+// block once escaped. cells false gives rows without cells instead.
+func boundarySet(rng *rand.Rand, rows int, cells bool) *result.Set {
+	if !cells {
+		res := result.New(nil)
+		for ; rows > 0; rows-- {
+			res.NewRow()
+		}
+		return res
+	}
+	long := strings.Repeat("<", maxPooledBlock/5) // six bytes apiece escaped
+	dict := storage.BuildDict(append([]string{long}, edgeStrings...))
+	res := result.New([]plan.Column{
+		{Name: "i", Type: storage.Int64}, {Name: "f", Type: storage.Float64}, {Name: "b", Type: storage.Bool},
+		{Name: "s", Type: storage.String, Dict: dict}, {Name: "code", Type: storage.String},
+	})
+	for i := 0; i < rows; i++ {
+		row := res.NewRow()
+		row[0] = storage.EncodeInt(edgeInts[rng.Intn(len(edgeInts))])
+		row[1] = storage.EncodeFloat(edgeFloats[rng.Intn(len(edgeFloats))])
+		row[2] = storage.Word(rng.Intn(2))
+		row[3] = dict.MustCode(edgeStrings[rng.Intn(len(edgeStrings))])
+		if rng.Intn(16) == 0 {
+			row[3] = storage.Word(dict.Len() + rng.Intn(2))
+		}
+		row[4] = storage.Word(rng.Intn(100))
+		for j := range row {
+			if rng.Intn(8) == 0 {
+				row[j] = storage.Null
+			}
+		}
+		if i == 0 || i == rows-1 {
+			row[3] = dict.MustCode(long)
+		}
+	}
+	return res
+}
+
 // TestStreamResultMatchesEncodingJSON: over generated sets the streamed
-// document decodes, has the declared shape, and every cell is byte for
-// byte json.Marshal of the value the word stands for.
+// document decodes, has the declared shape, every cell is byte for byte
+// json.Marshal of the value the word stands for, and the whole document is
+// encoding/json's. Then the same holds for sets either side of every chunk
+// and wave boundary, encoded on pools of 1, 2 and 4 workers.
 func TestStreamResultMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 400; iter++ {
-		res := randomSet(rng)
+		res := randomSet(rng, rng.Intn(40)) // zero rows included
 		micros := rng.Int63n(1 << 40)
 		out := stream(t, res, micros, nil, 0)
 		var got reply
@@ -146,31 +213,42 @@ func TestStreamResultMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("set %d: shape %d rows (%d declared) x %d cols, micros %d; want %d x %d, %d",
 				iter, len(got.Rows), got.RowCount, len(got.Cols), got.Micros, len(res.Rows), len(res.Cols), micros)
 		}
-		// ref is the document built from the source, for encoding/json to
-		// render whole.
-		ref := reply{Cols: make([]colJSON, len(res.Cols)), Rows: make([][]json.RawMessage, len(res.Rows)), RowCount: len(res.Rows), Micros: micros}
-		for j, c := range res.Cols {
-			ref.Cols[j] = colJSON{Name: c.Name, Type: c.Type.String()}
-		}
 		for i, row := range res.Rows {
 			if len(got.Rows[i]) != len(row) {
 				t.Fatalf("set %d row %d has %d cells, want %d", iter, i, len(got.Rows[i]), len(row))
 			}
-			ref.Rows[i] = make([]json.RawMessage, len(row))
 			for j, word := range row {
-				want := wantCell(t, word, res.Cols[j])
-				if string(got.Rows[i][j]) != want {
+				if want := wantCell(t, word, res.Cols[j]); string(got.Rows[i][j]) != want {
 					t.Fatalf("set %d cell [%d][%d] (%v, word %#x) = %s, want %s", iter, i, j, res.Cols[j].Type, word, got.Rows[i][j], want)
 				}
-				ref.Rows[i][j] = json.RawMessage(want)
 			}
 		}
-		want, err := json.Marshal(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, append(want, '\n')) {
+		if want := wantDocument(t, res, micros); !bytes.Equal(out, want) {
 			t.Fatalf("set %d: document differs from encoding/json's:\n got %s\nwant %s", iter, out, want)
+		}
+	}
+
+	var opts []par.Options
+	for _, workers := range []int{1, 2, 4} {
+		pool := par.NewPool(workers)
+		defer pool.Close()
+		opts = append(opts, par.WithPool(pool))
+	}
+	const wave = encodeChunkRows * encodeWaveChunks
+	for _, rows := range []int{0, 1, encodeChunkRows - 1, encodeChunkRows, encodeChunkRows + 1, wave + 1, 3*wave + 7} {
+		for _, cells := range []bool{true, false} {
+			res := boundarySet(rng, rows, cells)
+			want := wantDocument(t, res, 77)
+			for _, opt := range opts {
+				var buf bytes.Buffer
+				if err := streamResult(&buf, opt, res, 77, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("%d rows (cells %v), %d workers: document differs from encoding/json's (%d bytes, want %d)",
+						rows, cells, opt.WorkerCount(), buf.Len(), len(want))
+				}
+			}
 		}
 	}
 }
@@ -208,10 +286,15 @@ func TestStreamResultGolden(t *testing.T) {
 	}
 }
 
-// TestStreamResultSpansBlocks: a reply of many blocks is the same document
-// as its rows would make in one, with no cell split or lost at a boundary,
-// and a long string next to a block's end moves to the next block whole.
+// chunksOf is the number of chunks a reply of rows rows is written in.
+func chunksOf(rows int) int { return max((rows+encodeChunkRows-1)/encodeChunkRows, 1) }
+
+// TestStreamResultSpansBlocks: a reply of many chunks is one Write per
+// chunk and the same document as its rows would make in one, with no cell
+// split or lost at a boundary, also where a long string grows a block.
 func TestStreamResultSpansBlocks(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
 	long := strings.Repeat("<", 3000) // 18,000 bytes escaped
 	dict := storage.BuildDict([]string{long, "s"})
 	res := result.New([]plan.Column{{Name: "n", Type: storage.Int64}, {Name: "s", Type: storage.String, Dict: dict}})
@@ -225,11 +308,11 @@ func TestStreamResultSpansBlocks(t *testing.T) {
 		}
 	}
 	var w countingWriter
-	if err := streamResult(&w, res, 1, nil, 0); err != nil {
+	if err := streamResult(&w, par.WithPool(pool), res, 1, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if w.writes < 4 || w.largest > encodeBlock {
-		t.Fatalf("%d writes, largest %d bytes: want several, none over a block", w.writes, w.largest)
+	if w.writes != chunksOf(len(res.Rows)) {
+		t.Fatalf("%d writes, want one per chunk (%d)", w.writes, chunksOf(len(res.Rows)))
 	}
 	var got reply
 	if err := json.Unmarshal(w.buf.Bytes(), &got); err != nil {
@@ -246,18 +329,18 @@ func TestStreamResultSpansBlocks(t *testing.T) {
 }
 
 // TestStreamResultRowsWithoutCells: rows of a set without columns are
-// brackets only, and those are streamed in blocks too.
+// brackets only, and those are chunked too.
 func TestStreamResultRowsWithoutCells(t *testing.T) {
 	res := result.New(nil)
 	for i := 0; i < 100_000; i++ { // 300,000 bytes of "[],"
 		res.NewRow()
 	}
 	var w countingWriter
-	if err := streamResult(&w, res, 1, nil, 0); err != nil {
+	if err := streamResult(&w, par.Serial(), res, 1, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if w.writes < 4 || w.largest > encodeBlock {
-		t.Fatalf("%d writes, largest %d bytes: want several, none over a block", w.writes, w.largest)
+	if w.writes != chunksOf(len(res.Rows)) {
+		t.Fatalf("%d writes, want one per chunk (%d)", w.writes, chunksOf(len(res.Rows)))
 	}
 	var got reply
 	if err := json.Unmarshal(w.buf.Bytes(), &got); err != nil {
@@ -269,42 +352,68 @@ func TestStreamResultRowsWithoutCells(t *testing.T) {
 }
 
 type countingWriter struct {
-	buf             bytes.Buffer
-	writes, largest int
+	buf    bytes.Buffer
+	writes int
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.writes++
-	w.largest = max(w.largest, len(p))
 	return w.buf.Write(p)
 }
 
-// TestAppendJSONFloatMatchesEncodingJSON: random doubles, two-decimal
-// values of every magnitude and their neighbours all format as json.Marshal
-// formats them.
+// TestAppendJSONFloatMatchesEncodingJSON: random doubles, decimals of one
+// to six fraction digits at every magnitude and their neighbours all
+// format as json.Marshal formats them.
 func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	check := func(f float64) {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return
+	for i := 0; i < 100_000; i++ {
+		checkJSONFloat(t, math.Float64frombits(rng.Uint64()))
+		for _, scale := range []float64{10, 100, 1e3, 1e4, 1e5, 1e6} {
+			d := float64(rng.Int63n(1e15)>>uint(rng.Intn(50))) / scale
+			checkJSONFloat(t, d)
+			checkJSONFloat(t, -d)
+			checkJSONFloat(t, math.Nextafter(d, 0))
+			checkJSONFloat(t, math.Nextafter(d, math.Inf(1)))
 		}
-		want, err := json.Marshal(f)
-		if err != nil {
+		checkJSONFloat(t, rng.Float64()*1000)
+	}
+}
+
+// checkJSONFloat fails t unless appendJSONFloat(f) is json.Marshal(f), or
+// null for a value JSON cannot carry.
+func checkJSONFloat(t *testing.T, f float64) {
+	t.Helper()
+	want := []byte("null")
+	if !math.IsNaN(f) && !math.IsInf(f, 0) {
+		var err error
+		if want, err = json.Marshal(f); err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-			t.Fatalf("appendJSONFloat(%b) = %s, want %s", f, got, want)
+	}
+	if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
+		t.Fatalf("appendJSONFloat(%b) = %s, want %s", f, got, want)
+	}
+}
+
+// FuzzAppendJSONFloat: for any bit pattern appendJSONFloat is
+// json.Marshal's rendering of the float (null for NaN and ±Inf).
+func FuzzAppendJSONFloat(f *testing.F) {
+	seeds := []float64{0, math.Copysign(0, -1), 1 << 50 / 1e6, math.Nextafter(0.3, 1) /* 0.1+0.2 */, 5e-324}
+	for _, edge := range []float64{1e-6, 1e9} {
+		seeds = append(seeds, edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)))
+	}
+	for k, scale := 0, 1.0; k <= 6; k, scale = k+1, scale*10 {
+		for _, n := range []float64{1, 9, 10, 1 << 49} {
+			seeds = append(seeds, n/scale)
 		}
 	}
-	for i := 0; i < 100_000; i++ {
-		check(math.Float64frombits(rng.Uint64()))
-		cents := float64(rng.Int63n(1e15)>>uint(rng.Intn(50))) / 100
-		check(cents)
-		check(-cents)
-		check(math.Nextafter(cents, 0))
-		check(math.Nextafter(cents, math.Inf(1)))
-		check(rng.Float64() * 1000)
+	for _, s := range seeds {
+		f.Add(math.Float64bits(s))
+		f.Add(math.Float64bits(-s))
 	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		checkJSONFloat(t, math.Float64frombits(bits))
+	})
 }
 
 // recentLike builds rows of the benchmark's `recent` table: two ids, two
@@ -339,29 +448,53 @@ func recentLike(rows int) *result.Set {
 	return res
 }
 
-// TestStreamResultAllocsAreConstant: what a reply allocates does not grow
-// with its rows.
+// TestStreamResultAllocsAreConstant: with its encoder in hand, a serial
+// reply allocates the same bytes whatever its rows, a one-chunk reply
+// makes at most perReply allocations, and on a pool every wave adds at
+// most perWave (par.Run's job and its completion channel).
 func TestStreamResultAllocsAreConstant(t *testing.T) {
-	block := make([]byte, 0, encodeBlock)
-	allocs := func(rows int) float64 {
+	const perReply, perWave = 8, 2
+	pool := par.NewPool(2)
+	defer pool.Close()
+	e := newReplyEncoder()
+	measure := func(opt par.Options, rows int) (allocs, bytes uint64) {
 		res := recentLike(rows)
-		return testing.AllocsPerRun(5, func() {
-			var err error
-			if raceEnabled {
-				// The race detector's sync.Pool drops blocks at random, so
-				// there the block is this test's.
-				_, err = appendResult(block, io.Discard, res, 1, nil, 0)
-			} else {
-				err = streamResult(io.Discard, res, 1, nil, 0)
-			}
-			if err != nil {
+		run := func() {
+			if err := e.encode(io.Discard, opt, res, 1, nil, 0); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		run() // grows the blocks
+		// The least of three rounds, so that an allocation made meanwhile by
+		// another goroutine (a previous test's server winding down) is not
+		// charged to the encoder.
+		allocs, bytes = math.MaxUint64, math.MaxUint64
+		for range 3 {
+			const runs = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, (after.Mallocs-before.Mallocs)/runs)
+			bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return allocs, bytes
 	}
-	small, large := allocs(10), allocs(100_000)
-	if small != large || small > 8 {
-		t.Errorf("allocations per reply: %v for 10 rows, %v for 100,000; want the same constant, at most 8", small, large)
+	small, smallBytes := measure(par.Serial(), 10)
+	large, largeBytes := measure(par.Serial(), 100_000)
+	if small > perReply || largeBytes != smallBytes {
+		t.Errorf("serial reply: %d allocations (%d B) for 10 rows, %d (%d B) for 100,000; want at most %d and the same bytes",
+			small, smallBytes, large, largeBytes, perReply)
+	}
+	if one, _ := measure(par.WithPool(pool), 10); one > perReply {
+		t.Errorf("one-chunk reply on a pool: %d allocations, want at most %d", one, perReply)
+	}
+	rows := 3*encodeChunkRows*encodeWaveChunks + 7
+	waves := uint64(4)
+	if many, _ := measure(par.WithPool(pool), rows); many > perReply+perWave*waves {
+		t.Errorf("%d-row reply on a pool: %d allocations, want at most %d + %d per wave (%d waves)", rows, many, perReply, perWave, waves)
 	}
 }
 
@@ -389,27 +522,30 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriteResultStopsWhenClientIsGone: after the first failed Write the
-// writer formats nothing more, and says so under the request's id.
+// writer formats nothing more, serially or on a pool, and says so under
+// the request's id.
 func TestWriteResultStopsWhenClientIsGone(t *testing.T) {
-	s := New(NewDemoDB(10), Config{Workers: 1})
-	defer s.Close()
-	var logged bytes.Buffer
-	s.SetLogger(slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	for _, workers := range []int{1, 2} {
+		s := New(NewDemoDB(10), Config{Workers: workers})
+		defer s.Close()
+		var logged bytes.Buffer
+		s.SetLogger(slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelDebug})))
 
-	res := recentLike(50_000) // about forty blocks
-	w := &failingWriter{ResponseRecorder: httptest.NewRecorder(), limit: 3 * encodeBlock}
-	r := httptest.NewRequest(http.MethodPost, "/query", nil)
-	r = r.WithContext(WithQueryID(r.Context(), "gone-1"))
-	start := time.Now()
-	s.writeResult(w, r, res, time.Since(start), nil)
+		res := recentLike(50_000) // four waves
+		w := &failingWriter{ResponseRecorder: httptest.NewRecorder(), limit: 300_000}
+		r := httptest.NewRequest(http.MethodPost, "/query", nil)
+		r = r.WithContext(WithQueryID(r.Context(), "gone-1"))
+		start := time.Now()
+		s.writeResult(w, r, res, time.Since(start), nil)
 
-	if !w.failed {
-		t.Fatal("the writer never reached the limit")
-	}
-	if w.writesAfterFailed > 1 {
-		t.Errorf("%d Writes followed the failed one, want at most 1", w.writesAfterFailed)
-	}
-	if !strings.Contains(logged.String(), "id=gone-1") || !strings.Contains(logged.String(), "broken pipe") {
-		t.Errorf("no debug line naming the query and the error: %q", logged.String())
+		if !w.failed {
+			t.Fatalf("workers %d: the writer never reached the limit", workers)
+		}
+		if w.writesAfterFailed > 1 {
+			t.Errorf("workers %d: %d Writes followed the failed one, want at most 1", workers, w.writesAfterFailed)
+		}
+		if !strings.Contains(logged.String(), "id=gone-1") || !strings.Contains(logged.String(), "broken pipe") {
+			t.Errorf("workers %d: no debug line naming the query and the error: %q", workers, logged.String())
+		}
 	}
 }

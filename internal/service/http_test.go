@@ -241,20 +241,25 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 }
 
-// TestHTTPReplyFraming: a small reply is one Write, so net/http gives it a
-// Content-Length; a large one is streamed in blocks, chunked.
+// TestHTTPReplyFraming: a one-row reply is one chunk and one Write, so
+// net/http gives it a Content-Length; a 50,000-row one is written wave by
+// wave on the pool, chunked.
 func TestHTTPReplyFraming(t *testing.T) {
-	srv, _ := newTestServer(t)
+	const rows = 50_000
+	s := New(NewDemoDB(rows), Config{Workers: 2})
+	srv := httptest.NewServer(s.Handler())
+	defer s.Close()
+	defer srv.Close()
 
 	resp, out := post(t, srv.URL+"/query", demoQueryJSON(10_000))
-	if resp.ContentLength <= 0 {
+	if resp.ContentLength <= 0 || out["rowCount"].(float64) != 1 {
 		t.Errorf("one-row reply has Content-Length %d, want it set (body %v)", resp.ContentLength, out)
 	}
 	resp, out = post(t, srv.URL+"/query", `{"plan": {"op": "scan", "table": "R", "cols": [0, 1, 2, 3]}}`)
-	if resp.StatusCode != http.StatusOK || out["rowCount"].(float64) != testRows {
+	if resp.StatusCode != http.StatusOK || out["rowCount"].(float64) != rows || len(out["rows"].([]any)) != rows {
 		t.Fatalf("scan status = %d, rowCount = %v", resp.StatusCode, out["rowCount"])
 	}
 	if resp.ContentLength != -1 || len(resp.TransferEncoding) == 0 || resp.TransferEncoding[0] != "chunked" {
-		t.Errorf("%d-row reply: Content-Length %d, Transfer-Encoding %v; want chunked", testRows, resp.ContentLength, resp.TransferEncoding)
+		t.Errorf("%d-row reply: Content-Length %d, Transfer-Encoding %v; want chunked", rows, resp.ContentLength, resp.TransferEncoding)
 	}
 }
