@@ -1,6 +1,8 @@
-// Command benchrunner regenerates the paper's evaluation artefacts: every
-// table and figure of the evaluation section is one experiment that can be
-// run individually or as a suite.
+// Command benchrunner regenerates the paper's evaluation artefacts and
+// nothing else: Figures 3, 6 and 8-12, Tables 3-5 and three ablations,
+// each one experiment that can be run individually or as a suite. The
+// served system is measured elsewhere, by go test -bench and by the HTTP
+// workloads that BENCHMARK.json declares.
 //
 // Usage:
 //

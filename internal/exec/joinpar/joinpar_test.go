@@ -140,3 +140,19 @@ func TestBuildWideRowsNonZeroKey(t *testing.T) {
 	tbl := Build(rows, 1, 4, par.Options{Workers: 4, MorselRows: 1024})
 	assertTableMatchesSerial(t, "wide", rows, tbl, 1, 4)
 }
+
+// BenchmarkBuild times the build alone (histogram, scatter, per-partition
+// tables) over 1M two-word rows, the size of the Figure 3 join's build
+// side, across a fixed worker sweep; workers=1 is the serial flat build.
+func BenchmarkBuild(b *testing.B) {
+	rows := genBuild(1_000_000, 1_000_000, 1)
+	for _, w := range []int{1, 2, 4, 8} {
+		opt := par.Options{Workers: w}
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(rows, 0, 2, opt)
+			}
+		})
+	}
+}

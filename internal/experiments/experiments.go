@@ -1,10 +1,12 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation section. Each driver regenerates the corresponding
-// rows/series (workload generation, parameter sweep, baselines, and the
-// measurement itself) and returns a printable Report. The cmd/benchrunner
-// binary and the repository-level benchmarks in bench_test.go both call
-// into this package, so the numbers in EXPERIMENTS.md are regenerable from
-// either entry point.
+// paper's evaluation section, plus three ablations of its design choices,
+// and nothing else: measurements of the served system live in Go
+// benchmarks beside the code they time and in the HTTP workloads of
+// BENCHMARK.json. Each experiment regenerates the corresponding rows/series
+// (workload generation, parameter sweep, baselines, and the measurement
+// itself) and returns a printable Report. The cmd/benchrunner binary
+// prints these reports; the repository-level benchmarks in bench_test.go
+// time the same setups under go test -bench.
 package experiments
 
 import (
@@ -103,56 +105,51 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// experimentList is the one list of experiments, in paper order: All runs
+// it, ByID scans it and IDs sorts its ids.
+var experimentList = []struct {
+	id  string
+	run func(Options) *Report
+}{
+	{"fig3", Fig3},
+	{"fig6", Fig6},
+	{"fig8", Fig8},
+	{"table3", Table3},
+	{"table4", Table4},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"table5", Table5},
+	{"ablation-costfn", AblationCostFunction},
+	{"ablation-cuts", AblationCuts},
+	{"ablation-sparse", AblationSparse},
+}
+
 // All runs every experiment in paper order.
 func All(opt Options) []*Report {
-	return []*Report{
-		Fig3(opt),
-		Fig6(opt),
-		Fig8(opt),
-		Table3(opt),
-		Table4(opt),
-		Fig9(opt),
-		Fig10(opt),
-		Fig11(opt),
-		Fig12(opt),
-		Table5(opt),
-		AblationCostFunction(opt),
-		AblationCuts(opt),
-		AblationSparse(opt),
+	reps := make([]*Report, len(experimentList))
+	for i, d := range experimentList {
+		reps[i] = d.run(opt)
 	}
+	return reps
 }
 
 // ByID returns the named experiment's driver, or nil.
 func ByID(id string) func(Options) *Report {
-	m := map[string]func(Options) *Report{
-		"fig3":            Fig3,
-		"fig6":            Fig6,
-		"fig8":            Fig8,
-		"table3":          Table3,
-		"table4":          Table4,
-		"fig9":            Fig9,
-		"fig10":           Fig10,
-		"fig11":           Fig11,
-		"fig12":           Fig12,
-		"table5":          Table5,
-		"ablation-costfn": AblationCostFunction,
-		"ablation-cuts":   AblationCuts,
-		"ablation-sparse": AblationSparse,
-		"ingest":          Ingest,
-		"breakers":        Breakers,
-		"repl":            Repl,
-		"obs":             Obs,
-		"mvcc":            MVCC,
+	for _, d := range experimentList {
+		if d.id == id {
+			return d.run
+		}
 	}
-	return m[id]
+	return nil
 }
 
-// IDs lists the available experiments.
+// IDs lists the available experiments, sorted.
 func IDs() []string {
-	ids := []string{
-		"fig3", "fig6", "fig8", "table3", "table4", "fig9", "fig10", "fig11", "fig12", "table5",
-		"ablation-costfn", "ablation-cuts", "ablation-sparse", "ingest", "breakers", "repl", "obs",
-		"mvcc",
+	ids := make([]string, len(experimentList))
+	for i, d := range experimentList {
+		ids[i] = d.id
 	}
 	sort.Strings(ids)
 	return ids

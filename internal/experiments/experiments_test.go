@@ -172,7 +172,9 @@ func TestReportsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite")
 	}
+	var ids []string
 	for _, rep := range All(Options{Quick: true}) {
+		ids = append(ids, rep.ID)
 		if len(rep.Rows) == 0 {
 			t.Errorf("%s: empty report", rep.ID)
 		}
@@ -181,6 +183,62 @@ func TestReportsRender(t *testing.T) {
 			t.Errorf("%s: rendering broken", rep.ID)
 		}
 	}
+	// -all and -list must name the same experiments.
+	slices.Sort(ids)
+	if !slices.Equal(ids, IDs()) {
+		t.Errorf("All reports %v, IDs lists %v", ids, IDs())
+	}
+}
+
+// TestQ6CellsTimeOneInsert: a Figure 9/10 Q6 cell times a single-row
+// insert, a few microseconds. The first insert on a catalog also copies
+// every partition (Relation.AppendRow appends to full slices), which takes
+// milliseconds; if a cell's timed run paid that copy, the cell would
+// report it as Q6 and the processor that ran first on a catalog would lose.
+// A quick cell is one sample, so a preemption can push it over the bound;
+// the copy recurs on every fresh setup, so each figure gets three attempts.
+func TestQ6CellsTimeOneInsert(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the SAP-SD data several times")
+	}
+	for _, c := range []struct {
+		fig   func(Options) *Report
+		first int // index of the first timed cell in a row
+	}{
+		{Fig9, 1},
+		{Fig10, 2},
+	} {
+		var errs []string
+		for attempt := 0; attempt < 3; attempt++ {
+			if errs = q6Errors(t, c.fig(Options{Quick: true}), c.first); len(errs) == 0 {
+				break
+			}
+		}
+		for _, err := range errs {
+			t.Error(err)
+		}
+	}
+}
+
+// q6Errors lists the report's Q6 cells at or over 100µs.
+func q6Errors(t *testing.T, rep *Report, first int) []string {
+	const bound = 100 * time.Microsecond
+	var errs []string
+	for _, row := range rep.Rows {
+		if row[0] != "Q6" {
+			continue
+		}
+		for i := first; i < len(row); i++ {
+			d, err := time.ParseDuration(row[i])
+			if err != nil {
+				t.Fatalf("%s %s: %v", rep.ID, rep.Header[i], err)
+			}
+			if d >= bound {
+				errs = append(errs, fmt.Sprintf("%s %s %s: %v, want under %v", rep.ID, strings.Join(row[:first], " "), rep.Header[i], d, bound))
+			}
+		}
+	}
+	return errs
 }
 
 func TestByIDAndIDs(t *testing.T) {

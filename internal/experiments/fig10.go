@@ -67,8 +67,10 @@ func Fig10(opt Options) *Report {
 			for _, l := range layouts {
 				var p plan.Node
 				if spec.queryIx == 5 {
-					p = setup.Data.InsertPlan(insertSeq)
-					insertSeq++
+					// Untimed first insert: it pays the partition copy (see Fig9).
+					engine.Run(setup.Data.InsertPlan(insertSeq), cats[l])
+					p = setup.Data.InsertPlan(insertSeq + 1)
+					insertSeq += 2
 				} else {
 					p = setup.Queries.Plans[spec.queryIx]
 				}

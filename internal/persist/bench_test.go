@@ -61,8 +61,8 @@ func benchCSV(rows int) string {
 }
 
 // BenchmarkBulkLoad measures the streaming CSV ingest path (parse +
-// dictionary encode + append); rows/sec is reported as a metric and
-// bytes/sec via SetBytes.
+// dictionary encode + append) into a row and a column layout; rows/sec is
+// reported as a metric and bytes/sec via SetBytes.
 func BenchmarkBulkLoad(b *testing.B) {
 	const rows = 100_000
 	body := benchCSV(rows)
@@ -71,26 +71,32 @@ func BenchmarkBulkLoad(b *testing.B) {
 		storage.Attribute{Name: "name", Type: storage.String},
 		storage.Attribute{Name: "score", Type: storage.Float64},
 	)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rel := storage.NewRelation(schema, storage.NSM(3))
-		n, err := LoadBatches(rel, NewCSVReader(strings.NewReader(body), 3), 4096,
-			func(batch [][]storage.Word) error {
-				for _, r := range batch {
-					rel.AppendRow(r)
+	for _, l := range []struct {
+		name   string
+		layout storage.Layout
+	}{{"row", storage.NSM(3)}, {"column", storage.DSM(3)}} {
+		b.Run(l.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rel := storage.NewRelation(schema, l.layout)
+				n, err := LoadBatches(rel, NewCSVReader(strings.NewReader(body), 3), 4096,
+					func(batch [][]storage.Word) error {
+						for _, r := range batch {
+							rel.AppendRow(r)
+						}
+						return nil
+					})
+				if err != nil {
+					b.Fatal(err)
 				}
-				return nil
-			})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != rows {
-			b.Fatalf("loaded %d rows", n)
-		}
+				if n != rows {
+					b.Fatalf("loaded %d rows", n)
+				}
+			}
+			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // BenchmarkWALAppendReplay measures logging and replaying insert batches.

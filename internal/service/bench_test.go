@@ -1,127 +1,13 @@
 package service
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/exec/par"
-	"repro/internal/exec/result"
-	"repro/internal/plan"
-	"repro/internal/storage"
 )
-
-// BenchmarkServiceThroughput measures multi-client throughput on one
-// shared worker pool: N closed-loop clients issue Fig-3-style queries
-// (the selectivity mix below) through the full service path — admission,
-// read lock, plan cache, pooled execution. b.N counts requests, so ns/op
-// is per-query latency under that concurrency; the qps metric is the
-// headline number recorded in BENCH_service.json.
-//
-// Setup asserts service results are row-identical to direct core.DB.Query
-// on a pristine serial database before any timing begins.
-func BenchmarkServiceThroughput(b *testing.B) {
-	const rows = 200_000
-	queries := []plan.Node{
-		DemoQuery(0.0001),
-		DemoQuery(0.01),
-		DemoQuery(0.1),
-	}
-	want := reference(b, rows, queries...)
-
-	s := New(NewDemoDB(rows), Config{Workers: 0, MaxInFlight: 32})
-	defer s.Close()
-	for i, q := range queries {
-		res, err := s.Query(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !result.Equal(res, want[i]) {
-			b.Fatalf("query %d: service result differs from direct core.DB.Query", i)
-		}
-	}
-
-	for _, clients := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			g := LoadGen{Clients: clients, Requests: b.N, Queries: queries}
-			b.ResetTimer()
-			rep := g.Run(s)
-			b.StopTimer()
-			if rep.Errors > 0 {
-				b.Fatalf("%d/%d requests failed", rep.Errors, rep.Requests)
-			}
-			b.ReportMetric(rep.QPS, "qps")
-			b.ReportMetric(float64(rep.Rows)/float64(rep.Requests), "rows/op")
-		})
-	}
-}
-
-// BenchmarkServiceThroughputWithWriter is BenchmarkServiceThroughput
-// with a background writer publishing MVCC versions the whole time: a
-// goroutine commits 64-row batches into a side table at a steady pace
-// while the closed-loop clients read. With snapshot reads the writer
-// costs readers only the version-pointer indirection — the acceptance
-// bar is reader qps within 2x of the no-writer run at the same client
-// count. The commits/s metric reports the concurrent write rate.
-func BenchmarkServiceThroughputWithWriter(b *testing.B) {
-	const rows = 200_000
-	queries := []plan.Node{
-		DemoQuery(0.0001),
-		DemoQuery(0.01),
-		DemoQuery(0.1),
-	}
-	s := New(NewDemoDB(rows), Config{Workers: 0, MaxInFlight: 32})
-	defer s.Close()
-	if _, err := s.Load(LoadSpec{Table: "w", Format: "csv", CreateSpec: "v:int64"},
-		strings.NewReader("")); err != nil {
-		b.Fatal(err)
-	}
-	batch := make([][]storage.Word, 64)
-	for i := range batch {
-		batch[i] = []storage.Word{storage.EncodeInt(int64(i))}
-	}
-
-	for _, clients := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			stop := make(chan struct{})
-			var commits atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if _, err := s.Query(plan.Insert{Table: "w", Rows: batch}); err != nil {
-						b.Error(err)
-						return
-					}
-					commits.Add(1)
-					time.Sleep(100 * time.Microsecond)
-				}
-			}()
-			g := LoadGen{Clients: clients, Requests: b.N, Queries: queries}
-			b.ResetTimer()
-			rep := g.Run(s)
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-			if rep.Errors > 0 {
-				b.Fatalf("%d/%d requests failed", rep.Errors, rep.Requests)
-			}
-			b.ReportMetric(rep.QPS, "qps")
-			b.ReportMetric(float64(commits.Load())/rep.Elapsed.Seconds(), "commits/s")
-		})
-	}
-}
 
 // BenchmarkEncodeResult is the result-encoding layer on its own: a reply
 // of the benchmark's `recent` shape (8 columns: four int64, two float64,
@@ -177,4 +63,34 @@ func BenchmarkAppendJSONFloat(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkScrape prices the two periodic observability jobs, which run
+// off the query path: render is one full Prometheus exposition of the
+// service registry (a /metrics scrape), sample is one metrics-history
+// sweep (the sampler's whole per-interval cost). exposition-bytes is the
+// size of the rendered scrape.
+func BenchmarkScrape(b *testing.B) {
+	s := New(NewDemoDB(10_000), Config{Workers: 1})
+	defer s.Close()
+	if _, err := s.Query(DemoQuery(0.1)); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("render", func(b *testing.B) {
+		var sb strings.Builder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sb.Reset()
+			if err := s.Metrics().WritePrometheus(&sb); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(sb.Len()), "exposition-bytes")
+	})
+	b.Run("sample", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.SampleHistory()
+		}
+	})
 }

@@ -312,15 +312,6 @@ func TestServiceStmtRegistryBounded(t *testing.T) {
 	}
 }
 
-func TestLoadGenEmptyQueries(t *testing.T) {
-	s := New(NewDemoDB(1_000), Config{Workers: 1})
-	defer s.Close()
-	rep := LoadGen{Clients: 2, Requests: 10}.Run(s)
-	if rep.Requests != 0 || rep.Errors != 0 {
-		t.Fatalf("empty mix report = %+v, want zero", rep)
-	}
-}
-
 func TestServiceTables(t *testing.T) {
 	s := New(NewDemoDB(testRows), Config{Workers: 1})
 	defer s.Close()
