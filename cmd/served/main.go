@@ -35,9 +35,8 @@
 // directory's snapshot plus WAL on startup, and every insert, bulk load
 // and re-layout is logged. -restore=false wipes the directory's state
 // instead of recovering. A checkpoint runs automatically when the WAL
-// exceeds -checkpoint-wal-mb. -wal-coalesce-ms merges consecutive insert
-// records inside the window into one framed record (smaller logs and
-// shipped streams, durability weakens to "within the window").
+// exceeds -checkpoint-wal-mb. A 2xx from an insert or from /load means
+// its rows are in the WAL (fsynced under -fsync).
 //
 // With -replica-of, the process is a read-only replica: it bootstraps its
 // catalog from the primary's snapshot (serving empty reads immediately and
@@ -97,7 +96,6 @@ func main() {
 		restore     = flag.Bool("restore", true, "with -data-dir: recover existing snapshot + WAL (false wipes them)")
 		fsync       = flag.Bool("fsync", false, "with -data-dir: fsync WAL commits and snapshots")
 		ckptWALMB   = flag.Int("checkpoint-wal-mb", 64, "with -data-dir: WAL size triggering a background checkpoint (<= 0 disables)")
-		coalesceMS  = flag.Int("wal-coalesce-ms", 0, "with -data-dir: coalesce consecutive insert WAL records within this window (0 = off)")
 		replicaOf   = flag.String("replica-of", "", "run as a read-only replica of the primary at this URL")
 		advisorIvl  = flag.Duration("advisor-interval", time.Minute, "period of the layout-drift advisor over the captured workload (0 = only on GET /advisor)")
 		historyIvl  = flag.Duration("history-interval", 10*time.Second, "sampling period of the in-process metrics history behind GET /history (0 = off)")
@@ -150,11 +148,6 @@ func main() {
 		defer mgr.Close()
 		if n := len(db.Catalog().Names()); n > 0 {
 			slog.Info("recovered catalog", slog.Int("tables", n), slog.String("dir", *dataDir))
-		}
-		if *coalesceMS > 0 {
-			if err := mgr.SetCoalesce(time.Duration(*coalesceMS)*time.Millisecond, 0); err != nil {
-				fatal("enabling WAL coalescing", err)
-			}
 		}
 	} else {
 		db = core.Open()

@@ -216,6 +216,6 @@ type LayoutChange struct {
 // per-table decisions. Registered indexes are rebuilt on the re-laid-out
 // relations.
 func (db *DB) OptimizeLayouts() (changes []LayoutChange) {
-	db.write(func(tx *WriteTxn) { changes = tx.OptimizeLayouts() })
+	db.write(func(tx *WriteTxn) { changes, _ = tx.OptimizeLayouts(nil) })
 	return changes
 }

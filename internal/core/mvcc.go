@@ -209,8 +209,12 @@ func (tx *WriteTxn) ApplyLayout(table string, l storage.Layout) {
 
 // OptimizeLayouts runs BPi over every table referenced by the declared
 // workload against the transaction's version, materializing improvements
-// privately; readers keep scanning the old layouts until Commit.
-func (tx *WriteTxn) OptimizeLayouts() []LayoutChange {
+// privately; readers keep scanning the old layouts until Commit. Each
+// decision is passed to logged, when non-nil, before it is materialized:
+// an error there stops the run and is returned with the decisions
+// materialized before it, so a caller that logs decisions there never
+// holds one its log lacks.
+func (tx *WriteTxn) OptimizeLayouts(logged func(LayoutChange) error) ([]LayoutChange, error) {
 	est := costmodel.NewEstimator(tx.cat, tx.db.geometry)
 	o := layout.NewOptimizer(est)
 	var changes []LayoutChange
@@ -220,13 +224,17 @@ func (tx *WriteTxn) OptimizeLayouts() []LayoutChange {
 		oldCost := tx.db.mix.Cost(est, map[string]storage.Layout{tbl: oldLayout})
 		best, newCost := o.Optimize(tbl, tx.db.mix)
 		if !best.Equal(oldLayout) && newCost < oldCost {
+			ch := LayoutChange{Table: tbl, Old: oldLayout, New: best, OldCost: oldCost, NewCost: newCost}
+			if logged != nil {
+				if err := logged(ch); err != nil {
+					return changes, err
+				}
+			}
 			tx.relayout(tbl, rel, best)
-			changes = append(changes, LayoutChange{
-				Table: tbl, Old: oldLayout, New: best, OldCost: oldCost, NewCost: newCost,
-			})
+			changes = append(changes, ch)
 		}
 	}
-	return changes
+	return changes, nil
 }
 
 // CreateIndex builds an index of the given kind (index.KindHash,

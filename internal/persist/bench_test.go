@@ -80,13 +80,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rel := storage.NewRelation(schema, l.layout)
-				n, err := LoadBatches(rel, NewCSVReader(strings.NewReader(body), 3), 4096,
-					func(batch [][]storage.Word) error {
-						for _, r := range batch {
-							rel.AppendRow(r)
-						}
-						return nil
-					})
+				n, err := loadAll(rel, NewCSVReader(strings.NewReader(body), 3), 4096)
 				if err != nil {
 					b.Fatal(err)
 				}

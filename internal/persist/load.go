@@ -17,8 +17,9 @@ import (
 // batches of raw fields; EncodeRows turns a raw batch into word rows for
 // one relation, running string values through its dictionaries. The two
 // halves are split so a caller can parse outside its catalog lock and
-// encode+append inside it — parsing dominates, and dictionary appends are
-// the only part that touches shared state.
+// encode inside it — parsing dominates, and the dictionary growth a batch
+// needs is returned rather than applied, so the caller can log it before
+// it touches shared state.
 
 // Field is one raw cell of an ingested row.
 type Field struct {
@@ -136,17 +137,20 @@ func (n *NDJSONReader) ReadBatch(max int) ([][]Field, error) {
 }
 
 // EncodeRows encodes a raw batch into word rows in rel's schema attribute
-// order, appending new string values to rel's dictionaries (creating a
-// dictionary for a string attribute that has none yet). Because it
-// mutates shared dictionaries, callers in a concurrent setting must hold
-// their catalog write lock. Empty non-string cells and Null fields encode
-// as the NULL word.
-func EncodeRows(rel *storage.Relation, batch [][]Field) ([][]storage.Word, error) {
+// order. It reads rel's dictionaries but never changes them: string
+// values a dictionary lacks come back in grown[attr], in the order of the
+// codes the rows already carry (a column's first new value is coded
+// Dicts[attr].Len(), or 0 without a dictionary), for the caller to append
+// — after logging them — before the rows are published. grown is nil when
+// no column grew. Empty non-string cells and Null fields encode as the
+// NULL word.
+func EncodeRows(rel *storage.Relation, batch [][]Field) (rows [][]storage.Word, grown [][]string, err error) {
 	attrs := rel.Schema.Attrs
-	out := make([][]storage.Word, len(batch))
+	rows = make([][]storage.Word, len(batch))
+	var staged []map[string]storage.Word // per attribute: new value -> code
 	for ri, raw := range batch {
 		if len(raw) != len(attrs) {
-			return nil, fmt.Errorf("persist: row %d has %d fields, want %d", ri, len(raw), len(attrs))
+			return nil, nil, fmt.Errorf("persist: row %d has %d fields, want %d", ri, len(raw), len(attrs))
 		}
 		row := make([]storage.Word, len(attrs))
 		for ai, f := range raw {
@@ -158,60 +162,49 @@ func EncodeRows(rel *storage.Relation, batch [][]Field) ([][]storage.Word, error
 			case storage.Int64:
 				v, err := strconv.ParseInt(f.Text, 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("persist: row %d col %q: %w", ri, attrs[ai].Name, err)
+					return nil, nil, fmt.Errorf("persist: row %d col %q: %w", ri, attrs[ai].Name, err)
 				}
 				row[ai] = storage.EncodeInt(v)
 			case storage.Float64:
 				v, err := strconv.ParseFloat(f.Text, 64)
 				if err != nil {
-					return nil, fmt.Errorf("persist: row %d col %q: %w", ri, attrs[ai].Name, err)
+					return nil, nil, fmt.Errorf("persist: row %d col %q: %w", ri, attrs[ai].Name, err)
 				}
 				row[ai] = storage.EncodeFloat(v)
 			case storage.Bool:
 				v, err := strconv.ParseBool(f.Text)
 				if err != nil {
-					return nil, fmt.Errorf("persist: row %d col %q: %w", ri, attrs[ai].Name, err)
+					return nil, nil, fmt.Errorf("persist: row %d col %q: %w", ri, attrs[ai].Name, err)
 				}
 				row[ai] = storage.EncodeBool(v)
 			case storage.String:
-				d := rel.Dicts[ai]
-				if d == nil {
-					d = storage.BuildDict(nil)
-					rel.Dicts[ai] = d
+				d, base := rel.Dicts[ai], 0
+				if d != nil {
+					if c, ok := d.Code(f.Text); ok {
+						row[ai] = c
+						continue
+					}
+					base = d.Len()
 				}
-				row[ai] = d.AppendCode(f.Text)
+				if grown == nil {
+					grown = make([][]string, len(attrs))
+					staged = make([]map[string]storage.Word, len(attrs))
+				}
+				c, ok := staged[ai][f.Text]
+				if !ok {
+					if staged[ai] == nil {
+						staged[ai] = map[string]storage.Word{}
+					}
+					c = storage.Word(base + len(grown[ai]))
+					staged[ai][f.Text] = c
+					grown[ai] = append(grown[ai], f.Text)
+				}
+				row[ai] = c
 			}
 		}
-		out[ri] = row
+		rows[ri] = row
 	}
-	return out, nil
-}
-
-// LoadBatches drives a full load: parse a batch, encode it against rel,
-// hand the word rows to apply (which owns locking, insertion and WAL
-// logging). It returns the total row count ingested.
-func LoadBatches(rel *storage.Relation, br BatchReader, batchRows int, apply func([][]storage.Word) error) (int, error) {
-	if batchRows <= 0 {
-		batchRows = 4096
-	}
-	total := 0
-	for {
-		raw, err := br.ReadBatch(batchRows)
-		if errors.Is(err, io.EOF) {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-		rows, err := EncodeRows(rel, raw)
-		if err != nil {
-			return total, err
-		}
-		if err := apply(rows); err != nil {
-			return total, err
-		}
-		total += len(rows)
-	}
+	return rows, grown, nil
 }
 
 // ParseSchemaSpec parses a "name:type,name:type" column specification

@@ -1,11 +1,45 @@
 package persist
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/storage"
 )
+
+// loadAll streams br into rel the way the service's /load does, minus
+// logging and transactions: each batch is encoded, its dictionary growth
+// appended, then its rows. It returns the number of rows loaded.
+func loadAll(rel *storage.Relation, br BatchReader, batchRows int) (int, error) {
+	total := 0
+	for {
+		raw, err := br.ReadBatch(batchRows)
+		if errors.Is(err, io.EOF) {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+		rows, grown, err := EncodeRows(rel, raw)
+		if err != nil {
+			return total, err
+		}
+		for ai, values := range grown {
+			if len(values) > 0 && rel.Dicts[ai] == nil {
+				rel.Dicts[ai] = storage.BuildDict(nil)
+			}
+			for _, v := range values {
+				rel.Dicts[ai].AppendCode(v)
+			}
+		}
+		for _, r := range rows {
+			rel.AppendRow(r)
+		}
+		total += len(rows)
+	}
+}
 
 func loadTestRel() *storage.Relation {
 	schema := storage.NewSchema("cities",
@@ -20,12 +54,7 @@ func loadTestRel() *storage.Relation {
 func TestLoadCSV(t *testing.T) {
 	rel := loadTestRel()
 	csv := "1,berlin,3.6,true\n2,hamburg,1.8,false\n3,munich,,false\n"
-	n, err := LoadBatches(rel, NewCSVReader(strings.NewReader(csv), 4), 2, func(rows [][]storage.Word) error {
-		for _, r := range rows {
-			rel.AppendRow(r)
-		}
-		return nil
-	})
+	n, err := loadAll(rel, NewCSVReader(strings.NewReader(csv), 4), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +86,7 @@ func TestLoadNDJSON(t *testing.T) {
 
 [3, "munich", 1.5, null]
 `
-	n, err := LoadBatches(rel, NewNDJSONReader(strings.NewReader(nd), 4), 0, func(rows [][]storage.Word) error {
-		for _, r := range rows {
-			rel.AppendRow(r)
-		}
-		return nil
-	})
+	n, err := loadAll(rel, NewNDJSONReader(strings.NewReader(nd), 4), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +103,12 @@ func TestLoadNDJSON(t *testing.T) {
 
 func TestLoadErrorsNameTheCell(t *testing.T) {
 	rel := loadTestRel()
-	_, err := LoadBatches(rel, NewCSVReader(strings.NewReader("x,berlin,1,true\n"), 4), 0,
-		func([][]storage.Word) error { return nil })
+	_, err := loadAll(rel, NewCSVReader(strings.NewReader("x,berlin,1,true\n"), 4), 4096)
 	if err == nil || !strings.Contains(err.Error(), `col "id"`) {
 		t.Fatalf("err = %v, want cell-naming parse error", err)
 	}
 
-	_, err = LoadBatches(rel, NewNDJSONReader(strings.NewReader(`[1, "a"]`), 4), 0,
-		func([][]storage.Word) error { return nil })
+	_, err = loadAll(rel, NewNDJSONReader(strings.NewReader(`[1, "a"]`), 4), 4096)
 	if err == nil || !strings.Contains(err.Error(), "want 4") {
 		t.Fatalf("err = %v, want arity error", err)
 	}

@@ -14,12 +14,12 @@
 //     creations. Recovery is snapshot + WAL replay; a torn final record
 //     (the write in flight at the crash) is discarded.
 //
-// Durability contract: WAL records are buffered and flushed at each
-// commit boundary (one flush per logical batch — group commit); with
-// Options.Fsync they are also fsync'd, making every committed batch
-// crash-durable. Snapshots are always written to a temp file, fsync'd and
-// atomically renamed, so a crash mid-checkpoint leaves the previous
-// snapshot intact. Without Fsync, a kernel crash can lose the tail of the
+// Durability contract: every Log call writes one record and returns only
+// after it is flushed to the WAL file — an acknowledged mutation is on
+// disk, with no later flush to wait for; with Options.Fsync it is also
+// fsync'd, making it crash-durable. Snapshots are always written to a
+// temp file, fsync'd and atomically renamed, so a crash mid-checkpoint
+// leaves the previous snapshot intact. Without Fsync, a kernel crash can lose the tail of the
 // WAL that the OS had not written back; a plain process kill (SIGKILL)
 // loses nothing that was committed.
 package persist
@@ -85,8 +85,6 @@ type Manager struct {
 	records   int64
 	notify    chan struct{}
 
-	co coalesce // insert-record coalescing state (see SetCoalesce)
-
 	epoch       uint64 // current checkpoint epoch (snapshot and WAL agree)
 	checkpoints int64
 
@@ -113,8 +111,7 @@ type Manager struct {
 // commitStamp records one durable group commit: the committed WAL
 // length it produced, its process-monotonic sequence number, the
 // wall-clock commit time and the correlation id of the triggering write
-// (empty when untagged; a coalesced flush carries the last tag set
-// inside its window).
+// (empty when untagged).
 type commitStamp struct {
 	end   int64 // committed WAL length after this commit
 	seq   int64
@@ -199,15 +196,11 @@ func Open(opts Options) (*core.DB, *Manager, error) {
 	}, nil
 }
 
-// Close flushes (including any coalesced pending batch) and closes the
-// WAL.
+// Close flushes and closes the WAL.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	err := m.flushPendingLocked()
-	if cerr := m.w.close(); err == nil {
-		err = cerr
-	}
+	err := m.w.close()
 	if cerr := m.reader.Close(); err == nil {
 		err = cerr
 	}
@@ -246,33 +239,9 @@ func (m *Manager) Checkpoints() int64 {
 	return m.checkpoints
 }
 
-// LogInsert records appended tuples (in schema attribute order). With
-// coalescing enabled (SetCoalesce), consecutive inserts into the same
-// table merge into one framed record instead of committing immediately.
+// LogInsert records appended tuples (in schema attribute order).
 func (m *Manager) LogInsert(table string, width int, rows [][]storage.Word) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.co.window <= 0 {
-		return m.commitLocked(walInsertBody(table, width, rows))
-	}
-	if err := m.co.err; err != nil {
-		m.co.err = nil
-		return err
-	}
-	if len(m.co.rows) > 0 && (m.co.table != table || m.co.width != width) {
-		if err := m.flushPendingLocked(); err != nil {
-			return err
-		}
-	}
-	if len(m.co.rows) == 0 {
-		m.co.table, m.co.width = table, width
-		m.co.timer = time.AfterFunc(m.co.window, m.flushTimer)
-	}
-	m.co.rows = append(m.co.rows, rows...)
-	if len(m.co.rows) >= m.co.maxRows {
-		return m.flushPendingLocked()
-	}
-	return nil
+	return m.commit(walInsertBody(table, width, rows))
 }
 
 // LogCreateTable records a table creation with its current content —
@@ -299,23 +268,13 @@ func (m *Manager) LogDictAppend(table string, attr int, values []string) error {
 	return m.commit(walDictAppendBody(table, attr, values))
 }
 
-// commit flushes any coalesced pending batch (preserving record order)
-// and then appends one record durably.
+// commit appends one record and makes it durable before returning. A
+// WAL that was just reset (or newly created) receives its leading epoch
+// record in the same commit — lazily, so an earlier failed stamp attempt
+// can never leave mutation records in a headerless log.
 func (m *Manager) commit(body []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.flushPendingLocked(); err != nil {
-		return err
-	}
-	return m.commitLocked(body)
-}
-
-// commitLocked appends one record and makes the batch durable (group
-// commit: the record plus anything buffered before it). A WAL that was
-// just reset (or newly created) receives its leading epoch record in
-// the same commit — lazily, so an earlier failed stamp attempt can
-// never leave mutation records in a headerless log.
-func (m *Manager) commitLocked(body []byte) error {
 	if err := faultinject.Hit("persist/wal-commit"); err != nil {
 		return err
 	}
@@ -356,8 +315,7 @@ func (m *Manager) commitLocked(body []byte) error {
 // Tag attaches a correlation id to the next commit: the service's write
 // paths call it (under their commit mutex) right before the LogX call
 // it describes, so the stamp — and through TailRead every follower —
-// learns which request produced the bytes. With coalescing, the merged
-// record carries the last tag set inside the window.
+// learns which request produced the bytes.
 func (m *Manager) Tag(qid string) {
 	if qid == "" {
 		return
@@ -426,26 +384,19 @@ type CheckpointInfo struct {
 // core.Snapshot + CheckpointFrom, which the service layer uses so a slow
 // snapshot never stalls writers.
 func (m *Manager) Checkpoint(db *core.DB) (CheckpointInfo, error) {
-	pos, err := m.BeginCheckpoint()
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return m.CheckpointFrom(db.Catalog(), pos)
+	return m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint())
 }
 
-// BeginCheckpoint flushes any coalesced pending batch and returns the
-// committed WAL position the checkpoint covers. The caller must pin the
-// catalog snapshot it will serialize while holding the same exclusion it
-// applies to loggers (the service's commit mutex), so the returned
-// position and the pinned state agree: everything at or below it is in
-// the snapshot, everything after it is not.
-func (m *Manager) BeginCheckpoint() (int64, error) {
+// BeginCheckpoint returns the committed WAL position the checkpoint
+// covers. The caller must pin the catalog snapshot it will serialize
+// while holding the same exclusion it applies to loggers (the service's
+// commit mutex), so the returned position and the pinned state agree:
+// everything at or below it is in the snapshot, everything after it is
+// not.
+func (m *Manager) BeginCheckpoint() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.flushPendingLocked(); err != nil {
-		return 0, err
-	}
-	return m.committed, nil
+	return m.committed
 }
 
 // CheckpointFrom serializes cat — a catalog pinned at WAL position pos —
@@ -482,11 +433,6 @@ func (m *Manager) CheckpointFrom(cat *plan.Catalog, pos int64) (CheckpointInfo, 
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Coalesced rows still pending were applied in memory after the pin,
-	// so the snapshot does NOT contain them — flush them into the suffix.
-	if err := m.flushPendingLocked(); err != nil {
-		return CheckpointInfo{}, err
-	}
 	suffix, records, err := m.suffixRecordsLocked(pos)
 	if err != nil {
 		return CheckpointInfo{}, err

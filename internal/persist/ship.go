@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
-
-	"repro/internal/storage"
 )
 
 // Log shipping: the replication-facing side of the WAL. A replica
@@ -168,74 +165,4 @@ func EpochRecord(body []byte) (uint64, bool) {
 		return 0, false
 	}
 	return e, true
-}
-
-// Insert-record coalescing. High-frequency small inserts cost one framed
-// record (and one flush) each; coalescing merges consecutive LogInsert
-// calls for the same table into a single record, committed when a
-// different record type or table is logged, maxRows accumulate, the
-// window elapses, or Flush/Close/Checkpoint runs. The durability
-// contract weakens from "durable at return" to "durable within window" —
-// rows pending in the window are lost if the process dies — which is the
-// explicit trade the knob buys: smaller local logs and fewer shipped
-// bytes.
-type coalesce struct {
-	window  time.Duration
-	maxRows int
-
-	table string
-	width int
-	rows  [][]storage.Word
-	timer *time.Timer
-	err   error // sticky failure from a timer-path flush
-}
-
-// SetCoalesce enables (window > 0) or disables (window <= 0) insert
-// coalescing. maxRows bounds a merged record (0 means 4096). Pending rows
-// are flushed before the setting changes.
-func (m *Manager) SetCoalesce(window time.Duration, maxRows int) error {
-	if maxRows <= 0 {
-		maxRows = 4096
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.flushPendingLocked(); err != nil {
-		return err
-	}
-	m.co.window, m.co.maxRows = window, maxRows
-	return nil
-}
-
-// Flush commits any pending coalesced insert batch.
-func (m *Manager) Flush() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.flushPendingLocked()
-}
-
-// flushTimer is the window-expiry path; its failure is reported by the
-// next LogInsert (the rows stay applied in memory either way).
-func (m *Manager) flushTimer() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.flushPendingLocked(); err != nil {
-		m.co.err = err
-	}
-}
-
-func (m *Manager) flushPendingLocked() error {
-	if len(m.co.rows) == 0 {
-		return nil
-	}
-	body := walInsertBody(m.co.table, m.co.width, m.co.rows)
-	m.dropPendingLocked()
-	return m.commitLocked(body)
-}
-
-func (m *Manager) dropPendingLocked() {
-	m.co.rows = nil
-	if m.co.timer != nil {
-		m.co.timer.Stop()
-		m.co.timer = nil
-	}
 }

@@ -198,148 +198,6 @@ func TestParseFrameTornAndCorrupt(t *testing.T) {
 	}
 }
 
-// TestCoalesceMergesInserts checks the record-count and ordering
-// contract: consecutive same-table inserts merge into one frame, any
-// other record (or Flush, or the row cap) cuts the batch first, and
-// replay reproduces every row.
-func TestCoalesceMergesInserts(t *testing.T) {
-	dir := t.TempDir()
-	db, m, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := storage.NewRelation(storage.NewSchema("t",
-		storage.Attribute{Name: "a", Type: storage.Int64},
-		storage.Attribute{Name: "b", Type: storage.Int64},
-	), storage.NSM(2))
-	db.AddTable(rel)
-	if err := m.LogCreateTable(db.Catalog(), "t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetCoalesce(time.Hour, 100); err != nil { // window never fires in-test
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 10; i++ {
-		insertLogged(t, db, m, row2(int64(i), int64(i*10)))
-	}
-	// Pending rows are not yet committed...
-	before, err := m.TailRead(m.Epoch(), 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, mutsBefore := countFrames(t, before.Data)
-	if mutsBefore != 1 { // just the create-table record
-		t.Fatalf("mutation frames before flush = %d, want 1", mutsBefore)
-	}
-	// ...an index creation must cut the batch ahead of itself to keep
-	// record order.
-	db.CreateHashIndex("t", 0)
-	if err := m.LogCreateIndex("t", 0, "hash"); err != nil {
-		t.Fatal(err)
-	}
-	after, err := m.TailRead(m.Epoch(), 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, muts := countFrames(t, after.Data)
-	if muts != 3 { // create-table + ONE coalesced insert + create-index
-		t.Fatalf("mutation frames = %d, want 3 (10 inserts coalesced into 1)", muts)
-	}
-
-	// The row cap flushes automatically.
-	capRows := make([][]storage.Word, 120)
-	for i := range capRows {
-		capRows[i] = row2(int64(1000+i), 0)
-	}
-	exec.RunInsert(plan.Insert{Table: "t", Rows: capRows}, db.Catalog())
-	if err := m.LogInsert("t", 2, capRows); err != nil {
-		t.Fatal(err)
-	}
-	if m.WALSize() == after.Committed {
-		t.Fatal("row cap did not flush the batch")
-	}
-	if err := m.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	recovered, m2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	if got, want := recovered.Catalog().Table("t").Rows(), db.Catalog().Table("t").Rows(); got != want {
-		t.Fatalf("recovered %d rows, want %d", got, want)
-	}
-	for _, table := range db.Catalog().Names() {
-		assertBitIdentical(t, table, db, recovered)
-	}
-}
-
-// TestCoalesceWindowFlushes relies on the timer path alone.
-func TestCoalesceWindowFlushes(t *testing.T) {
-	db, m := shipDB(t)
-	if err := m.SetCoalesce(10*time.Millisecond, 1000); err != nil {
-		t.Fatal(err)
-	}
-	insertLogged(t, db, m, row2(1, 1))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		tail, err := m.TailRead(m.Epoch(), 0, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, muts := countFrames(t, tail.Data)
-		if muts >= 2 { // create-table + the window-flushed insert
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("window flush never committed the pending batch")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestCoalesceCheckpointDropsPending: rows pending in the window are in
-// the snapshot the checkpoint writes, so the reset must drop them —
-// recovery must see them exactly once.
-func TestCoalesceCheckpointDropsPending(t *testing.T) {
-	dir := t.TempDir()
-	db, m, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := storage.NewRelation(storage.NewSchema("t",
-		storage.Attribute{Name: "a", Type: storage.Int64},
-		storage.Attribute{Name: "b", Type: storage.Int64},
-	), storage.NSM(2))
-	db.AddTable(rel)
-	if err := m.LogCreateTable(db.Catalog(), "t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetCoalesce(time.Hour, 1000); err != nil {
-		t.Fatal(err)
-	}
-	insertLogged(t, db, m, row2(1, 1), row2(2, 2))
-	if _, err := m.Checkpoint(db); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recovered, m2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	if got := recovered.Catalog().Table("t").Rows(); got != 2 {
-		t.Fatalf("recovered %d rows, want 2 (pending batch duplicated or lost)", got)
-	}
-}
-
 // TestTailCommitStamps pins the write-tracing surface: every commit
 // stamps a monotonic sequence + wall-clock time (plus the tagged
 // correlation id), TailRead resolves the newest stamp its bytes cover,

@@ -2,7 +2,6 @@ package repl
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
@@ -13,7 +12,7 @@ import (
 // shipWAL logs a create-table plus rows/perRecord insert records and
 // returns the committed WAL bytes (the stream a follower would receive)
 // and the manager's epoch.
-func shipWAL(b *testing.B, rows, perRecord int, coalesce bool) ([]byte, uint64) {
+func shipWAL(b *testing.B, rows, perRecord int) ([]byte, uint64) {
 	b.Helper()
 	db, mgr, err := persist.Open(persist.Options{Dir: b.TempDir()})
 	if err != nil {
@@ -28,11 +27,6 @@ func shipWAL(b *testing.B, rows, perRecord int, coalesce bool) ([]byte, uint64) 
 	db.AddTable(rel)
 	if err := mgr.LogCreateTable(db.Catalog(), "t"); err != nil {
 		b.Fatal(err)
-	}
-	if coalesce {
-		if err := mgr.SetCoalesce(time.Hour, 4096); err != nil {
-			b.Fatal(err)
-		}
 	}
 	batch := make([][]storage.Word, 0, perRecord)
 	for i := 0; i < rows; i++ {
@@ -51,9 +45,6 @@ func shipWAL(b *testing.B, rows, perRecord int, coalesce bool) ([]byte, uint64) 
 			b.Fatal(err)
 		}
 	}
-	if err := mgr.Flush(); err != nil {
-		b.Fatal(err)
-	}
 	tail, err := mgr.TailRead(mgr.Epoch(), 0, 1<<31-1)
 	if err != nil {
 		b.Fatal(err)
@@ -65,12 +56,12 @@ func shipWAL(b *testing.B, rows, perRecord int, coalesce bool) ([]byte, uint64) 
 // throughput on a replica (rows/s through ApplyReplicated, which is the
 // recovery replay path under the service write lock, over a stream of
 // 4,096-row records) and ship bandwidth (WAL bytes per row for single-row
-// inserts, with and without coalescing).
+// inserts; apply's bytes/row is the multi-row comparison).
 func BenchmarkReplication(b *testing.B) {
 	const rows = 100_000
 
 	b.Run("apply", func(b *testing.B) {
-		chunk, epoch := shipWAL(b, rows, 4096, false)
+		chunk, epoch := shipWAL(b, rows, 4096)
 		b.SetBytes(int64(len(chunk)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -85,20 +76,15 @@ func BenchmarkReplication(b *testing.B) {
 		b.ReportMetric(float64(len(chunk))/rows, "bytes/row")
 	})
 
-	for _, c := range []struct {
-		name     string
-		coalesce bool
-	}{{"ship-single-row", false}, {"ship-coalesced", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			var bytesTotal int64
-			rowsTotal := 0
-			for i := 0; i < b.N; i++ {
-				n := rows / 10
-				chunk, _ := shipWAL(b, n, 1, c.coalesce)
-				bytesTotal += int64(len(chunk))
-				rowsTotal += n
-			}
-			b.ReportMetric(float64(bytesTotal)/float64(rowsTotal), "bytes/row")
-		})
-	}
+	b.Run("ship-single-row", func(b *testing.B) {
+		var bytesTotal int64
+		rowsTotal := 0
+		for i := 0; i < b.N; i++ {
+			n := rows / 10
+			chunk, _ := shipWAL(b, n, 1)
+			bytesTotal += int64(len(chunk))
+			rowsTotal += n
+		}
+		b.ReportMetric(float64(bytesTotal)/float64(rowsTotal), "bytes/row")
+	})
 }

@@ -15,9 +15,8 @@ import (
 )
 
 // TestWALCommitFailpoint fails the WAL commit under a load: the service
-// must surface ErrDurability (the batch is applied in memory but not
-// logged — the operator's signal to fail the node over rather than trust
-// it), count the persist error, and recover once the fault clears.
+// must surface ErrDurability (the batch is neither logged nor applied),
+// count the persist error, and recover once the fault clears.
 func TestWALCommitFailpoint(t *testing.T) {
 	s, mgr := openPersistent(t, t.TempDir(), Config{Workers: 1})
 	t.Cleanup(func() {

@@ -304,10 +304,10 @@ func (s *DB) handleLoad(w http.ResponseWriter, r *http.Request) {
 	res, err := s.Load(spec, r.Body)
 	if err != nil {
 		// Client mistakes (bad spec, unparsable rows) are 400s; a WAL
-		// failure after rows were applied is a server fault — retrying
-		// the load would duplicate them. Either way the response names
-		// how many rows were already durably applied, so callers can
-		// resume the stream instead of re-sending it.
+		// failure is a server fault. Either way the failed batch was not
+		// applied and the response names how many rows earlier batches
+		// durably applied, so callers resume the stream instead of
+		// re-sending it (which would duplicate those rows).
 		status := http.StatusBadRequest
 		switch {
 		case errors.Is(err, ErrDurability):
@@ -536,8 +536,8 @@ func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 // writeQueryError maps service errors onto status codes: overload to
 // 429, writes on a read-only replica or a fenced (superseded) primary to
 // 409 (the error names the primary that should take them), durability
-// failures (mutation applied, WAL write failed) to 500, everything else
-// (decode/validation) to 400.
+// failures (WAL write failed, the mutation was not applied) to 500,
+// everything else (decode/validation) to 400.
 func writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):

@@ -4,19 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 
+	"repro/internal/core"
 	"repro/internal/persist"
+	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
 // Bulk ingestion: the streaming counterpart of plan.Insert. Rows arrive
 // as CSV or NDJSON, are parsed outside any lock, and enter the table
-// batch-by-batch: each batch is one MVCC commit — dictionary encoding,
-// WAL logging, copy-on-write insert and atomic publish under the commit
-// mutex — so a gigabyte load publishes one version per batch, concurrent
-// queries run lock-free on whichever version they pinned, and only other
-// writers ever wait on a batch.
+// batch-by-batch: each batch is one write (write.go) — dictionary
+// encoding, WAL logging, copy-on-write insert and atomic publish under the
+// commit mutex — so a gigabyte load publishes one version per batch,
+// concurrent queries run lock-free on whichever version they pinned, and
+// only other writers ever wait on a batch.
 
 // loadBatchRows is the ingest batch size: large enough to amortize
 // commit-mutex acquisition and WAL commit, small enough to bound how
@@ -49,14 +50,12 @@ type LoadResult struct {
 
 // Load streams rows from r into a table. Creating the table (when
 // CreateSpec is set) is DDL and is WAL-logged; every ingested batch is
-// logged like an insert, so a crash mid-load recovers every committed
-// batch. Queries run concurrently with the load and see the table grow
-// batch-wise.
+// its own write, logged like an insert, so a crash mid-load recovers
+// every committed batch, and a node fenced or demoted mid-stream stops
+// the load at the next batch. Queries run concurrently with the load and
+// see the table grow batch-wise.
 func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 	res := LoadResult{Table: spec.Table}
-	if err := s.writeGuard(); err != nil {
-		return res, err
-	}
 	if spec.Table == "" {
 		return res, errors.New("service: load needs a table name")
 	}
@@ -64,7 +63,7 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 		return res, fmt.Errorf("service: load format %q (want csv or ndjson)", spec.Format)
 	}
 
-	rel, created, err := s.loadTarget(spec)
+	width, created, err := s.loadTarget(spec)
 	if err != nil {
 		return res, err
 	}
@@ -72,12 +71,11 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 
 	var br persist.BatchReader
 	if spec.Format == "csv" {
-		br = persist.NewCSVReader(r, rel.Schema.Width())
+		br = persist.NewCSVReader(r, width)
 	} else {
-		br = persist.NewNDJSONReader(r, rel.Schema.Width())
+		br = persist.NewNDJSONReader(r, width)
 	}
 
-	width := rel.Schema.Width()
 	for {
 		raw, err := br.ReadBatch(loadBatchRows)
 		if errors.Is(err, io.EOF) {
@@ -86,126 +84,91 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 		if err != nil {
 			return res, err
 		}
-		if err := s.applyLoadBatch(spec.Table, width, raw, spec.QueryID); err != nil {
+		if err := s.applyLoadBatch(spec.Table, raw, spec.QueryID); err != nil {
 			return res, err
 		}
 		res.Rows += len(raw)
-		// Check the WAL threshold per batch, not per load: a multi-GB
-		// stream must checkpoint along the way (safe because each batch
-		// releases the write lock).
-		s.maybeCheckpointAsync()
 	}
 	s.stats.loads.Add(1)
 	s.stats.loadedRows.Add(int64(res.Rows))
 	return res, nil
 }
 
-// loadTarget resolves (or creates) the target relation. A create is a
-// full MVCC commit: the table is WAL-logged from the transaction's
-// private catalog first, then published — a logging failure leaves the
-// catalog without the table, so the load is safe to retry.
-func (s *DB) loadTarget(spec LoadSpec) (*storage.Relation, bool, error) {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	cat := s.core().Catalog()
-	if cat.Has(spec.Table) {
-		if spec.CreateSpec != "" {
-			return nil, false, fmt.Errorf("service: table %q already exists, drop the create spec", spec.Table)
+// loadTarget resolves (or creates) the target table and returns its
+// width. A create is a write of its own: the table is WAL-logged, then
+// added and published — a logging failure leaves the catalog without the
+// table, so the load is safe to retry.
+func (s *DB) loadTarget(spec LoadSpec) (width int, created bool, err error) {
+	err = s.write(spec.QueryID, func(tx *core.WriteTxn, log logFn) error {
+		cat := tx.Catalog()
+		if cat.Has(spec.Table) {
+			if spec.CreateSpec != "" {
+				return fmt.Errorf("service: table %q already exists, drop the create spec", spec.Table)
+			}
+			width = cat.Table(spec.Table).Schema.Width()
+			return nil
 		}
-		return cat.Table(spec.Table), false, nil
-	}
-	if spec.CreateSpec == "" {
-		return nil, false, fmt.Errorf("service: unknown table %q (pass a create spec to create it)", spec.Table)
-	}
-	attrs, err := persist.ParseSchemaSpec(spec.CreateSpec)
-	if err != nil {
-		return nil, false, err
-	}
-	var layout storage.Layout
-	switch spec.Layout {
-	case "", "row":
-		layout = storage.NSM(len(attrs))
-	case "column":
-		layout = storage.DSM(len(attrs))
-	default:
-		return nil, false, fmt.Errorf("service: load layout %q (want row or column)", spec.Layout)
-	}
-	rel := storage.NewRelation(storage.NewSchema(spec.Table, attrs...), layout)
-	tx := s.core().BeginWrite()
-	tx.AddTable(rel)
-	if m := s.mgr(); m != nil {
-		if spec.QueryID != "" {
-			m.Tag(spec.QueryID)
+		if spec.CreateSpec == "" {
+			return fmt.Errorf("service: unknown table %q (pass a create spec to create it)", spec.Table)
 		}
-		if err := m.LogCreateTable(tx.Catalog(), spec.Table); err != nil {
-			s.stats.persistErrs.Add(1)
-			return nil, false, fmt.Errorf("%w: create not logged, table not created (safe to retry): %v", ErrDurability, err)
+		attrs, err := persist.ParseSchemaSpec(spec.CreateSpec)
+		if err != nil {
+			return err
 		}
-	}
-	tx.Commit()
-	s.invalidate()
-	return rel, true, nil
+		var layout storage.Layout
+		switch spec.Layout {
+		case "", "row":
+			layout = storage.NSM(len(attrs))
+		case "column":
+			layout = storage.DSM(len(attrs))
+		default:
+			return fmt.Errorf("service: load layout %q (want row or column)", spec.Layout)
+		}
+		rel := storage.NewRelation(storage.NewSchema(spec.Table, attrs...), layout)
+		if err := log("create", func(m *persist.Manager) error {
+			return m.LogCreateTable(plan.NewCatalog().Add(rel), spec.Table)
+		}); err != nil {
+			return err
+		}
+		tx.AddTable(rel)
+		width, created = len(attrs), true
+		return nil
+	})
+	return width, created, err
 }
 
-// applyLoadBatch encodes one parsed batch, WAL-logs it and commits it as
-// one MVCC version under the commit mutex. The relation is re-resolved
-// per batch in case a concurrent /optimize published a re-laid-out
-// sibling (dictionaries are shared between versions, so codes stay
-// consistent either way). Dictionary appends land in the shared,
-// append-only dictionaries before the publish — harmless to concurrent
-// readers, whose pinned rows only reference the pre-existing prefix.
-func (s *DB) applyLoadBatch(table string, width int, raw [][]persist.Field, qid string) error {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	tx := s.core().BeginWrite()
-	rel := tx.Catalog().Table(table)
-	// Remember dictionary sizes: values appended by this batch's encoding
-	// must be WAL-logged (insert records carry only codes).
-	preDict := make([]int, width)
-	for ai, d := range rel.Dicts {
-		if d != nil {
-			preDict[ai] = d.Len()
+// applyLoadBatch encodes one parsed batch and commits it as one write.
+// The relation is re-resolved per batch in case a concurrent /optimize
+// published a re-laid-out sibling (dictionaries are shared between
+// versions, so codes stay consistent either way). The batch's new string
+// values are logged, then appended to the shared, append-only
+// dictionaries before the rows are — harmless to concurrent readers,
+// whose pinned rows only reference the pre-existing prefix. A batch that
+// fails to encode changes nothing.
+func (s *DB) applyLoadBatch(table string, raw [][]persist.Field, qid string) error {
+	return s.write(qid, func(tx *core.WriteTxn, log logFn) error {
+		rel := tx.Catalog().Table(table)
+		rows, grown, err := persist.EncodeRows(rel, raw)
+		if err != nil {
+			return err
 		}
-	}
-	rows, encErr := persist.EncodeRows(rel, raw)
-	// Dictionary growth is logged even when encoding failed mid-batch:
-	// the values appended before the failure are in the in-memory
-	// dictionary, and the next batch's delta is computed against it — a
-	// skipped delta would shift every later code on replay.
-	if m := s.mgr(); m != nil {
-		for ai, d := range rel.Dicts {
-			if d == nil || d.Len() == preDict[ai] {
+		for ai, values := range grown {
+			if len(values) == 0 {
 				continue
 			}
-			if err := m.LogDictAppend(table, ai, d.Values()[preDict[ai]:]); err != nil {
-				s.stats.persistErrs.Add(1)
-				return fmt.Errorf("%w: dictionary growth not logged: %v", ErrDurability, err)
+			if err := log("dictionary growth", func(m *persist.Manager) error {
+				return m.LogDictAppend(table, ai, values)
+			}); err != nil {
+				return err
 			}
+			tx.DictAppend(table, ai, values)
 		}
-	}
-	if encErr != nil {
-		return encErr
-	}
-	if m := s.mgr(); m != nil {
-		if qid != "" {
-			m.Tag(qid)
+		if err := log("batch", func(m *persist.Manager) error {
+			return m.LogInsert(table, rel.Schema.Width(), rows)
+		}); err != nil {
+			return err
 		}
-		if err := m.LogInsert(table, width, rows); err != nil {
-			s.stats.persistErrs.Add(1)
-			return fmt.Errorf("%w: batch not logged, rows not applied (resume from rowsApplied): %v", ErrDurability, err)
-		}
-		// Coalescing can defer the commit past this batch, so only log a
-		// stamped commit that actually carries this load's id.
-		if seq, _, lqid := m.LastCommit(); qid != "" && lqid == qid {
-			s.logger().Debug("wal commit",
-				slog.String("id", qid),
-				slog.Int64("commitSeq", seq),
-				slog.String("table", table),
-				slog.Int("rows", len(rows)))
-		}
-	}
-	tx.Insert(table, rows)
-	tx.Commit()
-	s.invalidate()
-	return nil
+		tx.Insert(table, rows)
+		return nil
+	})
 }

@@ -193,35 +193,31 @@ func (s *DB) SwapCore(db *core.DB) {
 // marker that does not match epoch stops the apply with an error; the
 // already-applied prefix still publishes and is reported.
 func (s *DB) ApplyReplicated(chunk []byte, epoch uint64) (consumed, applied int, err error) {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	tx := s.core().BeginWrite()
-	for consumed < len(chunk) {
-		body, n, ferr := persist.ParseFrame(chunk[consumed:])
-		if ferr != nil {
-			err = ferr
-			break
-		}
-		if n == 0 {
-			break // torn tail: no complete frame in the remainder
-		}
-		if e, isEpoch := persist.EpochRecord(body); isEpoch {
-			if e != epoch {
-				err = fmt.Errorf("service: shipped WAL carries epoch %d, following %d", e, epoch)
+	s.transact(func(tx *core.WriteTxn) bool {
+		for consumed < len(chunk) {
+			body, n, ferr := persist.ParseFrame(chunk[consumed:])
+			if ferr != nil {
+				err = ferr
 				break
 			}
-		} else if aerr := persist.ApplyRecordTo(tx, body); aerr != nil {
-			err = aerr
-			break
-		} else {
-			applied++
+			if n == 0 {
+				break // torn tail: no complete frame in the remainder
+			}
+			if e, isEpoch := persist.EpochRecord(body); isEpoch {
+				if e != epoch {
+					err = fmt.Errorf("service: shipped WAL carries epoch %d, following %d", e, epoch)
+					break
+				}
+			} else if aerr := persist.ApplyRecordTo(tx, body); aerr != nil {
+				err = aerr
+				break
+			} else {
+				applied++
+			}
+			consumed += n
 		}
-		consumed += n
-	}
-	if applied > 0 {
-		tx.Commit()
-		s.invalidate()
-	}
+		return applied > 0
+	})
 	return consumed, applied, err
 }
 

@@ -113,9 +113,9 @@ type DB struct {
 
 	// commitMu serializes writers: inserts, bulk-load batches, layout
 	// optimization, replica WAL-apply, core swaps, and the pin+position
-	// step of a checkpoint. Each holds it while building the next catalog
-	// version copy-on-write and publishing it (core.WriteTxn). Readers
-	// never take it — they pin snapshots and run lock-free.
+	// step of a checkpoint. Catalog writers hold it while building the
+	// next version copy-on-write and publishing it (transact, write.go).
+	// Readers never take it — they pin snapshots and run lock-free.
 	commitMu sync.Mutex
 
 	// plans caches compiled queries by canonical plan JSON in an LRU
@@ -655,56 +655,6 @@ func (s *DB) runRead(p plan.Node, key digest, armed bool) (*result.Set, *obs.Que
 	return res, tr, nil
 }
 
-// runInsert applies a write plan under the commit mutex: it WAL-logs the
-// rows first, then builds the next catalog version copy-on-write and
-// publishes it atomically. A WAL failure therefore rejects the insert
-// with nothing applied (safe to retry); concurrent readers on pinned
-// snapshots never see the rows until the publish. The commit drops every
-// cached plan — entries are epoch-keyed, so stale ones could never be
-// reused, but without the flush they would linger in the LRU. A non-empty
-// qid is stamped onto the WAL commit for end-to-end write tracing.
-func (s *DB) runInsert(p plan.Node, qid string) (*result.Set, error) {
-	if err := s.writeGuard(); err != nil {
-		return nil, err
-	}
-	res, err := func() (*result.Set, error) {
-		s.commitMu.Lock()
-		defer s.commitMu.Unlock()
-		tx := s.core().BeginWrite()
-		if err := plan.Check(p, tx.Catalog()); err != nil {
-			return nil, err
-		}
-		ins := p.(plan.Insert)
-		if m := s.mgr(); m != nil {
-			width := tx.Catalog().Table(ins.Table).Schema.Width()
-			if qid != "" {
-				m.Tag(qid)
-			}
-			if err := m.LogInsert(ins.Table, width, ins.Rows); err != nil {
-				s.stats.persistErrs.Add(1)
-				return nil, fmt.Errorf("%w: insert not logged, nothing applied (safe to retry): %v", ErrDurability, err)
-			}
-			// The coalescer may hold the rows back; only a commit that
-			// actually carries this id gets the correlated log line.
-			if seq, _, lqid := m.LastCommit(); qid != "" && lqid == qid {
-				s.logger().Debug("wal commit",
-					slog.String("id", qid),
-					slog.Int64("commitSeq", seq),
-					slog.String("table", ins.Table),
-					slog.Int("rows", len(ins.Rows)))
-			}
-		}
-		res := tx.Insert(ins.Table, ins.Rows)
-		tx.Commit()
-		s.invalidate()
-		return res, nil
-	}()
-	if err == nil {
-		s.maybeCheckpointAsync()
-	}
-	return res, err
-}
-
 // defaultPlanCacheSize bounds the plan cache between catalog changes, so
 // a client streaming distinct plans (e.g. sweeping a filter constant)
 // cannot grow service memory without bound. The cache is an optimization:
@@ -769,56 +719,10 @@ func (s *DB) invalidate() {
 	s.planMu.Unlock()
 }
 
-// OptimizeLayouts runs the layout optimizer under the commit mutex — the
-// serving analogue of core.DB.OptimizeLayouts. Re-laid-out tables are
-// materialized copy-on-write and publish in one atomic version swap, so
-// queries running on pinned snapshots finish against the old partitions
-// untouched. With persistence attached, each decision is WAL-logged
-// before the publish so recovery re-applies the exact chosen layouts; if
-// the log rejects one, the call returns ErrDurability and publishes only
-// the decisions logged before it, so memory never holds a layout the log
-// does not. A replica refuses: its layouts are the primary's, shipped via
-// the WAL.
-func (s *DB) OptimizeLayouts() ([]core.LayoutChange, error) {
-	if err := s.writeGuard(); err != nil {
-		return nil, err
-	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	tx := s.core().BeginWrite()
-	changes := tx.OptimizeLayouts()
-	var logErr error
-	if m := s.mgr(); m != nil {
-		for i, ch := range changes {
-			if err := m.LogRelayout(ch.Table, ch.New); err != nil {
-				s.stats.persistErrs.Add(1)
-				logErr = fmt.Errorf("%w: relayout of %q not logged, %d of %d decisions published: %v", ErrDurability, ch.Table, i, len(changes), err)
-				changes = changes[:i]
-				tx = s.core().BeginWrite()
-				for _, logged := range changes {
-					tx.ApplyLayout(logged.Table, logged.New)
-				}
-				break
-			}
-		}
-	}
-	if len(changes) > 0 {
-		tx.Commit()
-		s.stats.relayouts.Add(1)
-		s.invalidate()
-		data := map[string]string{"tables": strconv.Itoa(len(changes))}
-		for _, ch := range changes {
-			data[ch.Table] = ch.Old.String() + "->" + ch.New.String()
-		}
-		s.Event(EventRelayout, "layout optimizer changed physical layouts", data)
-	}
-	return changes, logErr
-}
-
 // Checkpoint snapshots the full catalog to the data directory and
 // truncates the WAL to the records not yet in the snapshot. Only the
-// setup holds the commit mutex — flushing the WAL, noting its committed
-// position and pinning the current version; the snapshot file is then
+// setup holds the commit mutex — noting the WAL's committed position and
+// pinning the current version; the snapshot file is then
 // serialized from that pinned version with NO lock held, so both queries
 // and writes proceed for the whole (possibly long) write. Writes that
 // commit meanwhile land after the noted position and survive in the
@@ -835,12 +739,7 @@ func (s *DB) Checkpoint() (persist.CheckpointInfo, error) {
 	defer s.ckptMu.Unlock()
 	s.Event(EventCheckpointBegin, "checkpoint started", nil)
 	s.commitMu.Lock()
-	pos, err := m.BeginCheckpoint()
-	if err != nil {
-		s.commitMu.Unlock()
-		s.stats.persistErrs.Add(1)
-		return persist.CheckpointInfo{}, err
-	}
+	pos := m.BeginCheckpoint()
 	snap := s.core().Snapshot()
 	s.commitMu.Unlock()
 	defer snap.Release()
