@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/exec/result"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -26,12 +27,19 @@ type Engine interface {
 // measurements differ only in the scan-side processing model).
 func RunInsert(v plan.Insert, c *plan.Catalog) *result.Set {
 	rel := c.Table(v.Table)
+	// The table's indexes, looked up once rather than per row.
+	var attrs []int
+	var idxs []index.Index
+	for attr := 0; attr < rel.Schema.Width(); attr++ {
+		if idx := c.Index(v.Table, attr); idx != nil {
+			attrs = append(attrs, attr)
+			idxs = append(idxs, idx)
+		}
+	}
 	for _, row := range v.Rows {
 		id := rel.AppendRow(row)
-		for attr := 0; attr < rel.Schema.Width(); attr++ {
-			if idx := c.Index(v.Table, attr); idx != nil {
-				idx.Insert(row[attr], int32(id))
-			}
+		for i, idx := range idxs {
+			idx.Insert(row[attrs[i]], int32(id))
 		}
 	}
 	out := result.New(plan.Output(v, c))

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec/par"
+	"repro/internal/persist"
 )
 
 // BenchmarkEncodeResult is the result-encoding layer on its own: a reply
@@ -93,4 +97,79 @@ func BenchmarkScrape(b *testing.B) {
 			s.SampleHistory()
 		}
 	})
+}
+
+// ordersSpec is the benchmark's `orders` shape: 12 columns, eight int64,
+// two float64 and two dictionary strings.
+const ordersSpec = "id:int64,customer:int64,m1:int64,m2:int64,m3:int64,m4:int64,m5:int64,m6:int64,price:float64,discount:float64,status:string,region:string"
+
+// ordersCSV renders rows of ordersSpec: ids in order, uniform customers
+// and measures, two-decimal prices, 8 statuses and 64 regions.
+func ordersCSV(rows int) []byte {
+	rng := rand.New(rand.NewSource(7))
+	buf := make([]byte, 0, rows*64)
+	for i := 0; i < rows; i++ {
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, rng.Int63n(1_000_000), 10)
+		for m := 0; m < 6; m++ {
+			buf = append(buf, ',')
+			buf = strconv.AppendInt(buf, rng.Int63n(1000), 10)
+		}
+		for f := 0; f < 2; f++ {
+			buf = append(buf, ',')
+			buf = strconv.AppendFloat(buf, float64(rng.Intn(100_000))/100, 'f', 2, 64)
+		}
+		buf = append(buf, ",st-"...)
+		buf = strconv.AppendInt(buf, int64(rng.Intn(8)), 10)
+		buf = append(buf, ",region-"...)
+		buf = strconv.AppendInt(buf, int64(rng.Intn(64)), 10)
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// BenchmarkServiceLoad is the bulk-load path end to end below HTTP: a
+// 200,000-row CSV of the orders shape streamed through Load into a fresh
+// row table, reported as rows/s. memory loads into a service without
+// persistence; wal attaches a persist.Manager (fsync off), so every
+// batch's WAL append lands on the committer too.
+func BenchmarkServiceLoad(b *testing.B) {
+	const rows = 200_000
+	data := ordersCSV(rows)
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "wal"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db, mgr := core.Open(), (*persist.Manager)(nil)
+				if durable {
+					var err error
+					if db, mgr, err = persist.Open(persist.Options{Dir: b.TempDir()}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s := New(db, Config{Workers: 1})
+				if mgr != nil {
+					s.AttachPersist(mgr, -1)
+				}
+				b.StartTimer()
+				res, err := s.Load(LoadSpec{Table: "orders", Format: "csv", CreateSpec: ordersSpec}, bytes.NewReader(data))
+				b.StopTimer()
+				if err != nil || res.Rows != rows {
+					b.Fatalf("load: %+v, %v", res, err)
+				}
+				s.Close()
+				if mgr != nil {
+					mgr.Close()
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
 }

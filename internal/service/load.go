@@ -12,12 +12,15 @@ import (
 )
 
 // Bulk ingestion: the streaming counterpart of plan.Insert. Rows arrive
-// as CSV or NDJSON, are parsed outside any lock, and enter the table
-// batch-by-batch: each batch is one write (write.go) — dictionary
-// encoding, WAL logging, copy-on-write insert and atomic publish under the
-// commit mutex — so a gigabyte load publishes one version per batch,
-// concurrent queries run lock-free on whichever version they pinned, and
-// only other writers ever wait on a batch.
+// as CSV or NDJSON and enter the table batch-by-batch through a two-stage
+// pipeline. The calling goroutine reads and splits the stream into
+// batches of text fields, outside any lock. One committer goroutine runs
+// each batch, in stream order, as one write (write.go): numeric parsing
+// and dictionary encoding, WAL logging, copy-on-write insert and atomic
+// publish, all under the commit mutex. At most one parsed batch waits
+// while another commits. A gigabyte load therefore publishes one version
+// per batch, concurrent queries run lock-free on whichever version they
+// pinned, and only other writers ever wait on a batch.
 
 // loadBatchRows is the ingest batch size: large enough to amortize
 // commit-mutex acquisition and WAL commit, small enough to bound how
@@ -76,22 +79,66 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 		br = persist.NewNDJSONReader(r, width)
 	}
 
-	for {
-		raw, err := br.ReadBatch(loadBatchRows)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return res, err
-		}
-		if err := s.applyLoadBatch(spec.Table, raw, spec.QueryID); err != nil {
-			return res, err
-		}
-		res.Rows += len(raw)
+	res.Rows, err = s.pipelineBatches(br, spec)
+	if err != nil {
+		return res, err
 	}
 	s.stats.loads.Add(1)
 	s.stats.loadedRows.Add(int64(res.Rows))
 	return res, nil
+}
+
+// pipelineBatches reads br on the calling goroutine and commits each
+// batch with applyLoadBatch on one committer goroutine, in stream order,
+// so dictionary codes come out exactly as a serial load assigns them.
+// Reading stays on the caller because an HTTP handler's request body may
+// not be read after the handler returns. The channel is unbuffered: at
+// most one parsed batch waits while another commits. The committer has
+// exited before pipelineBatches returns, whatever ends the load; rows
+// counts only batches whose write returned nil. A commit error wins over
+// a later parse error, as in a serial load, and a committer panic is
+// re-raised here.
+func (s *DB) pipelineBatches(br persist.BatchReader, spec LoadSpec) (rows int, err error) {
+	batches := make(chan [][]persist.Field)
+	done := make(chan struct{})
+	var commitErr error
+	var panicked any
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		for raw := range batches {
+			if commitErr = s.applyLoadBatch(spec.Table, raw, spec.QueryID); commitErr != nil {
+				return
+			}
+			rows += len(raw)
+		}
+	}()
+
+	var readErr error
+	func() {
+		defer func() { close(batches); <-done }() // also when a read panics
+		for {
+			raw, err := br.ReadBatch(loadBatchRows)
+			if err != nil {
+				if !errors.Is(err, io.EOF) {
+					readErr = err
+				}
+				return
+			}
+			select {
+			case batches <- raw:
+			case <-done: // the committer stopped: a batch failed
+				return
+			}
+		}
+	}()
+	if panicked != nil {
+		panic(panicked)
+	}
+	if commitErr != nil {
+		return rows, commitErr
+	}
+	return rows, readErr
 }
 
 // loadTarget resolves (or creates) the target table and returns its

@@ -1,0 +1,314 @@
+package service
+
+import (
+	"bytes"
+	"encoding/csv"
+	"errors"
+	"fmt"
+	"io"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faultinject"
+	"repro/internal/persist"
+)
+
+// pipelineSpec is the schema of mixedRows: every column type, NULLs, and
+// a string column whose dictionary grows in every batch.
+const pipelineSpec = "id:int64,grp:int64,kind:string,price:float64,ok:bool"
+
+// mixedRows returns n rows of pipelineSpec as text fields, "" for NULL.
+// kind takes a fresh value every 1,000 rows and repeats older ones in
+// between, so each batch both reuses and grows the dictionary.
+func mixedRows(n int) [][]string {
+	rows := make([][]string, n)
+	for i := range rows {
+		kind := i / 1000
+		if i%3 == 0 {
+			kind /= 2
+		}
+		grp, price := fmt.Sprint(i%7), fmt.Sprintf("%d.%02d", i%1000, i%100)
+		if i%11 == 0 {
+			grp, price = "", ""
+		}
+		rows[i] = []string{fmt.Sprint(i), grp, fmt.Sprintf("k%d", kind), price, fmt.Sprint(i%2 == 0)}
+	}
+	return rows
+}
+
+func mixedCSV(rows [][]string) string {
+	var b strings.Builder
+	for _, row := range rows {
+		b.WriteString(strings.Join(row, ","))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func mixedNDJSON(rows [][]string) string {
+	var b strings.Builder
+	for _, row := range rows {
+		b.WriteByte('[')
+		for i, f := range row {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			switch {
+			case f == "":
+				b.WriteString("null")
+			case i == 2:
+				fmt.Fprintf(&b, "%q", f)
+			default:
+				b.WriteString(f)
+			}
+		}
+		b.WriteString("]\n")
+	}
+	return b.String()
+}
+
+// snapshotBytes serializes s's catalog.
+func snapshotBytes(t *testing.T, s *DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := persist.WriteCatalogSnapshot(&buf, s.Unwrap().Catalog(), 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadPipelineMatchesSerial loads one multi-batch stream through the
+// pipelined Load and through a serial loop of applyLoadBatch. Commits
+// run in stream order, so dictionary codes, rows and layouts must come
+// out byte-identical.
+func TestLoadPipelineMatchesSerial(t *testing.T) {
+	rows := mixedRows(3*loadBatchRows + 517)
+	for _, c := range []struct {
+		format, data string
+		reader       func(io.Reader, int) persist.BatchReader
+	}{
+		{"csv", mixedCSV(rows), func(r io.Reader, w int) persist.BatchReader { return persist.NewCSVReader(r, w) }},
+		{"ndjson", mixedNDJSON(rows), func(r io.Reader, w int) persist.BatchReader { return persist.NewNDJSONReader(r, w) }},
+	} {
+		t.Run(c.format, func(t *testing.T) {
+			spec := LoadSpec{Table: "ev", Format: c.format, CreateSpec: pipelineSpec}
+
+			piped := New(core.Open(), Config{Workers: 1})
+			defer piped.Close()
+			res, err := piped.Load(spec, strings.NewReader(c.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows != len(rows) {
+				t.Fatalf("pipelined load reports %d rows, want %d", res.Rows, len(rows))
+			}
+
+			serial := New(core.Open(), Config{Workers: 1})
+			defer serial.Close()
+			width, _, err := serial.loadTarget(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br := c.reader(strings.NewReader(c.data), width)
+			for {
+				raw, err := br.ReadBatch(loadBatchRows)
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := serial.applyLoadBatch(spec.Table, raw, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if dict := piped.Unwrap().Table("ev").Dicts[2].Len(); dict < 4 {
+				t.Fatalf("kind dictionary holds %d values; the stream must grow it in several batches", dict)
+			}
+			if !bytes.Equal(snapshotBytes(t, piped), snapshotBytes(t, serial)) {
+				t.Fatal("pipelined load differs from the serial reference")
+			}
+		})
+	}
+}
+
+// signalReader closes full once every byte of its input has been read.
+type signalReader struct {
+	r    *strings.Reader
+	full chan struct{}
+}
+
+func (s *signalReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if s.r.Len() == 0 && s.full != nil {
+		close(s.full)
+		s.full = nil
+	}
+	return n, err
+}
+
+// TestLoadParseErrorWhileBatchCommits holds batch 2's WAL commit until
+// the reader has consumed the whole stream, whose third batch is
+// malformed. Load must return the parse error, and count and publish
+// exactly the two batches that committed.
+func TestLoadParseErrorWhileBatchCommits(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s, mgr := openPersistent(t, t.TempDir(), Config{Workers: 1})
+	defer mgr.Close()
+	defer s.Close()
+
+	in := &signalReader{
+		r:    strings.NewReader(csvRows(0, 2*loadBatchRows) + "1,2,3\n"),
+		full: make(chan struct{}),
+	}
+	full := in.full
+	commits := 0
+	faultinject.Enable("persist/wal-commit", func() error {
+		// commit 1 creates the table, 2 and 3 are the batches
+		if commits++; commits == 3 {
+			select {
+			case <-full:
+			case <-time.After(10 * time.Second):
+				return errors.New("reader never reached the malformed batch")
+			}
+		}
+		return nil
+	})
+	res, err := s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,grp:int64"}, in)
+	if !errors.Is(err, csv.ErrFieldCount) {
+		t.Fatalf("load: %v, want the csv field-count error", err)
+	}
+	if res.Rows != 2*loadBatchRows {
+		t.Fatalf("load reports %d rows, want %d", res.Rows, 2*loadBatchRows)
+	}
+	if got := s.Unwrap().Table("ev").Rows(); got != 2*loadBatchRows {
+		t.Fatalf("table holds %d rows, want %d", got, 2*loadBatchRows)
+	}
+}
+
+// TestLoadCommitterPanicReachesCaller panics inside a batch's WAL commit
+// during a durable load. The panic must come back on Load's goroutine,
+// and the service must take the next load.
+func TestLoadCommitterPanicReachesCaller(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s, mgr := openPersistent(t, t.TempDir(), Config{Workers: 1})
+	defer mgr.Close()
+	defer s.Close()
+
+	commits := 0
+	faultinject.Enable("persist/wal-commit", func() error {
+		if commits++; commits == 3 {
+			panic("injected: commit panic")
+		}
+		return nil
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,grp:int64"},
+			strings.NewReader(csvRows(0, 3*loadBatchRows)))
+		return nil
+	}()
+	if got != "injected: commit panic" {
+		t.Fatalf("Load's goroutine recovered %v, want the committer's panic", got)
+	}
+	faultinject.Reset()
+
+	if got := s.Unwrap().Table("ev").Rows(); got != loadBatchRows {
+		t.Fatalf("table holds %d rows, want the %d committed before the panic", got, loadBatchRows)
+	}
+	res, err := s.Load(LoadSpec{Table: "ev", Format: "csv"}, strings.NewReader(csvRows(0, 10)))
+	if err != nil || res.Rows != 10 {
+		t.Fatalf("load after the panic: %+v, %v", res, err)
+	}
+}
+
+// fenceReader fences s once more than `after` bytes have been read.
+type fenceReader struct {
+	r     io.Reader
+	s     *DB
+	after int
+}
+
+func (f *fenceReader) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if f.after -= n; f.after < 0 && f.s != nil {
+		f.s.Fence(2, "")
+		f.s = nil
+	}
+	return n, err
+}
+
+// TestLoadLeavesNoGoroutine checks that no committer outlives Load, for
+// a load that succeeds, one fenced mid-stream, one whose batch fails to
+// encode and one whose commit panics.
+func TestLoadLeavesNoGoroutine(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	data := csvRows(0, 3*loadBatchRows)
+	for _, c := range []struct {
+		name string
+		load func(s *DB) error
+	}{
+		{"success", func(s *DB) error {
+			_, err := s.Load(LoadSpec{Table: "ev", Format: "csv"}, strings.NewReader(data))
+			return err
+		}},
+		{"fenced", func(s *DB) error {
+			_, err := s.Load(LoadSpec{Table: "ev", Format: "csv"},
+				&fenceReader{r: strings.NewReader(data), s: s, after: len(data) / 2})
+			if !errors.Is(err, ErrFenced) {
+				return fmt.Errorf("fenced load: %v, want ErrFenced", err)
+			}
+			return nil
+		}},
+		{"failed", func(s *DB) error {
+			_, err := s.Load(LoadSpec{Table: "ev", Format: "csv"},
+				strings.NewReader(csvRows(0, loadBatchRows)+"x,1\n"+data))
+			if err == nil {
+				return errors.New("malformed batch accepted")
+			}
+			return nil
+		}},
+		{"panicked", func(s *DB) (err error) {
+			commits := 0
+			faultinject.Enable("persist/wal-commit", func() error {
+				if commits++; commits == 2 {
+					panic("injected: commit panic")
+				}
+				return nil
+			})
+			defer faultinject.Reset()
+			defer func() {
+				if recover() == nil {
+					err = errors.New("commit panic did not reach Load's caller")
+				}
+			}()
+			s.Load(LoadSpec{Table: "ev", Format: "csv"}, strings.NewReader(data))
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, mgr := openPersistent(t, t.TempDir(), Config{Workers: 1})
+			defer mgr.Close()
+			defer s.Close()
+			if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,grp:int64"},
+				strings.NewReader("")); err != nil {
+				t.Fatal(err)
+			}
+			base := runtime.NumGoroutine()
+			if err := c.load(s); err != nil {
+				t.Fatal(err)
+			}
+			// The committer has exited when Load returns but may not yet be
+			// off the scheduler's books; a leaked one would never leave.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the load, %d before", runtime.NumGoroutine(), base)
+				}
+			}
+		})
+	}
+}
