@@ -17,7 +17,7 @@
 //	POST /load?table=T&format=csv            bulk-ingest the request body
 //	POST /checkpoint {}                      snapshot the catalog, reset the WAL
 //	GET  /tables                             list served tables
-//	GET  /stats                              service counters
+//	GET  /stats                              every /metrics counter, gauge and histogram as one JSON object
 //	GET  /workload                           captured column heat + top plan shapes
 //	GET  /advisor                            layout-drift advice (advisory-only)
 //	GET  /events?since=N                     cluster event journal replay (cursor-paged)
@@ -50,7 +50,7 @@
 // fresh, checkpoints the replicated catalog into it and starts serving
 // /repl/* as the new primary at the next fencing term. Losing the primary
 // never kills a replica: it keeps serving reads, reports "degraded" in
-// /healthz and /stats after a few failed polls, and "promote-eligible"
+// /healthz and /replication after a few failed polls, and "promote-eligible"
 // once the outage outlasts the promotion threshold.
 //
 // The demo dataset is the paper's example relation R(A..P) with A uniform

@@ -1,8 +1,9 @@
 // Package obs is the observability core of the serving stack: a
 // dependency-free metrics library (atomic counters, gauges and
 // fixed-bucket latency histograms with a lock-free Observe, exposed in
-// Prometheus text format) plus the per-query execution trace that the
-// engines fill in when a query runs under EXPLAIN ANALYZE.
+// Prometheus text format and as one JSON object) plus the per-query
+// execution trace that the engines fill in when a query runs under
+// EXPLAIN ANALYZE.
 //
 // The package sits below every other subsystem — service, persist, repl
 // and the execution engines all import it — so it imports nothing of the
@@ -52,12 +53,13 @@ var DefBuckets = []float64{
 // Histogram is a fixed-bucket histogram with a lock-free Observe: bucket
 // counts are atomic adds, the running sum is a CAS loop over the float64
 // bit pattern. Bucket bounds are upper bounds (Prometheus "le"
-// semantics); an implicit +Inf bucket catches the rest.
+// semantics); an implicit +Inf bucket catches the rest. The total count
+// is the bucket total, never a separate counter, so a snapshot's count
+// always equals its +Inf bucket.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last is +Inf
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits
+	sum    atomic.Uint64  // float64 bits
 }
 
 // NewHistogram builds a histogram over the given ascending upper bounds
@@ -76,7 +78,6 @@ func (h *Histogram) Observe(v float64) {
 	// First bound >= v is the bucket (le semantics); misses land on +Inf.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -92,14 +93,21 @@ func (h *Histogram) ObserveSince(start time.Time) {
 }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // snapshot returns cumulative bucket counts aligned with bounds plus the
-// +Inf total, taken bucket-by-bucket (the exposition does not need a
-// consistent cut — Prometheus scrapes tolerate per-bucket skew).
+// +Inf total, taken bucket-by-bucket. The count is that +Inf total, so
+// _count and le="+Inf" agree however many Observes race the read; only
+// the sum may be a few observations ahead of or behind them.
 func (h *Histogram) snapshot() (bounds []float64, cumulative []int64, count int64, sum float64) {
 	cumulative = make([]int64, len(h.counts))
 	var running int64
@@ -107,7 +115,7 @@ func (h *Histogram) snapshot() (bounds []float64, cumulative []int64, count int6
 		running += h.counts[i].Load()
 		cumulative[i] = running
 	}
-	return h.bounds, cumulative, h.count.Load(), h.Sum()
+	return h.bounds, cumulative, running, h.Sum()
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's cumulative

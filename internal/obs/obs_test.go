@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -177,5 +178,106 @@ func TestQueryTraceReport(t *testing.T) {
 	nilTrace.Op(0).Add(1, 1, 1) // must not panic
 	if nilTrace.Op(0).Lane(0) != nil {
 		t.Fatal("nil op lane must be nil")
+	}
+}
+
+// TestHistogramCountMatchesInfBucket scrapes while observers run: every
+// exposition must give _count equal to the le="+Inf" bucket, as
+// Prometheus requires, and no quantile may leave the one bucket every
+// observation lands in.
+func TestHistogramCountMatchesInfBucket(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("race_seconds", "", nil, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(0.001)
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+	var sb strings.Builder
+	for i := 0; i < 2000; i++ {
+		sb.Reset()
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `race_seconds_bucket{le="+Inf"} `); ok {
+				inf = v
+			} else if v, ok := strings.CutPrefix(line, "race_seconds_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("scrape %d: _count %s, +Inf bucket %s", i, count, inf)
+		}
+		if q := h.Quantile(1); q > 0.001 {
+			t.Fatalf("scrape %d: max quantile %v, want <= 0.001", i, q)
+		}
+	}
+}
+
+func TestRegistryJSON(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("q_total", "", Labels{"outcome": "ok"}).Add(3)
+	r.Counter("q_total", "", Labels{"path": `a"b\c`}).Inc()
+	r.GaugeFunc("nan", "", nil, func() float64 { return math.NaN() })
+	r.GaugeFunc("inf", "", nil, func() float64 { return math.Inf(-1) })
+	r.Gauge("g", "", nil).Set(2.5)
+	r.Histogram("empty_seconds", "", nil, nil)
+	h := r.Histogram("lat_seconds", "", []float64{0.01, 0.1}, nil)
+	h.Observe(0.005)
+	h.Observe(0.05)
+
+	var sb strings.Builder
+	if err := r.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]any
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, sb.String())
+	}
+	for key, want := range map[string]any{
+		`q_total{outcome="ok"}`:   3.0,
+		`q_total{path="a\"b\\c"}`: 1.0,
+		"nan":                     nil,
+		"inf":                     nil,
+		"g":                       2.5,
+	} {
+		if got, ok := out[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+	empty := out["empty_seconds"].(map[string]any)
+	for _, k := range []string{"count", "sum", "p50", "p95", "p99"} {
+		if empty[k] != 0.0 {
+			t.Errorf("empty histogram %s = %v, want 0", k, empty[k])
+		}
+	}
+	lat := out["lat_seconds"].(map[string]any)
+	if lat["count"] != 2.0 || lat["sum"] != 0.055 {
+		t.Errorf("lat_seconds = %v, want count 2 and sum 0.055", lat)
+	}
+	if p50, p99 := lat["p50"].(float64), lat["p99"].(float64); p50 != h.Quantile(0.5) || p99 != h.Quantile(0.99) {
+		t.Errorf("quantiles p50 %v p99 %v, want %v and %v", p50, p99, h.Quantile(0.5), h.Quantile(0.99))
+	}
+	if len(out) != 7 {
+		t.Errorf("%d keys, want 7: %v", len(out), out)
+	}
+
+	sb.Reset()
+	if err := NewRegistry().WriteJSON(&sb); err != nil || json.Unmarshal([]byte(sb.String()), &out) != nil {
+		t.Fatalf("empty registry renders %q (err %v), want an empty object", sb.String(), err)
 	}
 }

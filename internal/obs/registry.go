@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -16,8 +18,8 @@ type Labels map[string]string
 
 // Registry groups metric families (one HELP/TYPE header per name, any
 // number of label-set instances under it) and renders them in Prometheus
-// text exposition format. Registration is cheap but locked; reads of the
-// registered collectors are lock-free.
+// text exposition format or as one JSON object. Registration is cheap
+// but locked; reads of the registered collectors are lock-free.
 type Registry struct {
 	mu     sync.Mutex
 	order  []*family
@@ -35,7 +37,7 @@ type instance struct {
 	labels string // rendered {k="v",...} or ""
 	c      *Counter
 	g      *Gauge
-	fn     func() float64
+	fn     func() float64 // every gauge's value, and a CounterFunc's
 	h      *Histogram
 }
 
@@ -52,13 +54,17 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 
 // Gauge registers (or returns the already-registered) gauge.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	in := r.register(name, help, "gauge", labels, func() *instance { return &instance{g: &Gauge{}} })
+	in := r.register(name, help, "gauge", labels, func() *instance {
+		g := &Gauge{}
+		return &instance{g: g, fn: g.Value}
+	})
 	return in.g
 }
 
 // CounterFunc registers a counter whose value is pulled from fn at
-// scrape time — the bridge for pre-existing atomic counters that should
-// not be double-counted into a second variable.
+// scrape time — for counts another package keeps (the core's reclaimed
+// versions, the pool's busy time), which a second variable would only
+// duplicate.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
 	r.register(name, help, "counter", labels, func() *instance { return &instance{fn: fn} })
 }
@@ -141,37 +147,44 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
+// visit walks the families in registration order, each with a copy of
+// its instances taken under the lock; fn runs unlocked, so a collector
+// that reads other state never blocks registration. Both renderings go
+// through it, so they always cover the same series.
+func (r *Registry) visit(fn func(f *family, inst []*instance)) {
+	r.mu.Lock()
+	fams := append([]*family(nil), r.order...)
+	r.mu.Unlock()
+	for _, f := range fams {
+		r.mu.Lock()
+		inst := append([]*instance(nil), f.inst...)
+		r.mu.Unlock()
+		fn(f, inst)
+	}
+}
+
 // WritePrometheus renders every registered family in text exposition
 // format (version 0.0.4): # HELP and # TYPE headers, then one line per
 // sample; histograms expand to cumulative _bucket{le=...} series plus
 // _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.order...)
-	r.mu.Unlock()
-
 	bw := bufio.NewWriter(w)
-	for _, f := range fams {
+	r.visit(func(f *family, inst []*instance) {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		r.mu.Lock()
-		inst := append([]*instance(nil), f.inst...)
-		r.mu.Unlock()
 		for _, in := range inst {
 			switch {
 			case in.h != nil:
 				writeHistogram(bw, f.name, in.labels, in.h)
 			case in.c != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, in.labels, in.c.Value())
-			case in.g != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, in.labels, formatFloat(in.g.Value()))
-			case in.fn != nil:
+			default:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, in.labels, formatFloat(in.fn()))
 			}
 		}
-	}
+	})
 	return bw.Flush()
 }
 
@@ -183,6 +196,45 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
 	fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLe(labels, "+Inf"), cumulative[len(cumulative)-1])
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(sum))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, count)
+}
+
+// WriteJSON renders the same series as WritePrometheus as one JSON
+// object, keyed by the exposition's series name
+// (db_queries_total{outcome="ok"}). A counter or gauge maps to a number,
+// a histogram to {"count","sum","p50","p95","p99"} with quantiles
+// estimated as HistogramSnapshot.Quantile does. Values JSON cannot carry
+// (NaN, ±Inf) render as null.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteByte('{')
+	sep := "\n"
+	r.visit(func(f *family, inst []*instance) {
+		for _, in := range inst {
+			key, _ := json.Marshal(f.name + in.labels) // a string always marshals
+			fmt.Fprintf(bw, "%s%s: ", sep, key)
+			sep = ",\n"
+			switch {
+			case in.h != nil:
+				s := in.h.Snapshot()
+				fmt.Fprintf(bw, `{"count": %d, "sum": %s, "p50": %s, "p95": %s, "p99": %s}`, s.Count,
+					jsonFloat(s.Sum), jsonFloat(s.Quantile(0.5)), jsonFloat(s.Quantile(0.95)), jsonFloat(s.Quantile(0.99)))
+			case in.c != nil:
+				fmt.Fprintf(bw, "%d", in.c.Value())
+			default:
+				bw.WriteString(jsonFloat(in.fn()))
+			}
+		}
+	})
+	bw.WriteString("\n}\n")
+	return bw.Flush()
+}
+
+// jsonFloat formats v as a JSON number, or null when JSON cannot carry it.
+func jsonFloat(v float64) string {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return "null"
+	}
+	return formatFloat(v)
 }
 
 // mergeLe splices le="bound" into an existing (possibly empty) label set.

@@ -120,28 +120,32 @@ func waitMgrCaughtUp(t *testing.T, follower *service.DB, mgr *persist.Manager) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		st := follower.Stats()
+		st := follower.Replication()
 		if st.Role == "replica" && !st.Fenced &&
-			st.ReplEpoch == mgr.Epoch() && st.ReplOffset == mgr.WALSize() {
+			st.ApplyEpoch == mgr.Epoch() && st.ApplyOffset == mgr.WALSize() {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	st := follower.Stats()
+	st := follower.Replication()
 	t.Fatalf("follower never caught up: at (%d, %d) fenced=%v, primary at (%d, %d)",
-		st.ReplEpoch, st.ReplOffset, st.Fenced, mgr.Epoch(), mgr.WALSize())
+		st.ApplyEpoch, st.ApplyOffset, st.Fenced, mgr.Epoch(), mgr.WALSize())
 }
 
-func waitState(t *testing.T, svc *service.DB, pred func(service.Stats) bool, what string) {
+func waitState(t *testing.T, svc *service.DB, pred func(service.ReplicationReport) bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if pred(svc.Stats()) {
+		if pred(svc.Replication()) {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s (stats: %+v)", what, svc.Stats())
+	t.Fatalf("timed out waiting for %s (replication: %+v)", what, svc.Replication())
+}
+
+func promoteEligible(st service.ReplicationReport) bool {
+	return st.State == service.ReplStatePromoteEligible
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -182,8 +186,8 @@ func TestFailoverPromoteFenceRejoin(t *testing.T) {
 	a.down.Store(true)
 
 	// B keeps serving reads, reports degraded, then promote-eligible.
-	waitState(t, b.svc, func(st service.Stats) bool { return st.Degraded }, "replica degraded")
-	waitState(t, b.svc, func(st service.Stats) bool { return st.PromoteEligible }, "promote-eligible")
+	waitState(t, b.svc, service.ReplicationReport.Degraded, "replica degraded")
+	waitState(t, b.svc, promoteEligible, "promote-eligible")
 
 	// Promote B over HTTP: term 2, writable, serving /repl/*.
 	resp, body := postJSON(t, b.srv.URL+PromotePath, map[string]any{})
@@ -196,7 +200,7 @@ func TestFailoverPromoteFenceRejoin(t *testing.T) {
 	if b.svc.ReadOnly() {
 		t.Fatal("promoted node is still read-only")
 	}
-	if st := b.svc.Stats(); st.Role != "primary" {
+	if st := b.svc.Replication(); st.Role != "primary" {
 		t.Fatalf("promoted role = %s, want primary", st.Role)
 	}
 	// Writes at term 2 succeed.
@@ -250,10 +254,10 @@ func TestFailoverPromoteFenceRejoin(t *testing.T) {
 	loadCSV(t, b.svc, "t", "", rowsCSV(1100, 1200))
 	waitMgrCaughtUp(t, a.svc, b.node.Manager())
 
-	st := a.svc.Stats()
-	if st.Role != "replica" || st.Fenced || st.ReplPrimary != b.srv.URL {
+	st := a.svc.Replication()
+	if st.Role != "replica" || st.Fenced || st.Primary != b.srv.URL {
 		t.Fatalf("rejoined node: role=%s fenced=%v primary=%s, want clean replica of %s",
-			st.Role, st.Fenced, st.ReplPrimary, b.srv.URL)
+			st.Role, st.Fenced, st.Primary, b.srv.URL)
 	}
 	if st.Term != 2 {
 		t.Fatalf("rejoined node term = %d, want 2", st.Term)
@@ -415,7 +419,7 @@ func TestHealthzReportsFailoverStates(t *testing.T) {
 	}
 
 	a.down.Store(true)
-	waitState(t, b.svc, func(st service.Stats) bool { return st.Degraded }, "replica degraded")
+	waitState(t, b.svc, service.ReplicationReport.Degraded, "replica degraded")
 	if h := health(b); h["status"] != "degraded" {
 		t.Fatalf("degraded replica /healthz = %v", h)
 	}

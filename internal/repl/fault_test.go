@@ -87,8 +87,8 @@ func TestResyncRacesConcurrentQueries(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if st := rep.Stats(); st.ReplSyncs < 3 {
-		t.Fatalf("replica syncs = %d, want >= 3 (bootstrap + 2 rotation resyncs)", st.ReplSyncs)
+	if st := rep.Replication(); st.Syncs < 3 {
+		t.Fatalf("replica syncs = %d, want >= 3 (bootstrap + 2 rotation resyncs)", st.Syncs)
 	}
 	if slow.Hits() < 3 {
 		t.Fatalf("snapshot delay rule fired %d times, want >= 3", slow.Hits())
@@ -164,18 +164,18 @@ func TestBootstrapRetryBackoff(t *testing.T) {
 	}
 
 	waitCaughtUp(t, rep, pri)
-	st := rep.Stats()
+	st := rep.Replication()
 	if drops.Hits() != 4 {
 		t.Fatalf("drop rule fired %d times, want 4", drops.Hits())
 	}
-	if st.ReplRetries < 4 {
-		t.Fatalf("replRetries = %d, want >= 4 (one per dropped bootstrap)", st.ReplRetries)
+	if st.Retries < 4 {
+		t.Fatalf("retries = %d, want >= 4 (one per dropped bootstrap)", st.Retries)
 	}
-	if st.ReplState != service.ReplStateStreaming {
-		t.Fatalf("replState = %q after convergence, want %q", st.ReplState, service.ReplStateStreaming)
+	if st.State != service.ReplStateStreaming {
+		t.Fatalf("state = %q after convergence, want %q", st.State, service.ReplStateStreaming)
 	}
-	if st.Degraded || st.PromoteEligible {
-		t.Fatalf("healthy replica still reports degraded=%v promoteEligible=%v", st.Degraded, st.PromoteEligible)
+	if st.Degraded() {
+		t.Fatalf("healthy replica still reports degraded (state %q)", st.State)
 	}
 	assertReplicaIdentical(t, pri.svc.Unwrap(), rep.Unwrap())
 }
@@ -195,13 +195,13 @@ func TestDegradedThenRecovers(t *testing.T) {
 	// 6 consecutive dropped polls: past DegradedAfter (2) and
 	// PromoteAfter (3).
 	outage := tr.Add(&faultinject.Rule{Path: WALPath, Count: 6, Drop: true})
-	waitState(t, rep, func(st service.Stats) bool { return st.PromoteEligible }, "promote-eligible during outage")
+	waitState(t, rep, promoteEligible, "promote-eligible during outage")
 
 	// Outage ends (rule exhausts itself); new writes flow again.
 	loadCSV(t, pri.svc, "t", "", rowsCSV(100, 150))
 	waitCaughtUp(t, rep, pri)
-	waitState(t, rep, func(st service.Stats) bool {
-		return st.ReplState == service.ReplStateStreaming && !st.Degraded
+	waitState(t, rep, func(st service.ReplicationReport) bool {
+		return st.State == service.ReplStateStreaming && !st.Degraded()
 	}, "streaming after outage")
 	if outage.Hits() != 6 {
 		t.Fatalf("outage rule fired %d times, want 6", outage.Hits())

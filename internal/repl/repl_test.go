@@ -96,15 +96,15 @@ func waitCaughtUp(t *testing.T, rep *service.DB, pri *primary) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		st := rep.Stats()
-		if st.ReplEpoch == pri.mgr.Epoch() && st.ReplOffset == pri.mgr.WALSize() {
+		st := rep.Replication()
+		if st.ApplyEpoch == pri.mgr.Epoch() && st.ApplyOffset == pri.mgr.WALSize() {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	st := rep.Stats()
+	st := rep.Replication()
 	t.Fatalf("replica never caught up: at (%d, %d), primary at (%d, %d)",
-		st.ReplEpoch, st.ReplOffset, pri.mgr.Epoch(), pri.mgr.WALSize())
+		st.ApplyEpoch, st.ApplyOffset, pri.mgr.Epoch(), pri.mgr.WALSize())
 }
 
 // diffQueries is the cross-engine differential suite over the replicated
@@ -222,13 +222,13 @@ func TestReplicationDifferential(t *testing.T) {
 	assertReplicaIdentical(t, pri.svc.Unwrap(), rep.Unwrap())
 
 	// Lag accounting converged to zero.
-	st := rep.Stats()
-	if st.Role != "replica" || st.ReplicationLagBytes != 0 || st.ReplicationLagRecords != 0 {
+	st := rep.Replication()
+	if st.Role != "replica" || st.LagBytes != 0 || st.LagRecords != 0 {
 		t.Fatalf("replica stats: role=%s lag=%d bytes/%d records, want replica at 0/0",
-			st.Role, st.ReplicationLagBytes, st.ReplicationLagRecords)
+			st.Role, st.LagBytes, st.LagRecords)
 	}
-	if st.ReplOffset == 0 || st.ReplRecords == 0 {
-		t.Fatalf("replica applied nothing: offset=%d records=%d", st.ReplOffset, st.ReplRecords)
+	if st.ApplyOffset == 0 || st.ApplyRecords == 0 {
+		t.Fatalf("replica applied nothing: offset=%d records=%d", st.ApplyOffset, st.ApplyRecords)
 	}
 
 	// Local writes are refused with 409 and the primary's address.
@@ -269,7 +269,7 @@ func TestEpochRotationMidTail(t *testing.T) {
 
 	rep, _ := startReplica(t, pri.srv.URL)
 	waitCaughtUp(t, rep, pri)
-	epochBefore := rep.Stats().ReplEpoch
+	epochBefore := rep.Replication().ApplyEpoch
 
 	// Rotate while the follower tails; its epoch is discarded.
 	if _, err := pri.svc.Checkpoint(); err != nil {
@@ -278,12 +278,12 @@ func TestEpochRotationMidTail(t *testing.T) {
 	loadCSV(t, pri.svc, "t", "", rowsCSV(300, 450))
 
 	waitCaughtUp(t, rep, pri)
-	st := rep.Stats()
-	if st.ReplEpoch <= epochBefore {
-		t.Fatalf("replica epoch %d did not advance past %d after rotation", st.ReplEpoch, epochBefore)
+	st := rep.Replication()
+	if st.ApplyEpoch <= epochBefore {
+		t.Fatalf("replica epoch %d did not advance past %d after rotation", st.ApplyEpoch, epochBefore)
 	}
-	if st.ReplSyncs < 2 {
-		t.Fatalf("replica syncs = %d, want >= 2 (bootstrap + rotation resync)", st.ReplSyncs)
+	if st.Syncs < 2 {
+		t.Fatalf("replica syncs = %d, want >= 2 (bootstrap + rotation resync)", st.Syncs)
 	}
 	// Row counts equal — a duplicated replay would double post-rotation rows.
 	if p, r := pri.svc.Unwrap().Catalog().Table("t").Rows(), rep.Unwrap().Catalog().Table("t").Rows(); p != r {

@@ -44,7 +44,7 @@ var replicaIDs atomic.Int64
 // Replica follows one primary: it bootstraps the service's catalog from
 // the primary's snapshot (SwapCore) and then applies the shipped WAL
 // through the service's replicated-apply path, publishing progress, lag
-// and its health state machine to /stats. Run it on its own goroutine;
+// and its health state machine to /replication. Run it on its own goroutine;
 // queries hit the service concurrently throughout.
 //
 // Failure handling is a small circuit breaker. Transport errors retry
@@ -177,8 +177,8 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 // Run tails the primary until ctx is cancelled, bootstrapping (and
 // re-bootstrapping after epoch rotations) as needed. Failures back off
 // exponentially and never give up — a restarted primary is picked up
-// where its log stands — while the state machine keeps /stats honest
-// about how healthy the stream is.
+// where its log stands — while the state machine keeps /replication
+// honest about how healthy the stream is.
 func (r *Replica) Run(ctx context.Context) {
 	for ctx.Err() == nil {
 		if !r.ready {
@@ -368,7 +368,7 @@ func (r *Replica) checkTerm(resp *http.Response) error {
 	return nil
 }
 
-// publish refreshes the /stats lag figures from the primary's position
+// publish refreshes the /replication lag figures from the primary's position
 // headers.
 func (r *Replica) publish(resp *http.Response) {
 	committed, err1 := strconv.ParseInt(resp.Header.Get(hdrCommitted), 10, 64)

@@ -59,7 +59,7 @@ func TestWriteTracingEndToEnd(t *testing.T) {
 		report := pri.svc.Replication()
 		if len(report.Followers) == 1 {
 			f := report.Followers[0]
-			if f.ID == "tracer-1" && f.Records == rep.Stats().ReplRecords && f.LagSeconds > 0 {
+			if f.ID == "tracer-1" && f.Records == rep.Replication().ApplyRecords && f.LagSeconds > 0 {
 				if f.LagBytes != 0 {
 					t.Fatalf("caught-up follower reports lagBytes = %d, want 0", f.LagBytes)
 				}
@@ -76,7 +76,7 @@ func TestWriteTracingEndToEnd(t *testing.T) {
 	}
 
 	// The replica published the same lag measurement locally.
-	if lag := rep.Stats().ReplVisibleLagMs; lag <= 0 {
+	if lag := rep.Replication().VisibleLagMs; lag <= 0 {
 		t.Fatalf("replica visibleLagMs = %v, want > 0", lag)
 	}
 

@@ -69,11 +69,12 @@ func BenchmarkAppendJSONFloat(b *testing.B) {
 	}
 }
 
-// BenchmarkScrape prices the two periodic observability jobs, which run
-// off the query path: render is one full Prometheus exposition of the
-// service registry (a /metrics scrape), sample is one metrics-history
-// sweep (the sampler's whole per-interval cost). exposition-bytes is the
-// size of the rendered scrape.
+// BenchmarkScrape prices the periodic observability jobs, which run off
+// the query path: render is one full Prometheus exposition of the
+// service registry (a /metrics scrape), json is the same registry as one
+// JSON object (a /stats read), sample is one metrics-history sweep (the
+// sampler's whole per-interval cost). exposition-bytes and json-bytes
+// are the sizes of the rendered scrapes.
 func BenchmarkScrape(b *testing.B) {
 	s := New(NewDemoDB(10_000), Config{Workers: 1})
 	defer s.Close()
@@ -90,6 +91,17 @@ func BenchmarkScrape(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(sb.Len()), "exposition-bytes")
+	})
+	b.Run("json", func(b *testing.B) {
+		var sb strings.Builder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sb.Reset()
+			if err := s.Metrics().WriteJSON(&sb); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(sb.Len()), "json-bytes")
 	})
 	b.Run("sample", func(b *testing.B) {
 		b.ReportAllocs()

@@ -81,6 +81,6 @@ func (s *DB) noteOverload() {
 	}
 	s.Event(EventOverload, "admission queue timed out, shedding load", map[string]string{
 		"maxInFlight": strconv.Itoa(cap(s.sem)),
-		"rejected":    strconv.FormatInt(s.stats.rejected.Load(), 10),
+		"rejected":    strconv.FormatInt(s.metrics.rejected.Value(), 10),
 	})
 }

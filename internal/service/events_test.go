@@ -256,6 +256,18 @@ func TestHTTPReplicationReplica(t *testing.T) {
 	if out["visibleLagMs"].(float64) != 5 {
 		t.Fatalf("visibleLagMs = %v, want 5", out["visibleLagMs"])
 	}
+
+	// Caught up: the lag fields are present and read zero.
+	s.SetReplicaProgress(3, 640, 11, 0, 0)
+	_, out = get(t, srv.URL+"/replication")
+	for _, k := range []string{"lagBytes", "lagRecords"} {
+		if v, ok := out[k]; !ok || v.(float64) != 0 {
+			t.Fatalf("caught-up replica %s = %v (present %v), want 0", k, v, ok)
+		}
+	}
+	if out["applyOffset"].(float64) != 640 || out["applyRecords"].(float64) != 11 {
+		t.Fatalf("caught-up replica cursors wrong: %v", out)
+	}
 }
 
 // TestFollowerRegistryCap pins the histogram-cardinality bound: follower
@@ -294,11 +306,13 @@ func TestStatsQuantiles(t *testing.T) {
 		}
 	}
 	_, out := get(t, srv.URL+"/stats")
-	p50 := out["latencyP50Ms"].(float64)
-	p95 := out["latencyP95Ms"].(float64)
-	p99 := out["latencyP99Ms"].(float64)
+	lat := out[`db_query_latency_seconds{outcome="ok"}`].(map[string]any)
+	if lat["count"].(float64) != 5 {
+		t.Fatalf("latency count = %v, want 5", lat["count"])
+	}
+	p50, p95, p99 := lat["p50"].(float64), lat["p95"].(float64), lat["p99"].(float64)
 	if p50 <= 0 {
-		t.Fatalf("latencyP50Ms = %v, want > 0 after queries", p50)
+		t.Fatalf("p50 = %v, want > 0 after queries", p50)
 	}
 	if p95 < p50 || p99 < p95 {
 		t.Fatalf("quantiles not monotone: p50=%v p95=%v p99=%v", p50, p95, p99)

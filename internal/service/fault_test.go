@@ -38,7 +38,7 @@ func TestWALCommitFailpoint(t *testing.T) {
 	if !strings.Contains(err.Error(), boom.Error()) {
 		t.Fatalf("injected cause lost from the message: %v", err)
 	}
-	if got := s.Stats().PersistErrors; got == 0 {
+	if got := s.metrics.persistErrs.Value(); got == 0 {
 		t.Fatal("persist error not counted")
 	}
 
@@ -160,7 +160,7 @@ func TestRelayoutLogFailurePublishesOnlyWhatWasLogged(t *testing.T) {
 			if len(changes) != logged {
 				t.Fatalf("%d decisions published, want the %d that were logged", len(changes), logged)
 			}
-			if got := s.Stats().Relayouts; got != int64(logged) {
+			if got := s.metrics.relayouts.Value(); got != int64(logged) {
 				t.Fatalf("relayouts = %d, want %d", got, logged)
 			}
 

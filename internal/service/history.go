@@ -79,7 +79,7 @@ func (s *DB) StartHistory(interval time.Duration) {
 	s.history.pos, s.history.n = 0, 0
 	s.history.prevLat = s.metrics.latOK.Snapshot()
 	s.history.prevQueue = s.metrics.queueWait.Snapshot()
-	s.history.prevQueries = s.stats.queries.Load()
+	s.history.prevQueries = s.metrics.queries.Value()
 	s.history.prevTime = time.Now()
 	stop := make(chan struct{})
 	s.history.stop = stop
@@ -114,7 +114,7 @@ func (s *DB) StopHistory() {
 func (s *DB) SampleHistory() HistorySample {
 	lat := s.metrics.latOK.Snapshot()
 	queue := s.metrics.queueWait.Snapshot()
-	queries := s.stats.queries.Load()
+	queries := s.metrics.queries.Value()
 	now := time.Now()
 
 	s.history.mu.Lock()
@@ -131,7 +131,7 @@ func (s *DB) SampleHistory() HistorySample {
 	elapsed := now.Sub(s.history.prevTime).Seconds()
 	sample := HistorySample{
 		Time:         now,
-		InFlight:     s.stats.inFlight.Load(),
+		InFlight:     s.inFlight.Load(),
 		Followers:    s.repl.followers.Load(),
 		ReplLagBytes: s.repl.lagBytes.Load(),
 		VisibleLagMs: float64(s.repl.visibleLagNanos.Load()) / 1e6,

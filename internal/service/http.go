@@ -24,7 +24,7 @@ import (
 //	POST /load?table=T&format=csv[&create=...]      -> bulk-ingest the body
 //	POST /checkpoint {}                             -> snapshot + WAL reset
 //	GET  /tables                                    -> catalog listing
-//	GET  /stats                                     -> service counters
+//	GET  /stats                                     -> every /metrics series as one JSON object
 //	GET  /workload                                  -> captured column heat + plan shapes
 //	GET  /advisor                                   -> layout-drift advice (advisory-only)
 //	GET  /events?since=N                            -> cluster event journal replay
@@ -360,7 +360,8 @@ func (s *DB) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Stats())
+	w.Header().Set("Content-Type", "application/json")
+	_ = s.metrics.reg.WriteJSON(w) // nothing to do for a client that has gone
 }
 
 // handleWorkload serves the live capture snapshot: per-table column heat
@@ -467,22 +468,22 @@ func (s *DB) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	st := s.Stats()
+	rep := s.Replication()
 	status := "ok"
 	switch {
-	case st.Fenced:
+	case rep.Fenced:
 		status = "fenced"
-	case st.Degraded:
+	case rep.Degraded():
 		status = "degraded"
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":          status,
-		"role":            st.Role,
-		"term":            st.Term,
-		"fenced":          st.Fenced,
-		"replState":       st.ReplState,
-		"promoteEligible": st.PromoteEligible,
-		"lagBytes":        st.ReplicationLagBytes,
+		"role":            rep.Role,
+		"term":            rep.Term,
+		"fenced":          rep.Fenced,
+		"replState":       rep.State,
+		"promoteEligible": rep.State == ReplStatePromoteEligible,
+		"lagBytes":        rep.LagBytes,
 	})
 }
 

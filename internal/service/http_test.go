@@ -182,8 +182,8 @@ func TestHTTPTablesAndStats(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", resp.StatusCode)
 	}
-	if out["queries"].(float64) < 1 {
-		t.Fatalf("stats queries = %v, want >= 1", out["queries"])
+	if n := out[`db_queries_total{outcome="ok"}`].(float64); n < 1 {
+		t.Fatalf("stats queries = %v, want >= 1", n)
 	}
 }
 

@@ -83,8 +83,8 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 	if err != nil {
 		return res, err
 	}
-	s.stats.loads.Add(1)
-	s.stats.loadedRows.Add(int64(res.Rows))
+	s.metrics.loads.Inc()
+	s.metrics.loadedRows.Add(int64(res.Rows))
 	return res, nil
 }
 

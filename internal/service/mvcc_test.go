@@ -149,19 +149,18 @@ func TestServiceSnapshotConsistency(t *testing.T) {
 	if cnt != batch*batches {
 		t.Fatalf("final count %d, want %d", cnt, batch*batches)
 	}
-	st := s.Stats()
-	if st.Epoch <= epoch0 {
-		t.Fatalf("epoch did not advance: %d -> %d", epoch0, st.Epoch)
+	if epoch := s.Stats().Epoch; epoch <= epoch0 {
+		t.Fatalf("epoch did not advance: %d -> %d", epoch0, epoch)
 	}
 	// Readers drained: every superseded version must have been reclaimed.
-	if st.LiveVersions != 1 {
-		t.Fatalf("reclaim backlog not drained: %d live versions", st.LiveVersions)
+	if live := db.LiveVersions(); live != 1 {
+		t.Fatalf("reclaim backlog not drained: %d live versions", live)
 	}
-	if st.VersionsReclaimed == 0 {
+	if db.VersionsReclaimed() == 0 {
 		t.Fatal("no versions reclaimed despite many commits")
 	}
-	if st.ActiveSnapshots != 0 {
-		t.Fatalf("%d snapshots still pinned after drain", st.ActiveSnapshots)
+	if active := db.ActiveSnapshots(); active != 0 {
+		t.Fatalf("%d snapshots still pinned after drain", active)
 	}
 }
 
@@ -504,8 +503,8 @@ func TestMVCCSoak(t *testing.T) {
 	if cnt != batch*batches {
 		t.Fatalf("soak final count %d, want %d", cnt, batch*batches)
 	}
-	if st := s.Stats(); st.LiveVersions != 1 || st.ActiveSnapshots != 0 {
+	if db := s.Unwrap(); db.LiveVersions() != 1 || db.ActiveSnapshots() != 0 {
 		t.Fatalf("soak left versions pinned: %d live, %d active snapshots",
-			st.LiveVersions, st.ActiveSnapshots)
+			db.LiveVersions(), db.ActiveSnapshots())
 	}
 }

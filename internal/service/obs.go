@@ -12,30 +12,31 @@ import (
 	"repro/internal/plan"
 )
 
-// Metric surface of the service. Two kinds of collectors coexist here:
-// histograms and counters the request path feeds directly (latency,
-// queue wait, fsync, slow queries), and CounterFunc/GaugeFunc bridges
-// that read the pre-existing statsCounters at scrape time — those
-// counters stay the single source of truth for /stats, so /metrics can
-// never drift from it.
+// Metric surface of the service. The registry is the only store of every
+// count the service increments: the request path bumps these counters,
+// and GET /metrics, GET /stats and the Go Stats shim all read them.
+// Levels (in-flight queries, followers, replica lag) stay atomics next to
+// the state they describe and are read by GaugeFunc at scrape time.
 type svcMetrics struct {
 	reg *obs.Registry
+
+	queries, failed, rejected           *obs.Counter // db_queries_total by outcome
+	queued, rows                        *obs.Counter
+	planHits, planMisses, planEvictions *obs.Counter
+	relayouts, loads, loadedRows        *obs.Counter
 
 	latOK       *obs.Histogram // end-to-end, including queue wait
 	latFailed   *obs.Histogram
 	latRejected *obs.Histogram
 	queueWait   *obs.Histogram
 
-	ckptSeconds  *obs.Histogram
-	fsyncSeconds *obs.Histogram
-	walAppended  *obs.Counter
+	ckptSeconds, fsyncSeconds             *obs.Histogram
+	walAppended, checkpoints, persistErrs *obs.Counter
 
-	replPoll   *obs.Histogram
-	promotions *obs.Counter
-	fences     *obs.Counter
+	replSyncs, replRetries, promotions, fences *obs.Counter
+	replPoll                                   *obs.Histogram
 
-	slowQueries *obs.Counter
-	advisorRuns *obs.Counter
+	slowQueries, advisorRuns *obs.Counter
 }
 
 // initMetrics builds the registry over a fully-constructed DB. Called
@@ -52,27 +53,21 @@ func (s *DB) initMetrics() {
 	m.queueWait = r.Histogram("db_query_queue_wait_seconds",
 		"Time spent waiting for an admission slot (queued requests only).", nil, nil)
 
-	counter := func(name, help string, v func() int64) {
-		r.CounterFunc(name, help, nil, func() float64 { return float64(v()) })
-	}
 	qt := "db_queries_total"
 	qtHelp := "Queries finished, by outcome."
-	r.CounterFunc(qt, qtHelp, obs.Labels{"outcome": "ok"},
-		func() float64 { return float64(s.stats.queries.Load()) })
-	r.CounterFunc(qt, qtHelp, obs.Labels{"outcome": "error"},
-		func() float64 { return float64(s.stats.failed.Load()) })
-	r.CounterFunc(qt, qtHelp, obs.Labels{"outcome": "rejected"},
-		func() float64 { return float64(s.stats.rejected.Load()) })
-	counter("db_queries_queued_total", "Requests that waited for an admission slot.", s.stats.queued.Load)
-	counter("db_result_rows_total", "Result rows served by successful queries.", s.stats.rows.Load)
+	m.queries = r.Counter(qt, qtHelp, obs.Labels{"outcome": "ok"})
+	m.failed = r.Counter(qt, qtHelp, obs.Labels{"outcome": "error"})
+	m.rejected = r.Counter(qt, qtHelp, obs.Labels{"outcome": "rejected"})
+	m.queued = r.Counter("db_queries_queued_total", "Requests that waited for an admission slot.", nil)
+	m.rows = r.Counter("db_result_rows_total", "Result rows served by successful queries.", nil)
 	r.GaugeFunc("db_inflight_queries", "Queries executing right now.", nil,
-		func() float64 { return float64(s.stats.inFlight.Load()) })
-	counter("db_plan_cache_hits_total", "Executions that reused a compiled plan.", s.stats.planHits.Load)
-	counter("db_plan_cache_misses_total", "Executions that compiled their plan.", s.stats.planMisses.Load)
-	counter("db_plan_cache_evictions_total", "Compiled plans evicted by the LRU.", s.stats.planEvictions.Load)
-	counter("db_relayouts_total", "OptimizeLayouts runs that published a layout change.", s.stats.relayouts.Load)
-	counter("db_loads_total", "Completed bulk loads.", s.stats.loads.Load)
-	counter("db_loaded_rows_total", "Rows ingested by bulk loads.", s.stats.loadedRows.Load)
+		func() float64 { return float64(s.inFlight.Load()) })
+	m.planHits = r.Counter("db_plan_cache_hits_total", "Executions that reused a compiled plan.", nil)
+	m.planMisses = r.Counter("db_plan_cache_misses_total", "Executions that compiled their plan.", nil)
+	m.planEvictions = r.Counter("db_plan_cache_evictions_total", "Compiled plans evicted by the LRU.", nil)
+	m.relayouts = r.Counter("db_relayouts_total", "OptimizeLayouts runs that published a layout change.", nil)
+	m.loads = r.Counter("db_loads_total", "Completed bulk loads.", nil)
+	m.loadedRows = r.Counter("db_loaded_rows_total", "Rows ingested by bulk loads.", nil)
 
 	r.GaugeFunc("db_pool_workers", "Shared morsel-scheduler pool size (1 = serial).", nil,
 		func() float64 { return float64(s.opt.WorkerCount()) })
@@ -105,9 +100,9 @@ func (s *DB) initMetrics() {
 	r.GaugeFunc("db_version_reclaim_backlog",
 		"Superseded catalog versions awaiting reader drain.", nil,
 		func() float64 { return float64(s.core().LiveVersions() - 1) })
-	counter("db_versions_reclaimed_total",
-		"Superseded catalog versions reclaimed after their last unpin.",
-		func() int64 { return s.core().VersionsReclaimed() })
+	r.CounterFunc("db_versions_reclaimed_total",
+		"Superseded catalog versions reclaimed after their last unpin.", nil,
+		func() float64 { return float64(s.core().VersionsReclaimed()) })
 
 	m.ckptSeconds = r.Histogram("db_checkpoint_seconds",
 		"Checkpoint duration (snapshot write + WAL reset).", nil, nil)
@@ -115,8 +110,8 @@ func (s *DB) initMetrics() {
 		"WAL group-commit flush+fsync latency (fsync mode only).", nil, nil)
 	m.walAppended = r.Counter("db_wal_appended_bytes_total",
 		"Bytes appended to the WAL, frames included.", nil)
-	counter("db_checkpoints_total", "Completed checkpoints.", s.stats.checkpoints.Load)
-	counter("db_persist_errors_total", "Failed WAL/checkpoint operations.", s.stats.persistErrs.Load)
+	m.checkpoints = r.Counter("db_checkpoints_total", "Completed checkpoints.", nil)
+	m.persistErrs = r.Counter("db_persist_errors_total", "Failed WAL/checkpoint operations.", nil)
 	r.GaugeFunc("db_wal_bytes", "Current WAL length (0 without persistence).", nil, func() float64 {
 		if mgr := s.mgr(); mgr != nil {
 			return float64(mgr.WALSize())
@@ -137,8 +132,8 @@ func (s *DB) initMetrics() {
 		defer s.roleMu.RUnlock()
 		return float64(s.role.term)
 	})
-	counter("db_repl_syncs_total", "Replica: snapshot bootstraps (>1 means resyncs).", s.repl.syncs.Load)
-	counter("db_repl_retries_total", "Replica: retried bootstrap/tail failures.", s.repl.retries.Load)
+	m.replSyncs = r.Counter("db_repl_syncs_total", "Replica: snapshot bootstraps (>1 means resyncs).", nil)
+	m.replRetries = r.Counter("db_repl_retries_total", "Replica: retried bootstrap/tail failures.", nil)
 	m.replPoll = r.Histogram("db_repl_poll_seconds",
 		"Replica: latency of one poll/apply round against the primary.", nil, nil)
 	m.promotions = r.Counter("db_promotions_total", "Replica promotions to primary.", nil)
@@ -147,12 +142,18 @@ func (s *DB) initMetrics() {
 	m.slowQueries = r.Counter("db_slow_queries_total",
 		"Queries over the -slow-query-ms threshold.", nil)
 
-	// Plan-cache shape gauges: /stats planCacheShapes made scrapeable.
-	// Per-shape series would be unbounded cardinality (shapes are
-	// content-addressed digests), so only the aggregate shape count and
-	// the entry count behind the hottest shape are exported — together
-	// they quantify the constant-embedding blowup (entries ≫ shapes, top
-	// shape holding most entries) that parameter binding would collapse.
+	// Plan-cache occupancy. Per-shape series would be unbounded
+	// cardinality (shapes are content-addressed digests), so only the
+	// entry count, the aggregate shape count and the entry count behind
+	// the hottest shape are exported — together they quantify the
+	// constant-embedding blowup (entries ≫ shapes, top shape holding most
+	// entries) that parameter binding would collapse.
+	r.GaugeFunc("db_plan_cache_entries", "Compiled plans in the LRU.", nil,
+		func() float64 {
+			s.planMu.Lock()
+			defer s.planMu.Unlock()
+			return float64(s.plans.ll.Len())
+		})
 	r.GaugeFunc("db_plan_cache_shapes",
 		"Distinct constant-normalized plan shapes behind the cached entries.", nil,
 		func() float64 {

@@ -12,7 +12,8 @@ import (
 // disarmed (nil-trace branches, latency histograms, slow-query check)
 // must stay within 2% of the pre-observability request path — replicated
 // below from the same primitives (key, admission, read lock, cache
-// lookup, stats counters) minus every observability addition. The
+// lookup, the registry counters the service path bumps) minus every
+// observability addition. The
 // comparison interleaves min-of-N rounds so scheduling noise and thermal
 // drift hit both sides alike, and retries before failing — a timing
 // assertion, not a proof, but it catches a per-row cost sneaking into
@@ -46,9 +47,9 @@ func TestDisarmedTraceOverheadGuard(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	// baseline is the seed request path verbatim: hash the plan, admit,
-	// execute the cached compiled form under the read lock, bump the
-	// stats counters. Everything the observability change added — e2e
+	// baseline is the seed request path: hash the plan, admit, execute
+	// the cached compiled form under the read lock, bump the same
+	// registry counters the service path bumps. Everything the observability change added — e2e
 	// timestamps, histogram observes, the armed check, trace threading,
 	// the capture's Record — is deliberately absent.
 	baseline := func() {
@@ -60,16 +61,14 @@ func TestDisarmedTraceOverheadGuard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
 		res := func() *result.Set {
 			db := s.core()
 			snap := db.Snapshot()
 			defer snap.Release()
 			return s.lookup(q, cacheKey{core: db.ID(), epoch: snap.Epoch(), plan: bkey}).prep.Exec()
 		}()
-		s.stats.queries.Add(1)
-		s.stats.rows.Add(int64(res.Len()))
-		s.stats.execNanos.Add(time.Since(start).Nanoseconds())
+		s.metrics.queries.Inc()
+		s.metrics.rows.Add(int64(res.Len()))
 		release()
 	}
 	viaService := func() {

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/exec/result"
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 func TestExplainTraceJIT(t *testing.T) {
@@ -314,4 +316,144 @@ func TestCloseDoesNotBreakInFlight(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("query did not finish after Close")
 	}
+}
+
+// TestStatsMatchesMetrics pins that /stats and /metrics are two
+// renderings of one registry: after reads, a failed query, an insert, a
+// load and a checkpoint, with no request in flight, every counter and
+// gauge series of the exposition is a /stats key with the same value,
+// and every histogram's count and sum equal its _count and _sum. It
+// also pins what that exercise must have counted.
+func TestStatsMatchesMetrics(t *testing.T) {
+	s, mgr := openPersistent(t, t.TempDir(), Config{Workers: 2})
+	defer mgr.Close()
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,v:float64"},
+		strings.NewReader("1,1.5\n2,2.5\n3,3.5\n")); err != nil {
+		t.Fatal(err)
+	}
+	ins, err := s.Query(plan.Insert{Table: "ev", Rows: [][]storage.Word{
+		{storage.EncodeInt(4), storage.EncodeFloat(4.5)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(plan.Scan{Table: "missing", Cols: []int{0}}); err == nil {
+		t.Fatal("query on a missing table succeeded")
+	}
+	for i := 0; i < 3; i++ { // after the insert, whose commit empties the plan cache
+		if _, err := s.Query(plan.Scan{Table: "ev", Cols: []int{0, 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats := get(t, srv.URL+"/stats")
+
+	histograms := map[string]bool{}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, kind, _ := strings.Cut(rest, " "); kind == "histogram" {
+				histograms[name] = true
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, value, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(series, "{")
+		if labels != "" {
+			labels = "{" + labels
+		}
+		want, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("unparsable exposition line %q", line)
+		}
+		if base, field := histogramPart(name, histograms); base != "" {
+			if field == "" {
+				continue // buckets: /stats carries quantiles instead
+			}
+			key := base + labels
+			seen[key] = true
+			h, ok := stats[key].(map[string]any)
+			if !ok || h[field] != want {
+				t.Errorf("/stats %s.%s = %v, /metrics %s = %v", key, field, h[field], series, want)
+			}
+			continue
+		}
+		seen[series] = true
+		if name == "served_uptime_seconds" {
+			continue
+		}
+		if got, ok := stats[series]; !ok || got != want {
+			t.Errorf("/stats %s = %v (present %v), /metrics says %v", series, got, ok, want)
+		}
+	}
+	for key := range stats {
+		if !seen[key] {
+			t.Errorf("/stats key %s is not a /metrics series", key)
+		}
+	}
+
+	for key, want := range map[string]float64{
+		`db_queries_total{outcome="ok"}`:           4, // the insert and three scans
+		`db_queries_total{outcome="error"}`:        1,
+		`db_queries_total{outcome="rejected"}`:     0,
+		"db_queries_queued_total":                  0,
+		"db_inflight_queries":                      0,
+		"db_result_rows_total":                     float64(3*4 + ins.Len()),
+		"db_plan_cache_misses_total":               2, // the missing table and the first scan
+		"db_plan_cache_hits_total":                 2,
+		"db_plan_cache_entries":                    1,
+		"db_plan_cache_shapes":                     1,
+		"db_loads_total":                           1,
+		"db_loaded_rows_total":                     3,
+		"db_checkpoints_total":                     1,
+		"db_persist_errors_total":                  0,
+		`db_events_total{kind="checkpoint-begin"}`: 1,
+	} {
+		if got := stats[key]; got != want {
+			t.Errorf("/stats %s = %v, want %v", key, got, want)
+		}
+	}
+	for key, want := range map[string]float64{
+		`db_query_latency_seconds{outcome="ok"}`:    4,
+		`db_query_latency_seconds{outcome="error"}`: 1,
+		"db_checkpoint_seconds":                     1,
+	} {
+		if h, _ := stats[key].(map[string]any); h["count"] != want {
+			t.Errorf("/stats %s count = %v, want %v", key, h["count"], want)
+		}
+	}
+	if n, _ := stats["db_wal_appended_bytes_total"].(float64); n <= 0 {
+		t.Errorf("/stats db_wal_appended_bytes_total = %v, want > 0 after a load and an insert", n)
+	}
+}
+
+// histogramPart splits a histogram sample name into its family and the
+// /stats field it maps to: "count" for _count, "sum" for _sum, "" for a
+// bucket. A name outside every histogram family returns base "".
+func histogramPart(name string, histograms map[string]bool) (base, field string) {
+	for suffix, f := range map[string]string{"_bucket": "", "_sum": "sum", "_count": "count"} {
+		if b, ok := strings.CutSuffix(name, suffix); ok && histograms[b] {
+			return b, f
+		}
+	}
+	return "", ""
 }

@@ -300,8 +300,7 @@ func TestConcurrentQueriesDuringLoadAndCheckpoint(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	st := s.Stats()
-	if st.LoadedRows != 1+39*50 {
-		t.Fatalf("loaded %d rows, want %d", st.LoadedRows, 1+39*50)
+	if got := s.metrics.loadedRows.Value(); got != 1+39*50 {
+		t.Fatalf("loaded %d rows, want %d", got, 1+39*50)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"io"
 	"sync"
 	"testing"
 
@@ -104,6 +105,7 @@ func TestServiceConcurrentQueryVsRelayout(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			s.Tables()
 			s.Stats()
+			_ = s.Metrics().WriteJSON(io.Discard)
 		}
 	}()
 	wg.Wait()

@@ -28,7 +28,7 @@ import (
 // All role transitions go through the methods below under roleMu.
 
 // Replica tail-loop states, published by repl.Replica through
-// SetReplicaState and surfaced in /stats and /healthz.
+// SetReplicaState and surfaced in /replication and /healthz.
 const (
 	// ReplStateBootstrapping: fetching the initial snapshot.
 	ReplStateBootstrapping = "bootstrapping"
@@ -324,9 +324,10 @@ type FollowerStatus struct {
 // fencing state, the primary-side commit position and per-follower
 // progress, and (on a replica) its own apply position and lag.
 type ReplicationReport struct {
-	Role   string `json:"role"`
-	Term   uint64 `json:"term"`
-	Fenced bool   `json:"fenced"`
+	Role     string `json:"role"`
+	Term     uint64 `json:"term"`
+	Fenced   bool   `json:"fenced"`
+	FencedBy string `json:"fencedBy,omitempty"` // superseding primary, when known
 
 	// Primary view: the WAL epoch, committed prefix, and last stamped
 	// commit (sequence, wall-clock time, correlation id).
@@ -339,17 +340,24 @@ type ReplicationReport struct {
 
 	Followers []FollowerStatus `json:"followers"`
 
-	// Replica view.
+	// Replica view. The counters always render, so a caught-up replica
+	// reads lag 0. Syncs (snapshot bootstraps, >1 means resyncs) and
+	// Retries keep their counts after a promotion.
 	Primary      string  `json:"primary,omitempty"`
 	State        string  `json:"state,omitempty"`
-	ApplyEpoch   uint64  `json:"applyEpoch,omitempty"`
-	ApplyOffset  int64   `json:"applyOffset,omitempty"`
-	ApplyRecords int64   `json:"applyRecords,omitempty"`
-	LagBytes     int64   `json:"lagBytes,omitempty"`
-	LagRecords   int64   `json:"lagRecords,omitempty"`
-	VisibleLagMs float64 `json:"visibleLagMs,omitempty"`
-	Syncs        int64   `json:"syncs,omitempty"`
-	Retries      int64   `json:"retries,omitempty"`
+	ApplyEpoch   uint64  `json:"applyEpoch"`
+	ApplyOffset  int64   `json:"applyOffset"`
+	ApplyRecords int64   `json:"applyRecords"`
+	LagBytes     int64   `json:"lagBytes"`
+	LagRecords   int64   `json:"lagRecords"`
+	VisibleLagMs float64 `json:"visibleLagMs"` // last measured commit-to-visible lag (0 = unknown)
+	Syncs        int64   `json:"syncs"`
+	Retries      int64   `json:"retries"`
+}
+
+// Degraded reports a replica serving reads without a reachable primary.
+func (r ReplicationReport) Degraded() bool {
+	return r.State == ReplStateDegraded || r.State == ReplStatePromoteEligible
 }
 
 // Replication builds the GET /replication report.
@@ -361,7 +369,10 @@ func (s *DB) Replication() ReplicationReport {
 		Role:      "primary",
 		Term:      role.term,
 		Fenced:    role.fenced,
+		FencedBy:  role.fencedBy,
 		Followers: []FollowerStatus{},
+		Syncs:     s.metrics.replSyncs.Value(),
+		Retries:   s.metrics.replRetries.Value(),
 	}
 	var committed, records int64
 	if m := s.mgr(); m != nil {
@@ -396,8 +407,6 @@ func (s *DB) Replication() ReplicationReport {
 		rep.LagBytes = s.repl.lagBytes.Load()
 		rep.LagRecords = s.repl.lagRecords.Load()
 		rep.VisibleLagMs = float64(s.repl.visibleLagNanos.Load()) / 1e6
-		rep.Syncs = s.repl.syncs.Load()
-		rep.Retries = s.repl.retries.Load()
 		if state, ok := s.repl.state.Load().(string); ok {
 			rep.State = state
 		}
@@ -406,7 +415,7 @@ func (s *DB) Replication() ReplicationReport {
 }
 
 // SetReplicaProgress publishes the replica's apply position and lag for
-// /stats.
+// /replication and the lag gauges.
 func (s *DB) SetReplicaProgress(epoch uint64, offset, records, lagBytes, lagRecords int64) {
 	s.repl.epoch.Store(epoch)
 	s.repl.offset.Store(offset)
@@ -424,15 +433,15 @@ func (s *DB) SetReplicaVisibleLag(nanos int64) {
 // NoteReplicaSync counts a snapshot bootstrap (the first sync and every
 // epoch-rotation resync) and journals it.
 func (s *DB) NoteReplicaSync() {
-	n := s.repl.syncs.Add(1)
+	s.metrics.replSyncs.Inc()
 	s.Event(EventResync, "bootstrapped from primary snapshot",
-		map[string]string{"syncs": strconv.FormatInt(n, 10)})
+		map[string]string{"syncs": strconv.FormatInt(s.metrics.replSyncs.Value(), 10)})
 }
 
 // NoteReplicaRetry counts a failed bootstrap or tail attempt that the
 // replica will retry with backoff.
-func (s *DB) NoteReplicaRetry() { s.repl.retries.Add(1) }
+func (s *DB) NoteReplicaRetry() { s.metrics.replRetries.Inc() }
 
 // SetReplicaState publishes the tail loop's state-machine position (one
-// of the ReplState constants) for /stats and /healthz.
+// of the ReplState constants) for /replication and /healthz.
 func (s *DB) SetReplicaState(state string) { s.repl.state.Store(state) }

@@ -152,9 +152,10 @@ type DB struct {
 	// every access goes through roleMu.
 	roleMu sync.RWMutex
 	role   roleState
-	repl   replCounters
+	repl   replProgress
 
-	stats statsCounters
+	// inFlight is the number of queries holding an admission slot.
+	inFlight atomic.Int64
 
 	// Observability: the metric registry (built once in New), the
 	// slow-query threshold in nanoseconds (0 = disarmed; non-zero also
@@ -205,17 +206,16 @@ type roleState struct {
 	fencedBy   string // superseding primary's URL, when known
 }
 
-// replCounters tracks replication state for /stats: the follower gauge
-// on a primary, apply progress and lag on a replica.
-type replCounters struct {
+// replProgress holds the replication levels behind GET /replication and
+// the lag gauges: the follower count on a primary, apply progress and lag
+// on a replica.
+type replProgress struct {
 	followers  atomic.Int64 // primary: WAL tail streams currently connected
 	epoch      atomic.Uint64
 	offset     atomic.Int64
 	records    atomic.Int64
 	lagBytes   atomic.Int64
 	lagRecords atomic.Int64
-	syncs      atomic.Int64 // snapshot bootstraps (1 = initial, more = resyncs)
-	retries    atomic.Int64 // replica: failed bootstrap/tail attempts that were retried
 	state      atomic.Value // replica: tail-loop state machine (string)
 	// visibleLagNanos is the replica's last measured commit-to-visible
 	// lag: primary commit wall-clock time (shipped on the tail response)
@@ -432,7 +432,7 @@ func (s *DB) admit() (release func(), err error) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		s.stats.queued.Add(1)
+		s.metrics.queued.Inc()
 		wait := time.Now()
 		t := time.NewTimer(s.queueTimeout)
 		defer t.Stop()
@@ -440,15 +440,15 @@ func (s *DB) admit() (release func(), err error) {
 		case s.sem <- struct{}{}:
 			s.metrics.queueWait.ObserveSince(wait)
 		case <-t.C:
-			s.stats.rejected.Add(1)
+			s.metrics.rejected.Inc()
 			s.metrics.queueWait.ObserveSince(wait)
 			s.noteOverload()
 			return nil, ErrOverloaded
 		}
 	}
-	s.stats.inFlight.Add(1)
+	s.inFlight.Add(1)
 	return func() {
-		s.stats.inFlight.Add(-1)
+		s.inFlight.Add(-1)
 		<-s.sem
 	}, nil
 }
@@ -506,7 +506,6 @@ func (s *DB) Prepare(p plan.Node) (*Stmt, error) {
 	}
 	s.stmts[st.ID] = st
 	s.stmtMu.Unlock()
-	s.stats.prepared.Add(1)
 	return st, nil
 }
 
@@ -574,8 +573,8 @@ func (s *DB) QueryEx(p plan.Node, o QueryOpts) (*result.Set, *obs.QueryTrace, er
 
 // runOpts admits, executes and accounts one request. The end-to-end
 // latency histograms start before admission (queue wait is part of what
-// the client sees); stats.execNanos keeps its historical meaning of
-// time inside execution only.
+// the client sees); the slow-query threshold applies to time inside
+// execution only.
 func (s *DB) runOpts(p plan.Node, key digest, o QueryOpts) (*result.Set, *obs.QueryTrace, error) {
 	e2e := time.Now()
 	release, err := s.admit()
@@ -598,13 +597,12 @@ func (s *DB) runOpts(p plan.Node, key digest, o QueryOpts) (*result.Set, *obs.Qu
 	}
 	elapsed := time.Since(start)
 	if err != nil {
-		s.stats.failed.Add(1)
+		s.metrics.failed.Inc()
 		s.metrics.latFailed.ObserveSince(e2e)
 		return nil, nil, err
 	}
-	s.stats.queries.Add(1)
-	s.stats.rows.Add(int64(res.Len()))
-	s.stats.execNanos.Add(elapsed.Nanoseconds())
+	s.metrics.queries.Inc()
+	s.metrics.rows.Add(int64(res.Len()))
 	s.metrics.latOK.ObserveSince(e2e)
 	if slow := s.slowNanos.Load(); slow > 0 && elapsed.Nanoseconds() >= slow {
 		s.logSlowQuery(p, elapsed, tr)
@@ -669,7 +667,7 @@ func (s *DB) lookup(p plan.Node, key cacheKey) *cachedPlan {
 	s.planMu.Lock()
 	if entry, ok := s.plans.get(key); ok {
 		s.planMu.Unlock()
-		s.stats.planHits.Add(1)
+		s.metrics.planHits.Inc()
 		return entry
 	}
 	s.planMu.Unlock()
@@ -679,13 +677,13 @@ func (s *DB) lookup(p plan.Node, key cacheKey) *cachedPlan {
 	defer s.planMu.Unlock()
 	entry, ok := s.plans.get(key) // re-check: another miss may have raced us
 	if ok {
-		s.stats.planHits.Add(1)
+		s.metrics.planHits.Inc()
 		return entry
 	}
-	s.stats.planMisses.Add(1)
+	s.metrics.planMisses.Inc()
 	entry = &cachedPlan{shape: shape, shapeJSON: shapeJSON}
 	if evicted := s.plans.add(key, shape, entry); evicted > 0 {
-		s.stats.planEvictions.Add(int64(evicted))
+		s.metrics.planEvictions.Add(int64(evicted))
 	}
 	return entry
 }
@@ -746,11 +744,11 @@ func (s *DB) Checkpoint() (persist.CheckpointInfo, error) {
 	start := time.Now()
 	info, err := m.CheckpointFrom(snap.Catalog(), pos)
 	if err != nil {
-		s.stats.persistErrs.Add(1)
+		s.metrics.persistErrs.Inc()
 		return info, err
 	}
 	s.metrics.ckptSeconds.ObserveSince(start)
-	s.stats.checkpoints.Add(1)
+	s.metrics.checkpoints.Inc()
 	s.Event(EventCheckpointEnd, "snapshot written, WAL rotated", map[string]string{
 		"snapshotBytes":   strconv.FormatInt(info.SnapshotBytes, 10),
 		"walBytesDropped": strconv.FormatInt(info.WALBytes, 10),
@@ -823,173 +821,37 @@ func (s *DB) Tables() []TableInfo {
 	return out
 }
 
-// statsCounters are the service's atomic counters.
-type statsCounters struct {
-	queries       atomic.Int64
-	failed        atomic.Int64
-	queued        atomic.Int64
-	rejected      atomic.Int64
-	prepared      atomic.Int64
-	planHits      atomic.Int64
-	planMisses    atomic.Int64
-	planEvictions atomic.Int64
-	relayouts     atomic.Int64
-	rows          atomic.Int64
-	execNanos     atomic.Int64
-	inFlight      atomic.Int64
-	checkpoints   atomic.Int64
-	persistErrs   atomic.Int64
-	loads         atomic.Int64
-	loadedRows    atomic.Int64
-}
-
-// Stats is a snapshot of the service counters.
+// Stats is the in-process summary the benchmark harness and cmd/served
+// read. Each count is one read of a collector in the registry that
+// GET /metrics and GET /stats render; the rest are configuration.
 type Stats struct {
-	Queries       int64 `json:"queries"`            // successfully executed
-	Failed        int64 `json:"failed"`             // validation/decode failures
-	Queued        int64 `json:"queued"`             // waited for an admission slot
-	Rejected      int64 `json:"rejected"`           // admission timeouts (ErrOverloaded)
-	Prepared      int64 `json:"prepared"`           // Prepare calls
-	PlanCacheHits int64 `json:"planCacheHits"`      // executions reusing a compiled plan
-	PlanCacheMiss int64 `json:"planCacheMisses"`    // executions that compiled
-	PlanEvictions int64 `json:"planCacheEvictions"` // LRU evictions (not DDL flushes)
-	Relayouts     int64 `json:"relayouts"`          // OptimizeLayouts runs that published
-	Rows          int64 `json:"rows"`               // total result rows served
-	ExecNanos     int64 `json:"execNanos"`          // summed wall time inside execution
-	InFlight      int64 `json:"inFlight"`           // currently executing
-
-	// Derived latency summaries: interpolated quantiles over the
-	// end-to-end histogram of successful queries since start (the same
-	// estimate Prometheus histogram_quantile would give on
-	// db_query_latency_seconds), plus the queue-wait p99. All zero until
-	// the first query.
-	LatencyP50Ms   float64 `json:"latencyP50Ms"`
-	LatencyP95Ms   float64 `json:"latencyP95Ms"`
-	LatencyP99Ms   float64 `json:"latencyP99Ms"`
-	QueueWaitP99Ms float64 `json:"queueWaitP99Ms"`
-
-	Workers        int   `json:"workers"`        // shared pool size (1 = serial)
-	MaxInFlight    int   `json:"maxInFlight"`    // admission bound
-	Persistent     bool  `json:"persistent"`     // durability attached
-	WALBytes       int64 `json:"walBytes"`       // current WAL length (0 without persistence)
-	Checkpoints    int64 `json:"checkpoints"`    // completed checkpoints
-	PersistErrors  int64 `json:"persistErrors"`  // failed WAL/checkpoint operations
-	Loads          int64 `json:"loads"`          // completed bulk loads
-	LoadedRows     int64 `json:"loadedRows"`     // rows ingested by bulk loads
-	PlanCacheSize  int   `json:"planCacheSize"`  // current entry count
-	PlanCacheLimit int   `json:"planCacheLimit"` // LRU capacity
-	// PlanCacheShapes counts the distinct constant-normalized plan shapes
-	// behind the cached entries. Keys embed constants (compiled plans bake
-	// them in), so size ≫ shapes means a parameter-sweeping workload is
-	// churning the LRU with variants of few queries — the case parameter
-	// binding would collapse.
-	PlanCacheShapes int `json:"planCacheShapes"`
-
-	// MVCC. Epoch is the currently published catalog version;
-	// ActiveSnapshots counts pinned reader snapshots right now;
-	// LiveVersions is the published version plus superseded versions
-	// still awaiting reader drain (so LiveVersions-1 is the reclaim
-	// backlog); VersionsReclaimed counts versions freed since start.
-	Epoch             uint64 `json:"epoch"`
-	ActiveSnapshots   int64  `json:"activeSnapshots"`
-	LiveVersions      int    `json:"liveVersions"`
-	VersionsReclaimed int64  `json:"versionsReclaimed"`
-
-	// Replication. Role is "primary" or "replica"; a primary reports the
-	// follower gauge, a replica its apply position and lag behind the
-	// primary's committed WAL. Term is the fencing token ordering
-	// primaries across failovers; a fenced node is a superseded primary
-	// rejecting writes.
-	Role                  string  `json:"role"`
-	Term                  uint64  `json:"term"`                  // fencing term (promotion takes term+1)
-	Fenced                bool    `json:"fenced"`                // superseded primary: writes rejected
-	FencedBy              string  `json:"fencedBy,omitempty"`    // superseding primary, when known
-	Followers             int64   `json:"followers"`             // primary: connected WAL tail streams
-	ReplPrimary           string  `json:"replPrimary,omitempty"` // replica: the primary's URL
-	ReplEpoch             uint64  `json:"replEpoch"`             // replica: epoch being applied
-	ReplOffset            int64   `json:"replOffset"`            // replica: applied WAL offset (bytes)
-	ReplRecords           int64   `json:"replRecords"`           // replica: applied mutation records
-	ReplicationLagBytes   int64   `json:"replicationLagBytes"`   // replica: committed bytes not yet applied
-	ReplicationLagRecords int64   `json:"replicationLagRecords"` // replica: records not yet applied
-	ReplVisibleLagMs      float64 `json:"replVisibleLagMs"`      // replica: commit-to-visible lag, last measured (0 = unknown)
-	ReplSyncs             int64   `json:"replSyncs"`             // replica: snapshot bootstraps (>1 = resyncs)
-	ReplRetries           int64   `json:"replRetries"`           // replica: retried bootstrap/tail failures
-	ReplState             string  `json:"replState,omitempty"`   // replica: tail-loop state machine
-	PromoteEligible       bool    `json:"promoteEligible"`       // replica: primary unreachable past threshold
-	Degraded              bool    `json:"degraded"`              // replica serving reads without a reachable primary
+	Queued        int64  // waited for an admission slot
+	Rejected      int64  // admission timeouts (ErrOverloaded)
+	PlanCacheHits int64  // executions reusing a compiled plan
+	PlanCacheMiss int64  // executions that compiled
+	PlanEvictions int64  // LRU evictions (not DDL flushes)
+	Epoch         uint64 // currently published MVCC catalog version
+	Checkpoints   int64  // completed checkpoints
+	Workers       int    // shared pool size (1 = serial)
+	MaxInFlight   int    // admission bound
+	Persistent    bool   // durability attached
 }
 
-// Stats snapshots the counters.
+// Stats reads the summary.
 func (s *DB) Stats() Stats {
-	s.planMu.Lock()
-	cacheLen, cacheCap, cacheShapes := s.plans.ll.Len(), s.plans.cap, len(s.plans.shapes)
-	s.planMu.Unlock()
-	st := Stats{
-		Queries:         s.stats.queries.Load(),
-		Failed:          s.stats.failed.Load(),
-		Queued:          s.stats.queued.Load(),
-		Rejected:        s.stats.rejected.Load(),
-		Prepared:        s.stats.prepared.Load(),
-		PlanCacheHits:   s.stats.planHits.Load(),
-		PlanCacheMiss:   s.stats.planMisses.Load(),
-		PlanEvictions:   s.stats.planEvictions.Load(),
-		Relayouts:       s.stats.relayouts.Load(),
-		Rows:            s.stats.rows.Load(),
-		ExecNanos:       s.stats.execNanos.Load(),
-		InFlight:        s.stats.inFlight.Load(),
-		Workers:         s.opt.WorkerCount(),
-		MaxInFlight:     cap(s.sem),
-		Checkpoints:     s.stats.checkpoints.Load(),
-		PersistErrors:   s.stats.persistErrs.Load(),
-		Loads:           s.stats.loads.Load(),
-		LoadedRows:      s.stats.loadedRows.Load(),
-		PlanCacheSize:   cacheLen,
-		PlanCacheLimit:  cacheCap,
-		PlanCacheShapes: cacheShapes,
+	m := s.metrics
+	return Stats{
+		Queued:        m.queued.Value(),
+		Rejected:      m.rejected.Value(),
+		PlanCacheHits: m.planHits.Value(),
+		PlanCacheMiss: m.planMisses.Value(),
+		PlanEvictions: m.planEvictions.Value(),
+		Epoch:         s.core().Epoch(),
+		Checkpoints:   m.checkpoints.Value(),
+		Workers:       s.opt.WorkerCount(),
+		MaxInFlight:   cap(s.sem),
+		Persistent:    s.mgr() != nil,
 	}
-	if snap := s.metrics.latOK.Snapshot(); snap.Count > 0 {
-		st.LatencyP50Ms = snap.Quantile(0.5) * 1000
-		st.LatencyP95Ms = snap.Quantile(0.95) * 1000
-		st.LatencyP99Ms = snap.Quantile(0.99) * 1000
-	}
-	if snap := s.metrics.queueWait.Snapshot(); snap.Count > 0 {
-		st.QueueWaitP99Ms = snap.Quantile(0.99) * 1000
-	}
-	db := s.core()
-	st.Epoch = db.Epoch()
-	st.ActiveSnapshots = db.ActiveSnapshots()
-	st.LiveVersions = db.LiveVersions()
-	st.VersionsReclaimed = db.VersionsReclaimed()
-	if m := s.mgr(); m != nil {
-		st.Persistent = true
-		st.WALBytes = m.WALSize()
-	}
-	s.roleMu.RLock()
-	role := s.role
-	s.roleMu.RUnlock()
-	st.Role = "primary"
-	st.Term = role.term
-	st.Fenced = role.fenced
-	st.FencedBy = role.fencedBy
-	st.Followers = s.repl.followers.Load()
-	if role.readOnly {
-		st.Role = "replica"
-		st.ReplPrimary = role.primaryURL
-		st.ReplEpoch = s.repl.epoch.Load()
-		st.ReplOffset = s.repl.offset.Load()
-		st.ReplRecords = s.repl.records.Load()
-		st.ReplicationLagBytes = s.repl.lagBytes.Load()
-		st.ReplicationLagRecords = s.repl.lagRecords.Load()
-		st.ReplVisibleLagMs = float64(s.repl.visibleLagNanos.Load()) / 1e6
-	}
-	st.ReplSyncs = s.repl.syncs.Load()
-	st.ReplRetries = s.repl.retries.Load()
-	if state, ok := s.repl.state.Load().(string); ok {
-		st.ReplState = state
-		st.PromoteEligible = state == ReplStatePromoteEligible
-		st.Degraded = state == ReplStateDegraded || state == ReplStatePromoteEligible
-	}
-	return st
 }
 
 // keyBufs holds the buffers plans are encoded into to be hashed.

@@ -52,7 +52,8 @@ func TestServiceQueryMatchesDirect(t *testing.T) {
 
 // TestServicePlanCacheShapes: constant-varying repeats of one query create
 // one cache entry each but collapse to a single normalized shape — the
-// /stats signal for parameter-sweep cache blowup.
+// db_plan_cache_entries / db_plan_cache_shapes signal for parameter-sweep
+// cache blowup.
 func TestServicePlanCacheShapes(t *testing.T) {
 	s := New(NewDemoDB(testRows), Config{Workers: 1, PlanCacheSize: 8})
 	defer s.Close()
@@ -64,9 +65,8 @@ func TestServicePlanCacheShapes(t *testing.T) {
 	if _, err := s.Query(plan.Scan{Table: "R", Cols: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.PlanCacheSize != 6 || st.PlanCacheShapes != 2 {
-		t.Fatalf("cache size=%d shapes=%d, want 6 entries over 2 shapes", st.PlanCacheSize, st.PlanCacheShapes)
+	if entries, shapes := planCacheCounts(s); entries != 6 || shapes != 2 {
+		t.Fatalf("cache size=%d shapes=%d, want 6 entries over 2 shapes", entries, shapes)
 	}
 	// Eviction must release shape counts: 8 more sweep variants overflow
 	// the 8-entry LRU; every resident entry is a sweep variant afterwards.
@@ -75,10 +75,16 @@ func TestServicePlanCacheShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = s.Stats()
-	if st.PlanCacheSize != 8 || st.PlanCacheShapes != 1 {
-		t.Fatalf("after eviction: size=%d shapes=%d, want 8 entries over 1 shape", st.PlanCacheSize, st.PlanCacheShapes)
+	if entries, shapes := planCacheCounts(s); entries != 8 || shapes != 1 {
+		t.Fatalf("after eviction: size=%d shapes=%d, want 8 entries over 1 shape", entries, shapes)
 	}
+}
+
+// planCacheCounts reads the plan cache's entry and shape counts.
+func planCacheCounts(s *DB) (entries, shapes int) {
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	return s.plans.ll.Len(), len(s.plans.shapes)
 }
 
 func TestServicePlanCache(t *testing.T) {
@@ -176,7 +182,7 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := s.Prepare(plan.Scan{Table: "R", Cols: []int{99}}); err == nil {
 		t.Fatal("Prepare accepted an out-of-range column")
 	}
-	if st := s.Stats(); st.Failed == 0 {
+	if s.metrics.failed.Value() == 0 {
 		t.Fatal("failed counter not incremented")
 	}
 }

@@ -82,8 +82,8 @@ func TestConstantSweepCollapsesShapes(t *testing.T) {
 	if rep.TopShapes[0].Count != 5 {
 		t.Errorf("top shape count = %d, want 5", rep.TopShapes[0].Count)
 	}
-	if st := s.Stats(); st.PlanCacheSize != 5 || st.PlanCacheShapes != 1 {
-		t.Errorf("cache entries/shapes = %d/%d, want 5/1", st.PlanCacheSize, st.PlanCacheShapes)
+	if entries, shapes := planCacheCounts(s); entries != 5 || shapes != 1 {
+		t.Errorf("cache entries/shapes = %d/%d, want 5/1", entries, shapes)
 	}
 }
 
@@ -219,8 +219,8 @@ func TestWorkloadAndAdvisorHTTP(t *testing.T) {
 	if got := s.Tables()[0].Layout; got != "row" {
 		t.Errorf("advisor changed the layout to %s — it must be advisory-only", got)
 	}
-	if st := s.Stats(); st.Relayouts != 0 {
-		t.Errorf("advisor triggered %d relayouts — it must be advisory-only", st.Relayouts)
+	if got := s.metrics.relayouts.Value(); got != 0 {
+		t.Errorf("advisor triggered %d relayouts — it must be advisory-only", got)
 	}
 }
 

@@ -37,7 +37,7 @@ func (s *DB) write(qid string, body func(tx *core.WriteTxn, log logFn) error) (e
 			if m != nil {
 				m.Tag(qid)
 				if err := record(m); err != nil {
-					s.stats.persistErrs.Add(1)
+					s.metrics.persistErrs.Inc()
 					return fmt.Errorf("%w: %s not logged, not applied: %v", ErrDurability, what, err)
 				}
 			}
@@ -119,7 +119,7 @@ func (s *DB) OptimizeLayouts() ([]core.LayoutChange, error) {
 		return err
 	})
 	if len(changes) > 0 {
-		s.stats.relayouts.Add(1)
+		s.metrics.relayouts.Inc()
 		data := map[string]string{"tables": strconv.Itoa(len(changes))}
 		for _, ch := range changes {
 			data[ch.Table] = ch.Old.String() + "->" + ch.New.String()

@@ -175,7 +175,7 @@ func TestWriteFaultMatrix(t *testing.T) {
 				if err := errors.Join(errs...); err != nil {
 					t.Fatalf("script without faults: %v", err)
 				}
-				if got := s.Stats().Relayouts; got != 1 {
+				if got := s.metrics.relayouts.Value(); got != 1 {
 					t.Fatalf("relayouts = %d, want 1: the script must re-lay-out its table", got)
 				}
 				// create, two dictionary deltas, two batches, an insert, a relayout
