@@ -85,7 +85,7 @@ func (t *Tx) NewOrder() error {
 	orderRow[ordersSchema.Col("o_carrier_id")] = storage.EncodeInt(0)
 	orderRow[ordersSchema.Col("o_ol_cnt")] = storage.EncodeInt(int64(lines))
 	orderRow[ordersSchema.Col("o_all_local")] = storage.EncodeInt(1)
-	t.orders.AppendRow(orderRow)
+	t.orders.AppendRows(orderRow)
 
 	distInfo := t.orderline.Value(0, orderlineSchema.Col("ol_dist_info"))
 	for l := 0; l < lines; l++ {
@@ -112,7 +112,7 @@ func (t *Tx) NewOrder() error {
 		lineRow[orderlineSchema.Col("ol_quantity")] = storage.EncodeInt(qty)
 		lineRow[orderlineSchema.Col("ol_amount")] = storage.EncodeInt(t.rng.Int63n(100000) + 100)
 		lineRow[orderlineSchema.Col("ol_dist_info")] = distInfo
-		t.orderline.AppendRow(lineRow)
+		t.orderline.AppendRows(lineRow)
 	}
 	return nil
 }

@@ -187,6 +187,17 @@ func (tx *WriteTxn) Insert(table string, rows [][]storage.Word) *result.Set {
 	return exec.RunInsert(plan.Insert{Table: table, Rows: rows}, tx.cat)
 }
 
+// AppendRows is Insert for tuples already laid out row-major in schema
+// attribute order — a bulk-load batch or a logged insert.
+func (tx *WriteTxn) AppendRows(table string, words []storage.Word) *result.Set {
+	tx.rel(table)
+	return exec.AppendRows(tx.cat, table, words)
+}
+
+// Clip drops the spare capacity of table's partitions (see
+// storage.Relation.Clip) in this transaction's version.
+func (tx *WriteTxn) Clip(table string) { tx.rel(table).Clip() }
+
 // relayout swaps table's relation for a copy under layout l and rebuilds
 // the table's registered indexes over it.
 func (tx *WriteTxn) relayout(table string, rel *storage.Relation, l storage.Layout) {

@@ -265,3 +265,47 @@ func TestSnapshotRaceWithCommits(t *testing.T) {
 		t.Fatalf("readers drained but %d versions live, want 1", lv)
 	}
 }
+
+// TestSnapshotStableAcrossAppendRows commits two batches through
+// AppendRows while snapshots stay pinned. The first batch reallocates
+// every partition (the table was built without spare capacity) and
+// leaves room the second fills in place, beyond the length the snapshot
+// pinned between them bounds. Each snapshot keeps reading its own rows.
+func TestSnapshotStableAcrossAppendRows(t *testing.T) {
+	db, _ := buildDB(500)
+	batch := func(from, n int) []storage.Word {
+		words := make([]storage.Word, 0, 5*n)
+		for i := from; i < from+n; i++ {
+			words = append(words, storage.EncodeInt(int64(i)), storage.Null,
+				storage.EncodeInt(int64(i)), storage.EncodeInt(0), storage.EncodeInt(0))
+		}
+		return words
+	}
+	var snaps []*Snapshot
+	var counts, sums []int64
+	for _, b := range [][2]int{{500, 300}, {800, 10}} {
+		snap := db.Snapshot()
+		defer snap.Release()
+		c, s := countAll(t, snap.Catalog())
+		snaps, counts, sums = append(snaps, snap), append(counts, c), append(sums, s)
+
+		tx := db.BeginWrite()
+		tx.AppendRows("events", batch(b[0], b[1]))
+		tx.Commit()
+		for i, snap := range snaps {
+			if c, s := countAll(t, snap.Catalog()); c != counts[i] || s != sums[i] {
+				t.Fatalf("snapshot %d drifted after appending rows %d..: count %d->%d sum %d->%d",
+					i, b[0], counts[i], c, sums[i], s)
+			}
+		}
+	}
+	if counts[0] != 500 || counts[1] != 800 {
+		t.Fatalf("snapshots pinned %v rows, want [500 800]", counts)
+	}
+	if c, _ := countAll(t, db.Catalog()); c != 810 {
+		t.Fatalf("latest version holds %d rows, want 810", c)
+	}
+	if p := db.Table("events").Parts[0]; cap(p.Data) == len(p.Data) {
+		t.Fatal("the second batch did not land in spare capacity; the test lost its point")
+	}
+}

@@ -7,11 +7,11 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/exec/result"
 	"repro/internal/expr"
-	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -26,24 +26,33 @@ type Engine interface {
 // registered index; all engines share this path (the paper's Q6
 // measurements differ only in the scan-side processing model).
 func RunInsert(v plan.Insert, c *plan.Catalog) *result.Set {
-	rel := c.Table(v.Table)
-	// The table's indexes, looked up once rather than per row.
-	var attrs []int
-	var idxs []index.Index
-	for attr := 0; attr < rel.Schema.Width(); attr++ {
-		if idx := c.Index(v.Table, attr); idx != nil {
-			attrs = append(attrs, attr)
-			idxs = append(idxs, idx)
-		}
-	}
+	width := c.Table(v.Table).Schema.Width()
 	for _, row := range v.Rows {
-		id := rel.AppendRow(row)
-		for i, idx := range idxs {
-			idx.Insert(row[attrs[i]], int32(id))
+		if len(row) != width {
+			panic(fmt.Sprintf("exec: insert of %d values into width-%d table %s", len(row), width, v.Table))
 		}
 	}
-	out := result.New(plan.Output(v, c))
-	out.Append([]storage.Word{storage.EncodeInt(int64(len(v.Rows)))})
+	return AppendRows(c, v.Table, storage.Flatten(v.Rows))
+}
+
+// AppendRows appends tuples given row-major in schema attribute order to
+// the table with one storage.Relation.AppendRows call, adds them to every
+// registered index, and returns an insert's one-row count result. Inserts,
+// bulk-load batches, WAL replay and replica apply all append through it.
+func AppendRows(c *plan.Catalog, table string, words []storage.Word) *result.Set {
+	rel := c.Table(table)
+	width := rel.Schema.Width()
+	first := rel.AppendRows(words)
+	n := len(words) / width
+	for attr := 0; attr < width; attr++ {
+		if idx := c.Index(table, attr); idx != nil {
+			for i := 0; i < n; i++ {
+				idx.Insert(words[i*width+attr], int32(first+i))
+			}
+		}
+	}
+	out := result.New(plan.Output(plan.Insert{Table: table}, c))
+	out.Append([]storage.Word{storage.EncodeInt(int64(n))})
 	return out
 }
 

@@ -328,7 +328,7 @@ func TestScanAggDictionaryGrowth(t *testing.T) {
 		}
 		vals[10] = 0
 		vals[11] = dict.AppendCode(fmt.Sprintf("zz-new-%d", i%3))
-		next.AppendRow(vals)
+		next.AppendRows(vals)
 	}
 	if dict.Len() != oldLen+3 {
 		t.Fatalf("dictionary grew to %d, want %d", dict.Len(), oldLen+3)
@@ -373,7 +373,7 @@ func TestScanAggKeysOutsideDictionary(t *testing.T) {
 			vals[a] = storage.EncodeInt(7)
 		}
 		vals[10], vals[11] = 0, key
-		next.AppendRow(vals)
+		next.AppendRows(vals)
 		c := plan.NewCatalog().Add(next)
 		for _, opt := range []par.Options{par.Serial(), {Workers: 2, MorselRows: 512}} {
 			t.Run(fmt.Sprintf("key=%#x/workers=%d", key, opt.WorkerCount()), func(t *testing.T) {

@@ -192,7 +192,7 @@ func TestReportsRender(t *testing.T) {
 
 // TestQ6CellsTimeOneInsert: a Figure 9/10 Q6 cell times a single-row
 // insert, a few microseconds. The first insert on a catalog also copies
-// every partition (Relation.AppendRow appends to full slices), which takes
+// every partition (Relation.AppendRows appends to full slices), which takes
 // milliseconds; if a cell's timed run paid that copy, the cell would
 // report it as Q6 and the processor that ran first on a catalog would lose.
 // A quick cell is one sample, so a preemption can push it over the bound;

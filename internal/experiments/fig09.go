@@ -96,8 +96,8 @@ func Fig9(opt Options) *Report {
 				cat := setup.Catalogs[l]
 				var p plan.Node
 				if qi == 5 { // Q6: fresh insert per execution
-					// One untimed insert first. Relation.AppendRow appends
-					// into full partition slices, so the first insert on a
+					// One untimed insert first. Relation.AppendRows appends
+					// to full partition slices, so the first insert on a
 					// catalog copies every partition, and whichever
 					// processor ran first would report that copy as Q6.
 					e.Run(setup.Data.InsertPlan(insertSeq), cat)

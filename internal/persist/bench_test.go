@@ -80,7 +80,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rel := storage.NewRelation(schema, l.layout)
-				n, err := loadAll(rel, NewCSVReader(strings.NewReader(body), 3), 4096)
+				n, err := loadAll(rel, NewCSVReader(strings.NewReader(body), schema.Attrs), 4096)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,8 +2,15 @@ package persist
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
+	"io"
+	"slices"
+	"strconv"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // FuzzDecodeSnapshot asserts the snapshot decoder's contract on
@@ -44,5 +51,144 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 		}
 		t.Fatalf("decode error %v is not a named sentinel", err)
+	})
+}
+
+// fuzzAttrs is FuzzCSVReader's schema: one column of every type.
+var fuzzAttrs = []storage.Attribute{
+	{Name: "i", Type: storage.Int64},
+	{Name: "f", Type: storage.Float64},
+	{Name: "b", Type: storage.Bool},
+	{Name: "s", Type: storage.String},
+}
+
+// referenceCSV is FuzzCSVReader's oracle, the ingest path CSVReader
+// replaced: encoding/csv with one field per attribute, then every cell
+// decoded with strconv, an empty non-string cell as NULL. String cells
+// come back in strs, in stream order, with a zero word in words.
+func referenceCSV(data []byte, attrs []storage.Attribute) (words []storage.Word, strs []string, err error) {
+	r := csv.NewReader(bytes.NewReader(data))
+	r.FieldsPerRecord = len(attrs)
+	for {
+		rec, err := r.Read()
+		if errors.Is(err, io.EOF) {
+			return words, strs, nil
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("persist: csv: %w", err)
+		}
+		line, _ := r.FieldPos(0)
+		for i, cell := range rec {
+			var w storage.Word
+			var err error
+			switch t := attrs[i].Type; {
+			case t == storage.String:
+				strs = append(strs, cell)
+			case cell == "":
+				w = storage.Null
+			case t == storage.Int64:
+				var v int64
+				v, err = strconv.ParseInt(cell, 10, 64)
+				w = storage.EncodeInt(v)
+			case t == storage.Float64:
+				var v float64
+				v, err = strconv.ParseFloat(cell, 64)
+				w = storage.EncodeFloat(v)
+			default:
+				var v bool
+				v, err = strconv.ParseBool(cell)
+				w = storage.EncodeBool(v)
+			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("persist: csv line %d col %q: %w", line, attrs[i].Name, err)
+			}
+			words = append(words, w)
+		}
+	}
+}
+
+// FuzzCSVReader checks the one-pass CSV reader against referenceCSV on
+// arbitrary bytes, read in batches of three rows: the same words bit for
+// bit and the same string cells, or, if either fails, both failing with
+// the same message — a csv.ParseError of the same class at the same
+// place, or a decoding error naming the same line and column.
+func FuzzCSVReader(f *testing.F) {
+	for _, seed := range []string{
+		"1,2.5,true,a\n-3,-0.25,false,b\n",
+		"1,2.5,true,\"quoted\"\n2,3.5,false,\"with \"\"quotes\"\"\"\n",
+		"1,2.5,true,\"\"\n",
+		"1,2.5,true,\"a,b\"\n2,1,1,\"line\nbreak\"\n3,,,\n",
+		"1,2.5,true,x\r\n2,3.5,false,y\r\n",
+		"\n\n1,2.5,true,x\n\r\n\n2,1,0,y\n",
+		"1,2.5,true,no final newline",
+		"1,2.5,true,no final newline\r",
+		"1,2.5,true,bare\"quote\n",
+		"\"1\",\"2.5\",\"true\",\"x\"\n",
+		"1,2.5,true,\"open\n2,3,4,5\n",
+		"-0,-0,t,x\n0,-0.0,F,y\n",
+		"1,.5,true,x\n",
+		"1,1.,true,x\n",
+		"1,1e3,true,x\n",
+		"+7,+7,1,x\n",
+		"1234567890123456789,1,0,x\n",
+		"-1234567890123456789,1,0,x\n",
+		"9223372036854775807,1,0,x\n",
+		"9223372036854775808,1,0,x\n",
+		"-9223372036854775809,1,0,x\n",
+		"123456789012345678,0.30000000000000004,1,x\n",
+		"1,9007199254740993,1,x\n",
+		"1,1.7976931348623157,1,x\n1,2.2250738585072014,0,y\n",
+		"1,123456789.12345678,1,x\n1,0.1234567890123456789012,0,y\n",
+		"1,2,true\n",
+		"1,2,true,x,extra\n",
+		"x,2,true,s\n",
+		"1,2,maybe,s\n",
+		"1,2,true,s\n1,2\n",
+		",,,\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wantWords, wantStrs, wantErr := referenceCSV(data, fuzzAttrs)
+
+		var words []storage.Word
+		var strs []string
+		var err error
+		br := NewCSVReader(bytes.NewReader(data), fuzzAttrs)
+		for {
+			var b *Batch
+			if b, err = br.ReadBatch(3); err != nil {
+				break
+			}
+			if n := b.Rows(); n < 1 || n > 3 || len(b.Words) != n*len(fuzzAttrs) {
+				t.Fatalf("batch of %d rows in %d words", n, len(b.Words))
+			}
+			for i, w := range b.Words {
+				if fuzzAttrs[i%len(fuzzAttrs)].Type == storage.String {
+					strs = append(strs, string(b.Str(w)))
+					w = 0
+				}
+				words = append(words, w)
+			}
+			b.Release() // the next batch reuses its buffers
+		}
+		if errors.Is(err, io.EOF) {
+			err = nil
+		}
+
+		switch {
+		case wantErr != nil || err != nil:
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("reader error %v, reference error %v", err, wantErr)
+			}
+			var pe *csv.ParseError
+			if errors.As(wantErr, &pe) && !errors.Is(err, pe.Err) {
+				t.Fatalf("reader error %v is not of class %v", err, pe.Err)
+			}
+		case !slices.Equal(words, wantWords):
+			t.Fatalf("words\n%x\nwant\n%x", words, wantWords)
+		case !slices.Equal(strs, wantStrs):
+			t.Fatalf("strings %q, want %q", strs, wantStrs)
+		}
 	})
 }

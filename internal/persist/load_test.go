@@ -2,6 +2,7 @@ package persist
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -15,17 +16,17 @@ import (
 func loadAll(rel *storage.Relation, br BatchReader, batchRows int) (int, error) {
 	total := 0
 	for {
-		raw, err := br.ReadBatch(batchRows)
+		b, err := br.ReadBatch(batchRows)
 		if errors.Is(err, io.EOF) {
 			return total, nil
 		}
 		if err != nil {
 			return total, err
 		}
-		rows, grown, err := EncodeRows(rel, raw)
-		if err != nil {
-			return total, err
+		if n := b.Rows(); n < 1 || n > batchRows {
+			return total, fmt.Errorf("batch of %d rows, want 1 to %d", n, batchRows)
 		}
+		grown := EncodeRows(rel, b)
 		for ai, values := range grown {
 			if len(values) > 0 && rel.Dicts[ai] == nil {
 				rel.Dicts[ai] = storage.BuildDict(nil)
@@ -34,10 +35,9 @@ func loadAll(rel *storage.Relation, br BatchReader, batchRows int) (int, error) 
 				rel.Dicts[ai].AppendCode(v)
 			}
 		}
-		for _, r := range rows {
-			rel.AppendRow(r)
-		}
-		total += len(rows)
+		rel.AppendRows(b.Words)
+		total += b.Rows()
+		b.Release()
 	}
 }
 
@@ -54,7 +54,7 @@ func loadTestRel() *storage.Relation {
 func TestLoadCSV(t *testing.T) {
 	rel := loadTestRel()
 	csv := "1,berlin,3.6,true\n2,hamburg,1.8,false\n3,munich,,false\n"
-	n, err := loadAll(rel, NewCSVReader(strings.NewReader(csv), 4), 2)
+	n, err := loadAll(rel, NewCSVReader(strings.NewReader(csv), rel.Schema.Attrs), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLoadNDJSON(t *testing.T) {
 
 [3, "munich", 1.5, null]
 `
-	n, err := loadAll(rel, NewNDJSONReader(strings.NewReader(nd), 4), 4096)
+	n, err := loadAll(rel, NewNDJSONReader(strings.NewReader(nd), rel.Schema.Attrs), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,48 @@ func TestLoadNDJSON(t *testing.T) {
 
 func TestLoadErrorsNameTheCell(t *testing.T) {
 	rel := loadTestRel()
-	_, err := loadAll(rel, NewCSVReader(strings.NewReader("x,berlin,1,true\n"), 4), 4096)
+	_, err := loadAll(rel, NewCSVReader(strings.NewReader("x,berlin,1,true\n"), rel.Schema.Attrs), 4096)
 	if err == nil || !strings.Contains(err.Error(), `col "id"`) {
 		t.Fatalf("err = %v, want cell-naming parse error", err)
 	}
 
-	_, err = loadAll(rel, NewNDJSONReader(strings.NewReader(`[1, "a"]`), 4), 4096)
+	_, err = loadAll(rel, NewNDJSONReader(strings.NewReader(`[1, "a"]`), rel.Schema.Attrs), 4096)
 	if err == nil || !strings.Contains(err.Error(), "want 4") {
 		t.Fatalf("err = %v, want arity error", err)
+	}
+
+	// A bad cell in the second batch is named by its line in the stream,
+	// not by its row within the batch. A blank line before it and a quoted
+	// record spanning two lines count as lines too.
+	var csvIn, ndIn strings.Builder
+	csvIn.WriteString("\n0,\"new\nyork\",1,true\n")
+	ndIn.WriteString("\n[0, \"york\", 1, true]\n")
+	for i := 1; i < 5000; i++ {
+		id := fmt.Sprint(i)
+		if i == 4100 {
+			id = "x"
+		}
+		fmt.Fprintf(&csvIn, "%s,city,%d.5,false\n", id, i)
+		if i == 4100 {
+			id = `"x"`
+		}
+		fmt.Fprintf(&ndIn, "[%s, \"city\", %d.5, false]\n", id, i)
+	}
+	for _, c := range []struct {
+		name string
+		br   BatchReader
+		want string
+	}{
+		{"csv", NewCSVReader(strings.NewReader(csvIn.String()), rel.Schema.Attrs), `persist: csv line 4103 col "id": `},
+		{"ndjson", NewNDJSONReader(strings.NewReader(ndIn.String()), rel.Schema.Attrs), `persist: ndjson line 4102 col "id": `},
+	} {
+		n, err := loadAll(loadTestRel(), c.br, 4096)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to start %q", c.name, err, c.want)
+		}
+		if n != 4096 {
+			t.Errorf("%s: %d rows loaded before the bad batch, want 4096", c.name, n)
+		}
 	}
 }
 

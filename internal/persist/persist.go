@@ -241,7 +241,14 @@ func (m *Manager) Checkpoints() int64 {
 
 // LogInsert records appended tuples (in schema attribute order).
 func (m *Manager) LogInsert(table string, width int, rows [][]storage.Word) error {
-	return m.commit(walInsertBody(table, width, rows))
+	return m.LogInsertWords(table, width, storage.Flatten(rows))
+}
+
+// LogInsertWords records appended tuples laid out row-major in schema
+// attribute order (len(words) a multiple of width), the form of a
+// bulk-load batch and of storage.Relation.AppendRows.
+func (m *Manager) LogInsertWords(table string, width int, words []storage.Word) error {
+	return m.commit(walInsertBody(table, width, words))
 }
 
 // LogCreateTable records a table creation with its current content —

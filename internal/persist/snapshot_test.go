@@ -55,7 +55,7 @@ func buildTestDB(t testing.TB, rows int) *core.DB {
 	// Appended dict values get non-order-preserving codes; the round trip
 	// must keep SortedLen.
 	rel.Dicts[4].AppendCode("zz-appended")
-	rel.AppendRow([]storage.Word{
+	rel.AppendRows([]storage.Word{
 		storage.EncodeInt(int64(rows)), storage.EncodeInt(1), storage.EncodeInt(0),
 		storage.EncodeFloat(1.5), rel.Dicts[4].MustCode("zz-appended"), storage.EncodeBool(true),
 	})

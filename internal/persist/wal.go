@@ -184,18 +184,14 @@ func firstEpoch(path string) (epoch uint64, ok bool, err error) {
 
 // Record body builders.
 
-func walInsertBody(table string, width int, rows [][]storage.Word) []byte {
-	e := &enc{buf: []byte{walInsert}}
+func walInsertBody(table string, width int, words []storage.Word) []byte {
+	e := &enc{buf: make([]byte, 1, 1+3*binary.MaxVarintLen64+len(table)+8*len(words))}
+	e.buf[0] = walInsert
 	e.str(table)
 	e.uvarint(uint64(width))
-	e.uvarint(uint64(len(rows)))
-	for _, row := range rows {
-		off := len(e.buf)
-		e.buf = append(e.buf, make([]byte, 8*width)...)
-		for _, w := range row {
-			binary.LittleEndian.PutUint64(e.buf[off:], w)
-			off += 8
-		}
+	e.uvarint(uint64(len(words) / width))
+	for _, w := range words {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, w)
 	}
 	return e.buf
 }
@@ -363,16 +359,12 @@ func ApplyRecordTo(dst *core.WriteTxn, body []byte) error {
 		if w := dst.Catalog().Table(table).Schema.Width(); w != width {
 			return fmt.Errorf("%w: insert width %d into width-%d table %q", ErrWALCorrupt, width, w, table)
 		}
-		rows := make([][]storage.Word, n)
-		for i := range rows {
-			row := make([]storage.Word, width)
-			for j := range row {
-				row[j] = binary.LittleEndian.Uint64(d.buf[d.off:])
-				d.off += 8
-			}
-			rows[i] = row
+		words := make([]storage.Word, width*n)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(d.buf[d.off:])
+			d.off += 8
 		}
-		dst.Insert(table, rows)
+		dst.AppendRows(table, words)
 		return nil
 	case walCreateTable:
 		t, err := decodeTable(payload)

@@ -39,7 +39,7 @@ func TestWALReplayAppliesRecords(t *testing.T) {
 	}
 	rows := [][]storage.Word{row2(4, 40), row2(5, 50)}
 	for _, r := range rows {
-		db.Catalog().Table("t").AppendRow(r)
+		db.Catalog().Table("t").AppendRows(r)
 	}
 	if err := m.LogInsert("t", 2, rows); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestWALDictAppendReplay(t *testing.T) {
 	if err := m.LogDictAppend("s", 0, []string{"zz"}); err != nil {
 		t.Fatal(err)
 	}
-	rel.AppendRow([]storage.Word{c})
+	rel.AppendRows([]storage.Word{c})
 	if err := m.LogInsert("s", 1, [][]storage.Word{{c}}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestStaleWALDiscardedAfterCheckpointCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := [][]storage.Word{row2(3, 30)}
-	db.Catalog().Table("t").AppendRow(rows[0])
+	db.Catalog().Table("t").AppendRows(rows[0])
 	if err := m.LogInsert("t", 2, rows); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestCheckpointResetsWAL(t *testing.T) {
 	// Post-checkpoint mutations land in the (fresh) WAL and recover on
 	// top of the snapshot.
 	rows := [][]storage.Word{row2(3, 30)}
-	db.Catalog().Table("t").AppendRow(rows[0])
+	db.Catalog().Table("t").AppendRows(rows[0])
 	if err := m.LogInsert("t", 2, rows); err != nil {
 		t.Fatal(err)
 	}

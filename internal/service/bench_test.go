@@ -185,3 +185,63 @@ func BenchmarkServiceLoad(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLoadStages times the two stages of BenchmarkServiceLoad/memory
+// apart, each on one goroutine: read is the caller's CSV reader turning
+// the 200,000 rows into batches, commit is the committer's writes of
+// those batches. Load overlaps them on two CPUs, so its time is about
+// the larger of the two: stage balance, not their sum, sets it.
+func BenchmarkLoadStages(b *testing.B) {
+	const rows = 200_000
+	data := ordersCSV(rows)
+	attrs, err := persist.ParseSchemaSpec(ordersSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// read streams data through a CSV reader, handing each batch to use.
+	read := func(tb testing.TB, use func(*persist.Batch)) {
+		br := persist.NewCSVReader(bytes.NewReader(data), attrs)
+		for {
+			batch, err := br.ReadBatch(loadBatchRows)
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
+			use(batch)
+		}
+	}
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			read(b, (*persist.Batch).Release) // as the committer does
+		}
+		b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
+	b.Run("commit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			var batches []*persist.Batch
+			read(b, func(batch *persist.Batch) { batches = append(batches, batch) })
+			s := New(core.Open(), Config{Workers: 1})
+			if _, _, err := s.loadTarget(LoadSpec{Table: "orders", CreateSpec: ordersSpec}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			loaded := 0
+			for j, batch := range batches {
+				if err := s.applyLoadBatch("orders", batch, j == len(batches)-1, loaded, ""); err != nil {
+					b.Fatal(err)
+				}
+				loaded += batch.Rows()
+				batch.Release()
+			}
+			b.StopTimer()
+			s.Close()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/persist"
@@ -13,19 +14,26 @@ import (
 
 // Bulk ingestion: the streaming counterpart of plan.Insert. Rows arrive
 // as CSV or NDJSON and enter the table batch-by-batch through a two-stage
-// pipeline. The calling goroutine reads and splits the stream into
-// batches of text fields, outside any lock. One committer goroutine runs
-// each batch, in stream order, as one write (write.go): numeric parsing
-// and dictionary encoding, WAL logging, copy-on-write insert and atomic
-// publish, all under the commit mutex. At most one parsed batch waits
-// while another commits. A gigabyte load therefore publishes one version
-// per batch, concurrent queries run lock-free on whichever version they
-// pinned, and only other writers ever wait on a batch.
+// pipeline. The calling goroutine reads the stream outside any lock into
+// flat word batches (persist.Batch), every number and bool already
+// decoded. One committer goroutine runs each batch, in stream order, as
+// one write (write.go): string cells to dictionary codes, WAL logging,
+// one copy-on-write storage.Relation.AppendRows and the atomic publish,
+// all under the commit mutex. The committer holds each batch until the
+// next arrives, so it knows the last one: that batch's write also clips
+// the table's partitions to their length, dropping the spare capacity
+// AppendRows's doubling leaves. A gigabyte load therefore publishes one
+// version per batch, concurrent queries run lock-free on whichever
+// version they pinned, and only other writers ever wait on a batch.
 
 // loadBatchRows is the ingest batch size: large enough to amortize
 // commit-mutex acquisition and WAL commit, small enough to bound how
 // long other writers wait.
 const loadBatchRows = 4096
+
+// loadHoldBack is how long the load committer holds a read batch while it
+// waits for the next one (see pipelineBatches).
+const loadHoldBack = 20 * time.Millisecond
 
 // LoadSpec describes one bulk load.
 type LoadSpec struct {
@@ -66,7 +74,7 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 		return res, fmt.Errorf("service: load format %q (want csv or ndjson)", spec.Format)
 	}
 
-	width, created, err := s.loadTarget(spec)
+	attrs, created, err := s.loadTarget(spec)
 	if err != nil {
 		return res, err
 	}
@@ -74,9 +82,9 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 
 	var br persist.BatchReader
 	if spec.Format == "csv" {
-		br = persist.NewCSVReader(r, width)
+		br = persist.NewCSVReader(r, attrs)
 	} else {
-		br = persist.NewNDJSONReader(r, width)
+		br = persist.NewNDJSONReader(r, attrs)
 	}
 
 	res.Rows, err = s.pipelineBatches(br, spec)
@@ -92,25 +100,59 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 // batch with applyLoadBatch on one committer goroutine, in stream order,
 // so dictionary codes come out exactly as a serial load assigns them.
 // Reading stays on the caller because an HTTP handler's request body may
-// not be read after the handler returns. The channel is unbuffered: at
-// most one parsed batch waits while another commits. The committer has
-// exited before pipelineBatches returns, whatever ends the load; rows
-// counts only batches whose write returned nil. A commit error wins over
-// a later parse error, as in a serial load, and a committer panic is
-// re-raised here.
+// not be read after the handler returns. The channel is unbuffered, so
+// while one batch commits, one waits in the committer and the reader
+// reads or offers the next.
+//
+// The committer holds each batch until the next one arrives or the
+// stream ends, so it knows which batch is the last; it commits the held
+// batch as not last after loadHoldBack without either, so a stream that
+// stalls still shows every batch it has sent.
+//
+// The committer has exited before pipelineBatches returns, whatever ends
+// the load; rows counts only batches whose write returned nil. A commit
+// error wins over a later read error, as in a serial load, and a
+// committer panic is re-raised here.
 func (s *DB) pipelineBatches(br persist.BatchReader, spec LoadSpec) (rows int, err error) {
-	batches := make(chan [][]persist.Field)
+	batches := make(chan *persist.Batch)
 	done := make(chan struct{})
 	var commitErr error
 	var panicked any
 	go func() {
 		defer close(done)
 		defer func() { panicked = recover() }()
-		for raw := range batches {
-			if commitErr = s.applyLoadBatch(spec.Table, raw, spec.QueryID); commitErr != nil {
-				return
+		var held *persist.Batch
+		commit := func(last bool) bool {
+			commitErr = s.applyLoadBatch(spec.Table, held, last, rows, spec.QueryID)
+			if commitErr == nil {
+				rows += held.Rows()
 			}
-			rows += len(raw)
+			held.Release()
+			held = nil
+			return commitErr == nil
+		}
+		stall := time.NewTimer(loadHoldBack)
+		defer stall.Stop()
+		for {
+			var stalled <-chan time.Time
+			if held != nil {
+				stall.Reset(loadHoldBack)
+				stalled = stall.C
+			}
+			select {
+			case b, more := <-batches:
+				if held != nil && !commit(!more) {
+					return
+				}
+				if !more {
+					return
+				}
+				held = b
+			case <-stalled:
+				if !commit(false) {
+					return
+				}
+			}
 		}
 	}()
 
@@ -118,7 +160,7 @@ func (s *DB) pipelineBatches(br persist.BatchReader, spec LoadSpec) (rows int, e
 	func() {
 		defer func() { close(batches); <-done }() // also when a read panics
 		for {
-			raw, err := br.ReadBatch(loadBatchRows)
+			b, err := br.ReadBatch(loadBatchRows)
 			if err != nil {
 				if !errors.Is(err, io.EOF) {
 					readErr = err
@@ -126,7 +168,7 @@ func (s *DB) pipelineBatches(br persist.BatchReader, spec LoadSpec) (rows int, e
 				return
 			}
 			select {
-			case batches <- raw:
+			case batches <- b:
 			case <-done: // the committer stopped: a batch failed
 				return
 			}
@@ -142,26 +184,27 @@ func (s *DB) pipelineBatches(br persist.BatchReader, spec LoadSpec) (rows int, e
 }
 
 // loadTarget resolves (or creates) the target table and returns its
-// width. A create is a write of its own: the table is WAL-logged, then
-// added and published — a logging failure leaves the catalog without the
-// table, so the load is safe to retry.
-func (s *DB) loadTarget(spec LoadSpec) (width int, created bool, err error) {
+// attributes. A create is a write of its own: the table is WAL-logged,
+// then added and published — a logging failure leaves the catalog
+// without the table, so the load is safe to retry.
+func (s *DB) loadTarget(spec LoadSpec) (attrs []storage.Attribute, created bool, err error) {
 	err = s.write(spec.QueryID, func(tx *core.WriteTxn, log logFn) error {
 		cat := tx.Catalog()
 		if cat.Has(spec.Table) {
 			if spec.CreateSpec != "" {
 				return fmt.Errorf("service: table %q already exists, drop the create spec", spec.Table)
 			}
-			width = cat.Table(spec.Table).Schema.Width()
+			attrs = cat.Table(spec.Table).Schema.Attrs
 			return nil
 		}
 		if spec.CreateSpec == "" {
 			return fmt.Errorf("service: unknown table %q (pass a create spec to create it)", spec.Table)
 		}
-		attrs, err := persist.ParseSchemaSpec(spec.CreateSpec)
+		parsed, err := persist.ParseSchemaSpec(spec.CreateSpec)
 		if err != nil {
 			return err
 		}
+		attrs = parsed
 		var layout storage.Layout
 		switch spec.Layout {
 		case "", "row":
@@ -178,27 +221,29 @@ func (s *DB) loadTarget(spec LoadSpec) (width int, created bool, err error) {
 			return err
 		}
 		tx.AddTable(rel)
-		width, created = len(attrs), true
+		created = true
 		return nil
 	})
-	return width, created, err
+	return attrs, created, err
 }
 
-// applyLoadBatch encodes one parsed batch and commits it as one write.
+// applyLoadBatch encodes one read batch and commits it as one write.
 // The relation is re-resolved per batch in case a concurrent /optimize
 // published a re-laid-out sibling (dictionaries are shared between
 // versions, so codes stay consistent either way). The batch's new string
 // values are logged, then appended to the shared, append-only
 // dictionaries before the rows are — harmless to concurrent readers,
-// whose pinned rows only reference the pre-existing prefix. A batch that
-// fails to encode changes nothing.
-func (s *DB) applyLoadBatch(table string, raw [][]persist.Field, qid string) error {
+// whose pinned rows only reference the pre-existing prefix. The last
+// batch of a load that wrote at least half of the table's rows (loaded
+// counts those of the earlier batches) also clips the table's
+// partitions: the copy then costs at most what the load did, while a
+// small load into a large table keeps the table's spare capacity for
+// the next append instead of copying it.
+func (s *DB) applyLoadBatch(table string, b *persist.Batch, last bool, loaded int, qid string) error {
 	return s.write(qid, func(tx *core.WriteTxn, log logFn) error {
 		rel := tx.Catalog().Table(table)
-		rows, grown, err := persist.EncodeRows(rel, raw)
-		if err != nil {
-			return err
-		}
+		clip := last && 2*(loaded+b.Rows()) >= rel.Rows()+b.Rows()
+		grown := persist.EncodeRows(rel, b)
 		for ai, values := range grown {
 			if len(values) == 0 {
 				continue
@@ -211,11 +256,14 @@ func (s *DB) applyLoadBatch(table string, raw [][]persist.Field, qid string) err
 			tx.DictAppend(table, ai, values)
 		}
 		if err := log("batch", func(m *persist.Manager) error {
-			return m.LogInsert(table, rel.Schema.Width(), rows)
+			return m.LogInsertWords(table, rel.Schema.Width(), b.Words)
 		}); err != nil {
 			return err
 		}
-		tx.Insert(table, rows)
+		tx.AppendRows(table, b.Words)
+		if clip {
+			tx.Clip(table)
+		}
 		return nil
 	})
 }

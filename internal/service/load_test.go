@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/persist"
+	"repro/internal/storage"
 )
 
 // pipelineSpec is the schema of mixedRows: every column type, NULLs, and
@@ -88,10 +89,12 @@ func TestLoadPipelineMatchesSerial(t *testing.T) {
 	rows := mixedRows(3*loadBatchRows + 517)
 	for _, c := range []struct {
 		format, data string
-		reader       func(io.Reader, int) persist.BatchReader
+		reader       func(io.Reader, []storage.Attribute) persist.BatchReader
 	}{
-		{"csv", mixedCSV(rows), func(r io.Reader, w int) persist.BatchReader { return persist.NewCSVReader(r, w) }},
-		{"ndjson", mixedNDJSON(rows), func(r io.Reader, w int) persist.BatchReader { return persist.NewNDJSONReader(r, w) }},
+		{"csv", mixedCSV(rows), func(r io.Reader, a []storage.Attribute) persist.BatchReader { return persist.NewCSVReader(r, a) }},
+		{"ndjson", mixedNDJSON(rows), func(r io.Reader, a []storage.Attribute) persist.BatchReader {
+			return persist.NewNDJSONReader(r, a)
+		}},
 	} {
 		t.Run(c.format, func(t *testing.T) {
 			spec := LoadSpec{Table: "ev", Format: c.format, CreateSpec: pipelineSpec}
@@ -108,22 +111,28 @@ func TestLoadPipelineMatchesSerial(t *testing.T) {
 
 			serial := New(core.Open(), Config{Workers: 1})
 			defer serial.Close()
-			width, _, err := serial.loadTarget(spec)
+			attrs, _, err := serial.loadTarget(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			br := c.reader(strings.NewReader(c.data), width)
+			br := c.reader(strings.NewReader(c.data), attrs)
+			var batches []*persist.Batch
 			for {
-				raw, err := br.ReadBatch(loadBatchRows)
+				b, err := br.ReadBatch(loadBatchRows)
 				if errors.Is(err, io.EOF) {
 					break
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := serial.applyLoadBatch(spec.Table, raw, ""); err != nil {
+				batches = append(batches, b)
+			}
+			loaded := 0
+			for i, b := range batches {
+				if err := serial.applyLoadBatch(spec.Table, b, i == len(batches)-1, loaded, ""); err != nil {
 					t.Fatal(err)
 				}
+				loaded += b.Rows()
 			}
 
 			if dict := piped.Unwrap().Table("ev").Dicts[2].Len(); dict < 4 {
@@ -307,6 +316,40 @@ func TestLoadLeavesNoGoroutine(t *testing.T) {
 			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatalf("%d goroutines after the load, %d before", runtime.NumGoroutine(), base)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadLeavesNoSlack loads 3.1 batches into a row and a column table.
+// AppendRows doubles a partition's capacity when it grows; the last
+// batch's write must clip every partition to its length. A small load
+// into the loaded table then keeps the doubled capacity: clipping it
+// would copy the whole table for a few rows.
+func TestLoadLeavesNoSlack(t *testing.T) {
+	rows := mixedRows(3*loadBatchRows + loadBatchRows/10)
+	for _, layout := range []string{"row", "column"} {
+		t.Run(layout, func(t *testing.T) {
+			s := New(core.Open(), Config{Workers: 1})
+			defer s.Close()
+			res, err := s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: pipelineSpec, Layout: layout},
+				strings.NewReader(mixedCSV(rows)))
+			if err != nil || res.Rows != len(rows) {
+				t.Fatalf("load: %+v, %v", res, err)
+			}
+			for i, p := range s.Unwrap().Table("ev").Parts {
+				if cap(p.Data) != len(p.Data) {
+					t.Errorf("partition %d: capacity %d for %d words", i, cap(p.Data), len(p.Data))
+				}
+			}
+
+			if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv"}, strings.NewReader(mixedCSV(rows[:10]))); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range s.Unwrap().Table("ev").Parts {
+				if want := 2 * (len(p.Data) - 10*p.Stride); cap(p.Data) != want {
+					t.Errorf("after a 10-row load, partition %d: capacity %d, want %d", i, cap(p.Data), want)
 				}
 			}
 		})

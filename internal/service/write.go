@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec/result"
 	"repro/internal/persist"
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 // logFn is how a write body logs one mutation: record writes its WAL
@@ -87,12 +88,13 @@ func (s *DB) runInsert(p plan.Node, qid string) (res *result.Set, err error) {
 			return err
 		}
 		width := tx.Catalog().Table(ins.Table).Schema.Width()
+		words := storage.Flatten(ins.Rows)
 		if err := log("insert", func(m *persist.Manager) error {
-			return m.LogInsert(ins.Table, width, ins.Rows)
+			return m.LogInsertWords(ins.Table, width, words)
 		}); err != nil {
 			return err
 		}
-		res = tx.Insert(ins.Table, ins.Rows)
+		res = tx.AppendRows(ins.Table, words)
 		return nil
 	})
 	return res, err

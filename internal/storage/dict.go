@@ -69,6 +69,15 @@ func (d *Dict) Code(v string) (Word, bool) {
 	return c, ok
 }
 
+// CodeOf is Code for a value given as bytes; the lookup does not
+// allocate.
+func (d *Dict) CodeOf(v []byte) (Word, bool) {
+	d.mu.RLock()
+	c, ok := d.code[string(v)]
+	d.mu.RUnlock()
+	return c, ok
+}
+
 // MustCode returns the code of v or panics; for benchmark parameter
 // binding, where the value is known to exist.
 func (d *Dict) MustCode(v string) Word {

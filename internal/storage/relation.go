@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Partition is one vertical partition of a relation: the values of a group
 // of attributes, stored row-major in a single contiguous word slice
@@ -98,19 +101,83 @@ func (r *Relation) SetValue(row, attr int, w Word) {
 	p.Data[row*p.Stride+r.offOf[attr]] = w
 }
 
-// AppendRow appends one tuple given in schema attribute order and returns
-// its row id.
-func (r *Relation) AppendRow(vals []Word) int {
-	if len(vals) != r.Schema.Width() {
-		panic(fmt.Sprintf("storage: AppendRow got %d values for width-%d schema", len(vals), r.Schema.Width()))
+// AppendRows appends tuples given row-major in schema attribute order
+// (len(words) a multiple of the schema width) and returns the first new
+// row id. A partition without room for them grows once per call, to at
+// least twice its capacity, so appending a stream batch by batch copies
+// each word O(1) times. Like append, AppendRows writes only beyond the
+// partitions' lengths or into a fresh array: the words an older version
+// of the slice header bounds are never rewritten (see CloneForWrite).
+func (r *Relation) AppendRows(words []Word) int {
+	width := r.Schema.Width()
+	if len(words)%width != 0 {
+		panic(fmt.Sprintf("storage: AppendRows got %d values for width-%d schema", len(words), width))
 	}
+	n, first := len(words)/width, r.rows
 	for gi, p := range r.Parts {
-		for _, attr := range r.Layout.Groups[gi] {
-			p.Data = append(p.Data, vals[attr])
+		old, need := len(p.Data), len(p.Data)+n*p.Stride
+		if need > cap(p.Data) {
+			grown := make([]Word, need, max(need, 2*cap(p.Data)))
+			copy(grown, p.Data)
+			p.Data = grown
+		}
+		p.Data = p.Data[:need]
+		dst, g := p.Data[old:], r.Layout.Groups[gi]
+		if p.Stride == width && isIdentity(g) {
+			copy(dst, words)
+			continue
+		}
+		for row := 0; row < n; row++ {
+			src, out := words[row*width:(row+1)*width], dst[row*p.Stride:(row+1)*p.Stride]
+			for off, attr := range g {
+				out[off] = src[attr]
+			}
 		}
 	}
-	r.rows++
-	return r.rows - 1
+	r.rows += n
+	return first
+}
+
+// isIdentity reports whether the group holds every attribute in schema
+// order, the N-ary row layout.
+func isIdentity(g []int) bool {
+	for i, attr := range g {
+		if attr != i {
+			return false
+		}
+	}
+	return true
+}
+
+// Clip moves every partition with spare capacity into an array of
+// exactly its length, dropping the slack AppendRows's doubling leaves.
+// The old arrays are left as they are, for any older version still
+// reading them.
+func (r *Relation) Clip() {
+	for _, p := range r.Parts {
+		if cap(p.Data) > len(p.Data) {
+			// Clone copies without zeroing first; Clip hides the
+			// allocator's size-class rounding, so cap == len.
+			p.Data = slices.Clip(slices.Clone(p.Data))
+		}
+	}
+}
+
+// Flatten lays rows out row-major in one slice, the form AppendRows
+// takes. A single row is returned as it is.
+func Flatten(rows [][]Word) []Word {
+	if len(rows) == 1 {
+		return rows[0]
+	}
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	out := make([]Word, 0, n)
+	for _, row := range rows {
+		out = append(out, row...)
+	}
+	return out
 }
 
 // RowValues materializes one tuple in schema attribute order.
@@ -138,7 +205,7 @@ func (r *Relation) Dict(attr int) *Dict { return r.Dicts[attr] }
 
 // RestoreRelation reconstructs a relation from its serialized parts: the
 // schema, the layout, one word slice per layout group (row-major, stride =
-// group width, in the exact storage order AppendRow/Build produce), the
+// group width, in the exact storage order AppendRows/Build produce), the
 // per-attribute dictionaries (nil entries for non-string attributes), and
 // the row count. It is the inverse of reading Relation.Parts[i].Data
 // directly: a snapshot written from those slices and restored through here
@@ -203,22 +270,39 @@ func (r *Relation) CloneForWrite() *Relation {
 }
 
 // WithLayout materializes the relation's content under a different layout.
-// Dictionaries are shared: codes remain valid across siblings.
+// Dictionaries are shared: codes remain valid across siblings. It walks
+// the rows in blocks of relayoutBlock and fills every target partition
+// from a block while the block's source words are still in cache, so the
+// source is streamed once, not once per attribute.
 func (r *Relation) WithLayout(layout Layout) *Relation {
 	out := NewRelation(r.Schema, layout)
 	out.Dicts = r.Dicts
 	out.rows = r.rows
-	for gi, p := range out.Parts {
+	src := make([]Accessor, r.Schema.Width())
+	for attr := range src {
+		src[attr] = r.Access(attr)
+	}
+	for _, p := range out.Parts {
 		p.Data = make([]Word, r.rows*p.Stride)
-		for off, attr := range out.Layout.Groups[gi] {
-			src := r.Access(attr)
-			for row := 0; row < r.rows; row++ {
-				p.Data[row*p.Stride+off] = src.Data[row*src.Stride+src.Off]
+	}
+	for lo := 0; lo < r.rows; lo += relayoutBlock {
+		hi := min(lo+relayoutBlock, r.rows)
+		for gi, p := range out.Parts {
+			for off, attr := range out.Layout.Groups[gi] {
+				a := src[attr]
+				for row := lo; row < hi; row++ {
+					p.Data[row*p.Stride+off] = a.Data[row*a.Stride+a.Off]
+				}
 			}
 		}
 	}
 	return out
 }
+
+// relayoutBlock is WithLayout's row block: 1,024 rows of a 12-attribute
+// row store are 96 KiB, which stay in a core's L2 cache while every
+// target partition is filled from them.
+const relayoutBlock = 1024
 
 // Builder accumulates column data and materializes relations in any
 // layout. String columns are collected as raw strings; Build constructs an

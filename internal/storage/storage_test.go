@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -283,12 +284,114 @@ func TestRelationWithLayoutPreservesContent(t *testing.T) {
 func TestRelationAppendRow(t *testing.T) {
 	r := buildTestRelation(t, PDSM([]int{0, 2}, []int{1, 3}))
 	nameCode := r.Dict(1).AppendCode("echo")
-	row := r.AppendRow([]Word{EncodeInt(5), nameCode, EncodeFloat(7.25), 1})
+	row := r.AppendRows([]Word{EncodeInt(5), nameCode, EncodeFloat(7.25), 1})
 	if row != 4 || r.Rows() != 5 {
 		t.Fatal("append did not extend the relation")
 	}
 	if DecodeInt(r.Value(4, 0)) != 5 || r.StringOf(4, 1) != "echo" || DecodeFloat(r.Value(4, 2)) != 7.25 {
 		t.Error("appended values wrong")
+	}
+}
+
+// wideRows returns n rows of a 6-attribute schema, row-major, every word
+// distinct.
+func wideRows(n int) (*Schema, []Word) {
+	schema := NewSchema("w", Attribute{"a", Int64}, Attribute{"b", Int64}, Attribute{"c", Int64},
+		Attribute{"d", Int64}, Attribute{"e", Int64}, Attribute{"f", Int64})
+	words := make([]Word, 6*n)
+	for i := range words {
+		words[i] = EncodeInt(int64(i*7919 - 3))
+	}
+	return schema, words
+}
+
+// partWords copies every partition's words.
+func partWords(r *Relation) [][]Word {
+	out := make([][]Word, len(r.Parts))
+	for i, p := range r.Parts {
+		out[i] = append([]Word(nil), p.Data...)
+	}
+	return out
+}
+
+func TestAppendRowsMatchesRowAtATime(t *testing.T) {
+	schema, words := wideRows(777)
+	for name, l := range map[string]Layout{
+		"row":    NSM(6),
+		"column": DSM(6),
+		"hybrid": PDSM([]int{4, 0}, []int{1}, []int{5, 3, 2}),
+	} {
+		one := NewRelation(schema, l)
+		for row := 0; row < 777; row++ {
+			if id := one.AppendRows(words[row*6 : row*6+6]); id != row {
+				t.Fatalf("%s: one-row append %d returned row id %d", name, row, id)
+			}
+		}
+		batched := NewRelation(schema, l)
+		for _, cut := range [][2]int{{0, 1}, {1, 300}, {300, 301}, {301, 777}} {
+			if id := batched.AppendRows(words[cut[0]*6 : cut[1]*6]); id != cut[0] {
+				t.Fatalf("%s: batch at row %d returned row id %d", name, cut[0], id)
+			}
+		}
+		if batched.Rows() != 777 || !reflect.DeepEqual(partWords(batched), partWords(one)) {
+			t.Fatalf("%s: batched appends differ from row-at-a-time appends", name)
+		}
+		for row := 0; row < 777; row++ {
+			for attr := 0; attr < 6; attr++ {
+				if batched.Value(row, attr) != words[row*6+attr] {
+					t.Fatalf("%s: row %d attr %d reads %x, want %x", name, row, attr, batched.Value(row, attr), words[row*6+attr])
+				}
+			}
+		}
+		batched.Clip()
+		for _, p := range batched.Parts {
+			if cap(p.Data) != len(p.Data) {
+				t.Fatalf("%s: clipped partition has capacity %d for %d words", name, cap(p.Data), len(p.Data))
+			}
+		}
+		if !reflect.DeepEqual(partWords(batched), partWords(one)) {
+			t.Fatalf("%s: Clip changed the words", name)
+		}
+	}
+}
+
+// TestAppendRowsKeepsOlderHeaders appends to a clone of a relation, once
+// within its capacity and once past it, and checks the original still
+// reads its own rows: AppendRows never writes below a length an older
+// slice header bounds.
+func TestAppendRowsKeepsOlderHeaders(t *testing.T) {
+	schema, words := wideRows(300)
+	r := NewRelation(schema, NSM(6))
+	for _, cut := range [][2]int{{0, 50}, {50, 100}, {100, 101}} {
+		r.AppendRows(words[cut[0]*6 : cut[1]*6])
+	}
+	if p := r.Parts[0]; cap(p.Data) < len(p.Data)+6 {
+		t.Fatalf("no spare capacity after doubling: %d words in %d", len(p.Data), cap(p.Data))
+	}
+	want := partWords(r)
+	grown := r.CloneForWrite()
+	grown.AppendRows(words[101*6 : 102*6]) // within capacity
+	grown.AppendRows(words[102*6:])        // past it
+	if r.Rows() != 101 || !reflect.DeepEqual(partWords(r), want) {
+		t.Fatal("appending to a clone changed the original's rows")
+	}
+	if grown.Rows() != 300 || !reflect.DeepEqual(grown.Parts[0].Data, words) {
+		t.Fatal("the clone does not hold every appended row")
+	}
+}
+
+// TestWithLayoutRoundTrip moves a relation of more than two relayout
+// blocks through DSM and a hybrid layout back to NSM; the result must
+// equal the source word for word.
+func TestWithLayoutRoundTrip(t *testing.T) {
+	rows := 2*relayoutBlock + 37
+	schema, words := wideRows(rows)
+	src := NewRelation(schema, NSM(6))
+	src.AppendRows(words)
+	hybrid := PDSM([]int{5, 1}, []int{0}, []int{2, 4, 3})
+	back := src.WithLayout(DSM(6)).WithLayout(hybrid).WithLayout(NSM(6))
+	if back.Rows() != rows || !reflect.DeepEqual(back.Parts[0].Data, src.Parts[0].Data) {
+		t.Fatal("NSM -> DSM -> hybrid -> NSM changed the words")
 	}
 }
 
