@@ -42,7 +42,7 @@ import (
 // parallel numbers land in one run.
 func BenchmarkFig03(b *testing.B) {
 	setup := experiments.NewFig3Setup(1_000_000)
-	for _, e := range experiments.Fig3Engines() {
+	for _, e := range experiments.Fig3EnginesOpt(experiments.Options{}) {
 		for _, layout := range []string{"row", "column", "hybrid"} {
 			cat := setup.Catalogs[layout]
 			for _, s := range []float64{0.0001, 0.01, 0.5, 1.0} {
@@ -225,7 +225,7 @@ func BenchmarkFig08(b *testing.B) {
 // HYRISE-style processors on row, column and hybrid layouts.
 func BenchmarkFig09(b *testing.B) {
 	setup := experiments.NewFig9Setup(5000)
-	for _, e := range experiments.Fig9Processors() {
+	for _, e := range experiments.Fig9ProcessorsOpt(experiments.Options{}) {
 		for _, layout := range []string{"row", "column", "hybrid"} {
 			cat := setup.Catalogs[layout]
 			for qi, p := range setup.Queries.Plans {

@@ -15,7 +15,7 @@
 //	POST /exec       {"id": "s1"}            run a prepared statement
 //	POST /optimize   {}                      run the layout optimizer (DDL path)
 //	POST /load?table=T&format=csv            bulk-ingest the request body
-//	POST /checkpoint {}                      snapshot the catalog, reset the WAL
+//	POST /checkpoint {}                      snapshot the catalog, rotate the WAL
 //	GET  /tables                             list served tables
 //	GET  /stats                              every /metrics counter, gauge and histogram as one JSON object
 //	GET  /workload                           captured column heat + top plan shapes

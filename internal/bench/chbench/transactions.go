@@ -18,7 +18,6 @@ import (
 // Payment performs indexed read-modify-write on customer balances.
 type Tx struct {
 	data *Data
-	cat  *plan.Catalog
 	rng  *rand.Rand
 
 	customer  *storage.Relation
@@ -38,7 +37,6 @@ type Tx struct {
 func NewTx(d *Data, cat *plan.Catalog, seed int64) *Tx {
 	t := &Tx{
 		data:      d,
-		cat:       cat,
 		rng:       rand.New(rand.NewSource(seed)),
 		customer:  cat.Table("customer"),
 		district:  cat.Table("district"),

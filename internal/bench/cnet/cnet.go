@@ -46,7 +46,6 @@ const (
 
 // Data is the generated catalog (N-ary master relation).
 type Data struct {
-	Config   Config
 	Products *storage.Relation
 }
 
@@ -122,7 +121,7 @@ func Generate(cfg Config) *Data {
 	for i := 0; i < sparseCount; i++ {
 		b.SetWords(denseCols+i, sparse[i])
 	}
-	return &Data{Config: cfg, Products: b.Build(storage.NSM(cfg.Attrs))}
+	return &Data{Products: b.Build(storage.NSM(cfg.Attrs))}
 }
 
 // Catalog materializes the products table under a layout kind with an
@@ -150,25 +149,6 @@ func (d *Data) Catalog(kind string, override *storage.Layout) *plan.Catalog {
 func RegisterIndexes(c *plan.Catalog) {
 	rel := c.Table("products")
 	c.AddIndex("products", ColID, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, ColID))
-}
-
-// HandHybrid is the intuition-guided partial decomposition for Table V's
-// workload: the browsing keys get narrow partitions, id+name are
-// collocated for the listing query Q3, and the sparse remainder stays
-// N-ary for the point query Q4.
-func (d *Data) HandHybrid() storage.Layout {
-	w := d.Products.Schema.Width()
-	rest := make([]int, 0, w-denseCols)
-	for i := denseCols; i < w; i++ {
-		rest = append(rest, i)
-	}
-	return storage.PDSM(
-		[]int{ColID, ColName},
-		[]int{ColCategory},
-		[]int{ColPriceFrom},
-		[]int{ColManufacturer},
-		rest,
-	)
 }
 
 // Queries builds the Table V query set. The price-bucket equality of Q3,

@@ -76,30 +76,12 @@ func Open() *DB {
 	return db
 }
 
-// SetWorkers configures the morsel-scheduler worker count of the
-// database's compiled engine, with the same convention as the benchrunner
-// -workers flag and experiments.Options.Workers: 0 or 1 selects the
-// serial engine (the paper's single-core configuration), n > 1 a fixed
-// pool, n < 0 GOMAXPROCS. Scans, sorts, fused ORDER BY … LIMIT top-N and
-// hash-join builds all parallelize under the knob; results are
-// unaffected — parallel execution produces identical rows in identical
-// order.
-func (db *DB) SetWorkers(n int) *DB {
-	switch {
-	case n == 0 || n == 1:
-		db.engine = jit.New()
-	case n < 0:
-		db.engine = jit.NewParallel(par.Options{})
-	default:
-		db.engine = jit.NewParallel(par.Options{Workers: n})
-	}
-	return db
-}
-
 // SetParOptions installs the compiled engine with explicit morsel-
 // scheduler options — the way to share one process-wide par.Pool across
 // databases or with the service layer. Options that resolve to a single
-// worker select the serial engine, exactly like SetWorkers.
+// worker select the serial engine (the paper's single-core
+// configuration); the parallel engine returns identical rows in
+// identical order.
 func (db *DB) SetParOptions(opt par.Options) *DB {
 	if !opt.Parallel() {
 		db.engine = jit.New()
@@ -143,11 +125,6 @@ func (db *DB) Table(name string) *storage.Relation { return db.Catalog().Table(n
 // CreateHashIndex builds and registers a hash index on table.attr.
 func (db *DB) CreateHashIndex(table string, attr int) {
 	db.write(func(tx *WriteTxn) { tx.mustCreateIndex(table, attr, index.KindHash) })
-}
-
-// CreateTreeIndex builds and registers a red-black tree index.
-func (db *DB) CreateTreeIndex(table string, attr int) {
-	db.write(func(tx *WriteTxn) { tx.mustCreateIndex(table, attr, index.KindRBTree) })
 }
 
 // run executes p on engine e against the current version; a plan.Insert

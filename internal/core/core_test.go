@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exec/result"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -126,7 +127,11 @@ func TestAccessPatternExplain(t *testing.T) {
 
 func TestCreateTreeIndexUsable(t *testing.T) {
 	db, schema := buildDB(1000)
-	db.CreateTreeIndex("events", 2)
+	tx := db.BeginWrite()
+	if err := tx.CreateIndex("events", 2, index.KindRBTree); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
 	res := db.Query(plan.Scan{
 		Table:  "events",
 		Filter: expr.Cmp{Attr: 2, Op: expr.Eq, Val: storage.EncodeInt(42)},

@@ -152,9 +152,6 @@ func (db *DB) BeginWrite() *WriteTxn {
 // this transaction's own mutations.
 func (tx *WriteTxn) Catalog() *plan.Catalog { return tx.cat }
 
-// Epoch returns the epoch Commit will publish.
-func (tx *WriteTxn) Epoch() uint64 { return tx.base.epoch + 1 }
-
 // rel returns a transaction-private copy of the table, cloning the
 // relation shell and its registered indexes on first touch.
 func (tx *WriteTxn) rel(table string) *storage.Relation {

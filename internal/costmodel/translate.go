@@ -39,12 +39,11 @@ type Estimator struct {
 	C   *plan.Catalog
 	G   mem.Geometry
 	sel map[string]float64
-	grp map[string]float64
 }
 
 // NewEstimator creates a caching estimator over a catalog and geometry.
 func NewEstimator(c *plan.Catalog, g mem.Geometry) *Estimator {
-	return &Estimator{C: c, G: g, sel: map[string]float64{}, grp: map[string]float64{}}
+	return &Estimator{C: c, G: g, sel: map[string]float64{}}
 }
 
 // Translate lowers the plan using cached statistics.

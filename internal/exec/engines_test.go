@@ -45,7 +45,7 @@ func testCatalogs(rows int, seed int64) map[string]*plan.Catalog {
 	ids := make([]int64, rows)
 	grps := make([]int64, rows)
 	vals := make([]int64, rows)
-	prices := make([]float64, rows)
+	prices := make([]storage.Word, rows)
 	names := make([]string, rows)
 	qtys := make([]int64, rows)
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
@@ -53,13 +53,13 @@ func testCatalogs(rows int, seed int64) map[string]*plan.Catalog {
 		ids[i] = int64(i)
 		grps[i] = int64(rng.Intn(5))
 		vals[i] = rng.Int63n(1000) - 500
-		prices[i] = float64(rng.Intn(10000)) / 100
+		prices[i] = storage.EncodeFloat(float64(rng.Intn(10000)) / 100)
 		names[i] = words[rng.Intn(len(words))]
 		qtys[i] = rng.Int63n(50)
 	}
 	b := storage.NewBuilder(schema)
 	b.SetInts(0, ids).SetInts(1, grps).SetInts(2, vals)
-	b.SetFloats(3, prices).SetStrings(4, names).SetInts(5, qtys)
+	b.SetWords(3, prices).SetStrings(4, names).SetInts(5, qtys)
 
 	master := b.Build(storage.NSM(6))
 	layouts := map[string]storage.Layout{
@@ -166,7 +166,7 @@ func TestEnginesAgreeUngroupedAggregate(t *testing.T) {
 		scan := plan.Scan{Table: "t", Filter: expr.Cmp{Attr: 1, Op: expr.Eq, Val: storage.EncodeInt(2)}, Cols: []int{2, 3, 5}}
 		return plan.Aggregate{Child: scan, Aggs: []expr.AggSpec{
 			{Kind: expr.Sum, Arg: expr.IntCol(0), Name: "sum_val"},
-			{Kind: expr.Sum, Arg: expr.FloatCol(1), Name: "sum_price"},
+			{Kind: expr.Sum, Arg: expr.Col{Attr: 1, Ty: storage.Float64}, Name: "sum_price"},
 			{Kind: expr.Min, Arg: expr.IntCol(2), Name: "min_qty"},
 			{Kind: expr.Max, Arg: expr.IntCol(2), Name: "max_qty"},
 			{Kind: expr.Avg, Arg: expr.IntCol(0), Name: "avg_val"},

@@ -86,8 +86,7 @@ type stage struct {
 	addWidth int
 
 	// stMap: regs become the evaluated expressions.
-	maps     []mapSlot
-	outWidth int
+	maps []mapSlot
 
 	buf []storage.Word // output registers of width-changing stages
 
@@ -156,11 +155,10 @@ func compilePipe(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 			}
 		}
 		p.stages = append(p.stages, stage{
-			kind:     stMap,
-			maps:     maps,
-			outWidth: len(maps),
-			buf:      make([]storage.Word, len(maps)),
-			opIdx:    idx,
+			kind:  stMap,
+			maps:  maps,
+			buf:   make([]storage.Word, len(maps)),
+			opIdx: idx,
 		})
 		p.outWidth = len(maps)
 		return p

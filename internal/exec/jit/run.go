@@ -61,11 +61,6 @@ type Prepared struct {
 	accesses []exec.TableAccess
 }
 
-// Prepare compiles the plan against the catalog for serial execution.
-func Prepare(n plan.Node, c *plan.Catalog) *Prepared {
-	return PrepareOpt(n, c, par.Serial())
-}
-
 // PrepareOpt compiles the plan with the given parallelism options baked
 // into the executable form.
 func PrepareOpt(n plan.Node, c *plan.Catalog, opt par.Options) *Prepared {

@@ -164,7 +164,7 @@ func TestScanAggKernel(t *testing.T) {
 		{"grouped-no-nulls", plan.Aggregate{Child: orders(nil, 10, 2), GroupBy: []int{0}, Aggs: []expr.AggSpec{sum(1)}}, true},
 		{"non-dictionary-key", plan.Aggregate{Child: orders(nil, 2, 6), GroupBy: []int{0}, Aggs: []expr.AggSpec{sum(1)}}, false},
 		{"two-key-columns", plan.Aggregate{Child: orders(nil, 10, 11, 6), GroupBy: []int{0, 1}, Aggs: []expr.AggSpec{sum(2)}}, false},
-		{"float-sum", plan.Aggregate{Child: orders(nil, 8), Aggs: []expr.AggSpec{{Kind: expr.Sum, Arg: expr.FloatCol(0), Name: "p"}}}, false},
+		{"float-sum", plan.Aggregate{Child: orders(nil, 8), Aggs: []expr.AggSpec{{Kind: expr.Sum, Arg: expr.Col{Attr: 0, Ty: storage.Float64}, Name: "p"}}}, false},
 		{"min", withAgg(byRegion(), expr.AggSpec{Kind: expr.Min, Arg: expr.IntCol(1), Name: "x"}), false},
 		{"max", withAgg(fig2cPlan(), expr.AggSpec{Kind: expr.Max, Arg: expr.IntCol(0), Name: "x"}), false},
 		{"avg", withAgg(fig2cPlan(), expr.AggSpec{Kind: expr.Avg, Arg: expr.IntCol(0), Name: "x"}), false},

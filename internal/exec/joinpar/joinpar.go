@@ -34,7 +34,6 @@ const hashMul storage.Word = 0x9E3779B97F4A7C15
 // Table is a (possibly radix-partitioned) hash-join build side. A Table is
 // immutable after Build and safe for concurrent probes.
 type Table struct {
-	width int
 	shift uint // 64 - partition bits; 64 selects partition 0 for every key
 	parts []part
 }
@@ -89,7 +88,7 @@ func BuildFlat(flat []storage.Word, key, width int, opt par.Options) *Table {
 		n = len(flat) / width
 	}
 	if pickBits(n, opt) == 0 {
-		t := &Table{width: width, shift: 64, parts: make([]part, 1)}
+		t := &Table{shift: 64, parts: make([]part, 1)}
 		p := &t.parts[0]
 		p.build = flat
 		p.table = make(map[storage.Word][]int32, n)
@@ -107,7 +106,7 @@ func BuildFlat(flat []storage.Word, key, width int, opt par.Options) *Table {
 func buildFrom[S source](src S, n, key, width int, opt par.Options) *Table {
 	bits := pickBits(n, opt)
 	if bits == 0 {
-		t := &Table{width: width, shift: 64, parts: make([]part, 1)}
+		t := &Table{shift: 64, parts: make([]part, 1)}
 		p := &t.parts[0]
 		p.build = make([]storage.Word, 0, n*width)
 		p.table = make(map[storage.Word][]int32, n)
@@ -121,7 +120,7 @@ func buildFrom[S source](src S, n, key, width int, opt par.Options) *Table {
 
 	P := 1 << bits
 	shift := uint(64 - bits)
-	t := &Table{width: width, shift: shift, parts: make([]part, P)}
+	t := &Table{shift: shift, parts: make([]part, P)}
 	morsels := opt.Morsels(n)
 
 	// Phase 1: per-morsel histograms (workers own disjoint count ranges).
@@ -194,22 +193,4 @@ func pickBits(n int, opt par.Options) int {
 func (t *Table) Lookup(k storage.Word) ([]int32, []storage.Word) {
 	p := &t.parts[(k*hashMul)>>t.shift]
 	return p.table[k], p.build
-}
-
-// Width returns the build-row arity.
-func (t *Table) Width() int { return t.width }
-
-// Partitions returns the radix fan-out (1 = unpartitioned).
-func (t *Table) Partitions() int { return len(t.parts) }
-
-// Rows returns the total number of build rows across partitions.
-func (t *Table) Rows() int {
-	if t.width == 0 {
-		return 0
-	}
-	n := 0
-	for i := range t.parts {
-		n += len(t.parts[i].build)
-	}
-	return n / t.width
 }

@@ -35,6 +35,15 @@ func serialMatches(rows [][]storage.Word, key int) map[storage.Word][]int {
 
 // assertTableMatchesSerial checks every key's match list resolves to the
 // same rows in the same order as the serial flat build.
+// buildWords counts the build words stored across tbl's partitions.
+func buildWords(tbl *Table) int {
+	n := 0
+	for i := range tbl.parts {
+		n += len(tbl.parts[i].build)
+	}
+	return n
+}
+
 func assertTableMatchesSerial(t *testing.T, label string, rows [][]storage.Word, tbl *Table, key, width int) {
 	t.Helper()
 	want := serialMatches(rows, key)
@@ -58,8 +67,8 @@ func assertTableMatchesSerial(t *testing.T, label string, rows [][]storage.Word,
 	if seen != len(rows) {
 		t.Fatalf("%s: %d rows reachable, want %d", label, seen, len(rows))
 	}
-	if tbl.Rows() != len(rows) {
-		t.Fatalf("%s: Rows() = %d, want %d", label, tbl.Rows(), len(rows))
+	if got := buildWords(tbl); got != len(rows)*width {
+		t.Fatalf("%s: build words = %d, want %d", label, got, len(rows)*width)
 	}
 	if m, _ := tbl.Lookup(storage.EncodeInt(-12345)); m != nil {
 		t.Fatalf("%s: absent key produced %d matches", label, len(m))
@@ -75,11 +84,11 @@ func TestPartitionedBuildMatchesSerial(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			opt := par.Options{Workers: workers, MorselRows: 2048}
 			tbl := Build(rows, 0, 2, opt)
-			label := fmt.Sprintf("n=%d workers=%d parts=%d", n, workers, tbl.Partitions())
-			if workers > 1 && n >= minPartitionRows && tbl.Partitions() == 1 {
+			label := fmt.Sprintf("n=%d workers=%d parts=%d", n, workers, len(tbl.parts))
+			if workers > 1 && n >= minPartitionRows && len(tbl.parts) == 1 {
 				t.Fatalf("%s: expected a partitioned build", label)
 			}
-			if workers == 1 && tbl.Partitions() != 1 {
+			if workers == 1 && len(tbl.parts) != 1 {
 				t.Fatalf("%s: serial build must stay unpartitioned", label)
 			}
 			assertTableMatchesSerial(t, label, rows, tbl, 0, 2)
@@ -105,7 +114,7 @@ func TestBuildFlatMatchesSerial(t *testing.T) {
 			opt := par.Options{Workers: workers, MorselRows: 2048}
 			flat := flatten(rows)
 			tbl := BuildFlat(flat, 0, 2, opt)
-			label := fmt.Sprintf("flat n=%d workers=%d parts=%d", n, workers, tbl.Partitions())
+			label := fmt.Sprintf("flat n=%d workers=%d parts=%d", n, workers, len(tbl.parts))
 			assertTableMatchesSerial(t, label, rows, tbl, 0, 2)
 			if workers == 1 && n > 0 {
 				if _, got := tbl.Lookup(rows[0][0]); &got[0] != &flat[0] {

@@ -59,7 +59,7 @@ func (a *Arena) Copy(src []storage.Word) []storage.Word {
 }
 
 // Set is a materialized query result: column metadata plus word-encoded
-// rows. Rows appended through NewRow/AppendCopy share the set's arena;
+// rows. Rows appended through NewRow share the set's arena;
 // Rows remains a plain [][]Word of views, so consumers (differential
 // tests, hash-join builds) are unaffected by where the words live.
 type Set struct {
@@ -84,12 +84,6 @@ func (s *Set) NewRow() []storage.Word {
 	row := s.arena.NewRow(len(s.Cols))
 	s.Rows = append(s.Rows, row)
 	return row
-}
-
-// AppendCopy copies row into the set's arena (the caller keeps ownership
-// of its buffer, unlike Append).
-func (s *Set) AppendCopy(row []storage.Word) {
-	s.Rows = append(s.Rows, s.arena.Copy(row))
 }
 
 // Len returns the number of rows.

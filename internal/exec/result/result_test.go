@@ -178,13 +178,12 @@ func TestArenaRowAppendIsolated(t *testing.T) {
 	}
 }
 
-func TestSetNewRowAndAppendCopy(t *testing.T) {
+func TestSetNewRow(t *testing.T) {
 	s := New([]plan.Column{{Name: "a", Type: storage.Int64}, {Name: "b", Type: storage.Int64}})
 	r := s.NewRow()
 	r[0], r[1] = w(1), w(2)
-	buf := []storage.Word{w(3), w(4)}
-	s.AppendCopy(buf)
-	buf[0] = w(99) // caller keeps ownership; the set must hold the copy
+	r = s.NewRow()
+	r[0], r[1] = w(3), w(4)
 	want := mkSet([]storage.Word{w(1), w(2)}, []storage.Word{w(3), w(4)})
 	if !Equal(s, want) {
 		t.Fatalf("arena-built set differs:\n%s", s.Format(nil, 10))

@@ -153,9 +153,6 @@ func NewTopN(keys []plan.SortKey, k int) *TopN {
 	return &TopN{k: k, keys: keys, items: make([]item, 0, min(k, 1024))}
 }
 
-// Len returns the number of retained candidates.
-func (t *TopN) Len() int { return len(t.items) }
-
 // less is the total strict order of candidates: sort keys first, emission
 // ordinal as the tie-break — exactly the order of a stable sort over the
 // serial emission sequence.

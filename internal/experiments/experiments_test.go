@@ -20,7 +20,7 @@ func TestFig3SetupCorrectness(t *testing.T) {
 	q := setup.Query(0.01)
 	var ref *result.Set
 	for name, cat := range setup.Catalogs {
-		for _, e := range Fig3Engines() {
+		for _, e := range Fig3EnginesOpt(Options{}) {
 			got := e.Run(q, cat)
 			if got.Len() != 1 {
 				t.Fatalf("%s/%s: %d rows", e.Name(), name, got.Len())
@@ -94,7 +94,7 @@ func fig3ShapeErrors(times map[string]time.Duration) []string {
 func fig3Cells(setup *Fig3Setup, q plan.Node, rounds int) map[string]time.Duration {
 	samples := map[string][]time.Duration{}
 	for range rounds {
-		for _, e := range Fig3Engines() {
+		for _, e := range Fig3EnginesOpt(Options{}) {
 			for layout, cat := range setup.Catalogs {
 				runtime.GC()
 				e.Run(q, cat)

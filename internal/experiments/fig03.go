@@ -20,7 +20,6 @@ var Fig3Selectivities = []float64{0.0001, 0.001, 0.01, 0.1, 0.5, 1.0}
 // and bench_test.go: the 16-attribute relation R under the three layouts
 // of Section III-A, and the plan factory.
 type Fig3Setup struct {
-	Rows     int
 	Catalogs map[string]*plan.Catalog // row, column, hybrid
 }
 
@@ -55,7 +54,7 @@ func NewFig3Setup(rows int) *Fig3Setup {
 		"column": storage.DSM(16),
 		"hybrid": storage.PDSM([]int{0}, []int{1, 2, 3, 4}, rest), // the paper's hand-optimized PDSM
 	}
-	s := &Fig3Setup{Rows: rows, Catalogs: map[string]*plan.Catalog{}}
+	s := &Fig3Setup{Catalogs: map[string]*plan.Catalog{}}
 	for name, l := range layouts {
 		s.Catalogs[name] = plan.NewCatalog().Add(master.WithLayout(l))
 	}
@@ -81,13 +80,8 @@ func (s *Fig3Setup) Query(selectivity float64) plan.Node {
 	}
 }
 
-// Fig3Engines are the processing models compared (the paper's Volcano,
-// bulk and JiT implementations of the same query), in the paper's serial
-// configuration.
-func Fig3Engines() []exec.Engine { return Fig3EnginesOpt(Options{}) }
-
-// Fig3EnginesOpt is Fig3Engines with the workers knob applied to the JiT
-// engine — the single source of the figure's engine list.
+// Fig3EnginesOpt lists Figure 3's engines, with the workers knob applied
+// to the JiT engine — the single source of the figure's engine list.
 func Fig3EnginesOpt(opt Options) []exec.Engine {
 	return []exec.Engine{volcano.New(), bulk.New(), jitEngine(opt)}
 }

@@ -46,13 +46,9 @@ func NewFig9Setup(customers int) *Fig9Setup {
 	}
 }
 
-// Fig9Processors returns the two processing models of Figure 9: HyPer
-// (JiT compilation) and the HYRISE-style bulk processor with per-value
-// function calls, in the paper's serial configuration.
-func Fig9Processors() []exec.Engine { return Fig9ProcessorsOpt(Options{}) }
-
-// Fig9ProcessorsOpt is Fig9Processors with the workers knob applied to
-// the JiT engine — the single source of the figure's processor list.
+// Fig9ProcessorsOpt lists Figure 9's processors, with the workers knob
+// applied to the JiT engine — the single source of the figure's
+// processor list.
 func Fig9ProcessorsOpt(opt Options) []exec.Engine {
 	return []exec.Engine{jitEngine(opt), hyrise.New()}
 }

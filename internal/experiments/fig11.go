@@ -11,12 +11,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Fig11Setup prepares the CH-benchmark comparison: generated data (with a
-// burst of transactions applied first, for the mixed-workload character),
-// the analytical queries, and row/column/hybrid catalogs with the hybrid
-// chosen by BPi.
+// Fig11Setup prepares the CH-benchmark comparison over generated data
+// (with a burst of transactions applied first, for the mixed-workload
+// character): the analytical queries, and row/column/hybrid catalogs with
+// the hybrid chosen by BPi.
 type Fig11Setup struct {
-	Data     *chbench.Data
 	Catalogs map[string]*plan.Catalog
 	Queries  map[int]plan.Node
 }
@@ -47,7 +46,6 @@ func NewFig11Setup(cfg chbench.Config, txns int) *Fig11Setup {
 		overrides[tbl] = best
 	}
 	return &Fig11Setup{
-		Data: d,
 		Catalogs: map[string]*plan.Catalog{
 			"row":    d.Catalog("row", nil),
 			"column": d.Catalog("column", nil),

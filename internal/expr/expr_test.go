@@ -105,7 +105,7 @@ func TestEvalExprArithmetic(t *testing.T) {
 	if got := storage.DecodeInt(EvalExpr(bucket, row)); got != 30 {
 		t.Errorf("(37/10)*10 = %d, want 30", got)
 	}
-	fsum := Arith{Op: Add, L: FloatCol(1), R: FloatConst(0.5)}
+	fsum := Arith{Op: Add, L: Col{Attr: 1, Ty: storage.Float64}, R: Const{Val: storage.EncodeFloat(0.5), Ty: storage.Float64}}
 	if got := storage.DecodeFloat(EvalExpr(fsum, row)); got != 3.0 {
 		t.Errorf("2.5+0.5 = %v, want 3.0", got)
 	}
@@ -176,7 +176,7 @@ func TestAggStateNullHandling(t *testing.T) {
 }
 
 func TestAggStateFloatSum(t *testing.T) {
-	sum := NewAggState(AggSpec{Kind: Sum, Arg: FloatCol(0)})
+	sum := NewAggState(AggSpec{Kind: Sum, Arg: Col{Attr: 0, Ty: storage.Float64}})
 	for _, v := range []float64{1.5, 2.25, -0.75} {
 		sum.Add(rowOf(storage.EncodeFloat(v)))
 	}
@@ -192,7 +192,7 @@ func TestAggResultTypes(t *testing.T) {
 	if (AggSpec{Kind: Avg, Arg: IntCol(0)}).ResultType() != storage.Float64 {
 		t.Error("avg type")
 	}
-	if (AggSpec{Kind: Sum, Arg: FloatCol(0)}).ResultType() != storage.Float64 {
+	if (AggSpec{Kind: Sum, Arg: Col{Attr: 0, Ty: storage.Float64}}).ResultType() != storage.Float64 {
 		t.Error("float sum type")
 	}
 	if (AggSpec{Kind: Sum, Arg: IntCol(0)}).ResultType() != storage.Int64 {

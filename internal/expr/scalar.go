@@ -45,14 +45,9 @@ func (c Col) Type() storage.Type   { return c.Ty }
 func (c Const) Type() storage.Type { return c.Ty }
 func (a Arith) Type() storage.Type { return a.L.Type() }
 
-// IntCol and FloatCol are constructor shorthands.
+// IntCol and IntConst are constructor shorthands.
 func IntCol(attr int) Col    { return Col{Attr: attr, Ty: storage.Int64} }
-func FloatCol(attr int) Col  { return Col{Attr: attr, Ty: storage.Float64} }
-func StrCol(attr int) Col    { return Col{Attr: attr, Ty: storage.String} }
 func IntConst(v int64) Const { return Const{Val: storage.EncodeInt(v), Ty: storage.Int64} }
-func FloatConst(v float64) Const {
-	return Const{Val: storage.EncodeFloat(v), Ty: storage.Float64}
-}
 
 // EvalExpr interprets e against a tuple. NULL propagates through
 // arithmetic.

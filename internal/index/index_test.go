@@ -96,72 +96,6 @@ func TestRBTreeInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestRBTreeRange(t *testing.T) {
-	tr := NewRBTree()
-	for i := 0; i < 100; i++ {
-		tr.Insert(storage.Word(i*2), int32(i)) // even keys 0..198
-	}
-	var keys []storage.Word
-	tr.Range(10, 20, func(k storage.Word, rows []int32) bool {
-		keys = append(keys, k)
-		return true
-	})
-	want := []storage.Word{10, 12, 14, 16, 18, 20}
-	if len(keys) != len(want) {
-		t.Fatalf("range keys = %v, want %v", keys, want)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("range keys = %v, want %v (ascending)", keys, want)
-		}
-	}
-	// Early stop.
-	count := 0
-	tr.Range(0, 198, func(storage.Word, []int32) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Errorf("early stop visited %d keys, want 3", count)
-	}
-}
-
-func TestRBTreeRangeProperty(t *testing.T) {
-	f := func(keys []uint8, loRaw, hiRaw uint8) bool {
-		lo, hi := storage.Word(loRaw), storage.Word(hiRaw)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		tr := NewRBTree()
-		inRange := map[storage.Word]bool{}
-		for i, k := range keys {
-			tr.Insert(storage.Word(k), int32(i))
-			if storage.Word(k) >= lo && storage.Word(k) <= hi {
-				inRange[storage.Word(k)] = true
-			}
-		}
-		seen := map[storage.Word]bool{}
-		prev := storage.Word(0)
-		first := true
-		ok := true
-		tr.Range(lo, hi, func(k storage.Word, rows []int32) bool {
-			if k < lo || k > hi || len(rows) == 0 {
-				ok = false
-			}
-			if !first && k <= prev {
-				ok = false
-			}
-			prev, first = k, false
-			seen[k] = true
-			return true
-		})
-		return ok && len(seen) == len(inRange)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBuildOn(t *testing.T) {
 	schema := storage.NewSchema("r", storage.Attribute{Name: "k", Type: storage.Int64})
 	b := storage.NewBuilder(schema)
@@ -190,4 +124,42 @@ func TestNewByKind(t *testing.T) {
 	if idx, err := New("btree", 0); err == nil {
 		t.Fatalf("New of an unknown kind returned %v", idx)
 	}
+}
+
+// checkInvariants validates the red-black properties; it returns the black
+// height or -1 on violation.
+func (t *RBTree) checkInvariants() int {
+	if t.root == nil {
+		return 0
+	}
+	if t.root.color != rbBlack {
+		return -1
+	}
+	var check func(n *rbNode, min, max storage.Word, hasMin, hasMax bool) int
+	check = func(n *rbNode, min, max storage.Word, hasMin, hasMax bool) int {
+		if n == nil {
+			return 1
+		}
+		if hasMin && n.key <= min {
+			return -1
+		}
+		if hasMax && n.key >= max {
+			return -1
+		}
+		if n.color == rbRed {
+			if (n.left != nil && n.left.color == rbRed) || (n.right != nil && n.right.color == rbRed) {
+				return -1
+			}
+		}
+		lh := check(n.left, min, n.key, hasMin, true)
+		rh := check(n.right, n.key, max, true, hasMax)
+		if lh < 0 || rh < 0 || lh != rh {
+			return -1
+		}
+		if n.color == rbBlack {
+			return lh + 1
+		}
+		return lh
+	}
+	return check(t.root, 0, 0, false, false)
 }

@@ -102,32 +102,6 @@ func (t *RBTree) Lookup(key storage.Word, dst []int32) []int32 {
 	return dst
 }
 
-// Range calls fn for every (key, rows) pair with lo <= key <= hi, in
-// ascending key order; fn returning false stops the scan.
-func (t *RBTree) Range(lo, hi storage.Word, fn func(key storage.Word, rows []int32) bool) {
-	var visit func(n *rbNode) bool
-	visit = func(n *rbNode) bool {
-		if n == nil {
-			return true
-		}
-		if n.key > lo {
-			if !visit(n.left) {
-				return false
-			}
-		}
-		if n.key >= lo && n.key <= hi {
-			if !fn(n.key, n.rows) {
-				return false
-			}
-		}
-		if n.key < hi {
-			return visit(n.right)
-		}
-		return true
-	}
-	visit(t.root)
-}
-
 func (t *RBTree) rotateLeft(x *rbNode) {
 	y := x.right
 	x.right = y.left
@@ -204,42 +178,4 @@ func (t *RBTree) fixInsert(z *rbNode) {
 		}
 	}
 	t.root.color = rbBlack
-}
-
-// checkInvariants validates the red-black properties; it returns the black
-// height or -1 on violation. Exposed for tests.
-func (t *RBTree) checkInvariants() int {
-	if t.root == nil {
-		return 0
-	}
-	if t.root.color != rbBlack {
-		return -1
-	}
-	var check func(n *rbNode, min, max storage.Word, hasMin, hasMax bool) int
-	check = func(n *rbNode, min, max storage.Word, hasMin, hasMax bool) int {
-		if n == nil {
-			return 1
-		}
-		if hasMin && n.key <= min {
-			return -1
-		}
-		if hasMax && n.key >= max {
-			return -1
-		}
-		if n.color == rbRed {
-			if (n.left != nil && n.left.color == rbRed) || (n.right != nil && n.right.color == rbRed) {
-				return -1
-			}
-		}
-		lh := check(n.left, min, n.key, hasMin, true)
-		rh := check(n.right, n.key, max, true, hasMax)
-		if lh < 0 || rh < 0 || lh != rh {
-			return -1
-		}
-		if n.color == rbBlack {
-			return lh + 1
-		}
-		return lh
-	}
-	return check(t.root, 0, 0, false, false)
 }

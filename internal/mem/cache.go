@@ -17,9 +17,6 @@ type Stats struct {
 	Evictions      int64 // resident lines displaced (demand or prefetch)
 }
 
-// Misses returns all demand misses (ignores prefetch fills).
-func (s Stats) Misses() int64 { return s.DemandMisses }
-
 type line struct {
 	tag        uint64
 	valid      bool
@@ -120,9 +117,6 @@ func (c *cache) prefetch(addr uint64) {
 	c.stats.PrefetchFills++
 	c.fill(block, true)
 }
-
-// contains reports whether the block holding addr is resident.
-func (c *cache) contains(addr uint64) bool { return c.lookup(c.blockOf(addr)) >= 0 }
 
 func (c *cache) fill(block uint64, prefetched bool) {
 	c.clock++

@@ -50,9 +50,6 @@ type Geometry struct {
 	RegisterLatency float64
 }
 
-// LLC returns the last-level cache specification.
-func (g Geometry) LLC() Spec { return g.Levels[len(g.Levels)-1] }
-
 // TableIII returns the hierarchy parameters the paper reports for its
 // Intel Xeon X5650 (Nehalem) evaluation machine (paper Table III).
 //

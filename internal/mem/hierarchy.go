@@ -38,9 +38,6 @@ func NewHierarchy(g Geometry) *Hierarchy {
 	return h
 }
 
-// Geometry returns the hierarchy's parameter block.
-func (h *Hierarchy) Geometry() Geometry { return h.geom }
-
 // Cycles returns the total simulated cycle count so far.
 func (h *Hierarchy) Cycles() float64 { return h.cycles }
 
@@ -49,9 +46,6 @@ func (h *Hierarchy) Stats(i int) Stats { return h.caches[i].stats }
 
 // LLCStats returns the counters of the last-level cache.
 func (h *Hierarchy) LLCStats() Stats { return h.caches[len(h.caches)-1].stats }
-
-// TLBStats returns the TLB counters.
-func (h *Hierarchy) TLBStats() Stats { return h.tlb.stats }
 
 // Reset clears all cache contents, counters, cycles and prefetcher state.
 func (h *Hierarchy) Reset() {
@@ -69,20 +63,6 @@ func (h *Hierarchy) Reset() {
 // lines, so a single probe per level suffices.
 func (h *Hierarchy) Read(addr uint64) {
 	h.access(addr)
-}
-
-// Write performs one demand store at addr. The simulator models
-// write-allocate caches, so stores behave like loads for miss accounting.
-func (h *Hierarchy) Write(addr uint64) {
-	h.access(addr)
-}
-
-// ReadRange touches every word of the n bytes starting at addr, in
-// ascending order.
-func (h *Hierarchy) ReadRange(addr uint64, n int64) {
-	for off := int64(0); off < n; off += 8 {
-		h.access(addr + uint64(off))
-	}
 }
 
 func (h *Hierarchy) access(addr uint64) {

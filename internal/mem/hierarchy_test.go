@@ -27,7 +27,9 @@ func TestHierarchySequentialScanPrefetches(t *testing.T) {
 	// fetched — but the adjacent-line prefetcher should convert nearly all
 	// LLC misses into prefetched hits.
 	const bytes = 1 << 20
-	h.ReadRange(0, bytes)
+	for addr := uint64(0); addr < bytes; addr += 8 {
+		h.Read(addr)
+	}
 	llc := h.LLCStats()
 	lines := int64(bytes / 64)
 	brought := llc.DemandMisses + llc.PrefetchedHits
@@ -102,7 +104,7 @@ func TestHierarchyCyclesMonotoneAndReset(t *testing.T) {
 		t.Fatal("cycles must be monotone")
 	}
 	h.Reset()
-	if h.Cycles() != 0 || h.LLCStats() != (Stats{}) || h.TLBStats() != (Stats{}) {
+	if h.Cycles() != 0 || h.LLCStats() != (Stats{}) || h.tlb.stats != (Stats{}) {
 		t.Fatal("reset must clear cycles and stats")
 	}
 }
@@ -152,7 +154,7 @@ func TestHierarchyConservation(t *testing.T) {
 				return false
 			}
 		}
-		tlb := h.TLBStats()
+		tlb := h.tlb.stats
 		return tlb.Accesses == tlb.Hits+tlb.DemandMisses
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -169,21 +171,22 @@ func TestHierarchyInclusionBackfill(t *testing.T) {
 	for a := uint64(4096); a < 4096+1024; a += 8 {
 		h.Read(a)
 	}
-	if h.caches[0].contains(0) {
+	// Address 0 is block 0 at every level.
+	if h.caches[0].lookup(0) >= 0 {
 		t.Fatal("test setup: line 0 should have been evicted from L1")
 	}
-	if !h.caches[2].contains(0) {
+	if h.caches[2].lookup(0) < 0 {
 		t.Fatal("test setup: line 0 should still be in L3")
 	}
 	h.Read(0)
-	if !h.caches[0].contains(0) || !h.caches[1].contains(0) {
+	if h.caches[0].lookup(0) < 0 || h.caches[1].lookup(0) < 0 {
 		t.Error("hit at L3 must backfill L1 and L2")
 	}
 }
 
 func TestTableIIIGeometry(t *testing.T) {
 	g := TableIII()
-	if got := g.LLC().Capacity; got != 8<<20 {
+	if got := g.Levels[len(g.Levels)-1].Capacity; got != 8<<20 {
 		t.Errorf("LLC capacity = %d, want 8 MB", got)
 	}
 	if g.Levels[0].BlockSize != 8 || g.Levels[1].BlockSize != 64 {

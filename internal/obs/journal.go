@@ -44,13 +44,6 @@ func NewJournal(n int) *Journal {
 	return &Journal{slots: make([]atomic.Pointer[Event], n)}
 }
 
-// Cap returns the ring capacity.
-func (j *Journal) Cap() int { return len(j.slots) }
-
-// Len returns how many events were ever appended (not how many are
-// still retained — the ring keeps at most Cap of them).
-func (j *Journal) Len() uint64 { return j.next.Load() }
-
 // Append records one event, stamping its sequence number (and its time,
 // when unset), and returns the assigned seq. Safe for concurrent use;
 // no locks taken.

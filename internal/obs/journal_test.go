@@ -10,8 +10,8 @@ import (
 
 func TestJournalAppendSince(t *testing.T) {
 	j := NewJournal(8)
-	if j.Cap() != 8 {
-		t.Fatalf("Cap = %d, want 8", j.Cap())
+	if len(j.slots) != 8 {
+		t.Fatalf("Cap = %d, want 8", len(j.slots))
 	}
 	for i := 1; i <= 5; i++ {
 		seq := j.Append(Event{Kind: "k", Msg: fmt.Sprintf("e%d", i)})
@@ -117,8 +117,8 @@ func TestJournalConcurrentAppendRead(t *testing.T) {
 		cursor = next
 		select {
 		case <-done:
-			if j.Len() != 8000 {
-				t.Fatalf("Len = %d, want 8000", j.Len())
+			if j.next.Load() != 8000 {
+				t.Fatalf("Len = %d, want 8000", j.next.Load())
 			}
 			return
 		default:
@@ -148,11 +148,11 @@ func TestHistogramQuantilePinned(t *testing.T) {
 		{1.0, 4},
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
+		if got := h.Snapshot().Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
 		}
 	}
-	if got := NewHistogram([]float64{1}).Quantile(0.5); got != 0 {
+	if got := NewHistogram([]float64{1}).Snapshot().Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram Quantile = %g, want 0", got)
 	}
 }

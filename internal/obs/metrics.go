@@ -92,15 +92,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
@@ -194,10 +185,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return upper
 	}
 	return lower + (upper-lower)*(rank-float64(prevCum))/float64(inBucket)
-}
-
-// Quantile estimates the q-quantile over all observations so far; see
-// HistogramSnapshot.Quantile for the interpolation rules.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
 }

@@ -64,7 +64,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*each {
+	if got := h.Snapshot().Count; got != workers*each {
 		t.Fatalf("count = %d, want %d", got, workers*each)
 	}
 	if got, want := h.Sum(), float64(workers*each)*0.001; math.Abs(got-want) > want*1e-9 {
@@ -222,7 +222,7 @@ func TestHistogramCountMatchesInfBucket(t *testing.T) {
 		if inf == "" || inf != count {
 			t.Fatalf("scrape %d: _count %s, +Inf bucket %s", i, count, inf)
 		}
-		if q := h.Quantile(1); q > 0.001 {
+		if q := h.Snapshot().Quantile(1); q > 0.001 {
 			t.Fatalf("scrape %d: max quantile %v, want <= 0.001", i, q)
 		}
 	}
@@ -269,8 +269,8 @@ func TestRegistryJSON(t *testing.T) {
 	if lat["count"] != 2.0 || lat["sum"] != 0.055 {
 		t.Errorf("lat_seconds = %v, want count 2 and sum 0.055", lat)
 	}
-	if p50, p99 := lat["p50"].(float64), lat["p99"].(float64); p50 != h.Quantile(0.5) || p99 != h.Quantile(0.99) {
-		t.Errorf("quantiles p50 %v p99 %v, want %v and %v", p50, p99, h.Quantile(0.5), h.Quantile(0.99))
+	if p50, p99 := lat["p50"].(float64), lat["p99"].(float64); p50 != h.Snapshot().Quantile(0.5) || p99 != h.Snapshot().Quantile(0.99) {
+		t.Errorf("quantiles p50 %v p99 %v, want %v and %v", p50, p99, h.Snapshot().Quantile(0.5), h.Snapshot().Quantile(0.99))
 	}
 	if len(out) != 7 {
 		t.Errorf("%d keys, want 7: %v", len(out), out)

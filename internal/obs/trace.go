@@ -14,8 +14,7 @@ import "sync/atomic"
 // same counting loops; only an armed one reads the clock and flushes its
 // counts here, once per morsel or pipeline breaker, never per row.
 type QueryTrace struct {
-	workers int
-	ops     []*OpTrace
+	ops []*OpTrace
 
 	// Epoch is the MVCC catalog version the query executed against —
 	// the service fills it when it pins the snapshot, and EXPLAIN
@@ -47,7 +46,7 @@ func NewTrace(protos []OpProto, workers int) *QueryTrace {
 	if workers < 1 {
 		workers = 1
 	}
-	t := &QueryTrace{workers: workers, ops: make([]*OpTrace, len(protos))}
+	t := &QueryTrace{ops: make([]*OpTrace, len(protos))}
 	for i, p := range protos {
 		o := &OpTrace{proto: p, lanes: make([]Lane, workers)}
 		if p.Static {
@@ -68,9 +67,6 @@ func (t *QueryTrace) Op(i int) *OpTrace {
 	}
 	return t.ops[i]
 }
-
-// Workers returns the lane count the trace was sized for.
-func (t *QueryTrace) Workers() int { return t.workers }
 
 // OpTrace accumulates one operator's execution counts. Totals are
 // atomic (morsel workers flush concurrently); lanes are plain — lane w

@@ -14,7 +14,7 @@ import (
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	db := buildTestDB(b, 100_000)
 	var buf bytes.Buffer
-	n, err := WriteSnapshot(&buf, db, 0)
+	n, err := WriteCatalogSnapshot(&buf, db.Catalog(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if _, err := WriteSnapshot(&buf, db, 0); err != nil {
+		if _, err := WriteCatalogSnapshot(&buf, db.Catalog(), 0); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
@@ -36,7 +36,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 func BenchmarkSnapshotWrite(b *testing.B) {
 	db := buildTestDB(b, 100_000)
 	var buf bytes.Buffer
-	n, err := WriteSnapshot(&buf, db, 0)
+	n, err := WriteCatalogSnapshot(&buf, db.Catalog(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if _, err := WriteSnapshot(&buf, db, 0); err != nil {
+		if _, err := WriteCatalogSnapshot(&buf, db.Catalog(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ import (
 func FuzzDecodeSnapshot(f *testing.F) {
 	db := buildTestDB(f, 60)
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, db, 0); err != nil {
+	if _, err := WriteCatalogSnapshot(&buf, db.Catalog(), 0); err != nil {
 		f.Fatal(err)
 	}
 	good := buf.Bytes()

@@ -85,8 +85,7 @@ type Manager struct {
 	records   int64
 	notify    chan struct{}
 
-	epoch       uint64 // current checkpoint epoch (snapshot and WAL agree)
-	checkpoints int64
+	epoch uint64 // current checkpoint epoch (snapshot and WAL agree)
 
 	// Write tracing: every commit is stamped with a monotonic sequence
 	// number, its wall-clock time and the correlation id of the write
@@ -232,13 +231,6 @@ func (m *Manager) Epoch() uint64 {
 	return m.epoch
 }
 
-// Checkpoints returns how many checkpoints completed.
-func (m *Manager) Checkpoints() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.checkpoints
-}
-
 // LogInsert records appended tuples (in schema attribute order).
 func (m *Manager) LogInsert(table string, width int, rows [][]storage.Word) error {
 	return m.LogInsertWords(table, width, storage.Flatten(rows))
@@ -263,11 +255,6 @@ func (m *Manager) LogRelayout(table string, l storage.Layout) error {
 	return m.commit(walRelayoutBody(table, l))
 }
 
-// LogCreateIndex records an index creation.
-func (m *Manager) LogCreateIndex(table string, attr int, kind string) error {
-	return m.commit(walCreateIndexBody(table, attr, kind))
-}
-
 // LogDictAppend records dictionary growth (new string values appended by
 // a bulk load, in code order). Log it before the insert whose rows carry
 // the new codes.
@@ -276,9 +263,9 @@ func (m *Manager) LogDictAppend(table string, attr int, values []string) error {
 }
 
 // commit appends one record and makes it durable before returning. A
-// WAL that was just reset (or newly created) receives its leading epoch
-// record in the same commit — lazily, so an earlier failed stamp attempt
-// can never leave mutation records in a headerless log.
+// WAL that was just created, or rotated in empty, receives its leading
+// epoch record in the same commit — lazily, so an earlier failed stamp
+// attempt can never leave mutation records in a headerless log.
 func (m *Manager) commit(body []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -385,15 +372,6 @@ type CheckpointInfo struct {
 	WALBytes      int64 // WAL bytes made redundant and dropped
 }
 
-// Checkpoint writes a snapshot of db's full catalog and rotates the WAL.
-// It is the serial convenience form — the caller guarantees no mutations
-// run concurrently. The concurrent path is BeginCheckpoint + a pinned
-// core.Snapshot + CheckpointFrom, which the service layer uses so a slow
-// snapshot never stalls writers.
-func (m *Manager) Checkpoint(db *core.DB) (CheckpointInfo, error) {
-	return m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint())
-}
-
 // BeginCheckpoint returns the committed WAL position the checkpoint
 // covers. The caller must pin the catalog snapshot it will serialize
 // while holding the same exclusion it applies to loggers (the service's
@@ -472,7 +450,6 @@ func (m *Manager) CheckpointFrom(cat *plan.Catalog, pos int64) (CheckpointInfo, 
 		return CheckpointInfo{}, err
 	}
 	m.epoch = next
-	m.checkpoints++
 	m.committed = m.w.size
 	m.records = records
 	// Offsets restarted with the rotated log: the old stamps' ends no

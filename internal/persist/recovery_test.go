@@ -41,7 +41,7 @@ func suiteQueries(db *core.DB) map[string]plan.Node {
 			GroupBy: []int{0},
 			Aggs: []expr.AggSpec{
 				{Kind: expr.Sum, Arg: expr.IntCol(1), Name: "sum_val"},
-				{Kind: expr.Avg, Arg: expr.FloatCol(2), Name: "avg_price"},
+				{Kind: expr.Avg, Arg: expr.Col{Attr: 2, Ty: storage.Float64}, Name: "avg_price"},
 				{Kind: expr.Count, Name: "n"},
 			},
 		},
@@ -86,7 +86,7 @@ func TestRecoveryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Checkpoint(db); err != nil {
+	if _, err := m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,7 +164,7 @@ func TestRecoveryFailsWholeOnBadMiddleRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Checkpoint(db); err != nil {
+	if _, err := m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	ev := [][]storage.Word{{storage.EncodeInt(1), storage.Word(0)}}

@@ -120,7 +120,7 @@ func TestTailReadWindowsAndRotation(t *testing.T) {
 
 	// Rotation: the old epoch (and any offset into it) is gone.
 	oldEpoch := m.Epoch()
-	if _, err := m.Checkpoint(db); err != nil {
+	if _, err := m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.TailRead(oldEpoch, 0, 1<<20); !errors.Is(err, ErrEpochGone) {
@@ -164,7 +164,7 @@ func TestChangedWakesOnCommitAndRotation(t *testing.T) {
 		t.Fatal("commit did not wake Changed")
 	}
 	ch = m.Changed()
-	if _, err := m.Checkpoint(db); err != nil {
+	if _, err := m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -240,7 +240,7 @@ func TestTailCommitStamps(t *testing.T) {
 
 	// Rotation: stamps reset; a fresh tail of the new epoch has no stamp
 	// until the next commit, then stamps resume with rising seqs.
-	if _, err := m.Checkpoint(db); err != nil {
+	if _, err := m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	if seq, _, _ := m.LastCommit(); seq != 0 {

@@ -35,7 +35,7 @@ import (
 // The epoch makes checkpointing crash-safe end to end: every WAL starts
 // with an epoch record, and recovery only replays a WAL whose epoch
 // matches the snapshot's. A crash between the snapshot rename and the
-// WAL reset leaves a stale lower-epoch WAL whose records are already in
+// WAL rotation leaves a stale lower-epoch WAL whose records are already in
 // the snapshot — recovery discards it instead of replaying duplicates.
 
 var (
@@ -107,12 +107,6 @@ func (t *TableSnap) restore(tx *core.WriteTxn) error {
 		}
 	}
 	return nil
-}
-
-// WriteSnapshot serializes every catalog table of db to w, stamped with
-// the given checkpoint epoch, and returns the byte count written.
-func WriteSnapshot(w io.Writer, db *core.DB, epoch uint64) (int64, error) {
-	return WriteCatalogSnapshot(w, db.Catalog(), epoch)
 }
 
 // WriteCatalogSnapshot serializes every table of a catalog to w — the

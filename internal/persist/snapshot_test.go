@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/storage"
 )
 
@@ -31,7 +32,7 @@ func buildTestDB(t testing.TB, rows int) *core.DB {
 	ids := make([]int64, rows)
 	grps := make([]int64, rows)
 	vals := make([]int64, rows)
-	prices := make([]float64, rows)
+	prices := make([]storage.Word, rows)
 	names := make([]string, rows)
 	nulls := make([]bool, rows)
 	flags := make([]storage.Word, rows)
@@ -39,19 +40,29 @@ func buildTestDB(t testing.TB, rows int) *core.DB {
 		ids[i] = int64(i)
 		grps[i] = int64(rng.Intn(5))
 		vals[i] = rng.Int63n(1000) - 500
-		prices[i] = float64(rng.Intn(10000)) / 100
+		prices[i] = storage.EncodeFloat(float64(rng.Intn(10000)) / 100)
 		names[i] = words[rng.Intn(len(words))]
 		nulls[i] = i%7 == 3
 		flags[i] = storage.EncodeBool(i%2 == 0)
 	}
 	b := storage.NewBuilder(schema)
-	b.SetInts(0, ids).SetInts(1, grps).SetInts(2, vals).SetFloats(3, prices)
-	b.SetStringsWithNulls(4, names, nulls)
+	b.SetInts(0, ids).SetInts(1, grps).SetInts(2, vals).SetWords(3, prices)
+	b.SetStrings(4, names)
 	b.SetWords(5, flags)
 	rel := b.Build(storage.PDSM([]int{0, 4}, []int{1, 2, 5}, []int{3}))
+	nameAcc := rel.Access(4)
+	for i, null := range nulls {
+		if null {
+			nameAcc.Data[i*nameAcc.Stride+nameAcc.Off] = storage.Null
+		}
+	}
 	db.AddTable(rel)
 	db.CreateHashIndex("t", 0)
-	db.CreateTreeIndex("t", 2)
+	tx := db.BeginWrite()
+	if err := tx.CreateIndex("t", 2, index.KindRBTree); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
 	// Appended dict values get non-order-preserving codes; the round trip
 	// must keep SortedLen.
 	rel.Dicts[4].AppendCode("zz-appended")
@@ -127,7 +138,7 @@ func assertBitIdentical(t *testing.T, table string, a, b *core.DB) {
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	db := buildTestDB(t, 500)
 	var buf bytes.Buffer
-	n, err := WriteSnapshot(&buf, db, 7)
+	n, err := WriteCatalogSnapshot(&buf, db.Catalog(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +161,7 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	// A second write of the restored DB must produce identical bytes —
 	// the encoding is canonical.
 	var buf2 bytes.Buffer
-	if _, err := WriteSnapshot(&buf2, got, epoch); err != nil {
+	if _, err := WriteCatalogSnapshot(&buf2, got.Catalog(), epoch); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -161,7 +172,7 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	db := buildTestDB(t, 100)
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, db, 0); err != nil {
+	if _, err := WriteCatalogSnapshot(&buf, db.Catalog(), 0); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -194,7 +205,7 @@ func TestSnapshotDecodeRejectsStructuralCorruption(t *testing.T) {
 	// comes from the structural validation, not the checksum.
 	db := buildTestDB(t, 50)
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, db, 0); err != nil {
+	if _, err := WriteCatalogSnapshot(&buf, db.Catalog(), 0); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))

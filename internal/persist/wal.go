@@ -32,7 +32,6 @@ import (
 //	walInsert       table, width, row words — appended tuples
 //	walCreateTable  a full table payload (encodeTable) — DDL from /load
 //	walRelayout     table, layout groups — an optimizer decision
-//	walCreateIndex  table, attr, kind
 //	walDictAppend   table, attr, new string values — dictionary growth
 //	                from a bulk load; logged before the insert whose rows
 //	                use the new codes, so replay assigns identical codes
@@ -43,9 +42,11 @@ const (
 	walInsert      byte = 1
 	walCreateTable byte = 2
 	walRelayout    byte = 3
-	walCreateIndex byte = 4
-	walDictAppend  byte = 5
-	walEpoch       byte = 6
+	// 4 is retired (it logged index creation). Leaving it unassigned keeps
+	// the later types' bytes, so existing logs still decode; a type-4
+	// record fails replay as unknown.
+	walDictAppend byte = 5
+	walEpoch      byte = 6
 )
 
 // ErrWALCorrupt reports a WAL record that is corrupt in the middle of the
@@ -62,9 +63,9 @@ type wal struct {
 	size  int64
 	fsync bool
 	// stamped reports whether the leading epoch record is on disk. It is
-	// written lazily, together with the first mutation record after a
-	// reset, so a failed stamp can never leave mutation records in a
-	// headerless (unrecoverable) log.
+	// written lazily, together with the first mutation record of a new or
+	// rotated-in log, so a failed stamp can never leave mutation records
+	// in a headerless (unrecoverable) log.
 	stamped bool
 }
 
@@ -110,25 +111,6 @@ func (w *wal) commit() error {
 		if err := faultinject.Hit("persist/wal-fsync"); err != nil {
 			return err
 		}
-		return w.f.Sync()
-	}
-	return nil
-}
-
-// reset discards the log content (after a checkpoint made it redundant).
-func (w *wal) reset() error {
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	w.size = 0
-	w.stamped = false
-	if w.fsync {
 		return w.f.Sync()
 	}
 	return nil
@@ -213,14 +195,6 @@ func walRelayoutBody(table string, l storage.Layout) []byte {
 	return e.buf
 }
 
-func walCreateIndexBody(table string, attr int, kind string) []byte {
-	e := &enc{buf: []byte{walCreateIndex}}
-	e.str(table)
-	e.uvarint(uint64(attr))
-	e.str(kind)
-	return e.buf
-}
-
 func walDictAppendBody(table string, attr int, values []string) []byte {
 	e := &enc{buf: []byte{walDictAppend}}
 	e.str(table)
@@ -245,7 +219,7 @@ func walEpochBody(epoch uint64) []byte {
 //   - A WAL whose leading epoch record matches snapEpoch is replayed; a
 //     torn tail (partial final record) is truncated away.
 //   - A WAL with a LOWER epoch is a leftover from a checkpoint that
-//     crashed between the snapshot rename and the WAL reset: its records
+//     crashed between the snapshot rename and the WAL rotation: its records
 //     are already inside the snapshot, so it is discarded wholesale
 //     instead of replayed as duplicates.
 //   - A HIGHER epoch (or corruption followed by further valid data)
@@ -434,30 +408,6 @@ func ApplyRecordTo(dst *core.WriteTxn, body []byte) error {
 			}
 		}
 		dst.DictAppend(table, attr, values)
-		return nil
-	case walCreateIndex:
-		d := &dec{buf: payload}
-		table, err := d.str()
-		if err != nil {
-			return err
-		}
-		attr, err := d.count("index attribute")
-		if err != nil {
-			return err
-		}
-		kind, err := d.str()
-		if err != nil {
-			return err
-		}
-		if !dst.Catalog().Has(table) {
-			return fmt.Errorf("%w: index on unknown table %q", ErrWALCorrupt, table)
-		}
-		if attr >= dst.Catalog().Table(table).Schema.Width() {
-			return fmt.Errorf("%w: index on attribute %d of table %q", ErrWALCorrupt, attr, table)
-		}
-		if err := dst.CreateIndex(table, attr, kind); err != nil {
-			return fmt.Errorf("%w: %v", ErrWALCorrupt, err)
-		}
 		return nil
 	case walEpoch:
 		return fmt.Errorf("%w: epoch record in the middle of the log", ErrWALCorrupt)

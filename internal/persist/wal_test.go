@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -50,10 +51,6 @@ func TestWALReplayAppliesRecords(t *testing.T) {
 	if err := m.LogRelayout("t", storage.DSM(2)); err != nil {
 		t.Fatal(err)
 	}
-	db.CreateHashIndex("t", 0)
-	if err := m.LogCreateIndex("t", 0, "hash"); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +61,41 @@ func TestWALReplayAppliesRecords(t *testing.T) {
 	}
 	defer m2.Close()
 	assertBitIdentical(t, "t", db, got)
-	if idx := got.Catalog().Index("t", 0); idx == nil || idx.Kind() != "hash" || idx.Len() != 5 {
-		t.Fatalf("recovered index: %+v", idx)
+}
+
+// TestWALRejectsRecordType4: type byte 4 once logged an index creation.
+// Nothing writes it any more, and replay refuses a log that holds one
+// rather than skip it.
+func TestWALRejectsRecordType4(t *testing.T) {
+	dir := t.TempDir()
+	db, m, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newIntTable(db, "t", 1)
+	if err := m.LogCreateTable(db.Catalog(), "t"); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+
+	e := &enc{buf: []byte{4}}
+	e.str("t")
+	e.uvarint(0)
+	e.str("hash")
+	tail := appendFrame(nil, e.buf)
+	tail = appendFrame(tail, walInsertBody("t", 2, row2(2, 20)))
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	_, _, err = Open(Options{Dir: dir})
+	if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "unknown record type 4") {
+		t.Fatalf("err = %v, want ErrWALCorrupt naming unknown record type 4", err)
 	}
 }
 
@@ -182,7 +212,7 @@ func TestWALDictAppendReplay(t *testing.T) {
 }
 
 // TestStaleWALDiscardedAfterCheckpointCrash covers the crash window
-// between the snapshot rename and the WAL reset: the snapshot already
+// between the snapshot rename and the WAL rotation: the snapshot already
 // contains the WAL's effects, so recovery must discard the lower-epoch
 // WAL instead of replaying its records twice.
 func TestStaleWALDiscardedAfterCheckpointCrash(t *testing.T) {
@@ -200,14 +230,14 @@ func TestStaleWALDiscardedAfterCheckpointCrash(t *testing.T) {
 	if err := m.LogInsert("t", 2, rows); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash: snapshot renamed, WAL reset never ran. Save the
+	// Simulate the crash: snapshot renamed, WAL rotation never ran. Save the
 	// pre-checkpoint WAL, checkpoint, then put the stale WAL back.
 	walPath := filepath.Join(dir, walFile)
 	stale, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Checkpoint(db); err != nil {
+	if _, err := m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -239,7 +269,7 @@ func TestOpenFreshDiscardsState(t *testing.T) {
 	if err := m.LogCreateTable(db.Catalog(), "t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Checkpoint(db); err != nil {
+	if _, err := m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -267,7 +297,7 @@ func TestCheckpointResetsWAL(t *testing.T) {
 	if m.WALSize() == 0 {
 		t.Fatal("WAL empty after logging")
 	}
-	info, err := m.Checkpoint(db)
+	info, err := m.CheckpointFrom(db.Catalog(), m.BeginCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}

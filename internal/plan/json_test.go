@@ -44,7 +44,7 @@ func samplePlans() map[string]Node {
 			},
 			Exprs: []expr.Expr{
 				expr.Arith{Op: expr.Add, L: expr.IntCol(0), R: expr.IntConst(1)},
-				expr.Arith{Op: expr.Mul, L: expr.FloatConst(2.5), R: expr.FloatConst(4)},
+				expr.Arith{Op: expr.Mul, L: expr.Const{Val: storage.EncodeFloat(2.5), Ty: storage.Float64}, R: expr.Const{Val: storage.EncodeFloat(4), Ty: storage.Float64}},
 			},
 			Names: []string{"bumped", "ten"},
 		},

@@ -16,14 +16,14 @@ func testCatalog(rows int) *Catalog {
 	)
 	b := storage.NewBuilder(schema)
 	as := make([]int64, rows)
-	bs := make([]float64, rows)
+	bs := make([]storage.Word, rows)
 	ss := make([]string, rows)
 	for i := 0; i < rows; i++ {
 		as[i] = int64(i % 10)
-		bs[i] = float64(i)
+		bs[i] = storage.EncodeFloat(float64(i))
 		ss[i] = []string{"x", "y"}[i%2]
 	}
-	b.SetInts(0, as).SetFloats(1, bs).SetStrings(2, ss)
+	b.SetInts(0, as).SetWords(1, bs).SetStrings(2, ss)
 	return NewCatalog().Add(b.Build(storage.NSM(3)))
 }
 

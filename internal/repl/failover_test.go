@@ -72,7 +72,7 @@ func startNodePrimary(t *testing.T) *nodeSrv {
 		n.srv.Close()
 		n.node.Stop()
 		svc.Close()
-		if m := n.node.Manager(); m != nil {
+		if m := nodeMgr(n.node); m != nil {
 			_ = m.Close()
 		}
 	})
@@ -107,11 +107,44 @@ func startNodeReplica(t *testing.T, url string) *nodeSrv {
 		n.srv.Close()
 		n.node.Stop()
 		svc.Close()
-		if m := n.node.Manager(); m != nil {
+		if m := nodeMgr(n.node); m != nil {
 			_ = m.Close()
 		}
 	})
 	return n
+}
+
+// nodeMgr returns n's current durability manager (nil on a replica that
+// has not been promoted).
+func nodeMgr(n *Node) *persist.Manager {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.cfg.Mgr
+}
+
+// statsOf reads svc's metric registry as the /stats object.
+func statsOf(t *testing.T, svc *service.DB) map[string]any {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := svc.Metrics().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// assertSeries checks the /stats value of each named counter or gauge.
+func assertSeries(t *testing.T, who string, svc *service.DB, want map[string]float64) {
+	t.Helper()
+	st := statsOf(t, svc)
+	for series, v := range want {
+		if st[series] != v {
+			t.Errorf("%s: %s = %v, want %v", who, series, st[series], v)
+		}
+	}
 }
 
 // waitMgrCaughtUp blocks until follower's applied position equals the
@@ -179,7 +212,7 @@ func TestFailoverPromoteFenceRejoin(t *testing.T) {
 	loadCSV(t, a.svc, "ev", "k:int64,v:int64", "0,100\n1,200\n2,300\n")
 
 	b := startNodeReplica(t, a.srv.URL)
-	waitMgrCaughtUp(t, b.svc, a.node.Manager())
+	waitMgrCaughtUp(t, b.svc, nodeMgr(a.node))
 
 	// More writes land on A, and A dies before B necessarily sees them.
 	loadCSV(t, a.svc, "t", "", rowsCSV(300, 400))
@@ -197,12 +230,12 @@ func TestFailoverPromoteFenceRejoin(t *testing.T) {
 	if got := b.svc.Term(); got != 2 {
 		t.Fatalf("promoted term = %d, want 2", got)
 	}
-	if b.svc.ReadOnly() {
-		t.Fatal("promoted node is still read-only")
-	}
 	if st := b.svc.Replication(); st.Role != "primary" {
 		t.Fatalf("promoted role = %s, want primary", st.Role)
 	}
+	assertSeries(t, "promoted node", b.svc, map[string]float64{
+		"db_repl_term": 2, "db_promotions_total": 1, "db_fences_total": 0,
+	})
 	// Writes at term 2 succeed.
 	loadCSV(t, b.svc, "t", "", rowsCSV(1000, 1100))
 
@@ -227,6 +260,9 @@ func TestFailoverPromoteFenceRejoin(t *testing.T) {
 	if fenced, _ := a.svc.Fenced(); !fenced {
 		t.Fatal("old primary did not fence on a higher-term request")
 	}
+	assertSeries(t, "fenced node", a.svc, map[string]float64{
+		"db_repl_term": 2, "db_promotions_total": 0, "db_fences_total": 1,
+	})
 
 	// The fenced old primary rejects writes with ErrFenced — locally and
 	// over HTTP (409).
@@ -252,7 +288,7 @@ func TestFailoverPromoteFenceRejoin(t *testing.T) {
 		t.Fatalf("demote: status %d: %s", dresp.StatusCode, dbody)
 	}
 	loadCSV(t, b.svc, "t", "", rowsCSV(1100, 1200))
-	waitMgrCaughtUp(t, a.svc, b.node.Manager())
+	waitMgrCaughtUp(t, a.svc, nodeMgr(b.node))
 
 	st := a.svc.Replication()
 	if st.Role != "replica" || st.Fenced || st.Primary != b.srv.URL {
@@ -261,6 +297,20 @@ func TestFailoverPromoteFenceRejoin(t *testing.T) {
 	}
 	if st.Term != 2 {
 		t.Fatalf("rejoined node term = %d, want 2", st.Term)
+	}
+	// A tailed B's post-demote writes: it timed poll rounds, and B counts
+	// it among its tail streams (between two long polls the gauge may
+	// read 0, so wait for one).
+	h, _ := statsOf(t, a.svc)["db_repl_poll_seconds"].(map[string]any)
+	if n, _ := h["count"].(float64); n <= 0 {
+		t.Errorf("rejoined node: db_repl_poll_seconds = %v, want a positive count", h)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for statsOf(t, b.svc)["db_repl_followers"] != 1.0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("new primary: db_repl_followers = %v, want 1", statsOf(t, b.svc)["db_repl_followers"])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	// Local writes now name the new primary.
 	if _, err := a.svc.Load(service.LoadSpec{Table: "t", Format: "csv"},
@@ -280,7 +330,7 @@ func TestPromoteIdempotent(t *testing.T) {
 	a := startNodePrimary(t)
 	loadCSV(t, a.svc, "t", "id:int64,grp:int64,name:string,price:float64", rowsCSV(0, 50))
 	b := startNodeReplica(t, a.srv.URL)
-	waitMgrCaughtUp(t, b.svc, a.node.Manager())
+	waitMgrCaughtUp(t, b.svc, nodeMgr(a.node))
 
 	term1, err := b.node.Promote()
 	if err != nil {
@@ -313,7 +363,7 @@ func TestDemoteStaleTerm(t *testing.T) {
 	if fenced, _ := a.svc.Fenced(); fenced {
 		t.Fatal("stale demote fenced the primary")
 	}
-	if a.svc.ReadOnly() {
+	if a.svc.Replication().Role == "replica" {
 		t.Fatal("stale demote flipped the primary read-only")
 	}
 }
@@ -332,17 +382,17 @@ func TestPromoteWithoutStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Stop()
-	waitMgrCaughtUp(t, svc, a.node.Manager())
+	waitMgrCaughtUp(t, svc, nodeMgr(a.node))
 
 	if _, err := node.Promote(); err == nil {
 		t.Fatal("promote without storage succeeded")
 	}
-	if !svc.ReadOnly() {
+	if svc.Replication().Role != "replica" {
 		t.Fatal("failed promote left the node writable")
 	}
 	// The tail loop restarted: new writes still arrive.
 	loadCSV(t, a.svc, "t", "", rowsCSV(50, 80))
-	waitMgrCaughtUp(t, svc, a.node.Manager())
+	waitMgrCaughtUp(t, svc, nodeMgr(a.node))
 }
 
 // TestReplicaRejectsStalePrimary covers both sides of the term check: a
@@ -358,7 +408,7 @@ func TestReplicaRejectsStalePrimary(t *testing.T) {
 	defer svc.Close()
 	svc.SetReadOnly(pri.srv.URL)
 	rep := NewReplica(svc, pri.srv.URL)
-	if err := rep.Bootstrap(); err != nil {
+	if err := rep.bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	svc.AdoptTerm(3) // a newer primary exists elsewhere
@@ -413,7 +463,7 @@ func TestHealthzReportsFailoverStates(t *testing.T) {
 	}
 
 	b := startNodeReplica(t, a.srv.URL)
-	waitMgrCaughtUp(t, b.svc, a.node.Manager())
+	waitMgrCaughtUp(t, b.svc, nodeMgr(a.node))
 	if h := health(b); h["status"] != "ok" || h["role"] != "replica" {
 		t.Fatalf("healthy replica /healthz = %v", h)
 	}

@@ -67,7 +67,7 @@ func TestResyncRacesConcurrentQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := rep.Query(q); err != nil {
+				if _, _, err := rep.QueryEx(q, service.QueryOpts{}); err != nil {
 					t.Errorf("replica query during resync: %v", err)
 					return
 				}

@@ -119,14 +119,6 @@ func (n *Node) Mount(mux *http.ServeMux) {
 	mux.HandleFunc(DemotePath, n.handleDemote)
 }
 
-// Manager returns the node's current durability manager (nil on a
-// replica that has not been promoted).
-func (n *Node) Manager() *persist.Manager {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cfg.Mgr
-}
-
 func (n *Node) currentPrimary() *Primary {
 	n.mu.Lock()
 	defer n.mu.Unlock()

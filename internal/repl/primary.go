@@ -34,12 +34,6 @@ func NewPrimary(svc *service.DB, mgr *persist.Manager) *Primary {
 	return &Primary{svc: svc, mgr: mgr, PollWait: 25 * time.Second, MaxChunk: 1 << 20}
 }
 
-// Mount registers the replication endpoints on mux.
-func (p *Primary) Mount(mux *http.ServeMux) {
-	mux.HandleFunc(SnapshotPath, p.handleSnapshot)
-	mux.HandleFunc(WALPath, p.handleWAL)
-}
-
 // handleSnapshot streams the checkpoint snapshot file. The first
 // follower of a never-checkpointed primary triggers a checkpoint, so the
 // served snapshot plus the (now fresh) WAL always covers the full state.

@@ -42,7 +42,8 @@ func startPrimary(t *testing.T) *primary {
 	p.PollWait = 200 * time.Millisecond
 	mux := http.NewServeMux()
 	mux.Handle("/", svc.Handler())
-	p.Mount(mux)
+	mux.HandleFunc(SnapshotPath, p.handleSnapshot)
+	mux.HandleFunc(WALPath, p.handleWAL)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(func() {
 		srv.Close()
@@ -60,7 +61,7 @@ func startReplica(t *testing.T, url string) (*service.DB, *Replica) {
 	svc.SetReadOnly(url)
 	rep := NewReplica(svc, url)
 	rep.Backoff = 20 * time.Millisecond
-	if err := rep.Bootstrap(); err != nil {
+	if err := rep.bootstrap(context.Background()); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -128,7 +129,7 @@ func diffQueries(db *core.DB) map[string]plan.Node {
 			GroupBy: []int{0},
 			Aggs: []expr.AggSpec{
 				{Kind: expr.Sum, Arg: expr.IntCol(1), Name: "s"},
-				{Kind: expr.Avg, Arg: expr.FloatCol(2), Name: "avg"},
+				{Kind: expr.Avg, Arg: expr.Col{Attr: 2, Ty: storage.Float64}, Name: "avg"},
 				{Kind: expr.Count, Name: "n"},
 			},
 		},
@@ -171,10 +172,10 @@ func assertReplicaIdentical(t *testing.T, pri, rep *core.DB) {
 		}
 	}
 	var a, b bytes.Buffer
-	if _, err := persist.WriteSnapshot(&a, pri, 0); err != nil {
+	if _, err := persist.WriteCatalogSnapshot(&a, pri.Catalog(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.WriteSnapshot(&b, rep, 0); err != nil {
+	if _, err := persist.WriteCatalogSnapshot(&b, rep.Catalog(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -254,7 +255,7 @@ func TestReplicationDifferential(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("replica /optimize: status %d, want 409", resp.StatusCode)
 	}
-	if _, err := rep.Query(plan.Insert{Table: "ev", Rows: [][]storage.Word{{storage.EncodeInt(9), storage.EncodeInt(9)}}}); err == nil {
+	if _, _, err := rep.QueryEx(plan.Insert{Table: "ev", Rows: [][]storage.Word{{storage.EncodeInt(9), storage.EncodeInt(9)}}}, service.QueryOpts{}); err == nil {
 		t.Fatal("replica accepted a local insert")
 	}
 }
@@ -361,7 +362,7 @@ func TestConcurrentQueryDuringApply(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := rep.Query(q); err != nil {
+				if _, _, err := rep.QueryEx(q, service.QueryOpts{}); err != nil {
 					t.Errorf("replica query during apply: %v", err)
 					return
 				}

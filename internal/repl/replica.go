@@ -133,12 +133,6 @@ func NewReplica(svc *service.DB, base string) *Replica {
 // Call before the tail loop starts.
 func (r *Replica) SetTransport(rt http.RoundTripper) { r.hc.Transport = rt }
 
-// Bootstrap fetches the primary's snapshot, restores it into a fresh
-// core database and swaps it into the service. The tail position resets
-// to the snapshot's epoch at offset 0 — the WAL endpoint replays
-// everything the snapshot does not contain.
-func (r *Replica) Bootstrap() error { return r.bootstrap(context.Background()) }
-
 func (r *Replica) bootstrap(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, r.timeout(r.SnapshotTimeout, 5*time.Minute))
 	defer cancel()

@@ -29,7 +29,7 @@ func TestWriteTracingEndToEnd(t *testing.T) {
 	r := NewReplica(rep, pri.srv.URL)
 	r.ID = "tracer-1"
 	r.Backoff = 20 * time.Millisecond
-	if err := r.Bootstrap(); err != nil {
+	if err := r.bootstrap(context.Background()); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -147,6 +147,3 @@ func (s *DB) StopAdvisor() {
 		s.advisorStop = nil
 	}
 }
-
-// Capture exposes the workload-capture sink (tests and experiments).
-func (s *DB) Capture() *workload.Capture { return s.capture }

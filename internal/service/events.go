@@ -66,9 +66,6 @@ func (s *DB) Events(since uint64, limit int) (events []obs.Event, next uint64, e
 	return s.journal.Since(since, limit)
 }
 
-// Journal exposes the event ring (benchmarks and tests).
-func (s *DB) Journal() *obs.Journal { return s.journal }
-
 // noteOverload journals an overload event at most once per second —
 // admission rejections come in bursts exactly when the node is least
 // able to afford per-rejection work, so the journal records the episode,

@@ -19,10 +19,11 @@ import (
 //
 //	POST /query      {"plan": <plan JSON>}          -> result
 //	POST /prepare    {"plan": <plan JSON>}          -> {"id": "s1", "cols": [...]}
+//	DELETE /prepare?id=s1                           -> 204 (404 for an unknown id)
 //	POST /exec       {"id": "s1"}                   -> result
 //	POST /optimize   {}                             -> layout changes
 //	POST /load?table=T&format=csv[&create=...]      -> bulk-ingest the body
-//	POST /checkpoint {}                             -> snapshot + WAL reset
+//	POST /checkpoint {}                             -> snapshot + WAL rotation
 //	GET  /tables                                    -> catalog listing
 //	GET  /stats                                     -> every /metrics series as one JSON object
 //	GET  /workload                                  -> captured column heat + plan shapes
@@ -223,6 +224,15 @@ func (s *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *DB) handlePrepare(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodDelete {
+		id := r.URL.Query().Get("id")
+		if !s.CloseStmt(id) {
+			writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown statement %q", id))
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
 	req, ok := readPlanRequest(w, r)
 	if !ok {
 		return

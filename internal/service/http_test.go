@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -122,6 +123,49 @@ func TestHTTPPrepareExec(t *testing.T) {
 	resp, out = post(t, srv.URL+"/exec", `{"id": "nope"}`)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown stmt status = %d, body = %v", resp.StatusCode, out)
+	}
+}
+
+// TestHTTPPrepareCloseCycles runs twice as many prepare-then-close cycles
+// as the statement registry holds: a client that closes what it prepares
+// can prepare forever.
+func TestHTTPPrepareCloseCycles(t *testing.T) {
+	srv, _ := newTestServer(t)
+	del := func(id string) int {
+		req, err := http.NewRequest(http.MethodDelete, srv.URL+"/prepare?id="+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const cycles = 2 * maxStmts
+	badClose := 0
+	for i := 1; i <= cycles; i++ {
+		resp, out := post(t, srv.URL+"/prepare", demoQueryJSON(50_000))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("prepare #%d: status %d, body %v", i, resp.StatusCode, out)
+		}
+		if code := del(out["id"].(string)); code != http.StatusNoContent {
+			if badClose == 0 {
+				t.Errorf("close #%d: status %d, want 204", i, code)
+			}
+			badClose++
+		}
+	}
+	if badClose > 0 {
+		t.Fatalf("%d of %d closes failed", badClose, cycles)
+	}
+	if code := del("s1"); code != http.StatusNotFound {
+		t.Fatalf("closing a closed statement: status %d, want 404", code)
+	}
+	if resp, out := post(t, srv.URL+"/exec", `{"id": "s1"}`); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("exec of a closed statement: status %d, body %v", resp.StatusCode, out)
 	}
 }
 

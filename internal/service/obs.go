@@ -105,7 +105,7 @@ func (s *DB) initMetrics() {
 		func() float64 { return float64(s.core().VersionsReclaimed()) })
 
 	m.ckptSeconds = r.Histogram("db_checkpoint_seconds",
-		"Checkpoint duration (snapshot write + WAL reset).", nil, nil)
+		"Checkpoint duration (snapshot write + WAL rotation).", nil, nil)
 	m.fsyncSeconds = r.Histogram("db_wal_fsync_seconds",
 		"WAL group-commit flush+fsync latency (fsync mode only).", nil, nil)
 	m.walAppended = r.Counter("db_wal_appended_bytes_total",

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/exec/result"
+	"repro/internal/persist"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -108,6 +109,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := s.Query(DemoQuery(0.01)); err != nil {
 		t.Fatal(err)
 	}
+	// A 20,000-row reply encodes in 2,048-row chunks on the pool, so the
+	// workers log busy time.
+	if resp, out := post(t, srv.URL+"/query", `{"plan": {"op": "scan", "table": "R", "cols": [0]}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("wide scan: status %d, body %v", resp.StatusCode, out)
+	}
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +131,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		`db_query_latency_seconds_count{outcome="ok"} 1`,
-		`db_queries_total{outcome="ok"} 1`,
+		`db_query_latency_seconds_count{outcome="ok"} 2`,
+		`db_queries_total{outcome="ok"} 2`,
 		"# TYPE db_query_latency_seconds histogram",
 		"db_replication_lag_bytes",
 		"db_checkpoint_seconds",
@@ -138,13 +144,24 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// Every non-comment line must parse as "name{labels} value".
+	busy, busySeries := 0.0, 0
 	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		if fields := strings.Fields(line); len(fields) != 2 {
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
 			t.Errorf("unparsable exposition line %q", line)
+			continue
 		}
+		if strings.HasPrefix(fields[0], "db_pool_busy_seconds_total{") {
+			v, _ := strconv.ParseFloat(fields[1], 64)
+			busy += v
+			busySeries++
+		}
+	}
+	if busySeries != 2 || busy <= 0 {
+		t.Errorf("db_pool_busy_seconds_total: %d worker series summing to %v s, want 2 summing above 0", busySeries, busy)
 	}
 }
 
@@ -325,7 +342,12 @@ func TestCloseDoesNotBreakInFlight(t *testing.T) {
 // and every histogram's count and sum equal its _count and _sum. It
 // also pins what that exercise must have counted.
 func TestStatsMatchesMetrics(t *testing.T) {
-	s, mgr := openPersistent(t, t.TempDir(), Config{Workers: 2})
+	db, mgr, err := persist.Open(persist.Options{Dir: t.TempDir(), Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, Config{Workers: 2})
+	s.AttachPersist(mgr, -1)
 	defer mgr.Close()
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
@@ -348,6 +370,10 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		if _, err := s.Query(plan.Scan{Table: "ev", Cols: []int{0, 1}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	_, pre := get(t, srv.URL+"/stats")
+	if n := mgr.WALSize(); n == 0 || pre["db_wal_bytes"] != float64(n) {
+		t.Errorf("/stats db_wal_bytes = %v before the checkpoint, WALSize() = %d", pre["db_wal_bytes"], n)
 	}
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -443,6 +469,13 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	if n, _ := stats["db_wal_appended_bytes_total"].(float64); n <= 0 {
 		t.Errorf("/stats db_wal_appended_bytes_total = %v, want > 0 after a load and an insert", n)
+	}
+	h, _ := stats["db_wal_fsync_seconds"].(map[string]any)
+	if n, _ := h["count"].(float64); n <= 0 {
+		t.Errorf("/stats db_wal_fsync_seconds = %v, want a positive count in fsync mode", h)
+	}
+	if stats["db_wal_bytes"] != float64(mgr.WALSize()) {
+		t.Errorf("/stats db_wal_bytes = %v after the checkpoint, WALSize() = %d", stats["db_wal_bytes"], mgr.WALSize())
 	}
 }
 

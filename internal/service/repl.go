@@ -57,13 +57,6 @@ func (s *DB) SetReadOnly(primaryURL string) {
 	s.role.primaryURL = primaryURL
 }
 
-// ReadOnly reports whether the service is a read-only replica.
-func (s *DB) ReadOnly() bool {
-	s.roleMu.RLock()
-	defer s.roleMu.RUnlock()
-	return s.role.readOnly
-}
-
 // PrimaryURL returns the primary this replica follows ("" on a primary).
 func (s *DB) PrimaryURL() string {
 	s.roleMu.RLock()

@@ -453,26 +453,6 @@ func (s *DB) admit() (release func(), err error) {
 	}, nil
 }
 
-// Query validates, compiles (or reuses) and executes a plan. Read plans
-// run under the shared read lock; Insert plans take the write lock and
-// invalidate the plan cache. Results are row-identical to core.DB.Query.
-func (s *DB) Query(p plan.Node) (*result.Set, error) {
-	res, _, err := s.QueryEx(p, QueryOpts{})
-	return res, err
-}
-
-// QueryJSON decodes a JSON-encoded plan and executes it; the decode error,
-// if any, names the offending field.
-func (s *DB) QueryJSON(data []byte) (*result.Set, error) {
-	p, err := plan.UnmarshalNode(data)
-	if err != nil {
-		return nil, err
-	}
-	// The canonical re-encoding (not the client's bytes) keys the cache,
-	// so formatting differences still hit the same entry.
-	return s.Query(p)
-}
-
 // Prepare validates a plan and registers it as a statement. Compilation
 // happens on first execution and is shared with identical ad-hoc queries.
 func (s *DB) Prepare(p plan.Node) (*Stmt, error) {
@@ -556,9 +536,11 @@ type QueryOpts struct {
 	QueryID string
 }
 
-// QueryEx is Query with options: it executes p and, when o.Explain is
-// set, also returns the filled execution trace (nil for inserts run
-// without tracing support, never nil for traced reads).
+// QueryEx validates, compiles (or reuses) and executes a plan. Read plans
+// run under the shared read lock; Insert plans take the write lock and
+// invalidate the plan cache. Results are row-identical to core.DB.Query.
+// When o.Explain is set it also returns the filled execution trace (nil
+// for inserts run without tracing support, never nil for traced reads).
 func (s *DB) QueryEx(p plan.Node, o QueryOpts) (*result.Set, *obs.QueryTrace, error) {
 	// Only reads go through the plan cache; an insert needs no key.
 	var key digest

@@ -13,6 +13,12 @@ import (
 
 const testRows = 20_000
 
+// Query is QueryEx without options, the form most tests call.
+func (s *DB) Query(p plan.Node) (*result.Set, error) {
+	res, _, err := s.QueryEx(p, QueryOpts{})
+	return res, err
+}
+
 // reference runs p on a pristine serial copy of the demo database.
 func reference(t testing.TB, rows int, ps ...plan.Node) []*result.Set {
 	t.Helper()
@@ -117,8 +123,12 @@ func TestServicePlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	decoded, err := plan.UnmarshalNode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := s.Stats().PlanCacheHits
-	if _, err := s.QueryJSON(data); err != nil {
+	if _, err := s.Query(decoded); err != nil {
 		t.Fatal(err)
 	}
 	if after := s.Stats().PlanCacheHits; after != before+1 {

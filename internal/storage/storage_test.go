@@ -218,7 +218,7 @@ func buildTestRelation(t *testing.T, layout Layout) *Relation {
 	b := NewBuilder(schema)
 	b.SetInts(0, []int64{1, 2, 3, -4})
 	b.SetStrings(1, []string{"delta", "alpha", "charlie", "bravo"})
-	b.SetFloats(2, []float64{1.5, -2.5, 0, 99})
+	b.SetWords(2, []Word{EncodeFloat(1.5), EncodeFloat(-2.5), EncodeFloat(0), EncodeFloat(99)})
 	b.SetWords(3, []Word{1, 0, 1, 0})
 	return b.Build(layout)
 }
@@ -408,15 +408,16 @@ func TestBuilderUnsetColumnIsNull(t *testing.T) {
 func TestBuilderStringsWithNulls(t *testing.T) {
 	schema := NewSchema("r", Attribute{"s", String})
 	b := NewBuilder(schema)
-	b.SetStringsWithNulls(0, []string{"x", "", "y"}, []bool{false, true, false})
+	b.SetStrings(0, []string{"x", "y"})
 	r := b.Build(DSM(1))
-	if r.Value(1, 0) != Null {
+	r.AppendRows([]Word{Null})
+	if r.Value(2, 0) != Null {
 		t.Error("null cell must store Null word")
 	}
-	if r.StringOf(0, 0) != "x" || r.StringOf(2, 0) != "y" {
+	if r.StringOf(0, 0) != "x" || r.StringOf(1, 0) != "y" {
 		t.Error("non-null strings wrong")
 	}
-	if r.StringOf(1, 0) != "" {
+	if r.StringOf(2, 0) != "" {
 		t.Error("StringOf(null) must return empty string")
 	}
 	if r.Dict(0).Len() != 2 {
@@ -484,9 +485,9 @@ func TestRelationRandomizedLayoutEquivalence(t *testing.T) {
 
 func TestPartitionGeometry(t *testing.T) {
 	r := buildTestRelation(t, PDSM([]int{0, 2}, []int{1, 3}))
-	p := r.PartitionOf(2)
-	if p.Stride != 2 || p.WidthBytes() != 16 || p.Rows() != 4 {
-		t.Errorf("partition geometry wrong: stride=%d width=%d rows=%d", p.Stride, p.WidthBytes(), p.Rows())
+	p := r.Parts[r.groupOf[2]]
+	if p.Stride != 2 || len(p.Data) != 2*4 {
+		t.Errorf("partition geometry wrong: stride=%d words=%d", p.Stride, len(p.Data))
 	}
 }
 

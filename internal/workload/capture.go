@@ -57,9 +57,6 @@ type TableCounters struct {
 	cols  []atomic.Int64 // one per attribute position
 }
 
-// Name returns the table name.
-func (t *TableCounters) Name() string { return t.name }
-
 // Width returns the number of attribute positions tracked.
 func (t *TableCounters) Width() int { return len(t.cols) }
 
@@ -170,13 +167,6 @@ func (c *Capture) Table(name string) *TableCounters {
 	return c.tables[name]
 }
 
-// Tables lists the registered tables in first-seen order.
-func (c *Capture) Tables() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]string(nil), c.order...)
-}
-
 // ShapeEntry is one tracked plan shape: a normalized-plan identity, a
 // concrete representative plan, and an execution count.
 type ShapeEntry struct {
@@ -184,7 +174,6 @@ type ShapeEntry struct {
 	sample plan.Node
 	json   []byte
 	count  atomic.Int64
-	slot   int
 }
 
 // shapeRing retains the most recently first-seen cap shapes. Hits bump an
@@ -209,13 +198,11 @@ func (r *shapeRing) entry(key string, shapeJSON []byte, sample plan.Node) *Shape
 	}
 	e := &ShapeEntry{key: key, sample: sample, json: shapeJSON}
 	if len(r.ring) < r.cap {
-		e.slot = len(r.ring)
 		r.ring = append(r.ring, e)
 	} else {
 		old := r.ring[r.next]
 		delete(r.m, old.key)
 		r.evicted++
-		e.slot = r.next
 		r.ring[r.next] = e
 		r.next = (r.next + 1) % r.cap
 	}

@@ -68,8 +68,8 @@ func TestUnknownTableSkipped(t *testing.T) {
 	fp := c.Resolve(cat, []exec.TableAccess{{Table: "nope", Attrs: []int{0}, Rows: 10}},
 		"s", nil, nil)
 	fp.Record() // only the shape counts; no table registered
-	if got := c.Tables(); len(got) != 0 {
-		t.Errorf("Tables = %v, want none", got)
+	if got := c.order; len(got) != 0 {
+		t.Errorf("tables = %v, want none", got)
 	}
 }
 
