@@ -82,7 +82,7 @@ func workerCounts() []int {
 
 // BenchmarkParallelScaling measures the morsel scheduler: the Figure 3
 // aggregate (jit's scan-aggregate kernel) and the bare filtered scan
-// (arena-backed row emit) on the column layout, for the JiT and vectorized
+// (chunk-backed row emit) on the column layout, for the JiT and vectorized
 // engines across the worker sweep. workers=1 is the serial engine — the paper's
 // configuration — so each series' first entry is the scaling baseline.
 func BenchmarkParallelScaling(b *testing.B) {
@@ -169,9 +169,9 @@ func BenchmarkBreakers(b *testing.B) {
 	}
 }
 
-// BenchmarkScanMaterialize isolates the arena result path: a full-table
+// BenchmarkScanMaterialize isolates the result path: a full-table
 // four-column scan materialized to a result set. allocs/op is the headline
-// number — the arena turns one heap slice per row into one per 256 KB
+// number — word chunks turn one heap slice per row into one per 256 KB
 // chunk.
 func BenchmarkScanMaterialize(b *testing.B) {
 	setup := experiments.NewFig3Setup(1_000_000)

@@ -1,8 +1,6 @@
 package jit
 
 import (
-	"sync/atomic"
-
 	"repro/internal/exec"
 	"repro/internal/exec/par"
 	"repro/internal/expr"
@@ -144,10 +142,10 @@ func (s *groupSink) rows() [][]storage.Word {
 	return rows
 }
 
-// genericAggregate runs the pipeline into a grouped aggregation sink. The
-// aggregate arguments are compiled once; under the morsel scheduler each
-// morsel feeds its own sink and the sinks merge in morsel order, which is
-// exact (and therefore enabled) only while no float sums are involved.
+// genericAggregate runs the pipeline into grouped aggregation sinks. The
+// aggregate arguments are compiled once; each morsel feeds its own sink and
+// the sinks merge in morsel order, which is exact only while no float sums
+// are involved, so those run as one morsel.
 func genericAggregate(p *pipe, v plan.Aggregate, opt par.Options, tr *obs.QueryTrace, aggIdx int) [][]storage.Word {
 	args := make([]argComp, len(v.Aggs))
 	specs := make([]expr.AggSpec, len(v.Aggs))
@@ -166,34 +164,25 @@ func genericAggregate(p *pipe, v plan.Aggregate, opt par.Options, tr *obs.QueryT
 		}
 	}
 
-	start := clock(tr)
-	var folded int64
-	var rows [][]storage.Word
-	if p.parallelizable(opt) && expr.MergeExact(v.Aggs) {
-		n := p.rel.Rows()
-		sinks := make([]*groupSink, opt.Morsels(n))
-		pool := make([]*pipeWorker, opt.WorkerCount())
-		var emitted atomic.Int64
-		par.Run(n, opt, func(w, m, lo, hi int) {
-			ws := p.worker(pool, w)
-			ms := newGroupSink(v, specs, args)
-			start := clock(tr)
-			ws.pipe.runRange(lo, hi, ws.regs, ms.fold)
-			sinks[m] = ms
-			if tr != nil {
-				emitted.Add(ws.pipe.flushCounts(tr, w, stolen(opt, n, w, m), start))
-			}
-		})
-		total := newGroupSink(v, specs, args)
-		for _, ms := range sinks {
-			total.merge(ms)
-		}
-		folded, rows = emitted.Load(), total.rows()
-	} else {
-		sink := newGroupSink(v, specs, args)
-		folded = p.runSerial(tr, sink.fold)
-		rows = sink.rows()
+	if !expr.MergeExact(v.Aggs) {
+		opt = par.Serial() // float sums fold in row order, into one sink
 	}
+	_, morsels := p.shape(opt)
+	sinks := make(groupSinks, max(morsels, 1)) // an empty table's ungrouped row comes from sinks[0]
+	for m := range sinks {
+		sinks[m] = newGroupSink(v, specs, args)
+	}
+	start := clock(tr)
+	folded := p.run(opt, tr, sinks)
+	for _, ms := range sinks[1:] {
+		sinks[0].merge(ms)
+	}
+	rows := sinks[0].rows()
 	tr.Op(aggIdx).Add(folded, int64(len(rows)), since(start))
 	return rows
 }
+
+// groupSinks is genericAggregate's sink: one groupSink per morsel.
+type groupSinks []*groupSink
+
+func (s groupSinks) emit(_, m int, regs []storage.Word) { s[m].fold(regs) }

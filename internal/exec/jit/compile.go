@@ -10,11 +10,13 @@
 // compilation model.
 //
 // Where Go differs from LLVM codegen: instead of emitting machine code we
-// specialize at plan-compile time into loop bodies that still dispatch on
-// test and aggregate kinds per row. The paper's hot shape — a filtered scan
-// feeding counts and integer sums, grouped on at most one dictionary column
-// — runs in the scan-aggregate kernel (scanagg.go), which dispatches once
-// per chunk instead, leaving each loop a load, a compare or add, a store.
+// specialize at plan-compile time into loop bodies. Every source filters a
+// chunk of rows into a selection vector, one test over the whole chunk at
+// a time; register loads, stages and aggregates then still run, and
+// dispatch on their kinds, per passing row. The paper's hot shape — a filtered scan feeding counts
+// and integer sums, grouped on at most one dictionary column — runs in the
+// scan-aggregate kernel (scanagg.go), whose aggregates also run a chunk at
+// a time, leaving each loop a load, a compare or add, a store.
 package jit
 
 import (
@@ -111,7 +113,6 @@ type pipe struct {
 	useIndex  bool
 	idx       index.Index
 	key       storage.Word
-	indexRows []int32 // lookup buffer, refreshed per execution
 	baseTests []test
 	complex   expr.Pred // interpreted fallback over base attributes
 	loads     []load
@@ -119,6 +120,13 @@ type pipe struct {
 	stages    []stage
 	outWidth  int
 	srcOp     int // trace-op index of the source scan
+
+	// Execution state of a clone (see cloneForWorker): the worker running
+	// it and its current morsel, the register file, and the selection
+	// vector (a chunk's passing rows, or the index lookup result).
+	w, m int
+	regs []storage.Word
+	sel  []int32
 
 	// Source counts since the last flush (per clone, like the stage
 	// counts): rows read from the table or index, and rows past the
@@ -139,7 +147,7 @@ func compilePipe(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 	case plan.Select:
 		idx := tb.add("select", "", depth)
 		p := compilePipe(v.Child, c, opt, tb, depth+1)
-		tests, complexPred := compileRegPred(v.Pred)
+		tests, complexPred := compilePred(v.Pred, nil)
 		p.stages = append(p.stages, stage{kind: stFilter, tests: tests, complex: complexPred, opIdx: idx})
 		return p
 
@@ -177,7 +185,7 @@ func compilePipe(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 		buildIdx := tb.add("join-build", "", depth+1)
 		start := time.Now()
 		leftRows := prepareNode(v.Left, c, opt, &traceBuild{}, 0)(nil)
-		leftWidth := nodeWidth(v.Left, c)
+		leftWidth := len(plan.Output(v.Left, c))
 		jt := joinpar.Build(leftRows, v.LeftKey, leftWidth, opt)
 		tb.setStatic(buildIdx, int64(len(leftRows)), int64(len(leftRows)), time.Since(start).Nanoseconds())
 		// Probe side: continue the pipeline.
@@ -211,7 +219,7 @@ func compileScan(v plan.Scan, c *plan.Catalog, tb *traceBuild, depth int) *pipe 
 		detail += " index"
 	}
 	p.srcOp = tb.add("scan", detail, depth)
-	p.baseTests, p.complex = compileBasePred(filter, rel)
+	p.baseTests, p.complex = compilePred(filter, rel)
 	p.loads = make([]load, 0, len(v.Cols))
 	for i, attr := range v.Cols {
 		a := rel.Access(attr)
@@ -220,38 +228,24 @@ func compileScan(v plan.Scan, c *plan.Catalog, tb *traceBuild, depth int) *pipe 
 	return p
 }
 
-// compileBasePred lowers a predicate over base attributes into direct-
-// access tests; non-conjunctive structure stays interpreted.
-func compileBasePred(p expr.Pred, rel *storage.Relation) ([]test, expr.Pred) {
+// compilePred lowers a predicate's conjuncts into tests: over base
+// attributes by direct slice access when rel is set, else over register
+// positions. Non-conjunctive structure stays interpreted.
+func compilePred(p expr.Pred, rel *storage.Relation) ([]test, expr.Pred) {
 	var tests []test
 	var rest []expr.Pred
 	for _, conj := range conjuncts(p) {
 		t, ok := lowerTest(conj)
-		if !ok {
+		switch {
+		case !ok:
 			rest = append(rest, conj)
 			continue
+		case rel != nil:
+			a := rel.Access(attrOf(conj))
+			t.data, t.stride, t.off = a.Data, a.Stride, a.Off
+		default:
+			t.pos = attrOf(conj)
 		}
-		a := rel.Access(attrOf(conj))
-		t.data, t.stride, t.off = a.Data, a.Stride, a.Off
-		tests = append(tests, t)
-	}
-	if len(rest) == 0 {
-		return tests, nil
-	}
-	return tests, expr.Conj(rest...)
-}
-
-// compileRegPred lowers a predicate over register positions.
-func compileRegPred(p expr.Pred) ([]test, expr.Pred) {
-	var tests []test
-	var rest []expr.Pred
-	for _, conj := range conjuncts(p) {
-		t, ok := lowerTest(conj)
-		if !ok {
-			rest = append(rest, conj)
-			continue
-		}
-		t.pos = attrOf(conj)
 		tests = append(tests, t)
 	}
 	if len(rest) == 0 {
@@ -323,8 +317,4 @@ func conjuncts(p expr.Pred) []expr.Pred {
 	default:
 		return []expr.Pred{p}
 	}
-}
-
-func nodeWidth(n plan.Node, c *plan.Catalog) int {
-	return len(plan.Output(n, c))
 }

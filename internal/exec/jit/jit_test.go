@@ -214,3 +214,25 @@ func TestMapStageWidthChange(t *testing.T) {
 		t.Errorf("group counts sum to %d, want 500", total)
 	}
 }
+
+// BenchmarkIndexExec measures point_hot's execution below the service: a
+// prepared one-row hash-index lookup on a 200,000-row NSM orders table,
+// run on a 2-worker pool as the service runs it.
+func BenchmarkIndexExec(b *testing.B) {
+	rel := ordersRelation(200_000, 1, false).WithLayout(storage.NSM(12))
+	c := plan.NewCatalog().Add(rel)
+	c.AddIndex("orders", 0, buildIdx(rel))
+	pool := par.NewPool(2)
+	defer pool.Close()
+	prep := PrepareOpt(plan.Scan{
+		Table:  "orders",
+		Filter: expr.Cmp{Attr: 0, Op: expr.Eq, Val: storage.EncodeInt(123_457)},
+		Cols:   []int{0, 1, 2, 8, 10, 11},
+	}, c, par.WithPool(pool))
+	b.ReportAllocs()
+	for b.Loop() {
+		if prep.Exec().Len() != 1 {
+			b.Fatal("the lookup must return one row")
+		}
+	}
+}

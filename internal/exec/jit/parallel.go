@@ -1,26 +1,70 @@
 package jit
 
 import (
+	"sync/atomic"
+
 	"repro/internal/exec/par"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
-// parallelizable reports whether the pipe can run under the morsel
-// scheduler: index-backed pipes fetch a (small) row-id list and stay
-// serial.
-func (p *pipe) parallelizable(opt par.Options) bool {
-	return opt.Parallel() && !p.useIndex
+// shape returns the workers and morsels a run of the pipe under opt takes.
+// Serial options, and an index source (whose lookup result is small), run
+// as worker 0's one morsel on the calling goroutine; a range scan under
+// parallel options runs as par.Run's morsels.
+func (p *pipe) shape(opt par.Options) (workers, morsels int) {
+	if !opt.Parallel() || p.useIndex {
+		return 1, 1
+	}
+	return opt.WorkerCount(), opt.Morsels(p.rel.Rows())
 }
 
-// cloneForWorker gives one worker — or one concurrent execution — its own
-// executable view of the pipe. Stage output buffers, the index-lookup
-// scratch and the operator counts are the only state the fused loop
-// mutates besides the register file, so the clone shares the compiled
-// tests, loads and probe tables with the original and replaces just those.
-func (p *pipe) cloneForWorker() *pipe {
+// A sink takes what a run of a pipe emits: each row of morsel m, in row
+// order, from the worker w running that morsel. Workers emit concurrently,
+// so a sink keeps its state per worker or per morsel and merges it in
+// morsel order afterwards, which reproduces a one-morsel run's output.
+type sink interface {
+	emit(w, m int, regs []storage.Word)
+}
+
+// run drives the pipe over its source into out, as shape lays it out, and
+// returns the rows it emitted when tr is armed (0 when not). Each worker
+// runs a clone of its own; an armed trace gets each morsel's counts as the
+// morsel ends.
+func (p *pipe) run(opt par.Options, tr *obs.QueryTrace, out sink) int64 {
+	if workers, _ := p.shape(opt); workers == 1 {
+		q, start := p.cloneForWorker(0), clock(tr)
+		if q.useIndex {
+			q.runIndex(out)
+		} else {
+			q.runRange(0, q.rel.Rows(), out)
+		}
+		return q.flushCounts(tr, 0, false, start)
+	}
+	n := p.rel.Rows()
+	clones := make([]*pipe, opt.WorkerCount())
+	var emitted atomic.Int64
+	par.Run(n, opt, func(w, m, lo, hi int) {
+		if clones[w] == nil {
+			clones[w] = p.cloneForWorker(w)
+		}
+		q, start := clones[w], clock(tr)
+		q.m = m
+		q.runRange(lo, hi, out)
+		emitted.Add(q.flushCounts(tr, w, stolen(opt, n, w, m), start))
+	})
+	return emitted.Load()
+}
+
+// cloneForWorker gives worker w its own executable view of the pipe — the
+// view every run executes, so concurrent Execs never share one. Stage
+// output buffers, the registers, the selection vector and the operator
+// counts are the only state the loops mutate, so the clone shares the
+// compiled tests, loads and probe tables with the original and replaces
+// just those.
+func (p *pipe) cloneForWorker(w int) *pipe {
 	q := *p
-	q.indexRows = nil
+	q.w, q.regs, q.sel = w, make([]storage.Word, p.srcWidth), nil
 	q.stages = append([]stage(nil), p.stages...)
 	for i := range q.stages {
 		if q.stages[i].buf != nil {
@@ -30,82 +74,79 @@ func (p *pipe) cloneForWorker() *pipe {
 	return &q
 }
 
-// pipeWorker is the per-worker execution state of a parallel run: a pipe
-// clone, a private register file and a private chunk the emitted rows are
-// laid end to end in. Workers are created lazily by the first morsel each
-// one claims.
-type pipeWorker struct {
-	pipe  *pipe
-	regs  []storage.Word
-	chunk []storage.Word // filled up to cap, then replaced by a larger one
-}
-
-// Emitted-row chunks grow from the first size to the last by doubling, as
-// result.Arena's do, so a scan emitting a few rows allocates little.
+// Emitted-row chunks grow from the first size to the last by doubling, so
+// a morsel emitting a few rows allocates little.
 const (
 	firstRowChunkWords = 128
 	maxRowChunkWords   = 32 * 1024
 )
 
-// morselRows is what one morsel emitted: rows of the pipe's output width,
-// laid end to end in spans of its worker's chunks.
+// rowSink materializes the emitted rows. Each morsel lays its rows end to
+// end in chunks of its own; rows cuts the row views from them in morsel
+// order into one exactly sized slice. A one-morsel run, an index lookup's
+// say, keeps its morsel in one, so the sink is a single allocation.
+type rowSink struct {
+	width   int
+	morsels []morselRows
+	one     [1]morselRows
+}
+
+// morselRows is what one morsel emitted: its full chunks, then the one it
+// is filling.
 type morselRows struct {
-	spans [][]storage.Word
+	full  [][]storage.Word
+	chunk []storage.Word
 	rows  int
+	_     [8]byte // pads to 64 bytes: workers fill neighbouring morsels at once
 }
 
-func (p *pipe) worker(pool []*pipeWorker, w int) *pipeWorker {
-	if pool[w] == nil {
-		pool[w] = &pipeWorker{
-			pipe: p.cloneForWorker(),
-			regs: make([]storage.Word, p.srcWidth),
-		}
+func newRowSink(p *pipe, opt par.Options) *rowSink {
+	s := &rowSink{width: p.outWidth}
+	if _, morsels := p.shape(opt); morsels == 1 {
+		s.morsels = s.one[:]
+	} else {
+		s.morsels = make([]morselRows, morsels)
 	}
-	return pool[w]
+	return s
 }
 
-// runParallelRows drives the pipe with the morsel scheduler and returns
-// the emitted rows. Every morsel records its emits separately, as spans of
-// the claiming worker's chunks; the row views are cut from the spans in
-// morsel order into one exactly-sized slice, so the output is row-for-row
-// identical to the serial loop.
-func (p *pipe) runParallelRows(opt par.Options, tr *obs.QueryTrace) [][]storage.Word {
-	n := p.rel.Rows()
-	slots := make([]morselRows, opt.Morsels(n))
-	pool := make([]*pipeWorker, opt.WorkerCount())
-	par.Run(n, opt, func(w, m, lo, hi int) {
-		ws := p.worker(pool, w)
-		start := clock(tr)
-		out, from := &slots[m], len(ws.chunk)
-		ws.pipe.runRange(lo, hi, ws.regs, func(regs []storage.Word) {
-			if cap(ws.chunk)-len(ws.chunk) < len(regs) {
-				out.spans = append(out.spans, ws.chunk[from:])
-				size := min(max(2*cap(ws.chunk), firstRowChunkWords), maxRowChunkWords)
-				ws.chunk, from = make([]storage.Word, 0, max(size, len(regs))), 0
-			}
-			ws.chunk = append(ws.chunk, regs...)
-			out.rows++
-		})
-		out.spans = append(out.spans, ws.chunk[from:])
-		if tr != nil {
-			ws.pipe.flushCounts(tr, w, stolen(opt, n, w, m), start)
+func (s *rowSink) emit(_, m int, regs []storage.Word) {
+	o := &s.morsels[m]
+	if cap(o.chunk)-len(o.chunk) < len(regs) {
+		if len(o.chunk) > 0 {
+			o.full = append(o.full, o.chunk)
 		}
-	})
+		size := min(max(2*cap(o.chunk), firstRowChunkWords), maxRowChunkWords)
+		o.chunk = make([]storage.Word, 0, max(size, len(regs)))
+	}
+	o.chunk = append(o.chunk, regs...)
+	o.rows++
+}
+
+func (s *rowSink) rows() [][]storage.Word {
 	total := 0
-	for _, s := range slots {
-		total += s.rows
+	for _, o := range s.morsels {
+		total += o.rows
 	}
-	rows, k, w := make([][]storage.Word, total), 0, p.outWidth
-	for _, s := range slots {
-		for _, span := range s.spans {
-			for ; len(span) > 0; span = span[w:] {
-				rows[k] = span[:w:w] // capped, so appending to a row cannot clobber its neighbour
-				k++
-			}
+	rows, k := make([][]storage.Word, total), 0
+	for _, o := range s.morsels {
+		for _, c := range o.full {
+			k = cutRows(rows, k, c, s.width)
 		}
+		k = cutRows(rows, k, o.chunk, s.width)
 	}
 	for ; k < total; k++ { // rows without columns
 		rows[k] = []storage.Word{}
 	}
 	return rows
+}
+
+// cutRows cuts the rows laid end to end in span into rows[k:] and returns
+// the next free index.
+func cutRows(rows [][]storage.Word, k int, span []storage.Word, width int) int {
+	for ; len(span) > 0; span = span[width:] {
+		rows[k] = span[:width:width] // capped, so appending to a row cannot clobber its neighbour
+		k++
+	}
+	return k
 }

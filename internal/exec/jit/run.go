@@ -33,12 +33,9 @@ func NewParallel(opt par.Options) Engine { return Engine{opt: opt} }
 func (Engine) Name() string { return "jit" }
 
 // Run compiles the plan into pipeline programs and executes them once.
-// Repeated executions of the same plan should use Prepare, which separates
+// Repeated executions of the same plan should use PrepareOpt, which separates
 // compilation from execution the way HyPer's query compiler does.
 func (e Engine) Run(n plan.Node, c *plan.Catalog) *result.Set {
-	if ins, ok := n.(plan.Insert); ok {
-		return exec.RunInsert(ins, c)
-	}
 	return PrepareOpt(n, c, e.opt).Exec()
 }
 
@@ -64,28 +61,13 @@ type Prepared struct {
 // PrepareOpt compiles the plan with the given parallelism options baked
 // into the executable form.
 func PrepareOpt(n plan.Node, c *plan.Catalog, opt par.Options) *Prepared {
-	workers := opt.WorkerCount()
 	tb := &traceBuild{}
-	if ins, ok := n.(plan.Insert); ok {
-		idx := tb.add("insert", "table="+ins.Table, 0)
-		return &Prepared{
-			cols:    plan.Output(n, c),
-			protos:  tb.protos,
-			workers: workers,
-			exec: func(tr *obs.QueryTrace) [][]storage.Word {
-				start := clock(tr)
-				rows := exec.RunInsert(ins, c).Rows
-				tr.Op(idx).Add(int64(len(ins.Rows)), int64(len(rows)), since(start))
-				return rows
-			},
-		}
-	}
 	ex := prepareNode(n, c, opt, tb, 0)
 	return &Prepared{
 		cols:     plan.Output(n, c),
 		exec:     ex,
 		protos:   tb.protos,
-		workers:  workers,
+		workers:  opt.WorkerCount(),
 		accesses: exec.CollectAccesses(n, c),
 	}
 }
@@ -118,11 +100,19 @@ func (p *Prepared) NewTrace() *obs.QueryTrace {
 }
 
 // prepareNode compiles a plan subtree into an executable closure. Pipeline
-// breakers (aggregate, sort, limit) sit between compiled pipelines. tb
+// breakers (aggregate, sort, limit, insert) sit between compiled pipelines. tb
 // collects operator descriptors in plan pre-order; depth is the subtree's
 // depth in the rendered trace.
 func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, depth int) func(*obs.QueryTrace) [][]storage.Word {
 	switch v := n.(type) {
+	case plan.Insert:
+		idx := tb.add("insert", "table="+v.Table, depth)
+		return func(tr *obs.QueryTrace) [][]storage.Word {
+			start := clock(tr)
+			rows := exec.RunInsert(v, c).Rows
+			tr.Op(idx).Add(int64(len(v.Rows)), int64(len(rows)), since(start))
+			return rows
+		}
 	case plan.Sort:
 		idx := tb.add("sort", fmt.Sprintf("keys=%d", len(v.Keys)), depth)
 		child := prepareNode(v.Child, c, opt, tb, depth+1)
@@ -165,115 +155,132 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 	default:
 		p := compilePipe(n, c, opt, tb, depth)
 		return func(tr *obs.QueryTrace) [][]storage.Word {
-			if p.parallelizable(opt) {
-				return p.runParallelRows(opt, tr)
-			}
-			r := &runner{}
-			p.runSerial(tr, r.emitRow)
-			return r.rows
+			out := newRowSink(p, opt)
+			p.run(opt, tr, out)
+			return out.rows()
 		}
 	}
 }
 
-// runner materializes emitted register images through an arena, so a full
-// scan costs one allocation per arena chunk instead of one per row.
-type runner struct {
-	arena result.Arena
-	rows  [][]storage.Word
-}
+// chunkRows is the rows a range scan filters at a time: a chunk's selection
+// vector stays in L1. Filtering into it first, then running the rest of the
+// pipe over the passing rows, is the staging point of Relaxed Operator
+// Fusion (Menon, Pavlo, Mowry, VLDB 2017) without code generation.
+const chunkRows = 1024
 
-func (r *runner) emitRow(regs []storage.Word) {
-	r.rows = append(r.rows, r.arena.Copy(regs))
-}
-
-// runSerial drives the pipeline over its whole source on the calling
-// goroutine — the index fetch loop or the fused range loop — and, when tr
-// is armed, accounts the run as worker 0's one morsel. Serial execution
-// mutates stage buffers, counts and the index-lookup scratch, so every
-// call runs a private clone and concurrent Execs never share one. It
-// returns the emitted-row count of an armed run (0 disarmed).
-func (p *pipe) runSerial(tr *obs.QueryTrace, emit func([]storage.Word)) int64 {
-	start := clock(tr)
-	q := p.cloneForWorker()
-	if q.useIndex {
-		q.runIndex(emit)
-	} else {
-		q.runRange(0, q.rel.Rows(), make([]storage.Word, q.srcWidth), emit)
+// runRange is the scan loop over the row range [lo, hi): chunk by chunk,
+// filter selects the rows that pass the base tests and runRows runs the
+// rest of the pipe over them.
+func (p *pipe) runRange(lo, hi int, out sink) {
+	if len(p.sel) < chunkRows {
+		p.sel = make([]int32, chunkRows)
 	}
-	if tr == nil {
-		return 0
-	}
-	return q.flushCounts(tr, 0, false, start)
-}
-
-// runIndex is the index-backed source loop: it fetches the lookup result
-// and runs the same per-row body as runRange over those rows only.
-func (p *pipe) runIndex(emit func([]storage.Word)) {
-	regs := make([]storage.Word, p.srcWidth)
-	var complexRow int
-	complexFn := func(a int) storage.Word { return p.rel.Value(complexRow, a) }
-	p.indexRows = p.idx.Lookup(p.key, p.indexRows[:0])
-	p.scanned += int64(len(p.indexRows))
-rows:
-	for _, r := range p.indexRows {
-		row := int(r)
-		for i := range p.baseTests {
-			t := &p.baseTests[i]
-			if !t.pass(t.data[row*t.stride+t.off]) {
-				continue rows
-			}
-		}
-		if p.complex != nil {
-			complexRow = row
-			if !expr.EvalPred(p.complex, complexFn) {
-				continue rows
-			}
-		}
-		for i := range p.loads {
-			l := &p.loads[i]
-			regs[l.reg] = l.data[row*l.stride+l.off]
-		}
-		p.passed++
-		p.pushStages(0, regs, emit)
-	}
-}
-
-// runRange is the fused scan loop over the row range [lo, hi): compiled
-// tests by direct slice access, register loads, then the stages. It is the
-// unit the morsel scheduler drives — each worker runs it on its claimed
-// morsel with worker-private regs and a worker-private pipe clone, whose
-// counts it advances whether or not a trace will read them.
-func (p *pipe) runRange(lo, hi int, regs []storage.Word, emit func([]storage.Word)) {
-	var complexRow int
-	complexFn := func(a int) storage.Word { return p.rel.Value(complexRow, a) }
 	p.scanned += int64(hi - lo)
-rows:
-	for row := lo; row < hi; row++ {
-		for i := range p.baseTests {
-			t := &p.baseTests[i]
-			if !t.pass(t.data[row*t.stride+t.off]) {
-				continue rows
-			}
+	for c := lo; c < hi; c += chunkRows {
+		p.runRows(p.filter(c, min(c+chunkRows, hi), p.sel), out)
+	}
+}
+
+// runIndex is the index-backed source loop: the lookup result is the
+// selection, which each base test shrinks before runRows runs over it.
+func (p *pipe) runIndex(out sink) {
+	p.sel = p.idx.Lookup(p.key, p.sel[:0])
+	p.scanned += int64(len(p.sel))
+	sel := p.sel
+	for i := 0; i < len(p.baseTests) && len(sel) > 0; i++ {
+		sel = p.baseTests[i].shrink(sel)
+	}
+	p.runRows(passing{n: len(sel), sel: sel}, out)
+}
+
+// filter returns the rows of chunk [lo, hi) that pass every base test,
+// using sel (at least hi-lo long) as the selection vector: the first test
+// writes it, later ones compact it. Base-table tests are evaluated only
+// here and, over an index lookup's selection, in runIndex.
+func (p *pipe) filter(lo, hi int, sel []int32) passing {
+	all, tests := passing{lo: lo, n: hi - lo}, p.baseTests
+	if len(tests) == 0 {
+		return all
+	}
+	sel = tests[0].first(lo, hi, sel)
+	for i := 1; i < len(tests) && len(sel) > 0; i++ {
+		sel = tests[i].shrink(sel)
+	}
+	if len(sel) == hi-lo {
+		return all
+	}
+	return passing{lo: lo, n: len(sel), sel: sel}
+}
+
+// first writes the rows of [lo, hi) that pass s into sel. The range loop
+// writes every row and advances past passing ones: no branch to mispredict.
+func (s *test) first(lo, hi int, sel []int32) []int32 {
+	d, st, v, span, n := s.data[s.off:], s.stride, s.lo, s.span, 0
+	sel = sel[:hi-lo]
+	if s.set != nil {
+		for i := range sel {
+			sel[i] = int32(lo + i)
 		}
-		if p.complex != nil {
-			complexRow = row
-			if !expr.EvalPred(p.complex, complexFn) {
-				continue rows
-			}
+		return s.shrink(sel)
+	}
+	for r := lo; r < hi; r++ {
+		sel[n] = int32(r)
+		if d[r*st]-v <= span {
+			n++
 		}
-		for i := range p.loads {
-			l := &p.loads[i]
+	}
+	return sel[:n]
+}
+
+// shrink compacts sel to the rows that pass s.
+func (s *test) shrink(sel []int32) []int32 {
+	d, n := s.data[s.off:], 0
+	for _, r := range sel {
+		sel[n] = r
+		if s.pass(d[int(r)*s.stride]) {
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+// passing is a chunk's n passing rows: lo+i, or sel[i] when sel is not nil.
+type passing struct {
+	lo, n int
+	sel   []int32
+}
+
+func (p passing) row(i int) int {
+	if p.sel == nil {
+		return p.lo + i
+	}
+	return int(p.sel[i])
+}
+
+// runRows is the per-row body every source loop shares, run over rows that
+// passed the base tests: the interpreted fallback for the predicate the
+// tests do not cover, the register loads, then the stages.
+func (p *pipe) runRows(rows passing, out sink) {
+	regs, complexRow := p.regs, 0
+	complexFn := func(a int) storage.Word { return p.rel.Value(complexRow, a) }
+	for i := 0; i < rows.n; i++ {
+		row := rows.row(i)
+		if complexRow = row; p.complex != nil && !expr.EvalPred(p.complex, complexFn) {
+			continue
+		}
+		for j := range p.loads {
+			l := &p.loads[j]
 			regs[l.reg] = l.data[row*l.stride+l.off]
 		}
 		p.passed++
-		p.pushStages(0, regs, emit)
+		p.pushStages(0, regs, out)
 	}
 }
 
 // pushStages advances a register image through the stages starting at si,
 // counting each stage's survivors in the stage itself. Only multi-match
 // probes recurse; the single-match path stays in the flat loop.
-func (p *pipe) pushStages(si int, regs []storage.Word, emit func([]storage.Word)) {
+func (p *pipe) pushStages(si int, regs []storage.Word, out sink) {
 	for ; si < len(p.stages); si++ {
 		st := &p.stages[si]
 		switch st.kind {
@@ -312,7 +319,7 @@ func (p *pipe) pushStages(si int, regs []storage.Word, emit func([]storage.Word)
 				st.out += int64(len(matches))
 				for _, m := range matches {
 					copy(buf[:w], build[int(m)*w:])
-					p.pushStages(si+1, buf, emit)
+					p.pushStages(si+1, buf, out)
 				}
 				return
 			}
@@ -321,5 +328,5 @@ func (p *pipe) pushStages(si int, regs []storage.Word, emit func([]storage.Word)
 		}
 		st.out++
 	}
-	emit(regs)
+	out.emit(p.w, p.m, regs)
 }

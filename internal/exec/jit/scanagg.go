@@ -12,52 +12,15 @@ import (
 
 // The scan-aggregate kernel serves counts and int64 column sums, ungrouped
 // or grouped on one dictionary-coded column, over a bare base-table scan:
-// the paper's example query and every Figure 3 cell. Where the pipe loops
-// switch on test and aggregate kinds per row, the kernel dispatches once
-// per chunk of chunkRows rows: the first test writes a selection vector,
-// later tests compact it, and each aggregate is one loop over it (or over
-// the contiguous rows when all passed) — the staging point of Relaxed
-// Operator Fusion (Menon, Pavlo, Mowry, VLDB 2017) without code generation.
-// A group's slot is its dictionary code plus one, so Null wraps to slot 0;
-// merging each morsel's first-touched slots in morsel order reproduces
-// genericAggregate's group order.
+// the paper's example query and every Figure 3 cell. Every pipe filters a
+// chunk at a time into a selection vector (pipe.filter); where the pipe
+// loops then fold each passing row into an aggregate sink, the kernel runs
+// each aggregate as one loop over the selection (or over the contiguous
+// rows when all passed). A group's slot is its dictionary code plus one, so
+// Null wraps to slot 0; merging each morsel's first-touched slots in morsel
+// order reproduces genericAggregate's group order.
 
-const (
-	chunkRows     = 1024 // rows per dispatch; a chunk's vectors stay in L1
-	maxDictGroups = 4096 // larger dictionaries group in genericAggregate
-)
-
-// first writes the rows of [lo, hi) that pass s into sel. The range loop
-// writes every row and advances past passing ones: no branch to mispredict.
-func (s *test) first(lo, hi int, sel []int32) []int32 {
-	d, st, v, span, n := s.data[s.off:], s.stride, s.lo, s.span, 0
-	sel = sel[:hi-lo]
-	if s.set != nil {
-		for i := range sel {
-			sel[i] = int32(lo + i)
-		}
-		return s.shrink(sel)
-	}
-	for r := lo; r < hi; r++ {
-		sel[n] = int32(r)
-		if d[r*st]-v <= span {
-			n++
-		}
-	}
-	return sel[:n]
-}
-
-// shrink compacts sel to the rows that pass s.
-func (s *test) shrink(sel []int32) []int32 {
-	d, n := s.data[s.off:], 0
-	for _, r := range sel {
-		sel[n] = r
-		if s.pass(d[int(r)*s.stride]) {
-			n++
-		}
-	}
-	return sel[:n]
-}
+const maxDictGroups = 4096 // larger dictionaries group in genericAggregate
 
 // scanAgg is a compiled scan-aggregate kernel.
 type scanAgg struct {
@@ -122,7 +85,8 @@ func (k *scanAgg) run(opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]stor
 			return nil, false
 		}
 	}
-	start, n, pool, runs := clock(tr), k.p.rel.Rows(), make([]*aggWorker, opt.WorkerCount()), make([]morselRun, 1)
+	workers, morsels := k.p.shape(opt)
+	start, n, pool, runs := clock(tr), k.p.rel.Rows(), make([]*aggWorker, workers), make([]morselRun, morsels)
 	body := func(w, m, lo, hi int) {
 		if pool[w] == nil {
 			pool[w] = &aggWorker{acc: make([]int64, slots*(1+len(k.sums))), stamp: make([]int32, slots),
@@ -132,11 +96,10 @@ func (k *scanAgg) run(opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]stor
 		runs[m] = k.morsel(pool[w], m, lo, hi)
 		runs[m].w, runs[m].rows, runs[m].nanos = w, int64(hi-lo), since(mstart)
 	}
-	if opt.Parallel() {
-		runs = make([]morselRun, opt.Morsels(n))
-		par.Run(n, opt, body)
-	} else {
+	if workers == 1 {
 		body(0, 0, 0, n)
+	} else {
+		par.Run(n, opt, body)
 	}
 	if slices.ContainsFunc(runs, func(r morselRun) bool { return r.bad }) {
 		return nil, false
@@ -182,7 +145,7 @@ func (k *scanAgg) run(opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]stor
 func (k *scanAgg) morsel(ws *aggWorker, m, lo, hi int) (r morselRun) {
 	slots := len(ws.stamp)
 	for c := lo; c < hi; c += chunkRows {
-		p := k.filter(c, min(c+chunkRows, hi), ws.sel)
+		p := k.p.filter(c, min(c+chunkRows, hi), ws.sel)
 		if p.n == 0 {
 			continue
 		}
@@ -207,35 +170,6 @@ func (k *scanAgg) morsel(ws *aggWorker, m, lo, hi int) (r morselRun) {
 		}
 	}
 	return r
-}
-
-// filter returns the rows of chunk [lo, hi) that pass every test.
-func (k *scanAgg) filter(lo, hi int, sel []int32) passing {
-	all, tests := passing{lo: lo, n: hi - lo}, k.p.baseTests
-	if len(tests) == 0 {
-		return all
-	}
-	sel = tests[0].first(lo, hi, sel)
-	for i := 1; i < len(tests) && len(sel) > 0; i++ {
-		sel = tests[i].shrink(sel)
-	}
-	if len(sel) == hi-lo {
-		return all
-	}
-	return passing{lo: lo, n: len(sel), sel: sel}
-}
-
-// passing is a chunk's n passing rows: lo+i, or sel[i] when sel is not nil.
-type passing struct {
-	lo, n int
-	sel   []int32
-}
-
-func (p passing) row(i int) int {
-	if p.sel == nil {
-		return p.lo + i
-	}
-	return int(p.sel[i])
 }
 
 // quarter returns the i-th row of each quarter of the first 4q passing rows,

@@ -2,7 +2,6 @@ package jit
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/exec/par"
 	"repro/internal/exec/sortpar"
@@ -28,64 +27,48 @@ func prepareTopN(srt plan.Sort, k int, c *plan.Catalog, opt par.Options, tb *tra
 		return func(tr *obs.QueryTrace) [][]storage.Word {
 			rows := child(tr)
 			start := clock(tr)
-			out := topNRows(rows, srt.Keys, k)
+			t := sortpar.NewTopN(srt.Keys, k)
+			for i, r := range rows {
+				t.Offer(r, 0, i)
+			}
+			out := sortpar.MergeTopN([]*sortpar.TopN{t}, srt.Keys, k)
 			tr.Op(idx).Add(int64(len(rows)), int64(len(out)), since(start))
 			return out
 		}
 	}
 	p := compilePipe(srt.Child, c, opt, tb, depth+1)
 	return func(tr *obs.QueryTrace) [][]storage.Word {
-		if p.parallelizable(opt) {
-			return p.runParallelTopN(srt.Keys, k, opt, tr, idx)
-		}
 		start := clock(tr)
-		t := sortpar.NewTopN(srt.Keys, k)
-		seq := 0
-		p.runSerial(tr, func(regs []storage.Word) {
-			t.Offer(regs, 0, seq)
-			seq++
-		})
-		out := sortpar.MergeTopN([]*sortpar.TopN{t}, srt.Keys, k)
-		tr.Op(idx).Add(int64(seq), int64(len(out)), since(start))
+		workers, _ := p.shape(opt)
+		tops := make(topSink, workers)
+		for w := range tops {
+			tops[w] = &topWorker{heap: sortpar.NewTopN(srt.Keys, k)}
+		}
+		offered := p.run(opt, tr, tops)
+		heaps := make([]*sortpar.TopN, len(tops))
+		for w, t := range tops {
+			heaps[w] = t.heap
+		}
+		out := sortpar.MergeTopN(heaps, srt.Keys, k)
+		tr.Op(idx).Add(offered, int64(len(out)), since(start))
 		return out
 	}
 }
 
-// runParallelTopN drives the pipe with the morsel scheduler, each worker
-// feeding a private bounded heap; candidates merge into the exact first k
-// rows of the serial stable sort.
-func (p *pipe) runParallelTopN(keys []plan.SortKey, k int, opt par.Options, tr *obs.QueryTrace, topIdx int) [][]storage.Word {
-	n := p.rel.Rows()
-	pool := make([]*pipeWorker, opt.WorkerCount())
-	tops := make([]*sortpar.TopN, opt.WorkerCount())
-	var offered atomic.Int64
-	allStart := clock(tr)
-	par.Run(n, opt, func(w, m, lo, hi int) {
-		ws := p.worker(pool, w)
-		if tops[w] == nil {
-			tops[w] = sortpar.NewTopN(keys, k)
-		}
-		t := tops[w]
-		seq := 0
-		start := clock(tr)
-		ws.pipe.runRange(lo, hi, ws.regs, func(regs []storage.Word) {
-			t.Offer(regs, m, seq)
-			seq++
-		})
-		if tr != nil {
-			offered.Add(ws.pipe.flushCounts(tr, w, stolen(opt, n, w, m), start))
-		}
-	})
-	out := sortpar.MergeTopN(tops, keys, k)
-	tr.Op(topIdx).Add(offered.Load(), int64(len(out)), since(allStart))
-	return out
+// topSink feeds each worker's rows to a bounded heap of its own. A row's
+// ordinal — its morsel, then its worker's emit count — breaks key ties in
+// serial emission order, so the heaps merge into the exact first k rows of
+// the stable sort.
+type topSink []*topWorker
+
+type topWorker struct {
+	heap *sortpar.TopN
+	seq  int
+	_    [48]byte // a cache line of its own: seq moves on every row
 }
 
-// topNRows bounds already-materialized rows through a single heap.
-func topNRows(rows [][]storage.Word, keys []plan.SortKey, k int) [][]storage.Word {
-	t := sortpar.NewTopN(keys, k)
-	for i, r := range rows {
-		t.Offer(r, 0, i)
-	}
-	return sortpar.MergeTopN([]*sortpar.TopN{t}, keys, k)
+func (s topSink) emit(w, m int, regs []storage.Word) {
+	t := s[w]
+	t.heap.Offer(regs, m, t.seq)
+	t.seq++
 }

@@ -8,12 +8,14 @@ import (
 )
 
 // Tracing in the jit engine reads the counts of the loops that serve every
-// query: runRange, runIndex and pushStages count, traced or not, into
-// their worker's private pipe clone — the source's rows scanned and rows
-// past the fused filter in the pipe, each stage's survivors in the stage.
-// An armed trace (tr != nil) reads the clock and flushes those counts once
-// per morsel or serial run, never per row; a disarmed execution reads no
-// clock and flushes nothing, so it pays only the increments themselves.
+// query: the source loops (runRange, runIndex) and the per-row body they
+// share (runRows, pushStages) count, traced or not, into their worker's
+// private pipe clone — the source's rows scanned and rows past the fused
+// filter in the pipe, each stage's survivors in the stage. An armed trace
+// (tr != nil) reads the clock and flushes those counts once per morsel (a
+// serial or index-backed run is one morsel), never per row; a disarmed
+// execution reads no clock and flushes nothing, so it pays only the
+// increments themselves.
 //
 // An operator's input is its predecessor's output, so the chain of counts
 // reconstructs per-operator rows in/out exactly. Wall time is measured
@@ -61,7 +63,7 @@ func stolen(opt par.Options, n, w, m int) bool {
 	return par.ExpectedWorker(m, opt.Morsels(n), opt.WorkerCount()) != w
 }
 
-// addMorsel accounts one morsel (or one serial run) of a fused operator:
+// addMorsel accounts one morsel of a fused operator:
 // totals via atomics, the claiming worker's lane directly (lane w is only
 // ever written by worker w).
 func addMorsel(op *obs.OpTrace, worker int, rowsIn, rowsOut, nanos int64, stolen bool) {
@@ -76,10 +78,13 @@ func addMorsel(op *obs.OpTrace, worker int, rowsIn, rowsOut, nanos int64, stolen
 	}
 }
 
-// flushCounts folds the counts this clone gathered since its last flush —
-// one morsel, or one serial run started at start — into the trace as
-// worker's, zeroes them, and returns the rows the pipeline emitted.
+// flushCounts folds the counts this clone gathered in the morsel started at
+// start into the trace as worker's, zeroes them, and returns the rows the
+// pipeline emitted. A disarmed trace gets nothing and it returns 0.
 func (p *pipe) flushCounts(tr *obs.QueryTrace, worker int, stolen bool, start time.Time) int64 {
+	if tr == nil {
+		return 0
+	}
 	nanos := since(start)
 	addMorsel(tr.Op(p.srcOp), worker, p.scanned, p.passed, nanos, stolen)
 	in := p.passed

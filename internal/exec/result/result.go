@@ -51,13 +51,6 @@ func (a *Arena) NewRow(width int) []storage.Word {
 	return a.cur[off : off+width : off+width]
 }
 
-// Copy clones src into the arena.
-func (a *Arena) Copy(src []storage.Word) []storage.Word {
-	row := a.NewRow(len(src))
-	copy(row, src)
-	return row
-}
-
 // Set is a materialized query result: column metadata plus word-encoded
 // rows. Rows appended through NewRow share the set's arena;
 // Rows remains a plain [][]Word of views, so consumers (differential

@@ -41,12 +41,15 @@ func parallelEngines(workers int) []struct {
 	}
 }
 
+// assertParallelMatches fails unless each parallel engine returns the
+// serial engine's rows in the serial order: the morsel-order merge makes
+// them identical row for row, not only as a multiset.
 func assertParallelMatches(t *testing.T, label string, p plan.Node, cat *plan.Catalog) {
 	t.Helper()
 	for _, workers := range parallelWorkerCounts() {
 		for _, pair := range parallelEngines(workers) {
-			want := pair.serial.Run(p, cat).Sorted()
-			got := pair.parallel.Run(p, cat).Sorted()
+			want := pair.serial.Run(p, cat)
+			got := pair.parallel.Run(p, cat)
 			if !result.Equal(want, got) {
 				t.Fatalf("%s: %s with %d workers diverges from serial (serial %d rows, parallel %d rows)",
 					label, pair.serial.Name(), workers, want.Len(), got.Len())
