@@ -35,9 +35,8 @@ var deadAllowed = map[string]string{
 	"internal/mem.Hierarchy.{Reset,Stats}":                       "the mem and pattern tests reset the simulator and read its per-level counters",
 	"internal/mem.Stats.{Accesses,Evictions,Hits,PrefetchFills}": "simulator counters the mem and pattern tests assert",
 	"internal/workload.Query.Name":                               "the capture tests identify captured shapes by it",
-	"internal/faultinject.{Disable,EnableError,FailN,Reset}":     "failpoint controls the service tests call",
 	"internal/faultinject.Rule.Hits":                             "the repl fault tests count a wire rule's hits with it",
-	"internal/faultinject.{Transport,Transport.Add}":             "the repl fault tests wrap a replica's HTTP transport with it",
+	"internal/faultinject.{Enable,Transport,Transport.Add}":      "the service fault tests arm failpoints with Enable; the repl fault tests wrap a replica's HTTP transport with Transport",
 }
 
 // allowedNames expands deadAllowed's brace groups.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/exec/par"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -287,7 +288,7 @@ func (d *Data) Catalog(kind string, overrides map[string]storage.Layout) *plan.C
 		if o, ok := overrides[rel.Schema.Name]; ok {
 			l = o
 		}
-		c.Add(rel.WithLayout(l))
+		c.Add(rel.WithLayout(l, par.Serial()))
 	}
 	return c
 }

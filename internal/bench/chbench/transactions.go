@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/exec/par"
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -44,9 +45,9 @@ func NewTx(d *Data, cat *plan.Catalog, seed int64) *Tx {
 		orderline: cat.Table("orderline"),
 		stock:     cat.Table("stock"),
 	}
-	t.custIdx = index.BuildOn(index.NewHashIndex(t.customer.Rows()), t.customer, customerSchema.Col("c_key"))
-	t.distIdx = index.BuildOn(index.NewHashIndex(t.district.Rows()), t.district, districtSchema.Col("d_key"))
-	t.stockIdx = index.BuildOn(index.NewHashIndex(t.stock.Rows()), t.stock, stockSchema.Col("s_key"))
+	t.custIdx = index.BuildOn(index.NewHashIndex(t.customer.Rows()), t.customer, customerSchema.Col("c_key"), par.Serial())
+	t.distIdx = index.BuildOn(index.NewHashIndex(t.district.Rows()), t.district, districtSchema.Col("d_key"), par.Serial())
+	t.stockIdx = index.BuildOn(index.NewHashIndex(t.stock.Rows()), t.stock, stockSchema.Col("s_key"), par.Serial())
 	t.nextOID = make([]int, t.district.Rows())
 	for i := range t.nextOID {
 		t.nextOID[i] = d.Config.OrdersPerD

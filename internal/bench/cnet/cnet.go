@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/exec/par"
 	"repro/internal/expr"
 	"repro/internal/index"
 	"repro/internal/plan"
@@ -138,7 +139,7 @@ func (d *Data) Catalog(kind string, override *storage.Layout) *plan.Catalog {
 	if override != nil {
 		l = *override
 	}
-	return plan.NewCatalog().Add(d.Products.WithLayout(l))
+	return plan.NewCatalog().Add(d.Products.WithLayout(l, par.Serial()))
 }
 
 // RegisterIndexes installs the hash primary-key index on products.id. The
@@ -148,7 +149,7 @@ func (d *Data) Catalog(kind string, override *storage.Layout) *plan.Catalog {
 // slightly degraded on PDSM, worst on DSM, the paper's Figure 12 shape.
 func RegisterIndexes(c *plan.Catalog) {
 	rel := c.Table("products")
-	c.AddIndex("products", ColID, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, ColID))
+	c.AddIndex("products", ColID, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, ColID, par.Serial()))
 }
 
 // Queries builds the Table V query set. The price-bucket equality of Q3,

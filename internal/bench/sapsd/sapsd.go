@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/exec/par"
 	"repro/internal/expr"
 	"repro/internal/index"
 	"repro/internal/plan"
@@ -323,7 +324,7 @@ func (d *Data) Catalog(kind string, overrides map[string]storage.Layout) *plan.C
 		if o, ok := overrides[rel.Schema.Name]; ok {
 			l = o
 		}
-		c.Add(rel.WithLayout(l))
+		c.Add(rel.WithLayout(l, par.Serial()))
 	}
 	return c
 }
@@ -333,10 +334,10 @@ func (d *Data) Catalog(kind string, overrides map[string]storage.Layout) *plan.C
 func RegisterIndexes(c *plan.Catalog) {
 	for _, tbl := range []string{"ADRC", "KNA1", "VBAK", "MARA"} {
 		rel := c.Table(tbl)
-		c.AddIndex(tbl, 0, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0))
+		c.AddIndex(tbl, 0, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0, par.Serial()))
 	}
 	vbap := c.Table("VBAP")
-	c.AddIndex("VBAP", 0, index.BuildOn(index.NewRBTree(), vbap, 0))
+	c.AddIndex("VBAP", 0, index.BuildOn(index.NewRBTree(), vbap, 0, par.Serial()))
 }
 
 // QuerySet holds the twelve benchmark plans with bound parameters chosen

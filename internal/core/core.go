@@ -58,6 +58,7 @@ type DB struct {
 	pinned   atomic.Int64            // currently held snapshots
 	geometry mem.Geometry
 	engine   exec.Engine
+	opt      par.Options // morsel workers for relayouts, clips and index builds
 	mix      *workload.Workload
 }
 
@@ -70,6 +71,7 @@ func Open() *DB {
 		id:       nextDBID.Add(1),
 		geometry: mem.TableIII(),
 		engine:   jit.New(),
+		opt:      par.Serial(),
 		mix:      &workload.Workload{Name: "default"},
 	}
 	db.cur.Store(&version{epoch: 1, cat: plan.NewCatalog()})
@@ -81,8 +83,10 @@ func Open() *DB {
 // databases or with the service layer. Options that resolve to a single
 // worker select the serial engine (the paper's single-core
 // configuration); the parallel engine returns identical rows in
-// identical order.
+// identical order. Write transactions run their relayouts, clips and
+// index builds on the same options.
 func (db *DB) SetParOptions(opt par.Options) *DB {
+	db.opt = opt
 	if !opt.Parallel() {
 		db.engine = jit.New()
 	} else {
@@ -124,7 +128,11 @@ func (db *DB) Table(name string) *storage.Relation { return db.Catalog().Table(n
 
 // CreateHashIndex builds and registers a hash index on table.attr.
 func (db *DB) CreateHashIndex(table string, attr int) {
-	db.write(func(tx *WriteTxn) { tx.mustCreateIndex(table, attr, index.KindHash) })
+	db.write(func(tx *WriteTxn) {
+		if err := tx.CreateIndex(table, attr, index.KindHash); err != nil {
+			panic(err) // KindHash is a kind index.New knows
+		}
+	})
 }
 
 // run executes p on engine e against the current version; a plan.Insert
@@ -190,8 +198,8 @@ type LayoutChange struct {
 
 // OptimizeLayouts runs BPi over every table referenced by the declared
 // workload and publishes the chosen layouts as one version, returning the
-// per-table decisions. Registered indexes are rebuilt on the re-laid-out
-// relations.
+// per-table decisions. Registered indexes carry over to the re-laid-out
+// relations unchanged.
 func (db *DB) OptimizeLayouts() (changes []LayoutChange) {
 	db.write(func(tx *WriteTxn) { changes, _ = tx.OptimizeLayouts(nil) })
 	return changes

@@ -192,26 +192,27 @@ func (tx *WriteTxn) AppendRows(table string, words []storage.Word) *result.Set {
 }
 
 // Clip drops the spare capacity of table's partitions (see
-// storage.Relation.Clip) in this transaction's version.
-func (tx *WriteTxn) Clip(table string) { tx.rel(table).Clip() }
+// storage.Relation.Clip) in this transaction's version, copying on the
+// database's morsel workers.
+func (tx *WriteTxn) Clip(table string) { tx.rel(table).Clip(tx.db.opt) }
 
-// relayout swaps table's relation for a copy under layout l and rebuilds
-// the table's registered indexes over it.
-func (tx *WriteTxn) relayout(table string, rel *storage.Relation, l storage.Layout) {
-	tx.cat.Add(rel.WithLayout(l))
-	tx.cowed[table] = true
-	for _, def := range tx.cat.IndexDefs(table) {
-		tx.mustCreateIndex(table, def.Attr, def.Kind)
-	}
+// relayout swaps table's relation for a copy under layout l, built on
+// the database's morsel workers. A relayout moves words, never row ids,
+// so the table's indexes stay valid and are carried over as they are.
+// The table is not marked private here: while its indexes are still the
+// base version's, the next write in this transaction must clone them
+// (rel) before it inserts, or pinned readers would see the insert.
+func (tx *WriteTxn) relayout(rel *storage.Relation, l storage.Layout) {
+	tx.cat.Add(rel.WithLayout(l, tx.db.opt))
 }
 
 // ApplyLayout materializes table under the given layout with no cost
-// comparison and rebuilds its registered indexes. WAL replay re-applies a
-// logged decision through it, so the restored design is what the optimizer
+// comparison, keeping its indexes. WAL replay re-applies a logged
+// decision through it, so the restored design is what the optimizer
 // picked, not what a re-run over a different intermediate state would.
 func (tx *WriteTxn) ApplyLayout(table string, l storage.Layout) {
 	if rel := tx.cat.Table(table); !rel.Layout.Equal(l) {
-		tx.relayout(table, rel, l)
+		tx.relayout(rel, l)
 	}
 }
 
@@ -238,7 +239,7 @@ func (tx *WriteTxn) OptimizeLayouts(logged func(LayoutChange) error) ([]LayoutCh
 					return changes, err
 				}
 			}
-			tx.relayout(tbl, rel, best)
+			tx.relayout(rel, best)
 			changes = append(changes, ch)
 		}
 	}
@@ -246,24 +247,17 @@ func (tx *WriteTxn) OptimizeLayouts(logged func(LayoutChange) error) ([]LayoutCh
 }
 
 // CreateIndex builds an index of the given kind (index.KindHash,
-// index.KindRBTree) on table.attr and registers it in the transaction's
-// version. An unknown kind is an error and changes nothing.
+// index.KindRBTree) on table.attr on the database's morsel workers and
+// registers it in the transaction's version. An unknown kind is an error
+// and changes nothing.
 func (tx *WriteTxn) CreateIndex(table string, attr int, kind string) error {
 	rel := tx.cat.Table(table)
 	idx, err := index.New(kind, rel.Rows())
 	if err != nil {
 		return err
 	}
-	tx.cat.AddIndex(table, attr, index.BuildOn(idx, rel, attr))
+	tx.cat.AddIndex(table, attr, index.BuildOn(idx, rel, attr, tx.db.opt))
 	return nil
-}
-
-// mustCreateIndex is CreateIndex for a kind the caller took from the
-// index package or from a live index.
-func (tx *WriteTxn) mustCreateIndex(table string, attr int, kind string) {
-	if err := tx.CreateIndex(table, attr, kind); err != nil {
-		panic(err)
-	}
 }
 
 // DictAppend appends values to the dictionary of a string attribute,

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/exec/jit"
+	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -308,4 +312,145 @@ func TestSnapshotStableAcrossAppendRows(t *testing.T) {
 	if p := db.Table("events").Parts[0]; cap(p.Data) == len(p.Data) {
 		t.Fatal("the second batch did not land in spare capacity; the test lost its point")
 	}
+}
+
+// indexedDB is buildDB's table on two morsel workers with a hash index
+// on id (attr 0) and a red-black tree on value (attr 2), and a workload
+// that moves the table off NSM.
+func indexedDB(t *testing.T, rows int) (*DB, *storage.Schema) {
+	t.Helper()
+	db, schema := buildDB(rows)
+	db.SetParOptions(par.Options{Workers: 2, MorselRows: 1000})
+	db.CreateHashIndex("events", 0)
+	tx := db.BeginWrite()
+	if err := tx.CreateIndex("events", 2, index.KindRBTree); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	db.AddWorkload("buys", buyQuery(db, schema), 100)
+	return db, schema
+}
+
+// lookups returns every index of events looked up at every key of its
+// attribute, plus one absent key.
+func lookups(cat *plan.Catalog) map[int]map[storage.Word][]int32 {
+	rel := cat.Table("events")
+	out := map[int]map[storage.Word][]int32{}
+	for _, def := range cat.IndexDefs("events") {
+		idx, m := cat.Index("events", def.Attr), map[storage.Word][]int32{}
+		for row := 0; row < rel.Rows(); row++ {
+			k := rel.Value(row, def.Attr)
+			m[k] = idx.Lookup(k, nil)
+		}
+		m[storage.EncodeInt(-1)] = idx.Lookup(storage.EncodeInt(-1), nil)
+		out[def.Attr] = m
+	}
+	return out
+}
+
+// checkIndexesMatchScan asserts that each index of events returns, for
+// every key, exactly the rows a full scan finds, in ascending order.
+func checkIndexesMatchScan(t *testing.T, cat *plan.Catalog) {
+	t.Helper()
+	rel := cat.Table("events")
+	for _, def := range cat.IndexDefs("events") {
+		want := map[storage.Word][]int32{}
+		for row := 0; row < rel.Rows(); row++ {
+			k := rel.Value(row, def.Attr)
+			want[k] = append(want[k], int32(row))
+		}
+		idx := cat.Index("events", def.Attr)
+		if idx.Len() != rel.Rows() {
+			t.Fatalf("%s index on %d holds %d entries for %d rows", def.Kind, def.Attr, idx.Len(), rel.Rows())
+		}
+		for k, rows := range want {
+			if got := idx.Lookup(k, nil); !slices.Equal(got, rows) {
+				t.Fatalf("%s index on %d: Lookup(%d) = %v, a scan finds %v", def.Kind, def.Attr, k, got, rows)
+			}
+		}
+	}
+}
+
+// TestRelayoutKeepsIndexes: OptimizeLayouts re-lays-out an indexed table
+// without rebuilding its indexes — the published catalog holds the very
+// same index structures — and a snapshot pinned before it keeps its
+// lookup results.
+func TestRelayoutKeepsIndexes(t *testing.T) {
+	db, _ := indexedDB(t, 30_000)
+	hash, tree := db.Catalog().Index("events", 0), db.Catalog().Index("events", 2)
+	snap := db.Snapshot()
+	defer snap.Release()
+	before := lookups(snap.Catalog())
+
+	if changes := db.OptimizeLayouts(); len(changes) != 1 {
+		t.Fatalf("OptimizeLayouts made %d changes, want 1", len(changes))
+	}
+	if db.Table("events") == snap.Catalog().Table("events") {
+		t.Fatal("the relation was not re-laid-out")
+	}
+	if db.Catalog().Index("events", 0) != hash || db.Catalog().Index("events", 2) != tree {
+		t.Fatal("a relayout rebuilt the table's indexes instead of keeping them")
+	}
+	if !reflect.DeepEqual(lookups(snap.Catalog()), before) {
+		t.Fatal("a pinned snapshot's index lookups changed across a relayout")
+	}
+	checkIndexesMatchScan(t, db.Catalog())
+}
+
+// TestRelayoutThenInsertClonesIndexes: inserting after ApplyLayout in
+// the same transaction writes into private copies of the indexes; the
+// base version's indexes, which pinned readers probe, stay untouched.
+func TestRelayoutThenInsertClonesIndexes(t *testing.T) {
+	db, schema := indexedDB(t, 5_000)
+	base := db.Catalog()
+	hash, lens := base.Index("events", 0), base.Index("events", 2).Len()
+	newID := storage.EncodeInt(5_000)
+
+	tx := db.BeginWrite()
+	tx.ApplyLayout("events", storage.DSM(schema.Width()))
+	if tx.Catalog().Index("events", 0) != hash {
+		t.Fatal("ApplyLayout replaced the index")
+	}
+	tx.Insert("events", [][]storage.Word{{
+		newID, tx.Catalog().Table("events").Dicts[1].AppendCode("buy"),
+		storage.EncodeInt(7), storage.EncodeInt(0), storage.EncodeInt(0),
+	}})
+	if got := hash.Lookup(newID, nil); len(got) != 0 || hash.Len() != 5_000 || base.Index("events", 2).Len() != lens {
+		t.Fatalf("an insert after a relayout wrote into the base version's indexes (lookup %v)", got)
+	}
+	if got := tx.Catalog().Index("events", 0).Lookup(newID, nil); !slices.Equal(got, []int32{5_000}) {
+		t.Fatalf("the new version's index finds %v for the new row, want [5000]", got)
+	}
+	tx.Commit()
+	checkIndexesMatchScan(t, db.Catalog())
+}
+
+// TestIndexesMatchScanAfterRelayoutAndInserts interleaves relayouts and
+// inserts in and across transactions; every index then agrees with a
+// full scan of its table.
+func TestIndexesMatchScanAfterRelayoutAndInserts(t *testing.T) {
+	db, schema := indexedDB(t, 20_000)
+	buy := db.Table("events").Dict(1).MustCode("buy")
+	next := int64(20_000)
+	insert := func(tx *WriteTxn, n int) {
+		rows := make([][]storage.Word, n)
+		for i := range rows {
+			rows[i] = []storage.Word{storage.EncodeInt(next), buy, storage.EncodeInt(next % 100), 0, 0}
+			next++
+		}
+		tx.Insert("events", rows)
+	}
+	for _, l := range []storage.Layout{storage.DSM(schema.Width()), storage.PDSM([]int{0, 3}, []int{1, 2, 4}), storage.NSM(schema.Width())} {
+		tx := db.BeginWrite()
+		insert(tx, 300)
+		tx.ApplyLayout("events", l)
+		insert(tx, 200)
+		tx.Commit()
+		tx = db.BeginWrite()
+		tx.ApplyLayout("events", storage.DSM(schema.Width()))
+		insert(tx, 100)
+		tx.Commit()
+	}
+	db.OptimizeLayouts()
+	checkIndexesMatchScan(t, db.Catalog())
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec/par"
 	"repro/internal/expr"
 	"repro/internal/index"
 	"repro/internal/mem"
@@ -14,7 +15,7 @@ import (
 )
 
 func buildHashIndex(rel *storage.Relation, attr int) index.Index {
-	return index.BuildOn(index.NewHashIndex(rel.Rows()), rel, attr)
+	return index.BuildOn(index.NewHashIndex(rel.Rows()), rel, attr, par.Serial())
 }
 
 // exampleCatalog reproduces the paper's example table R(A..P): 16 integer

@@ -69,7 +69,7 @@ func testCatalogs(rows int, seed int64) map[string]*plan.Catalog {
 	}
 	cats := map[string]*plan.Catalog{}
 	for name, l := range layouts {
-		cats[name] = plan.NewCatalog().Add(master.WithLayout(l))
+		cats[name] = plan.NewCatalog().Add(master.WithLayout(l, par.Serial()))
 	}
 	return cats
 }
@@ -316,8 +316,8 @@ func TestEnginesIndexedScanEqualsUnindexed(t *testing.T) {
 	// Register indexes (hash on id, rbtree on grp) and re-run.
 	for _, cat := range cats {
 		rel := cat.Table("t")
-		cat.AddIndex("t", 0, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0))
-		cat.AddIndex("t", 1, index.BuildOn(index.NewRBTree(), rel, 1))
+		cat.AddIndex("t", 0, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0, par.Serial()))
+		cat.AddIndex("t", 1, index.BuildOn(index.NewRBTree(), rel, 1, par.Serial()))
 	}
 	for layoutName, cat := range cats {
 		for _, e := range engines() {
@@ -346,7 +346,7 @@ func TestEnginesInsertAndReadBack(t *testing.T) {
 		cats := testCatalogs(50, 12)
 		cat := cats["hybrid"]
 		rel := cat.Table("t")
-		cat.AddIndex("t", 0, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0))
+		cat.AddIndex("t", 0, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0, par.Serial()))
 		nameCode := rel.Dict(4).AppendCode("inserted")
 		row := []storage.Word{
 			storage.EncodeInt(9999), storage.EncodeInt(1), storage.EncodeInt(7),
@@ -391,7 +391,7 @@ func TestEnginesRandomizedProperty(t *testing.T) {
 			if shape == 1 || shape == 2 {
 				for _, cat := range cats {
 					rel := cat.Table("t")
-					cat.AddIndex("t", 1, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 1))
+					cat.AddIndex("t", 1, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 1, par.Serial()))
 				}
 				key := expr.Cmp{Attr: 1, Op: expr.Eq, Val: storage.EncodeInt(rng.Int63n(5))}
 				preds = append([]expr.Pred{key}, preds...)

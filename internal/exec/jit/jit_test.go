@@ -18,7 +18,7 @@ import (
 // pipelines decompose, index sources and multi-match probe behaviour.
 
 func buildIdx(rel *storage.Relation) index.Index {
-	return index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0)
+	return index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0, par.Serial())
 }
 
 func jitCatalog(rows int) *plan.Catalog {
@@ -219,7 +219,7 @@ func TestMapStageWidthChange(t *testing.T) {
 // prepared one-row hash-index lookup on a 200,000-row NSM orders table,
 // run on a 2-worker pool as the service runs it.
 func BenchmarkIndexExec(b *testing.B) {
-	rel := ordersRelation(200_000, 1, false).WithLayout(storage.NSM(12))
+	rel := ordersRelation(200_000, 1, false).WithLayout(storage.NSM(12), par.Serial())
 	c := plan.NewCatalog().Add(rel)
 	c.AddIndex("orders", 0, buildIdx(rel))
 	pool := par.NewPool(2)

@@ -241,7 +241,7 @@ func TestScanAggDifferential(t *testing.T) {
 		filters[fmt.Sprintf("s=%g", s)] = expr.Cmp{Attr: 1, Op: expr.Lt, Val: storage.EncodeInt(int64(s * ordersCustomers))}
 	}
 	for name, layout := range layouts {
-		c := plan.NewCatalog().Add(rel.WithLayout(layout))
+		c := plan.NewCatalog().Add(rel.WithLayout(layout, par.Serial()))
 		for _, workers := range []int{1, 2, 4} {
 			for _, morsel := range []int{512, 1000, 0} {
 				opt := par.Options{Workers: workers, MorselRows: morsel}

@@ -74,13 +74,13 @@ func oracleCatalogs() map[string]*plan.Catalog {
 
 	cats := map[string]*plan.Catalog{}
 	for name, layout := range map[string]func(int) storage.Layout{"row": storage.NSM, "column": storage.DSM} {
-		rel := r.WithLayout(layout(5))
+		rel := r.WithLayout(layout(5), par.Serial())
 		c := plan.NewCatalog().
 			Add(rel).
-			Add(dim.WithLayout(layout(2))).
-			Add(dup.WithLayout(layout(2))).
-			Add(orders.WithLayout(layout(12)))
-		c.AddIndex("r", 4, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 4))
+			Add(dim.WithLayout(layout(2), par.Serial())).
+			Add(dup.WithLayout(layout(2), par.Serial())).
+			Add(orders.WithLayout(layout(12), par.Serial()))
+		c.AddIndex("r", 4, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 4, par.Serial()))
 		cats[name] = c
 	}
 	return cats

@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,7 +125,9 @@ func (p *Pool) work(id int) {
 		m := j.next
 		j.next++
 		if j.next >= j.morsels {
-			p.jobs = append(p.jobs[:p.rr], p.jobs[p.rr+1:]...)
+			// Delete zeroes the vacated slot, so the backing array does
+			// not keep the job's body, and all it captured, reachable.
+			p.jobs = slices.Delete(p.jobs, p.rr, p.rr+1)
 		} else {
 			p.rr++
 		}

@@ -206,3 +206,22 @@ func TestPoolSingleMorselRunsInline(t *testing.T) {
 		t.Fatalf("body ran %d times, want 1", calls)
 	}
 }
+
+// TestPoolDropsFinishedJobs: once Run returns, no slot of the pool's job
+// list, within its length or beyond it, still points at the job, so a
+// finished job's body and what it captured (a relayout's source table,
+// say) can be collected.
+func TestPoolDropsFinishedJobs(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	for i := 0; i < 3; i++ {
+		Run(1000, Options{Pool: pool, MorselRows: 10}, func(_, _, _, _ int) {})
+		pool.mu.Lock()
+		for k, j := range pool.jobs[:cap(pool.jobs)] {
+			if j != nil {
+				t.Errorf("run %d: job slot %d still holds a finished job", i, k)
+			}
+		}
+		pool.mu.Unlock()
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/exec/bulk"
+	"repro/internal/exec/par"
 	"repro/internal/exec/volcano"
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -56,7 +57,7 @@ func NewFig3Setup(rows int) *Fig3Setup {
 	}
 	s := &Fig3Setup{Catalogs: map[string]*plan.Catalog{}}
 	for name, l := range layouts {
-		s.Catalogs[name] = plan.NewCatalog().Add(master.WithLayout(l))
+		s.Catalogs[name] = plan.NewCatalog().Add(master.WithLayout(l, par.Serial()))
 	}
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bench/sapsd"
+	"repro/internal/exec/par"
 	"repro/internal/plan"
 )
 
@@ -31,7 +32,7 @@ func Fig10(opt Options) *Report {
 	hybridCat := plan.NewCatalog()
 	for _, rel := range setup.Data.Tables() {
 		hybridCat.Add(setup.Catalogs["hybrid"].Table(rel.Schema.Name).WithLayout(
-			setup.Catalogs["hybrid"].Table(rel.Schema.Name).Layout))
+			setup.Catalogs["hybrid"].Table(rel.Schema.Name).Layout, par.Serial()))
 	}
 	indexed["hybrid"] = hybridCat
 	for _, cat := range indexed {

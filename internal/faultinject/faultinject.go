@@ -7,10 +7,9 @@
 // Failpoints are free when disarmed — Hit is one atomic load — so the
 // seams stay in release builds and tests exercise the exact code paths
 // production runs: a failed fsync, a torn stream, a primary that stops
-// answering. Tests arm a point with Enable (or EnableError/FailN for the
-// common cases) and must Disable it (or call Reset) when done; the
-// registry is process-global, so fault tests cannot run in parallel with
-// each other.
+// answering. Tests arm a point with Enable and must call the function it
+// returns when done (t.Cleanup takes it as it is); the registry is
+// process-global, so fault tests cannot run in parallel with each other.
 package faultinject
 
 import (
@@ -27,51 +26,23 @@ var (
 )
 
 // Enable arms the named failpoint: every Hit(name) calls f and returns
-// its result until Disable. Re-enabling replaces the hook.
-func Enable(name string, f func() error) {
+// its result until the returned function disarms the point. Re-enabling
+// replaces the hook; disarming twice is a no-op.
+func Enable(name string, f func() error) (disarm func()) {
 	mu.Lock()
 	defer mu.Unlock()
 	if _, ok := points[name]; !ok {
 		armed.Add(1)
 	}
 	points[name] = f
-}
-
-// EnableError arms the failpoint to always return err.
-func EnableError(name string, err error) {
-	Enable(name, func() error { return err })
-}
-
-// FailN returns a hook that fails with err for the first n hits and
-// succeeds afterwards — the transient-fault shape retry logic must
-// survive.
-func FailN(err error, n int) func() error {
-	var hits atomic.Int32
-	return func() error {
-		if hits.Add(1) <= int32(n) {
-			return err
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, ok := points[name]; ok {
+			delete(points, name)
+			armed.Add(-1)
 		}
-		return nil
 	}
-}
-
-// Disable disarms the named failpoint. Disabling an unarmed point is a
-// no-op.
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := points[name]; ok {
-		delete(points, name)
-		armed.Add(-1)
-	}
-}
-
-// Reset disarms every failpoint (test cleanup).
-func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	armed.Add(-int32(len(points)))
-	clear(points)
 }
 
 // Hit fires the named failpoint: nil when disarmed (the fast path —

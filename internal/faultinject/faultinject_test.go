@@ -9,46 +9,53 @@ import (
 )
 
 func TestFailpointLifecycle(t *testing.T) {
-	defer Reset()
 	if err := Hit("x"); err != nil {
 		t.Fatalf("disarmed failpoint fired: %v", err)
 	}
 	boom := errors.New("boom")
-	EnableError("x", boom)
+	disarm := Enable("x", func() error { return boom })
+	defer disarm()
 	if err := Hit("x"); !errors.Is(err, boom) {
 		t.Fatalf("armed failpoint returned %v, want boom", err)
 	}
 	if err := Hit("y"); err != nil {
 		t.Fatalf("unrelated failpoint fired: %v", err)
 	}
-	Disable("x")
+	disarm()
 	if err := Hit("x"); err != nil {
-		t.Fatalf("disabled failpoint fired: %v", err)
+		t.Fatalf("disarmed failpoint fired: %v", err)
 	}
-	// Disabling twice and resetting are no-ops.
-	Disable("x")
-	EnableError("a", boom)
-	EnableError("b", boom)
-	Reset()
+	// Disarming twice is a no-op, and re-enabling replaces the hook.
+	disarm()
+	Enable("a", func() error { return boom })
+	disarmA := Enable("a", func() error { return nil })
 	if err := Hit("a"); err != nil {
-		t.Fatalf("failpoint survived Reset: %v", err)
+		t.Fatalf("re-enabled failpoint ran the replaced hook: %v", err)
 	}
+	disarmA()
 	if armed.Load() != 0 {
-		t.Fatalf("armed count = %d after reset, want 0", armed.Load())
+		t.Fatalf("armed count = %d after disarming every point, want 0", armed.Load())
 	}
 }
 
-func TestFailN(t *testing.T) {
-	defer Reset()
+// TestHookRunsOnEveryHit: Hit calls the armed hook each time, so a hook
+// that fails its first n hits models a transient fault.
+func TestHookRunsOnEveryHit(t *testing.T) {
 	boom := errors.New("transient")
-	Enable("n", FailN(boom, 2))
+	hits := 0
+	t.Cleanup(Enable("n", func() error {
+		if hits++; hits <= 2 {
+			return boom
+		}
+		return nil
+	}))
 	for i := 0; i < 2; i++ {
 		if err := Hit("n"); !errors.Is(err, boom) {
 			t.Fatalf("hit %d: %v, want transient", i, err)
 		}
 	}
 	if err := Hit("n"); err != nil {
-		t.Fatalf("FailN kept failing past its budget: %v", err)
+		t.Fatalf("hook kept failing past its budget: %v", err)
 	}
 }
 

@@ -1,6 +1,11 @@
 package index
 
-import "repro/internal/storage"
+import (
+	mbits "math/bits"
+
+	"repro/internal/exec/par"
+	"repro/internal/storage"
+)
 
 // HashIndex is an open-addressing hash table with linear probing from key
 // word to row id. Duplicate keys occupy separate slots, so Lookup probes
@@ -40,27 +45,158 @@ func hashWord(w storage.Word) uint64 {
 // Insert registers row under key, growing at 70% load.
 func (h *HashIndex) Insert(key storage.Word, row int32) {
 	if h.n*10 >= len(h.slots)*7 {
-		h.grow()
+		h.grow(len(h.slots) * 2)
 	}
+	h.put(key, row)
+	h.n++
+}
+
+// put stores row under key in the first free slot from the key's home
+// slot on, wrapping at the end of the table. Duplicates of a key land
+// further along its probe path than the ones put before them, so Lookup
+// returns a key's rows in the order they were put.
+func (h *HashIndex) put(key storage.Word, row int32) {
 	pos := hashWord(key) & h.mask
 	for h.slots[pos].used {
 		pos = (pos + 1) & h.mask
 	}
 	h.slots[pos] = hashSlot{key: key, row: row, used: true}
-	h.n++
 }
 
-func (h *HashIndex) grow() {
+// grow rehashes into size slots. It walks the old table from an empty
+// slot, so no probe run is split at the wrap and every key's rows are
+// put again in their old order.
+func (h *HashIndex) grow(size int) {
 	old := h.slots
-	h.slots = make([]hashSlot, len(old)*2)
-	h.mask = uint64(len(h.slots) - 1)
-	h.n = 0
-	for _, s := range old {
-		if s.used {
-			h.Insert(s.key, s.row)
+	start := 0
+	for old[start].used {
+		start++
+	}
+	h.slots = make([]hashSlot, size)
+	h.mask = uint64(size - 1)
+	for i := range old {
+		if s := old[(start+i)&(len(old)-1)]; s.used {
+			h.put(s.key, s.row)
 		}
 	}
 }
+
+// build inserts every row of acc as if one by one in row order. Under
+// parallel options the row ids are first partitioned by the top bits of
+// their key's home slot (partition), and each partition fills its own
+// slot range as one morsel on opt's workers; with one partition the
+// whole table is that range. A probe that would run past its range is
+// deferred, and the deferred rows are put afterwards in row order,
+// wrapping like Insert. All rows of a key share a partition, and a key's
+// deferred rows follow its placed ones, so Lookup returns each key's rows
+// in ascending order, the same lists a serial build gives.
+func (h *HashIndex) build(acc storage.Accessor, rows int, opt par.Options) {
+	size := len(h.slots)
+	for (h.n+rows)*10 >= size*7 {
+		size *= 2
+	}
+	if size > len(h.slots) {
+		h.grow(size)
+	}
+	bits := partitionBits(len(h.slots), rows, opt)
+	parts := 1 << bits
+	shift := uint(mbits.Len64(h.mask)) - uint(bits)
+	start := []int{0, rows}
+	var moved []hashSlot // entries by partition; nil when one partition holds every row in order
+	if parts > 1 {
+		start, moved = h.partition(acc, rows, parts, shift, opt)
+	}
+
+	deferred := make([][]hashSlot, parts)
+	par.Run(parts, par.Options{Workers: opt.Workers, MorselRows: 1, Pool: opt.Pool}, func(_, p, _, _ int) {
+		end := uint64(p+1) << shift
+		for i := start[p]; i < start[p+1]; i++ {
+			var e hashSlot
+			if moved != nil {
+				e = moved[i]
+			} else {
+				e = hashSlot{key: acc.At(i), row: int32(i), used: true}
+			}
+			pos := hashWord(e.key) & h.mask
+			for pos < end && h.slots[pos].used {
+				pos++
+			}
+			if pos == end {
+				deferred[p] = append(deferred[p], e)
+				continue
+			}
+			h.slots[pos] = e
+		}
+	})
+	for _, es := range deferred {
+		for _, e := range es {
+			h.put(e.key, e.row)
+		}
+	}
+	h.n += rows
+}
+
+// partition radix-partitions the rows by the top bits of their key's
+// home slot (the slot index shifted right by shift): a histogram per
+// morsel, prefix sums ordered by morsel, then a scatter of each row's
+// key and id that keeps row order within each partition. Partition p's
+// entries are moved[start[p]:start[p+1]].
+func (h *HashIndex) partition(acc storage.Accessor, rows, parts int, shift uint, opt par.Options) (start []int, moved []hashSlot) {
+	home := func(key storage.Word) int { return int((hashWord(key) & h.mask) >> shift) }
+	morsels := opt.Morsels(rows)
+	counts := make([]int, morsels*parts)
+	keys := make([]storage.Word, rows)
+	par.Run(rows, opt, func(_, m, lo, hi int) {
+		c := counts[m*parts : (m+1)*parts]
+		for row := lo; row < hi; row++ {
+			keys[row] = acc.At(row)
+			c[home(keys[row])]++
+		}
+	})
+	start = make([]int, parts+1)
+	offsets := make([]int, morsels*parts)
+	for p, at := 0, 0; p < parts; p++ {
+		start[p] = at
+		for m := 0; m < morsels; m++ {
+			offsets[m*parts+p] = at
+			at += counts[m*parts+p]
+		}
+	}
+	start[parts] = rows
+	moved = make([]hashSlot, rows)
+	par.Run(rows, opt, func(_, m, lo, hi int) {
+		cur := offsets[m*parts : (m+1)*parts]
+		for row, key := range keys[lo:hi] {
+			p := home(key)
+			moved[cur[p]] = hashSlot{key: key, row: int32(lo + row), used: true}
+			cur[p]++
+		}
+	})
+	return start, moved
+}
+
+// partitionBits sizes build's fan-out: none for serial options or a
+// small build, otherwise about four partitions per worker so the
+// partition fills balance, and more while a partition's slot range
+// would not fit a core's cache, capped at 256.
+func partitionBits(slots, rows int, opt par.Options) int {
+	if !opt.Parallel() || rows < minPartitionRows {
+		return 0
+	}
+	bits := 0
+	for (1<<bits < 4*opt.WorkerCount() || slots>>bits > partitionSlots) && bits < 8 {
+		bits++
+	}
+	return bits
+}
+
+// partitionSlots is the most slots a partition's range should span:
+// 1 MiB of slots, which stay in a core's L2 cache while it fills them.
+const partitionSlots = 1 << 16
+
+// minPartitionRows is the build size below which build does not
+// partition: the histogram and scatter would cost more than they save.
+const minPartitionRows = 16 << 10
 
 // Lookup appends all row ids stored under key to dst.
 func (h *HashIndex) Lookup(key storage.Word, dst []int32) []int32 {

@@ -9,6 +9,7 @@ package index
 import (
 	"fmt"
 
+	"repro/internal/exec/par"
 	"repro/internal/storage"
 )
 
@@ -49,9 +50,16 @@ func New(kind string, expected int) (Index, error) {
 	return nil, fmt.Errorf("index: unknown kind %q", kind)
 }
 
-// BuildOn constructs an index over an existing relation attribute.
-func BuildOn(idx Index, rel *storage.Relation, attr int) Index {
+// BuildOn inserts every row of an existing relation attribute into idx
+// and returns it. A hash index is filled as morsels on opt's workers
+// (HashIndex.build); a red-black tree is built on the calling goroutine.
+// Either way Lookup returns each key's rows in ascending order.
+func BuildOn(idx Index, rel *storage.Relation, attr int, opt par.Options) Index {
 	acc := rel.Access(attr)
+	if h, ok := idx.(*HashIndex); ok {
+		h.build(acc, rel.Rows(), opt)
+		return h
+	}
 	for row := 0; row < rel.Rows(); row++ {
 		idx.Insert(acc.At(row), int32(row))
 	}

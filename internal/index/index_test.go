@@ -1,11 +1,15 @@
 package index
 
 import (
+	"fmt"
+	mbits "math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec/par"
 	"repro/internal/storage"
 )
 
@@ -101,7 +105,7 @@ func TestBuildOn(t *testing.T) {
 	b := storage.NewBuilder(schema)
 	b.SetInts(0, []int64{5, 3, 5, 9})
 	rel := b.Build(storage.NSM(1))
-	idx := BuildOn(NewRBTree(), rel, 0)
+	idx := BuildOn(NewRBTree(), rel, 0, par.Serial())
 	got := sorted32(idx.Lookup(storage.EncodeInt(5), nil))
 	if !equal32(got, []int32{0, 2}) {
 		t.Errorf("BuildOn lookup = %v, want [0 2]", got)
@@ -162,4 +166,131 @@ func (t *RBTree) checkInvariants() int {
 		return lh
 	}
 	return check(t.root, 0, 0, false, false)
+}
+
+// keyRelation is a one-column relation of the given keys.
+func keyRelation(keys []int64) *storage.Relation {
+	schema := storage.NewSchema("r", storage.Attribute{Name: "k", Type: storage.Int64})
+	return storage.NewBuilder(schema).SetInts(0, keys).Build(storage.NSM(1))
+}
+
+// lookupAll returns Lookup of every key in [0, keys).
+func lookupAll(idx Index, keys int) [][]int32 {
+	out := make([][]int32, keys)
+	for k := range out {
+		out[k] = idx.Lookup(storage.EncodeInt(int64(k)), nil)
+	}
+	return out
+}
+
+// TestHashBuildLookupOrder: a hash index built serially or on morsel
+// workers returns every key's rows in ascending order, also after a clone
+// grows under inserts. Keys repeat heavily so probe
+// runs are long and cross partition ranges, and the morsel sizes are not
+// multiples of a block.
+func TestHashBuildLookupOrder(t *testing.T) {
+	for _, tc := range []struct{ rows, keys int }{{20_000, 300}, {40_001, 10_000}, {17_000, 100}} {
+		rng := rand.New(rand.NewSource(int64(tc.rows)))
+		keys := make([]int64, tc.rows)
+		for i := range keys {
+			keys[i] = int64(rng.Intn(tc.keys))
+		}
+		rel := keyRelation(keys)
+		want := make([][]int32, tc.keys)
+		for row, k := range keys {
+			want[k] = append(want[k], int32(row))
+		}
+		if got := lookupAll(BuildOn(NewHashIndex(tc.rows), rel, 0, par.Serial()), tc.keys); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("rows=%d: a serial build does not return every key's rows in ascending order", tc.rows)
+		}
+		for i, opt := range []par.Options{{Workers: 2, MorselRows: 1000}, {Workers: 4, MorselRows: 4097}, {Workers: 2, MorselRows: 333}} {
+			idx := BuildOn(NewHashIndex(tc.rows), rel, 0, opt)
+			if idx.Len() != tc.rows {
+				t.Fatalf("rows=%d %+v: Len = %d", tc.rows, opt, idx.Len())
+			}
+			if tc.keys < 1000 && !crossesPartition(idx.(*HashIndex), tc.rows, opt) {
+				t.Fatalf("rows=%d %+v: no probe run left its partition; the deferred path went untested", tc.rows, opt)
+			}
+			got := lookupAll(idx, tc.keys)
+			for k := range want {
+				if !slices.Equal(got[k], want[k]) {
+					t.Fatalf("rows=%d %+v: Lookup(%d) = %d rows, want %d rows in ascending order", tc.rows, opt, k, len(got[k]), len(want[k]))
+				}
+			}
+			if i > 0 {
+				continue
+			}
+			// A clone that grows keeps every key's rows ascending, old
+			// rows first.
+			clone := idx.Clone().(*HashIndex)
+			for size, row := len(clone.slots), tc.rows; len(clone.slots) == size; row++ {
+				clone.Insert(storage.EncodeInt(int64(row%tc.keys)), int32(row))
+			}
+			for k, rows := range lookupAll(clone, tc.keys) {
+				if !slices.IsSorted(rows) || !slices.Equal(rows[:len(want[k])], want[k]) {
+					t.Fatalf("rows=%d %+v: after grow Lookup(%d) is out of order", tc.rows, opt, k)
+				}
+			}
+			if got := lookupAll(idx, tc.keys); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("rows=%d %+v: inserts into the clone changed the original", tc.rows, opt)
+			}
+		}
+	}
+}
+
+// crossesPartition reports whether some entry of h, built from rows
+// under opt, sits outside the slot range of its home slot's partition:
+// a row that build deferred.
+func crossesPartition(h *HashIndex, rows int, opt par.Options) bool {
+	shift := uint(mbits.Len64(h.mask)) - uint(partitionBits(len(h.slots), rows, opt))
+	for pos, s := range h.slots {
+		if s.used && uint64(pos)>>shift != (hashWord(s.key)&h.mask)>>shift {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHashGrowKeepsWrappedRunsInOrder: a probe run that wraps past the
+// end of the slot array keeps its insertion order through a grow.
+func TestHashGrowKeepsWrappedRunsInOrder(t *testing.T) {
+	h := NewHashIndex(8)
+	var key storage.Word
+	for hashWord(key)&h.mask != h.mask { // home slot is the last one
+		key++
+	}
+	for row := int32(0); row < 20; row++ {
+		h.Insert(key, row)
+	}
+	if len(h.slots) == 16 {
+		t.Fatal("20 inserts did not grow a 16-slot index")
+	}
+	if got := h.Lookup(key, nil); len(got) != 20 || !slices.IsSorted(got) {
+		t.Fatalf("Lookup after grow = %v, want 0..19 ascending", got)
+	}
+}
+
+// BenchmarkHashIndexBuild times BuildOn of a hash index over 2M unique
+// keys in a row-store relation of 12 words a row (the served orders
+// table's shape), serial and on two morsel workers.
+func BenchmarkHashIndexBuild(b *testing.B) {
+	const rows, width = 2_000_000, 12
+	attrs := make([]storage.Attribute, width)
+	for i := range attrs {
+		attrs[i] = storage.Attribute{Name: fmt.Sprintf("a%d", i), Type: storage.Int64}
+	}
+	rel := storage.NewRelation(storage.NewSchema("orders", attrs...), storage.NSM(width))
+	words := make([]storage.Word, rows*width)
+	for i, id := range rand.New(rand.NewSource(1)).Perm(rows) {
+		words[i*width] = storage.EncodeInt(int64(id))
+	}
+	rel.AppendRows(words)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opt := par.Options{Workers: workers}
+			for i := 0; i < b.N; i++ {
+				BuildOn(NewHashIndex(rows), rel, 0, opt)
+			}
+		})
+	}
 }

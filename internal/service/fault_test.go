@@ -22,7 +22,6 @@ func TestWALCommitFailpoint(t *testing.T) {
 	t.Cleanup(func() {
 		s.Close()
 		mgr.Close()
-		faultinject.Reset()
 	})
 	if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,name:string"},
 		strings.NewReader("1,a\n2,b\n")); err != nil {
@@ -30,7 +29,8 @@ func TestWALCommitFailpoint(t *testing.T) {
 	}
 
 	boom := errors.New("injected: disk is gone")
-	faultinject.EnableError("persist/wal-commit", boom)
+	disarm := faultinject.Enable("persist/wal-commit", func() error { return boom })
+	t.Cleanup(disarm)
 	_, err := s.Load(LoadSpec{Table: "ev", Format: "csv"}, strings.NewReader("3,c\n"))
 	if !errors.Is(err, ErrDurability) {
 		t.Fatalf("load with failing WAL commit: %v, want ErrDurability", err)
@@ -42,7 +42,7 @@ func TestWALCommitFailpoint(t *testing.T) {
 		t.Fatal("persist error not counted")
 	}
 
-	faultinject.Disable("persist/wal-commit")
+	disarm()
 	if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv"}, strings.NewReader("4,d\n")); err != nil {
 		t.Fatalf("load after fault cleared: %v", err)
 	}
@@ -55,21 +55,33 @@ func TestWALCommitFailsN(t *testing.T) {
 	t.Cleanup(func() {
 		s.Close()
 		mgr.Close()
-		faultinject.Reset()
 	})
 	if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,name:string"},
 		strings.NewReader("1,a\n")); err != nil {
 		t.Fatal(err)
 	}
 
-	faultinject.Enable("persist/wal-commit", faultinject.FailN(errors.New("injected: transient"), 2))
+	t.Cleanup(faultinject.Enable("persist/wal-commit", failN(errors.New("injected: transient"), 2)))
 	for i := 0; i < 2; i++ {
 		if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv"}, strings.NewReader("9,z\n")); !errors.Is(err, ErrDurability) {
 			t.Fatalf("attempt %d: %v, want ErrDurability", i, err)
 		}
 	}
 	if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv"}, strings.NewReader("5,e\n")); err != nil {
-		t.Fatalf("load after FailN exhausted: %v", err)
+		t.Fatalf("load after the transient fault: %v", err)
+	}
+}
+
+// failN returns a failpoint hook that fails with err for the first n
+// hits and succeeds afterwards: the transient-fault shape retry logic
+// must survive.
+func failN(err error, n int) func() error {
+	hits := 0
+	return func() error {
+		if hits++; hits <= n {
+			return err
+		}
+		return nil
 	}
 }
 
@@ -81,7 +93,6 @@ func TestCheckpointFailpoint(t *testing.T) {
 	t.Cleanup(func() {
 		s.Close()
 		mgr.Close()
-		faultinject.Reset()
 	})
 	if _, err := s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,name:string"},
 		strings.NewReader("1,a\n2,b\n")); err != nil {
@@ -93,7 +104,8 @@ func TestCheckpointFailpoint(t *testing.T) {
 	}
 
 	boom := errors.New("injected: snapshot device full")
-	faultinject.EnableError("persist/checkpoint", boom)
+	disarm := faultinject.Enable("persist/checkpoint", func() error { return boom })
+	t.Cleanup(disarm)
 	if _, err := s.Checkpoint(); !errors.Is(err, boom) {
 		t.Fatalf("checkpoint with failpoint: %v, want injected error", err)
 	}
@@ -101,7 +113,7 @@ func TestCheckpointFailpoint(t *testing.T) {
 		t.Fatalf("failed checkpoint changed the WAL: %d -> %d bytes", walBefore, got)
 	}
 
-	faultinject.Disable("persist/checkpoint")
+	disarm()
 	info, err := s.Checkpoint()
 	if err != nil {
 		t.Fatalf("checkpoint after fault cleared: %v", err)
@@ -128,7 +140,6 @@ func TestRelayoutLogFailurePublishesOnlyWhatWasLogged(t *testing.T) {
 		t.Run(fmt.Sprintf("logged=%d", logged), func(t *testing.T) {
 			dir := t.TempDir()
 			s, mgr := openPersistent(t, dir, Config{Workers: 1})
-			t.Cleanup(faultinject.Reset)
 			for _, table := range []string{"a", "b"} {
 				if _, err := s.Load(LoadSpec{Table: table, Format: "csv",
 					CreateSpec: "c0:int64,c1:int64,c2:int64,c3:int64,c4:int64,c5:int64,c6:int64,c7:int64"},
@@ -143,14 +154,15 @@ func TestRelayoutLogFailurePublishesOnlyWhatWasLogged(t *testing.T) {
 			}
 
 			commits := 0
-			faultinject.Enable("persist/wal-commit", func() error {
+			disarm := faultinject.Enable("persist/wal-commit", func() error {
 				if commits++; commits > logged {
 					return errors.New("injected: disk is gone")
 				}
 				return nil
 			})
+			t.Cleanup(disarm)
 			changes, err := s.OptimizeLayouts()
-			faultinject.Reset()
+			disarm()
 			if !errors.Is(err, ErrDurability) {
 				t.Fatalf("OptimizeLayouts with a failing WAL: %v, want ErrDurability", err)
 			}

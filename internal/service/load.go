@@ -228,17 +228,18 @@ func (s *DB) loadTarget(spec LoadSpec) (attrs []storage.Attribute, created bool,
 }
 
 // applyLoadBatch encodes one read batch and commits it as one write.
-// The relation is re-resolved per batch in case a concurrent /optimize
-// published a re-laid-out sibling (dictionaries are shared between
-// versions, so codes stay consistent either way). The batch's new string
-// values are logged, then appended to the shared, append-only
-// dictionaries before the rows are — harmless to concurrent readers,
-// whose pinned rows only reference the pre-existing prefix. The last
-// batch of a load that wrote at least half of the table's rows (loaded
-// counts those of the earlier batches) also clips the table's
-// partitions: the copy then costs at most what the load did, while a
-// small load into a large table keeps the table's spare capacity for
-// the next append instead of copying it.
+// Each batch is a write transaction of its own, so it resolves the
+// relation afresh: an /optimize that committed between two batches
+// re-laid it out (dictionaries are shared between versions, so codes
+// stay consistent either way). The batch's new string values are
+// logged, then appended to the shared, append-only dictionaries before
+// the rows are — harmless to concurrent readers, whose pinned rows only
+// reference the pre-existing prefix. The last batch of a load that
+// wrote at least half of the table's rows (loaded counts those of the
+// earlier batches) also clips the table's partitions, copying them as
+// morsels on the service's pool: the copy then costs at most what the
+// load did, while a small load into a large table keeps the table's
+// spare capacity for the next append instead of copying it.
 func (s *DB) applyLoadBatch(table string, b *persist.Batch, last bool, loaded int, qid string) error {
 	return s.write(qid, func(tx *core.WriteTxn, log logFn) error {
 		rel := tx.Catalog().Table(table)

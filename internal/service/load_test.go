@@ -165,7 +165,6 @@ func (s *signalReader) Read(p []byte) (int, error) {
 // malformed. Load must return the parse error, and count and publish
 // exactly the two batches that committed.
 func TestLoadParseErrorWhileBatchCommits(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
 	s, mgr := openPersistent(t, t.TempDir(), Config{Workers: 1})
 	defer mgr.Close()
 	defer s.Close()
@@ -176,7 +175,7 @@ func TestLoadParseErrorWhileBatchCommits(t *testing.T) {
 	}
 	full := in.full
 	commits := 0
-	faultinject.Enable("persist/wal-commit", func() error {
+	t.Cleanup(faultinject.Enable("persist/wal-commit", func() error {
 		// commit 1 creates the table, 2 and 3 are the batches
 		if commits++; commits == 3 {
 			select {
@@ -186,7 +185,7 @@ func TestLoadParseErrorWhileBatchCommits(t *testing.T) {
 			}
 		}
 		return nil
-	})
+	}))
 	res, err := s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,grp:int64"}, in)
 	if !errors.Is(err, csv.ErrFieldCount) {
 		t.Fatalf("load: %v, want the csv field-count error", err)
@@ -203,18 +202,18 @@ func TestLoadParseErrorWhileBatchCommits(t *testing.T) {
 // during a durable load. The panic must come back on Load's goroutine,
 // and the service must take the next load.
 func TestLoadCommitterPanicReachesCaller(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
 	s, mgr := openPersistent(t, t.TempDir(), Config{Workers: 1})
 	defer mgr.Close()
 	defer s.Close()
 
 	commits := 0
-	faultinject.Enable("persist/wal-commit", func() error {
+	disarm := faultinject.Enable("persist/wal-commit", func() error {
 		if commits++; commits == 3 {
 			panic("injected: commit panic")
 		}
 		return nil
 	})
+	t.Cleanup(disarm)
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		s.Load(LoadSpec{Table: "ev", Format: "csv", CreateSpec: "id:int64,grp:int64"},
@@ -224,7 +223,7 @@ func TestLoadCommitterPanicReachesCaller(t *testing.T) {
 	if got != "injected: commit panic" {
 		t.Fatalf("Load's goroutine recovered %v, want the committer's panic", got)
 	}
-	faultinject.Reset()
+	disarm()
 
 	if got := s.Unwrap().Table("ev").Rows(); got != loadBatchRows {
 		t.Fatalf("table holds %d rows, want the %d committed before the panic", got, loadBatchRows)
@@ -255,7 +254,6 @@ func (f *fenceReader) Read(p []byte) (int, error) {
 // a load that succeeds, one fenced mid-stream, one whose batch fails to
 // encode and one whose commit panics.
 func TestLoadLeavesNoGoroutine(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
 	data := csvRows(0, 3*loadBatchRows)
 	for _, c := range []struct {
 		name string
@@ -283,13 +281,13 @@ func TestLoadLeavesNoGoroutine(t *testing.T) {
 		}},
 		{"panicked", func(s *DB) (err error) {
 			commits := 0
-			faultinject.Enable("persist/wal-commit", func() error {
+			disarm := faultinject.Enable("persist/wal-commit", func() error {
 				if commits++; commits == 2 {
 					panic("injected: commit panic")
 				}
 				return nil
 			})
-			defer faultinject.Reset()
+			defer disarm()
 			defer func() {
 				if recover() == nil {
 					err = errors.New("commit panic did not reach Load's caller")

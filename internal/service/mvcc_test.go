@@ -173,7 +173,6 @@ func TestQueriesDuringSlowWriterCommit(t *testing.T) {
 	t.Cleanup(func() {
 		s.Close()
 		mgr.Close()
-		faultinject.Reset()
 	})
 	if _, err := s.Load(LoadSpec{Table: "t", Format: "csv", CreateSpec: "v:int64"},
 		strings.NewReader("0\n1\n2\n")); err != nil {
@@ -184,13 +183,13 @@ func TestQueriesDuringSlowWriterCommit(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	faultinject.Enable("persist/wal-commit", func() error {
+	t.Cleanup(faultinject.Enable("persist/wal-commit", func() error {
 		once.Do(func() {
 			close(entered)
 			<-release
 		})
 		return nil
-	})
+	}))
 
 	writerDone := make(chan error, 1)
 	go func() {
@@ -246,7 +245,6 @@ func TestWriteCommitsDuringSlowCheckpoint(t *testing.T) {
 			s.Close()
 			mgr.Close()
 		}
-		faultinject.Reset()
 	})
 	if _, err := s.Load(LoadSpec{Table: "t", Format: "csv", CreateSpec: "v:int64"},
 		strings.NewReader("0\n1\n2\n")); err != nil {
@@ -256,13 +254,13 @@ func TestWriteCommitsDuringSlowCheckpoint(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	faultinject.Enable("persist/checkpoint", func() error {
+	t.Cleanup(faultinject.Enable("persist/checkpoint", func() error {
 		once.Do(func() {
 			close(entered)
 			<-release
 		})
 		return nil
-	})
+	}))
 
 	ckptDone := make(chan error, 1)
 	go func() {

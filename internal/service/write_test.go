@@ -146,7 +146,6 @@ func copyDataDir(t *testing.T, dir string) string {
 // must be byte-identical to the live one: what reached the log is what
 // was published, and an acknowledged write is on disk without a flush.
 func TestWriteFaultMatrix(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
 	commits := 0
 	for k := 0; k == 0 || k <= commits; k++ {
 		t.Run(fmt.Sprintf("fail=%d", k), func(t *testing.T) {
@@ -155,14 +154,15 @@ func TestWriteFaultMatrix(t *testing.T) {
 			defer mgr.Close()
 			defer s.Close()
 			n := 0
-			faultinject.Enable("persist/wal-commit", func() error {
+			disarm := faultinject.Enable("persist/wal-commit", func() error {
 				if n++; n == k {
 					return errors.New("injected: disk is gone")
 				}
 				return nil
 			})
+			defer disarm()
 			errs := runWriteScript(s)
-			faultinject.Reset()
+			disarm()
 
 			failed := 0
 			for _, err := range errs {

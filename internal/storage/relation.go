@@ -2,7 +2,8 @@ package storage
 
 import (
 	"fmt"
-	"slices"
+
+	"repro/internal/exec/par"
 )
 
 // Partition is one vertical partition of a relation: the values of a group
@@ -136,15 +137,20 @@ func isIdentity(g []int) bool {
 
 // Clip moves every partition with spare capacity into an array of
 // exactly its length, dropping the slack AppendRows's doubling leaves.
-// The old arrays are left as they are, for any older version still
-// reading them.
-func (r *Relation) Clip() {
+// The copy runs as row-range morsels on opt's workers. The old arrays
+// are left as they are, for any older version still reading them.
+func (r *Relation) Clip(opt par.Options) {
 	for _, p := range r.Parts {
-		if cap(p.Data) > len(p.Data) {
-			// Clone copies without zeroing first; Clip hides the
-			// allocator's size-class rounding, so cap == len.
-			p.Data = slices.Clip(slices.Clone(p.Data))
+		if cap(p.Data) == len(p.Data) {
+			continue
 		}
+		// make's capacity is exactly its length, unlike append's, which
+		// rounds up to the allocator's size class.
+		src, dst, stride := p.Data, make([]Word, len(p.Data)), p.Stride
+		par.Run(r.rows, opt, func(_, _, lo, hi int) {
+			copy(dst[lo*stride:hi*stride], src[lo*stride:hi*stride])
+		})
+		p.Data = dst
 	}
 }
 
@@ -255,11 +261,14 @@ func (r *Relation) CloneForWrite() *Relation {
 }
 
 // WithLayout materializes the relation's content under a different layout.
-// Dictionaries are shared: codes remain valid across siblings. It walks
-// the rows in blocks of relayoutBlock and fills every target partition
-// from a block while the block's source words are still in cache, so the
-// source is streamed once, not once per attribute.
-func (r *Relation) WithLayout(layout Layout) *Relation {
+// Dictionaries are shared: codes remain valid across siblings. Row ids
+// are kept, so an index over the relation also indexes the result. The
+// rows are handed out as morsels on opt's workers; each morsel walks its
+// range in blocks of relayoutBlock and fills every target partition from
+// a block while the block's source words are still in cache, so the
+// source is streamed once, not once per attribute. Morsels write
+// disjoint target ranges, so the result is the same for any worker count.
+func (r *Relation) WithLayout(layout Layout, opt par.Options) *Relation {
 	out := NewRelation(r.Schema, layout)
 	out.Dicts = r.Dicts
 	out.rows = r.rows
@@ -270,17 +279,19 @@ func (r *Relation) WithLayout(layout Layout) *Relation {
 	for _, p := range out.Parts {
 		p.Data = make([]Word, r.rows*p.Stride)
 	}
-	for lo := 0; lo < r.rows; lo += relayoutBlock {
-		hi := min(lo+relayoutBlock, r.rows)
-		for gi, p := range out.Parts {
-			for off, attr := range out.Layout.Groups[gi] {
-				a := src[attr]
-				for row := lo; row < hi; row++ {
-					p.Data[row*p.Stride+off] = a.Data[row*a.Stride+a.Off]
+	par.Run(r.rows, opt, func(_, _, mlo, mhi int) {
+		for lo := mlo; lo < mhi; lo += relayoutBlock {
+			hi := min(lo+relayoutBlock, mhi)
+			for gi, p := range out.Parts {
+				for off, attr := range out.Layout.Groups[gi] {
+					a := src[attr]
+					for row := lo; row < hi; row++ {
+						p.Data[row*p.Stride+off] = a.Data[row*a.Stride+a.Off]
+					}
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 

@@ -1,13 +1,17 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/exec/par"
 )
 
 func TestEncodeIntOrderPreserving(t *testing.T) {
@@ -264,7 +268,7 @@ func TestRelationAccessorMatchesValue(t *testing.T) {
 func TestRelationWithLayoutPreservesContent(t *testing.T) {
 	src := buildTestRelation(t, NSM(4))
 	for _, l := range []Layout{DSM(4), PDSM([]int{0, 1}, []int{2, 3}), PDSM([]int{3}, []int{2, 1, 0})} {
-		dst := src.WithLayout(l)
+		dst := src.WithLayout(l, par.Serial())
 		if dst.Rows() != src.Rows() {
 			t.Fatal("row count changed")
 		}
@@ -343,7 +347,7 @@ func TestAppendRowsMatchesRowAtATime(t *testing.T) {
 				}
 			}
 		}
-		batched.Clip()
+		batched.Clip(par.Serial())
 		for _, p := range batched.Parts {
 			if cap(p.Data) != len(p.Data) {
 				t.Fatalf("%s: clipped partition has capacity %d for %d words", name, cap(p.Data), len(p.Data))
@@ -389,9 +393,100 @@ func TestWithLayoutRoundTrip(t *testing.T) {
 	src := NewRelation(schema, NSM(6))
 	src.AppendRows(words)
 	hybrid := PDSM([]int{5, 1}, []int{0}, []int{2, 4, 3})
-	back := src.WithLayout(DSM(6)).WithLayout(hybrid).WithLayout(NSM(6))
+	back := src.WithLayout(DSM(6), par.Serial()).WithLayout(hybrid, par.Serial()).WithLayout(NSM(6), par.Serial())
 	if back.Rows() != rows || !reflect.DeepEqual(back.Parts[0].Data, src.Parts[0].Data) {
 		t.Fatal("NSM -> DSM -> hybrid -> NSM changed the words")
+	}
+}
+
+// morselOptions are parallel options whose morsels are not multiples
+// of a relayout block, so blocks end early at morsel boundaries.
+var morselOptions = []par.Options{{Workers: 2, MorselRows: 1000}, {Workers: 3, MorselRows: relayoutBlock + 1}, {Workers: 4, MorselRows: 7}}
+
+// TestWithLayoutMorselsMatchSerial: WithLayout on morsel workers writes
+// the same words as on one.
+func TestWithLayoutMorselsMatchSerial(t *testing.T) {
+	rows := 3*relayoutBlock + 11
+	schema, words := wideRows(rows)
+	src := NewRelation(schema, NSM(6))
+	src.AppendRows(words)
+	for _, l := range []Layout{DSM(6), PDSM([]int{5, 1}, []int{0}, []int{2, 4, 3}), NSM(6)} {
+		want := partWords(src.WithLayout(l, par.Serial()))
+		for _, opt := range morselOptions {
+			if got := partWords(src.WithLayout(l, opt)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("layout %v %+v: words differ from a serial relayout", l, opt)
+			}
+		}
+	}
+}
+
+// TestClipMorselsMatchSerial: Clip on morsel workers leaves exactly the
+// words it found, with no spare capacity, and leaves the old arrays to
+// older versions.
+func TestClipMorselsMatchSerial(t *testing.T) {
+	schema, words := wideRows(2*relayoutBlock + 5)
+	for _, opt := range morselOptions {
+		r := NewRelation(schema, PDSM([]int{4, 0}, []int{1}, []int{5, 3, 2}))
+		r.AppendRows(words[:6])
+		r.AppendRows(words[6:])
+		want, old := partWords(r), r.CloneForWrite()
+		r.Clip(opt)
+		for _, p := range r.Parts {
+			if cap(p.Data) != len(p.Data) {
+				t.Fatalf("%+v: clipped partition has capacity %d for %d words", opt, cap(p.Data), len(p.Data))
+			}
+		}
+		if !reflect.DeepEqual(partWords(r), want) || !reflect.DeepEqual(partWords(old), want) {
+			t.Fatalf("%+v: Clip changed the words", opt)
+		}
+	}
+}
+
+// benchRelation is a 2M-row, 12-attribute row store, the served orders
+// table's shape.
+func benchRelation() *Relation {
+	const rows, width = 2_000_000, 12
+	attrs := make([]Attribute, width)
+	for i := range attrs {
+		attrs[i] = Attribute{Name: fmt.Sprintf("a%d", i), Type: Int64}
+	}
+	r := NewRelation(NewSchema("orders", attrs...), NSM(width))
+	words := make([]Word, rows*width)
+	for i := range words {
+		words[i] = Word(i)
+	}
+	r.AppendRows(words)
+	return r
+}
+
+// BenchmarkWithLayout times moving a 2M x 12 row store into a
+// three-partition hybrid layout, serially and on two morsel workers.
+func BenchmarkWithLayout(b *testing.B) {
+	r := benchRelation()
+	hybrid := PDSM([]int{0}, []int{1, 2, 3, 4, 5, 6, 7}, []int{8, 9, 10, 11})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opt := par.Options{Workers: workers}
+			for i := 0; i < b.N; i++ {
+				r.WithLayout(hybrid, opt)
+			}
+		})
+	}
+}
+
+// BenchmarkClip times clipping the spare capacity of a 2M x 12 row
+// store, serially and on two morsel workers.
+func BenchmarkClip(b *testing.B) {
+	r := benchRelation()
+	data := slices.Grow(r.Parts[0].Data, 1) // spare capacity for Clip to drop
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opt := par.Options{Workers: workers}
+			for i := 0; i < b.N; i++ {
+				r.Parts[0].Data = data
+				r.Clip(opt)
+			}
+		})
 	}
 }
 
@@ -468,7 +563,7 @@ func TestRelationRandomizedLayoutEquivalence(t *testing.T) {
 			groups = append(groups, g)
 			perm = perm[k:]
 		}
-		sib := master.WithLayout(Layout{Groups: groups})
+		sib := master.WithLayout(Layout{Groups: groups}, par.Serial())
 		for row := 0; row < rows; row++ {
 			for a := 0; a < n; a++ {
 				if master.Value(row, a) != sib.Value(row, a) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/exec/par"
 	"repro/internal/expr"
 	"repro/internal/layout"
 	"repro/internal/mem"
@@ -102,7 +103,7 @@ func TestAdviseNoDriftAfterRelayout(t *testing.T) {
 	// recommendation must become "keep what you have".
 	est := costmodel.NewEstimator(cat, g)
 	best, _ := layout.NewOptimizer(est).Optimize("t", w.Touching("t"))
-	cat.Add(cat.Table("t").WithLayout(best))
+	cat.Add(cat.Table("t").WithLayout(best, par.Serial()))
 
 	after := Advise(cat, g, w)
 	if after[0].Drift != 1 {
