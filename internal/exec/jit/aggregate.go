@@ -186,3 +186,9 @@ func genericAggregate(p *pipe, v plan.Aggregate, opt par.Options, tr *obs.QueryT
 type groupSinks []*groupSink
 
 func (s groupSinks) emit(_, m int, regs []storage.Word) { s[m].fold(regs) }
+
+func (s groupSinks) emitBlock(_, m int, block []storage.Word, n int) {
+	for w, r := len(block)/n, 0; r < n; r++ {
+		s[m].fold(block[r*w : (r+1)*w])
+	}
+}

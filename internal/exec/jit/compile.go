@@ -12,8 +12,9 @@
 // Where Go differs from LLVM codegen: instead of emitting machine code we
 // specialize at plan-compile time into loop bodies. Every source filters a
 // chunk of rows into a selection vector, one test over the whole chunk at
-// a time; register loads, stages and aggregates then still run, and
-// dispatch on their kinds, per passing row. The paper's hot shape — a filtered scan feeding counts
+// a time, then gathers the passing rows into a register block, one load
+// over the whole block at a time; stages and aggregates still run, and
+// dispatch on their kinds, per row of the block. The paper's hot shape — a filtered scan feeding counts
 // and integer sums, grouped on at most one dictionary column — runs in the
 // scan-aggregate kernel (scanagg.go), whose aggregates also run a chunk at
 // a time, leaving each loop a load, a compare or add, a store.
@@ -122,11 +123,12 @@ type pipe struct {
 	srcOp     int // trace-op index of the source scan
 
 	// Execution state of a clone (see cloneForWorker): the worker running
-	// it and its current morsel, the register file, and the selection
-	// vector (a chunk's passing rows, or the index lookup result).
-	w, m int
-	regs []storage.Word
-	sel  []int32
+	// it and its current morsel, the selection vector (a chunk's passing
+	// rows, or the index lookup result) and the register block its rows
+	// are gathered into.
+	w, m  int
+	sel   []int32
+	block []storage.Word
 
 	// Source counts since the last flush (per clone, like the stage
 	// counts): rows read from the table or index, and rows past the

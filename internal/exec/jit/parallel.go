@@ -20,11 +20,14 @@ func (p *pipe) shape(opt par.Options) (workers, morsels int) {
 }
 
 // A sink takes what a run of a pipe emits: each row of morsel m, in row
-// order, from the worker w running that morsel. Workers emit concurrently,
-// so a sink keeps its state per worker or per morsel and merges it in
-// morsel order afterwards, which reproduces a one-morsel run's output.
+// order, from the worker w running that morsel, one at a time out of the
+// stages (emit) or a gathered block of n rows laid end to end from a pipe
+// without stages (emitBlock). Workers emit concurrently, so a sink keeps
+// its state per worker or per morsel and merges it in morsel order
+// afterwards, which reproduces a one-morsel run's output.
 type sink interface {
 	emit(w, m int, regs []storage.Word)
+	emitBlock(w, m int, block []storage.Word, n int)
 }
 
 // run drives the pipe over its source into out, as shape lays it out, and
@@ -58,13 +61,13 @@ func (p *pipe) run(opt par.Options, tr *obs.QueryTrace, out sink) int64 {
 
 // cloneForWorker gives worker w its own executable view of the pipe — the
 // view every run executes, so concurrent Execs never share one. Stage
-// output buffers, the registers, the selection vector and the operator
-// counts are the only state the loops mutate, so the clone shares the
-// compiled tests, loads and probe tables with the original and replaces
-// just those.
+// output buffers, the register block, the selection vector and the
+// operator counts are the only state the loops mutate, so the clone shares
+// the compiled tests, loads and probe tables with the original and
+// replaces just those (the source loop sizes the block and selection).
 func (p *pipe) cloneForWorker(w int) *pipe {
 	q := *p
-	q.w, q.regs, q.sel = w, make([]storage.Word, p.srcWidth), nil
+	q.w, q.sel, q.block = w, nil, nil
 	q.stages = append([]stage(nil), p.stages...)
 	for i := range q.stages {
 		if q.stages[i].buf != nil {
@@ -110,17 +113,24 @@ func newRowSink(p *pipe, opt par.Options) *rowSink {
 	return s
 }
 
-func (s *rowSink) emit(_, m int, regs []storage.Word) {
+func (s *rowSink) emit(w, m int, regs []storage.Word) { s.emitBlock(w, m, regs, 1) }
+
+// emitBlock copies the block's rows into the morsel's chunks, as many
+// whole rows into each as it has room for.
+func (s *rowSink) emitBlock(_, m int, block []storage.Word, n int) {
 	o := &s.morsels[m]
-	if cap(o.chunk)-len(o.chunk) < len(regs) {
-		if len(o.chunk) > 0 {
-			o.full = append(o.full, o.chunk)
+	o.rows += n
+	for len(block) > 0 {
+		if cap(o.chunk)-len(o.chunk) < s.width {
+			if len(o.chunk) > 0 {
+				o.full = append(o.full, o.chunk)
+			}
+			size := min(max(2*cap(o.chunk), firstRowChunkWords), maxRowChunkWords)
+			o.chunk = make([]storage.Word, 0, max(size, s.width))
 		}
-		size := min(max(2*cap(o.chunk), firstRowChunkWords), maxRowChunkWords)
-		o.chunk = make([]storage.Word, 0, max(size, len(regs)))
+		k := min(len(block), (cap(o.chunk)-len(o.chunk))/s.width*s.width)
+		o.chunk, block = append(o.chunk, block[:k]...), block[k:]
 	}
-	o.chunk = append(o.chunk, regs...)
-	o.rows++
 }
 
 func (s *rowSink) rows() [][]storage.Word {

@@ -72,3 +72,9 @@ func (s topSink) emit(w, m int, regs []storage.Word) {
 	t.heap.Offer(regs, m, t.seq)
 	t.seq++
 }
+
+func (s topSink) emitBlock(w, m int, block []storage.Word, n int) {
+	for width, r := len(block)/n, 0; r < n; r++ {
+		s.emit(w, m, block[r*width:(r+1)*width])
+	}
+}

@@ -8,8 +8,8 @@ import (
 )
 
 // Tracing in the jit engine reads the counts of the loops that serve every
-// query: the source loops (runRange, runIndex) and the per-row body they
-// share (runRows, pushStages) count, traced or not, into their worker's
+// query: the source loops (runRange, runIndex) and the body they share
+// (runRows, pushStages) count, traced or not, into their worker's
 // private pipe clone — the source's rows scanned and rows past the fused
 // filter in the pipe, each stage's survivors in the stage. An armed trace
 // (tr != nil) reads the clock and flushes those counts once per morsel (a

@@ -19,10 +19,20 @@ import (
 	"sync/atomic"
 )
 
-// DefaultMorselRows is the scheduler's morsel granularity: large enough
-// that claiming a morsel (one atomic add) is negligible against scanning
-// it, small enough that work-stealing balances selective scans.
+// DefaultMorselRows is the scheduler's largest default morsel: large
+// enough that claiming a morsel (one atomic add) is negligible against
+// scanning it, small enough that work-stealing balances selective scans.
 const DefaultMorselRows = 64 * 1024
+
+// Below DefaultMorselRows per morsel, a scan of n rows is cut into
+// morselsPerWorker morsels per worker, none smaller than minMorselRows.
+// A table of a few hundred thousand rows therefore still gives every
+// worker several morsels to steal, and a scan whose passing rows all sit
+// in its first rows spreads them over every worker.
+const (
+	morselsPerWorker = 4
+	minMorselRows    = 8 * 1024
+)
 
 // Options configures parallel execution. The zero value means "use every
 // core": engines treat Workers <= 0 as GOMAXPROCS. Workers == 1 selects
@@ -34,7 +44,7 @@ const DefaultMorselRows = 64 * 1024
 // WorkerCount stays correct.
 type Options struct {
 	Workers    int   // worker goroutines; 0 = GOMAXPROCS, 1 = serial
-	MorselRows int   // rows per morsel; 0 = DefaultMorselRows
+	MorselRows int   // rows per morsel; 0 = the rule of morselRows
 	Pool       *Pool // shared worker pool; nil = per-call goroutines
 }
 
@@ -58,11 +68,14 @@ func (o Options) WorkerCount() int {
 // Parallel reports whether the options select the parallel path.
 func (o Options) Parallel() bool { return o.WorkerCount() > 1 }
 
-func (o Options) morselRows() int {
+// morselRows is the rows per morsel of a scan of n rows: MorselRows when
+// set, else n split into morselsPerWorker morsels per worker, clamped to
+// [minMorselRows, DefaultMorselRows].
+func (o Options) morselRows(n int) int {
 	if o.MorselRows > 0 {
 		return o.MorselRows
 	}
-	return DefaultMorselRows
+	return min(max(n/(morselsPerWorker*o.WorkerCount()), minMorselRows), DefaultMorselRows)
 }
 
 // Morsels returns the number of morsels covering n rows — the slot count
@@ -71,7 +84,7 @@ func (o Options) Morsels(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	m := o.morselRows()
+	m := o.morselRows(n)
 	return (n + m - 1) / m
 }
 
@@ -103,7 +116,7 @@ func Run(n int, opt Options, body func(worker, morsel, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	m := opt.morselRows()
+	m := opt.morselRows(n)
 	morsels := opt.Morsels(n)
 	workers := opt.WorkerCount()
 	if workers > morsels {

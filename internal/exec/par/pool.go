@@ -50,7 +50,7 @@ type paddedNanos struct {
 // job is one Run call executing on a pool: a morsel range plus completion
 // tracking. next and pending are guarded by the pool mutex; claiming a
 // morsel under the lock costs nanoseconds against the tens of microseconds
-// a 64K-row morsel takes to scan.
+// a morsel of 8K to 64K rows takes to scan.
 type job struct {
 	n          int
 	morselRows int

@@ -5,7 +5,9 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -38,6 +40,14 @@ import (
 // blocks however many rows it has, and a reply of one chunk is formatted
 // inline and sent in a single Write (net/http then sets Content-Length on
 // it itself).
+//
+// Every cell is written straight into its block. Integers, and the
+// integer and fraction digits of a short decimal, come two at a time from
+// a digit-pair table (appendJSONUint). A string column whose dictionary
+// has no more values than the reply has rows is quoted once per reply,
+// into the encoder's reused buffers, and each cell copies its value's
+// quoted bytes; a larger dictionary is quoted cell by cell, so a point
+// lookup's reply quotes only what it sends.
 
 // encodeChunkRows is the rows one worker formats into one block.
 const encodeChunkRows = 2048
@@ -98,8 +108,30 @@ type replyEncoder struct {
 	blocks [encodeWaveChunks][]byte
 	res    *result.Set
 	dicts  [][]string
+	quoted []quotedDict                     // per column; empty unless its dictionary is quoted once
 	base   int                              // first row of the wave being encoded
 	chunk  func(worker, morsel, lo, hi int) // appendChunk, bound once
+}
+
+// quotedDict is a dictionary quoted once for a reply: value c's JSON text
+// is text[offs[c]:offs[c+1]].
+type quotedDict struct {
+	text []byte
+	offs []int
+}
+
+// quote fills q with the JSON text of every value of dict, and leaves it
+// empty for a nil dict.
+func (q *quotedDict) quote(dict []string) {
+	q.text, q.offs = q.text[:0], q.offs[:0]
+	if dict == nil {
+		return
+	}
+	q.offs = append(q.offs, 0)
+	for _, v := range dict {
+		q.text = jsonx.AppendString(q.text, v)
+		q.offs = append(q.offs, len(q.text))
+	}
 }
 
 func newReplyEncoder() *replyEncoder {
@@ -118,13 +150,22 @@ func (e *replyEncoder) encode(w io.Writer, opt par.Options, res *result.Set, mic
 	// before the decode covers every code in the result, so this is safe
 	// after the catalog lock is released even while loads append values. A
 	// string column without one (a computed expression) stays codes.
+	// One with no more values than the reply has rows is quoted here.
 	e.dicts = e.dicts[:0]
-	for _, c := range res.Cols {
+	if cap(e.quoted) < len(res.Cols) {
+		e.quoted = make([]quotedDict, len(res.Cols))
+	}
+	e.quoted = e.quoted[:len(res.Cols)]
+	for j, c := range res.Cols {
 		var dict []string
 		if c.Type == storage.String && c.Dict != nil {
 			dict = c.Dict.Values()
 		}
 		e.dicts = append(e.dicts, dict)
+		if len(dict) > len(res.Rows) {
+			dict = nil
+		}
+		e.quoted[j].quote(dict)
 	}
 	b := append(e.blocks[0], `{"cols":[`...)
 	for i, c := range res.Cols {
@@ -170,12 +211,17 @@ func (e *replyEncoder) reset() {
 		}
 		e.blocks[i] = b[:0]
 	}
+	for i := range e.quoted {
+		if cap(e.quoted[i].text) > maxPooledBlock {
+			e.quoted[i] = quotedDict{}
+		}
+	}
 }
 
 // appendChunk is the par.Run body: it appends rows [base+lo, base+hi) to
 // the morsel's block.
 func (e *replyEncoder) appendChunk(_, morsel, lo, hi int) {
-	cols, rows, dicts := e.res.Cols, e.res.Rows, e.dicts
+	cols, rows, dicts, quoted := e.res.Cols, e.res.Rows, e.dicts, e.quoted
 	b := e.blocks[morsel]
 	for i := e.base + lo; i < e.base+hi; i++ {
 		if i > 0 {
@@ -196,16 +242,19 @@ func (e *replyEncoder) appendChunk(_, morsel, lo, hi int) {
 			}
 			switch typ {
 			case storage.Int64:
-				b = strconv.AppendInt(b, storage.DecodeInt(word), 10)
+				b = appendJSONInt(b, storage.DecodeInt(word))
 			case storage.Float64:
 				b = appendJSONFloat(b, storage.DecodeFloat(word))
 			case storage.Bool:
 				b = strconv.AppendBool(b, storage.DecodeBool(word))
 			default: // String
-				if dict := dicts[j]; word < storage.Word(len(dict)) {
+				switch dict, q := dicts[j], &quoted[j]; {
+				case word >= storage.Word(len(dict)):
+					b = appendJSONUint(b, word)
+				case len(q.offs) > 0:
+					b = append(b, q.text[q.offs[word]:q.offs[word+1]]...)
+				default:
 					b = jsonx.AppendString(b, dict[word])
-				} else {
-					b = strconv.AppendUint(b, word, 10)
 				}
 			}
 		}
@@ -217,18 +266,77 @@ func (e *replyEncoder) appendChunk(_, morsel, lo, hi int) {
 // appendTail closes the rows array and appends the fields after it.
 func appendTail(b []byte, rows int, micros int64, trace []byte, epoch uint64) []byte {
 	b = append(b, `],"rowCount":`...)
-	b = strconv.AppendInt(b, int64(rows), 10)
+	b = appendJSONInt(b, int64(rows))
 	b = append(b, `,"micros":`...)
-	b = strconv.AppendInt(b, micros, 10)
+	b = appendJSONInt(b, micros)
 	if trace != nil {
 		b = append(b, `,"trace":`...)
 		b = append(b, trace...)
 	}
 	if epoch != 0 {
 		b = append(b, `,"epoch":`...)
-		b = strconv.AppendUint(b, epoch, 10)
+		b = appendJSONUint(b, epoch)
 	}
 	return append(b, "}\n"...)
+}
+
+// digitPairs holds "00" to "99": digits 2k and 2k+1 are k in decimal.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 holds 10^0 to 10^19.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// appendJSONInt appends i in decimal: strconv.FormatInt(i, 10).
+func appendJSONInt(b []byte, i int64) []byte {
+	u := uint64(i)
+	if i < 0 {
+		b, u = append(b, '-'), -u
+	}
+	return appendJSONUint(b, u)
+}
+
+// appendJSONUint appends u in decimal: strconv.FormatUint(u, 10). It
+// counts u's digits first, then writes them from the last, two at a time
+// from digitPairs, straight into b's spare capacity: no scratch buffer to
+// copy out of.
+func appendJSONUint(b []byte, u uint64) []byte {
+	// bits.Len64·1233/4096 is ⌊log10 2^len⌋, u's digit count or one less.
+	n := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[n] {
+		n++
+	}
+	n = max(n, 1) // zero
+	b = slices.Grow(b, n)
+	i := len(b) + n
+	b = b[:i]
+	for u >= 100 {
+		q := u / 100
+		d := (u - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[d], digitPairs[d+1]
+		u = q
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
+	return b
 }
 
 // appendJSONFloat formats f as encoding/json does: the shortest decimal
@@ -248,18 +356,18 @@ func appendJSONFloat(b []byte, f float64) []byte {
 				b = append(b, '-')
 			}
 			u := uint64(math.Abs(t))
-			b = strconv.AppendUint(b, u/1e6, 10)
-			frac, pow := u%1e6, uint64(1e6)
+			b = appendJSONUint(b, u/1e6)
+			frac := u % 1e6
 			if frac == 0 {
 				return b
 			}
-			for ; frac%10 == 0; frac /= 10 {
-				pow /= 10
+			// The six fraction digits as three pairs, then the trailing
+			// zeros trimmed: frac is not 0, so a digit other than '0' stops it.
+			hi, mid, lo := 2*(frac/1e4), 2*(frac/100%100), 2*(frac%100)
+			b = append(b, '.', digitPairs[hi], digitPairs[hi+1], digitPairs[mid], digitPairs[mid+1], digitPairs[lo], digitPairs[lo+1])
+			for b[len(b)-1] == '0' {
+				b = b[:len(b)-1]
 			}
-			// pow+frac is a 1 and then frac zero-padded: the 1 becomes the point.
-			n := len(b)
-			b = strconv.AppendUint(b, pow+frac, 10)
-			b[n] = '.'
 			return b
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -407,12 +408,38 @@ func FuzzAppendJSONFloat(f *testing.F) {
 			seeds = append(seeds, n/scale)
 		}
 	}
+	// Six-digit fractions ending in five zeros down to none, and the
+	// smallest fraction: every trim of the short-decimal path.
+	seeds = append(seeds, 7.1, 7.12, 7.123, 7.1234, 7.12345, 7.123456, 7.000001)
 	for _, s := range seeds {
 		f.Add(math.Float64bits(s))
 		f.Add(math.Float64bits(-s))
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		checkJSONFloat(t, math.Float64frombits(bits))
+	})
+}
+
+// FuzzAppendJSONInt: for any int64 the digit-pair formatter is
+// strconv.AppendInt, appending to what the buffer already holds; so is
+// appendJSONUint for the same bits read unsigned.
+func FuzzAppendJSONInt(f *testing.F) {
+	seeds := []int64{0, 1, 9, 10, 99, 100, math.MinInt64, math.MaxInt64}
+	for k, p := 1, int64(10); k <= 18; k, p = k+1, p*10 {
+		seeds = append(seeds, p, p-1)
+	}
+	for _, s := range seeds {
+		f.Add(s)
+		f.Add(-s)
+	}
+	f.Fuzz(func(t *testing.T, i int64) {
+		full, roomy := []byte("x,"), append(make([]byte, 0, 32), "x,"...) // one grows, one has room
+		if got, want := appendJSONInt(full, i), strconv.AppendInt([]byte("x,"), i, 10); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONInt(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := appendJSONUint(roomy, uint64(i)), strconv.AppendUint([]byte("x,"), uint64(i), 10); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONUint(%d) = %q, want %q", uint64(i), got, want)
+		}
 	})
 }
 
