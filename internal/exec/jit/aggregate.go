@@ -30,6 +30,7 @@ type groupSink struct {
 	states [][]expr.AggState // group id -> per-aggregate state
 	ids1   map[storage.Word]int32
 	idsN   map[exec.GroupKey]int32
+	block  []storage.Word // the register block a stage-free pipe's rows are gathered into
 }
 
 func newGroupSink(v plan.Aggregate, specs []expr.AggSpec, args []argComp) *groupSink {
@@ -187,8 +188,8 @@ type groupSinks []*groupSink
 
 func (s groupSinks) emit(_, m int, regs []storage.Word) { s[m].fold(regs) }
 
-func (s groupSinks) emitBlock(_, m int, block []storage.Word, n int) {
-	for w, r := len(block)/n, 0; r < n; r++ {
-		s[m].fold(block[r*w : (r+1)*w])
+func (s groupSinks) emitRows(_, m int, b batch) {
+	for regs := range b.gathered(&s[m].block) {
+		s[m].fold(regs)
 	}
 }

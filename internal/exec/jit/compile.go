@@ -10,14 +10,14 @@
 // compilation model.
 //
 // Where Go differs from LLVM codegen: instead of emitting machine code we
-// specialize at plan-compile time into loop bodies. Every source filters a
-// chunk of rows into a selection vector, one test over the whole chunk at
-// a time, then gathers the passing rows into a register block, one load
-// over the whole block at a time; stages and aggregates still run, and
-// dispatch on their kinds, per row of the block. The paper's hot shape — a filtered scan feeding counts
-// and integer sums, grouped on at most one dictionary column — runs in the
-// scan-aggregate kernel (scanagg.go), whose aggregates also run a chunk at
-// a time, leaving each loop a load, a compare or add, a store.
+// specialize at plan-compile time into loop bodies, all driven by pipe.run.
+// Every source filters a chunk of rows into a selection vector, one test
+// over the whole chunk at a time. A pipe without stages hands the passing
+// rows, still in the table, to its sink: the row sink gathers them one
+// load at a time, and the scan-aggregate kernel (scanagg.go), the paper's
+// hot shape of counts and integer sums, folds them one aggregate at a
+// time, leaving each loop a load, a compare or add, a store. A pipe with
+// stages gathers them into a register block and pushes each row through.
 package jit
 
 import (
@@ -116,16 +116,14 @@ type pipe struct {
 	key       storage.Word
 	baseTests []test
 	complex   expr.Pred // interpreted fallback over base attributes
-	loads     []load
-	srcWidth  int
+	loads     []load    // one per source register, in register order
 	stages    []stage
 	outWidth  int
 	srcOp     int // trace-op index of the source scan
 
 	// Execution state of a clone (see cloneForWorker): the worker running
 	// it and its current morsel, the selection vector (a chunk's passing
-	// rows, or the index lookup result) and the register block its rows
-	// are gathered into.
+	// rows, or the index lookup result) and the register block.
 	w, m  int
 	sel   []int32
 	block []storage.Word
@@ -208,7 +206,7 @@ func compilePipe(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 
 func compileScan(v plan.Scan, c *plan.Catalog, tb *traceBuild, depth int) *pipe {
 	rel := c.Table(v.Table)
-	p := &pipe{rel: rel, srcWidth: len(v.Cols), outWidth: len(v.Cols)}
+	p := &pipe{rel: rel, outWidth: len(v.Cols)}
 	filter := v.Filter
 	if acc, ok := exec.PlanIndexAccess(c, v.Table, v.Filter); ok {
 		p.useIndex = true

@@ -19,15 +19,17 @@ func (p *pipe) shape(opt par.Options) (workers, morsels int) {
 	return opt.WorkerCount(), opt.Morsels(p.rel.Rows())
 }
 
-// A sink takes what a run of a pipe emits: each row of morsel m, in row
-// order, from the worker w running that morsel, one at a time out of the
-// stages (emit) or a gathered block of n rows laid end to end from a pipe
-// without stages (emitBlock). Workers emit concurrently, so a sink keeps
-// its state per worker or per morsel and merges it in morsel order
-// afterwards, which reproduces a one-morsel run's output.
-type sink interface {
+// A sink takes the rows a run of a pipe passes from the worker w running
+// morsel m, in row order: each chunk's passing rows, ungathered, or, into
+// a stageSink, each row out of the stages. Workers emit concurrently, so a
+// sink keeps its state per worker or per morsel and merges it in morsel
+// order afterwards, which reproduces a one-morsel run's output.
+type sink interface{ emitRows(w, m int, b batch) }
+
+// A stageSink also takes a row out of a pipe's stages.
+type stageSink interface {
+	sink
 	emit(w, m int, regs []storage.Word)
-	emitBlock(w, m int, block []storage.Word, n int)
 }
 
 // run drives the pipe over its source into out, as shape lays it out, and
@@ -35,26 +37,25 @@ type sink interface {
 // runs a clone of its own; an armed trace gets each morsel's counts as the
 // morsel ends.
 func (p *pipe) run(opt par.Options, tr *obs.QueryTrace, out sink) int64 {
-	if workers, _ := p.shape(opt); workers == 1 {
+	workers, morsels := p.shape(opt)
+	if workers == 1 {
 		q, start := p.cloneForWorker(0), clock(tr)
 		if q.useIndex {
 			q.runIndex(out)
 		} else {
 			q.runRange(0, q.rel.Rows(), out)
 		}
-		return q.flushCounts(tr, 0, false, start)
+		return q.flushCounts(tr, false, start)
 	}
-	n := p.rel.Rows()
-	clones := make([]*pipe, opt.WorkerCount())
-	var emitted atomic.Int64
-	par.Run(n, opt, func(w, m, lo, hi int) {
+	clones, emitted := make([]*pipe, workers), new(atomic.Int64)
+	par.Run(p.rel.Rows(), opt, func(w, m, lo, hi int) {
 		if clones[w] == nil {
 			clones[w] = p.cloneForWorker(w)
 		}
 		q, start := clones[w], clock(tr)
 		q.m = m
 		q.runRange(lo, hi, out)
-		emitted.Add(q.flushCounts(tr, w, stolen(opt, n, w, m), start))
+		emitted.Add(q.flushCounts(tr, par.ExpectedWorker(m, morsels, workers) != w, start))
 	})
 	return emitted.Load()
 }
@@ -64,7 +65,7 @@ func (p *pipe) run(opt par.Options, tr *obs.QueryTrace, out sink) int64 {
 // output buffers, the register block, the selection vector and the
 // operator counts are the only state the loops mutate, so the clone shares
 // the compiled tests, loads and probe tables with the original and
-// replaces just those (the source loop sizes the block and selection).
+// replaces just those (the loops size the selection and the block).
 func (p *pipe) cloneForWorker(w int) *pipe {
 	q := *p
 	q.w, q.sel, q.block = w, nil, nil
@@ -78,7 +79,8 @@ func (p *pipe) cloneForWorker(w int) *pipe {
 }
 
 // Emitted-row chunks grow from the first size to the last by doubling, so
-// a morsel emitting a few rows allocates little.
+// a morsel emitting a few rows allocates little; a stage-free pipe's are
+// also no larger than its morsel can still fill.
 const (
 	firstRowChunkWords = 128
 	maxRowChunkWords   = 32 * 1024
@@ -113,23 +115,36 @@ func newRowSink(p *pipe, opt par.Options) *rowSink {
 	return s
 }
 
-func (s *rowSink) emit(w, m int, regs []storage.Word) { s.emitBlock(w, m, regs, 1) }
+// room makes room for a row of width words at the end of the chunk,
+// setting a full one aside for a new one of at most limit words.
+func (o *morselRows) room(width, limit int) {
+	if cap(o.chunk)-len(o.chunk) >= width {
+		return
+	}
+	if len(o.chunk) > 0 {
+		o.full = append(o.full, o.chunk)
+	}
+	size := min(max(2*cap(o.chunk), firstRowChunkWords), maxRowChunkWords, limit)
+	o.chunk = make([]storage.Word, 0, max(size, width))
+}
 
-// emitBlock copies the block's rows into the morsel's chunks, as many
-// whole rows into each as it has room for.
-func (s *rowSink) emitBlock(_, m int, block []storage.Word, n int) {
+func (s *rowSink) emit(_, m int, regs []storage.Word) {
 	o := &s.morsels[m]
-	o.rows += n
-	for len(block) > 0 {
-		if cap(o.chunk)-len(o.chunk) < s.width {
-			if len(o.chunk) > 0 {
-				o.full = append(o.full, o.chunk)
-			}
-			size := min(max(2*cap(o.chunk), firstRowChunkWords), maxRowChunkWords)
-			o.chunk = make([]storage.Word, 0, max(size, s.width))
-		}
-		k := min(len(block), (cap(o.chunk)-len(o.chunk))/s.width*s.width)
-		o.chunk, block = append(o.chunk, block[:k]...), block[k:]
+	o.rows++
+	o.room(s.width, maxRowChunkWords)
+	o.chunk = append(o.chunk, regs...)
+}
+
+// emitRows gathers the rows straight into the morsel's chunks.
+func (s *rowSink) emitRows(_, m int, b batch) {
+	o, w := &s.morsels[m], s.width
+	o.rows += b.n
+	for i := 0; i < b.n && w > 0; {
+		o.room(w, (b.n-i+b.rest)*w)
+		k, end := min(b.n-i, blockRows, (cap(o.chunk)-len(o.chunk))/w), len(o.chunk)
+		o.chunk = o.chunk[:end+k*w]
+		b.gather(o.chunk[end:], i)
+		i += k
 	}
 }
 

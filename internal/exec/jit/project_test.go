@@ -115,6 +115,30 @@ func TestProjectGatherMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+
+	// With 4,096-row morsels, id < 8,192 passes every row of morsels 0 and
+	// 1 and none of the others: the first two fill their last chunk, capped
+	// at the rows left, exactly, and the others allocate nothing.
+	n, opt := widePlan(8_192), par.Options{Workers: 2, MorselRows: 4096}
+	p := compilePipe(n, c, opt, &traceBuild{}, 0)
+	s := newRowSink(p, opt)
+	p.run(opt, nil, s)
+	for m, o := range s.morsels {
+		words := cap(o.chunk)
+		for _, full := range o.full {
+			words += cap(full)
+		}
+		want := 0
+		if m < 2 {
+			want = 4096 * p.outWidth
+		}
+		if o.rows*p.outWidth != want || words != want || len(o.chunk) != cap(o.chunk) {
+			t.Errorf("morsel %d: %d rows in %d words, last chunk %d of %d, want %d words all used", m, o.rows, words, len(o.chunk), cap(o.chunk), want)
+		}
+	}
+	if got, want := s.rows(), New().Run(n, c).Rows; !sameRows(got, want) {
+		t.Errorf("capped chunks: %d rows differ from serial jit's %d", len(got), len(want))
+	}
 }
 
 // BenchmarkProject is wide_result's execution below the service: its plan

@@ -2,6 +2,7 @@ package jit
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/exec"
 	"repro/internal/exec/par"
@@ -143,15 +144,13 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 	case plan.Aggregate:
 		idx := tb.add("group-by", fmt.Sprintf("groupBy=%d aggs=%d", len(v.GroupBy), len(v.Aggs)), depth)
 		p := compilePipe(v.Child, c, opt, tb, depth+1)
-		k := compileScanAgg(p, v)
-		return func(tr *obs.QueryTrace) [][]storage.Word {
-			if k != nil {
-				if rows, ok := k.run(opt, tr, idx); ok {
-					return rows
-				}
+		if k := compileScanAgg(p, v); k != nil {
+			return func(tr *obs.QueryTrace) [][]storage.Word {
+				rows, _ := k.run(opt, tr, idx)
+				return rows
 			}
-			return genericAggregate(p, v, opt, tr, idx)
 		}
+		return func(tr *obs.QueryTrace) [][]storage.Word { return genericAggregate(p, v, opt, tr, idx) }
 	default:
 		p := compilePipe(n, c, opt, tb, depth)
 		return func(tr *obs.QueryTrace) [][]storage.Word {
@@ -168,11 +167,10 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 // Fusion (Menon, Pavlo, Mowry, VLDB 2017) without code generation.
 const chunkRows = 1024
 
-// blockRows is the rows gathered into the register block at a time. Each
-// load fills its column of the block in one pass, so the block (16 KiB for
-// eight registers) and the rows it reads must stay in L1 across the passes;
-// a whole chunk of eight-word rows, 64 KiB, overflows a 48 KiB L1 and made
-// wide_result's gather 1.3x slower.
+// blockRows is the rows gathered at a time. Each load fills its column of
+// the destination in one pass, so it (16 KiB for eight registers) and the
+// rows it reads must stay in L1; a chunk of eight-word rows, 64 KiB,
+// overflowed a 48 KiB L1 and made wide_result's gather 1.3x slower.
 const blockRows = 256
 
 // runRange is the scan loop over the row range [lo, hi): chunk by chunk,
@@ -180,11 +178,12 @@ const blockRows = 256
 // rest of the pipe over them.
 func (p *pipe) runRange(lo, hi int, out sink) {
 	if len(p.sel) < chunkRows {
-		p.sel, p.block = make([]int32, chunkRows), make([]storage.Word, blockRows*p.srcWidth)
+		p.sel = make([]int32, chunkRows)
 	}
 	p.scanned += int64(hi - lo)
 	for c := lo; c < hi; c += chunkRows {
-		p.runRows(p.filter(c, min(c+chunkRows, hi), p.sel), out)
+		end := min(c+chunkRows, hi)
+		p.runRows(p.filter(c, end), hi-end, out)
 	}
 }
 
@@ -193,24 +192,22 @@ func (p *pipe) runRange(lo, hi int, out sink) {
 func (p *pipe) runIndex(out sink) {
 	p.sel = p.idx.Lookup(p.key, p.sel[:0])
 	p.scanned += int64(len(p.sel))
-	sel := p.sel
-	for i := 0; i < len(p.baseTests) && len(sel) > 0; i++ {
-		sel = p.baseTests[i].shrink(sel)
+	for i := 0; i < len(p.baseTests) && len(p.sel) > 0; i++ {
+		p.sel = p.baseTests[i].shrink(p.sel)
 	}
-	p.block = make([]storage.Word, min(len(sel), blockRows)*p.srcWidth)
-	p.runRows(passing{n: len(sel), sel: sel}, out)
+	p.runRows(passing{n: len(p.sel), sel: p.sel}, 0, out)
 }
 
-// filter returns the rows of chunk [lo, hi) that pass every base test,
-// using sel (at least hi-lo long) as the selection vector: the first test
-// writes it, later ones compact it. Base-table tests are evaluated only
-// here and, over an index lookup's selection, in runIndex.
-func (p *pipe) filter(lo, hi int, sel []int32) passing {
+// filter returns the rows of chunk [lo, hi) that pass every base test, in
+// the selection vector: the first test writes it, later ones compact it.
+// Base-table tests are evaluated only here and, over an index lookup's
+// selection, in runIndex.
+func (p *pipe) filter(lo, hi int) passing {
 	all, tests := passing{lo: lo, n: hi - lo}, p.baseTests
 	if len(tests) == 0 {
 		return all
 	}
-	sel = tests[0].first(lo, hi, sel)
+	sel := tests[0].first(lo, hi, p.sel)
 	for i := 1; i < len(tests) && len(sel) > 0; i++ {
 		sel = tests[i].shrink(sel)
 	}
@@ -265,48 +262,45 @@ func (p passing) row(i int) int {
 	return int(p.sel[i])
 }
 
+// batch is a chunk's passing rows, still in the table, with the loads that
+// gather them and rest, the most rows the morsel can pass after them.
+type batch struct {
+	passing
+	loads []load
+	rest  int
+}
+
 // runRows is the body every source loop shares, run over rows that passed
-// the base tests: the interpreted fallback shrinks them by the predicate
-// the tests do not cover, then up to blockRows of them at a time are
-// gathered into the register block, one loop per load. A pipe without
-// stages hands the block to its sink whole; otherwise each row of it is
-// pushed through the stages.
-func (p *pipe) runRows(rows passing, out sink) {
+// the base tests (the morsel has rest more): the interpreted fallback
+// shrinks them by the predicate the tests do not cover, then a pipe
+// without stages hands them to its sink and one with stages pushes each.
+func (p *pipe) runRows(rows passing, rest int, out sink) {
 	if p.complex != nil {
 		rows = p.keep(rows)
 	}
 	p.passed += int64(rows.n)
-	w := p.srcWidth
-	for i := 0; i < rows.n; i += blockRows {
-		part := passing{lo: rows.lo + i, n: min(blockRows, rows.n-i)}
-		if rows.sel != nil {
-			part.sel = rows.sel[i : i+part.n]
-		}
-		block := p.gather(part)
-		if len(p.stages) == 0 {
-			out.emitBlock(p.w, p.m, block, part.n)
-			continue
-		}
-		for r := 0; r < part.n; r++ {
-			p.pushStages(0, block[r*w:(r+1)*w], out)
-		}
+	if rows.n == 0 {
+		return
+	}
+	b := batch{passing: rows, loads: p.loads, rest: rest}
+	if len(p.stages) == 0 {
+		out.emitRows(p.w, p.m, b)
+		return
+	}
+	st := out.(stageSink)
+	for regs := range b.gathered(&p.block) {
+		p.pushStages(0, regs, st)
 	}
 }
 
 // keep compacts rows to those that pass the interpreted fallback
 // predicate, in the selection vector.
 func (p *pipe) keep(rows passing) passing {
-	sel := rows.sel
-	if sel == nil {
-		sel = p.sel[:rows.n]
-		for i := range sel {
-			sel[i] = int32(rows.lo + i)
-		}
-	}
-	row, n := 0, 0
+	sel, row, n := p.sel, 0, 0
 	val := func(a int) storage.Word { return p.rel.Value(row, a) }
-	for _, r := range sel {
-		sel[n], row = r, int(r)
+	for i := range rows.n {
+		row = rows.row(i)
+		sel[n] = int32(row)
 		if expr.EvalPred(p.complex, val) {
 			n++
 		}
@@ -314,29 +308,49 @@ func (p *pipe) keep(rows passing) passing {
 	return passing{n: n, sel: sel[:n]}
 }
 
-// gather loads rows (at most blockRows) into the register block, row i's
-// registers at block[i*srcWidth:], and returns the filled part.
-func (p *pipe) gather(rows passing) []storage.Word {
-	w, block := p.srcWidth, p.block[:rows.n*p.srcWidth]
-	for _, l := range p.loads {
-		d, st, reg := l.data[l.off:], l.stride, l.reg
-		if rows.sel == nil {
-			for i, r := 0, rows.lo; i < rows.n; i, r = i+1, r+1 {
-				block[i*w+reg] = d[r*st]
+// gather loads the rows from the i-th on into dst, as many as it holds,
+// row j's registers at dst[j*len(loads):], one loop per load.
+func (b batch) gather(dst []storage.Word, i int) {
+	w := len(b.loads)
+	for _, l := range b.loads {
+		d, st, out, n := l.data[l.off:], l.stride, dst[l.reg:], len(dst)/w
+		if b.sel == nil {
+			for j, src := 0, d[(b.lo+i)*st:]; j < n; j++ {
+				out[j*w] = src[j*st]
 			}
 			continue
 		}
-		for i, r := range rows.sel {
-			block[i*w+reg] = d[int(r)*st]
+		for j, r := range b.sel[i : i+n] {
+			out[j*w] = d[int(r)*st]
 		}
 	}
-	return block
+}
+
+// gathered yields each row's registers, gathered blockRows rows at a time
+// into the block, which is allocated on first use no larger than needed.
+func (b batch) gathered(block *[]storage.Word) iter.Seq[[]storage.Word] {
+	return func(yield func([]storage.Word) bool) {
+		w := len(b.loads)
+		for i := 0; i < b.n; i += blockRows {
+			n := min(blockRows, b.n-i)
+			if len(*block) < n*w {
+				*block = make([]storage.Word, min(b.n+b.rest, blockRows)*w)
+			}
+			regs := (*block)[:n*w]
+			b.gather(regs, i)
+			for r := range n {
+				if !yield(regs[r*w : (r+1)*w]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // pushStages advances a register image through the stages starting at si,
 // counting each stage's survivors in the stage itself. Only multi-match
 // probes recurse; the single-match path stays in the flat loop.
-func (p *pipe) pushStages(si int, regs []storage.Word, out sink) {
+func (p *pipe) pushStages(si int, regs []storage.Word, out stageSink) {
 	for ; si < len(p.stages); si++ {
 		st := &p.stages[si]
 		switch st.kind {

@@ -1,8 +1,6 @@
 package jit
 
 import (
-	"slices"
-
 	"repro/internal/exec/par"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -11,31 +9,35 @@ import (
 )
 
 // The scan-aggregate kernel serves counts and int64 column sums, ungrouped
-// or grouped on one dictionary-coded column, over a bare base-table scan:
-// the paper's example query and every Figure 3 cell. Every pipe filters a
-// chunk at a time into a selection vector (pipe.filter); where the pipe
-// loops then fold each passing row into an aggregate sink, the kernel runs
-// each aggregate as one loop over the selection (or over the contiguous
-// rows when all passed). A group's slot is its dictionary code plus one, so
-// Null wraps to slot 0; merging each morsel's first-touched slots in morsel
-// order reproduces genericAggregate's group order.
+// or grouped on one dictionary-coded column, over a range scan without
+// stages: the paper's example query and every Figure 3 cell. As a sink of
+// pipe.run it folds each chunk's passing rows from the table, one loop per
+// aggregate. A group's slot is its dictionary code plus one, so Null wraps
+// to slot 0; merging each morsel's first-touched slots in morsel order
+// reproduces genericAggregate's group order.
 
 const maxDictGroups = 4096 // larger dictionaries group in genericAggregate
 
-// scanAgg is a compiled scan-aggregate kernel.
+// scanAgg is a compiled scan-aggregate kernel; an execution runs a copy.
 type scanAgg struct {
 	p    *pipe
+	v    plan.Aggregate
 	sums []load // the summed columns
 	outs []int  // per aggregate: -1 for a count, else its index in sums
 	key  *load  // the group key; nil when ungrouped
+
+	slots   int
+	workers []*aggWorker
+	first   [][]int32 // per morsel, its first-touched slots: written rarely, as neighbours run at once
 }
 
-// compileScanAgg returns the kernel for v over p, or nil outside its contract.
+// compileScanAgg returns the kernel for v over p, or nil outside its
+// contract, which leaves out index lookups: too few rows to pay for slots.
 func compileScanAgg(p *pipe, v plan.Aggregate) *scanAgg {
-	if len(p.stages) != 0 || p.complex != nil || p.useIndex || len(v.GroupBy) > 1 {
+	if len(p.stages) != 0 || p.useIndex || len(v.GroupBy) > 1 {
 		return nil
 	}
-	k := &scanAgg{p: p, outs: make([]int, len(v.Aggs))}
+	k := &scanAgg{p: p, v: v, outs: make([]int, len(v.Aggs))}
 	if len(v.GroupBy) == 1 {
 		if k.key = &p.loads[v.GroupBy[0]]; k.key.dict == nil {
 			return nil
@@ -56,76 +58,91 @@ func compileScanAgg(p *pipe, v plan.Aggregate) *scanAgg {
 	return k
 }
 
-// aggWorker is one worker's kernel state: the accumulators its morsels fold
-// into (counts and integer sums merge exactly), and per-chunk scratch.
+// aggWorker is one worker's accumulators (counts and integer sums merge
+// exactly) and per-chunk scratch.
 type aggWorker struct {
 	acc   []int64 // slot g's count at [g], its sum i at [(i+1)*slots+g]
 	stamp []int32 // morsel+1 of the slot's last touch
-	sel   []int32 // the chunk's passing rows
 	slot  []int32 // the group slot of each passing row
+	bad   bool    // met a key that is neither Null nor a code
 }
 
-// morselRun is one morsel's outcome, booked only once no morsel met a bad
-// key: genericAggregate, which then runs instead, books its own.
-type morselRun struct {
-	w                   int
-	rows, passed, nanos int64
-	first               []int32 // the slots the morsel touched first, in row order
-	bad                 bool
-}
-
-// run executes the kernel. It reports false, having booked nothing, when
-// the dictionary, read here because inserts grow it, has passed
-// maxDictGroups, or a key is bad: neither Null nor a code, as an insert of
-// a raw word can store. A trace books what the pipe loops book.
+// run executes the kernel and reports whether it served the aggregate.
+// Past maxDictGroups (read here, as inserts grow the dictionary)
+// genericAggregate runs instead. A bad key, which an insert of a raw word
+// can store, stops its worker folding while the run counts on; then
+// genericAggregate folds again untraced, so the trace books each op once.
 func (k *scanAgg) run(opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]storage.Word, bool) {
-	slots := 1
-	if k.key != nil {
-		if slots = k.key.dict.Len() + 1; slots > maxDictGroups+1 {
-			return nil, false
+	s, start := *k, clock(tr)
+	if s.slots = 1; k.key != nil {
+		if s.slots = k.key.dict.Len() + 1; s.slots > maxDictGroups+1 {
+			return genericAggregate(k.p, k.v, opt, tr, aggIdx), false
 		}
 	}
 	workers, morsels := k.p.shape(opt)
-	start, n, pool, runs := clock(tr), k.p.rel.Rows(), make([]*aggWorker, workers), make([]morselRun, morsels)
-	body := func(w, m, lo, hi int) {
-		if pool[w] == nil {
-			pool[w] = &aggWorker{acc: make([]int64, slots*(1+len(k.sums))), stamp: make([]int32, slots),
-				sel: make([]int32, chunkRows), slot: make([]int32, chunkRows)}
-		}
-		mstart := clock(tr)
-		runs[m] = k.morsel(pool[w], m, lo, hi)
-		runs[m].w, runs[m].rows, runs[m].nanos = w, int64(hi-lo), since(mstart)
+	s.workers, s.first = make([]*aggWorker, workers), make([][]int32, max(morsels, 1))
+	if k.key == nil {
+		s.first[0] = []int32{0} // the one row, even over an empty table
 	}
-	if workers == 1 {
-		body(0, 0, 0, n)
-	} else {
-		par.Run(n, opt, body)
+	folded := k.p.run(opt, tr, &s)
+	rows, served := s.rows()
+	if !served {
+		rows = genericAggregate(k.p, k.v, opt, nil, -1)
 	}
-	if slices.ContainsFunc(runs, func(r morselRun) bool { return r.bad }) {
-		return nil, false
-	}
+	tr.Op(aggIdx).Add(folded, int64(len(rows)), since(start))
+	return rows, served
+}
 
-	acc, order, seen, scanOp := make([]int64, slots*(1+len(k.sums))), []int32{0}, make([]bool, slots), tr.Op(k.p.srcOp)
-	for _, ws := range pool {
+// emitRows folds a chunk's passing rows into worker w's accumulators.
+func (k *scanAgg) emitRows(w, m int, b batch) {
+	ws := k.workers[w]
+	if ws == nil { // allocated by its worker, off the other workers' cache lines
+		ws = &aggWorker{acc: make([]int64, k.slots*(1+len(k.sums))), stamp: make([]int32, k.slots), slot: make([]int32, chunkRows)}
+		k.workers[w] = ws
+	}
+	if k.key == nil {
+		ws.acc[0] += int64(b.n)
+		i := 0
+		for ; i+4 <= len(k.sums); i += 4 {
+			sumRows4(k.sums[i:i+4], b.passing, ws.acc[i+1:i+5])
+		}
+		for ; i < len(k.sums); i++ {
+			ws.acc[i+1] += sumRows(&k.sums[i], b.passing)
+		}
+		return
+	}
+	if ws.bad {
+		return
+	}
+	slot := ws.slot[:b.n]
+	if ws.bad = k.slotRows(ws, m, b.passing, slot); ws.bad {
+		return
+	}
+	for i := range k.sums {
+		sumSlots(&k.sums[i], b.passing, slot, ws.acc[(i+1)*k.slots:(i+2)*k.slots])
+	}
+}
+
+// rows merges the workers' accumulators into the result rows, groups in
+// order of first touch, or reports false when a worker met a bad key.
+func (k *scanAgg) rows() ([][]storage.Word, bool) {
+	acc, order, seen := make([]int64, k.slots*(1+len(k.sums))), []int32(nil), make([]bool, k.slots)
+	for _, ws := range k.workers {
+		if ws != nil && ws.bad {
+			return nil, false
+		}
 		for i := 0; ws != nil && i < len(acc); i++ {
 			acc[i] += ws.acc[i]
 		}
 	}
-	if k.key != nil {
-		order = order[:0]
-	}
-	for m, r := range runs {
-		if tr != nil {
-			addMorsel(scanOp, r.w, r.rows, r.passed, r.nanos, stolen(opt, n, r.w, m))
-		}
-		for _, g := range r.first {
+	for _, first := range k.first {
+		for _, g := range first {
 			if !seen[g] {
 				seen[g] = true
 				order = append(order, g)
 			}
 		}
 	}
-	var folded int64
 	rows := make([][]storage.Word, len(order))
 	for j, g := range order {
 		row := make([]storage.Word, 0, 1+len(k.outs))
@@ -133,43 +150,11 @@ func (k *scanAgg) run(opt par.Options, tr *obs.QueryTrace, aggIdx int) ([][]stor
 			row = append(row, storage.Word(g)-1) // slot 0 wraps back to Null
 		}
 		for _, o := range k.outs {
-			row = append(row, storage.EncodeInt(acc[(o+1)*slots+int(g)]))
+			row = append(row, storage.EncodeInt(acc[(o+1)*k.slots+int(g)]))
 		}
-		rows[j], folded = row, folded+acc[g]
+		rows[j] = row
 	}
-	tr.Op(aggIdx).Add(folded, int64(len(rows)), since(start))
 	return rows, true
-}
-
-// morsel runs morsel m, rows [lo, hi), chunk by chunk into ws.
-func (k *scanAgg) morsel(ws *aggWorker, m, lo, hi int) (r morselRun) {
-	slots := len(ws.stamp)
-	for c := lo; c < hi; c += chunkRows {
-		p := k.p.filter(c, min(c+chunkRows, hi), ws.sel)
-		if p.n == 0 {
-			continue
-		}
-		r.passed += int64(p.n)
-		if k.key == nil {
-			ws.acc[0] += int64(p.n)
-			i := 0
-			for ; i+4 <= len(k.sums); i += 4 {
-				sumRows4(k.sums[i:i+4], p, ws.acc[i+1:i+5])
-			}
-			for ; i < len(k.sums); i++ {
-				ws.acc[i+1] += sumRows(&k.sums[i], p)
-			}
-			continue
-		}
-		slot := ws.slot[:p.n]
-		if r.first, r.bad = k.slotRows(ws, int32(m+1), p, slot, r.first); r.bad {
-			return r
-		}
-		for i := range k.sums {
-			sumSlots(&k.sums[i], p, slot, ws.acc[(i+1)*slots:(i+2)*slots])
-		}
-	}
-	return r
 }
 
 // quarter returns the i-th row of each quarter of the first 4q passing rows,
@@ -225,24 +210,24 @@ func intOf(w storage.Word) int64 {
 	return storage.DecodeInt(w)
 }
 
-// slotRows writes and counts each passing row's group slot, appending to
-// first the slots morsel stamp touches first. It stops at a bad key.
-func (k *scanAgg) slotRows(ws *aggWorker, stamp int32, p passing, slot, first []int32) (_ []int32, bad bool) {
-	d, s, slots := k.key.data[k.key.off:], k.key.stride, storage.Word(len(ws.stamp))
+// slotRows writes and counts each passing row's group slot and appends to
+// first[m] the slots morsel m touches first. It stops at a bad key.
+func (k *scanAgg) slotRows(ws *aggWorker, m int, p passing, slot []int32) (bad bool) {
+	d, s, slots, stamp := k.key.data[k.key.off:], k.key.stride, storage.Word(len(ws.stamp)), int32(m+1)
 	for i := range slot {
 		w := d[p.row(i)*s] + 1
 		if w >= slots {
-			return first, true
+			return true
 		}
 		g := int32(w)
 		slot[i] = g
 		ws.acc[g]++
 		if ws.stamp[g] != stamp {
 			ws.stamp[g] = stamp
-			first = append(first, g)
+			k.first[m] = append(k.first[m], g)
 		}
 	}
-	return first, false
+	return false
 }
 
 // sumSlots adds one column over the passing rows to their slots in acc.

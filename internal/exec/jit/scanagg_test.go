@@ -161,6 +161,16 @@ func TestScanAggKernel(t *testing.T) {
 			Aggs:  []expr.AggSpec{sum(1), count, sum(0), {Kind: expr.Count, Arg: expr.IntCol(1), Name: "c"}},
 		}, true},
 		{"grouped-null-keys", byRegion(sum(1), count, sum(2)), true},
+		// An Or conjunct stays interpreted; the kernel folds what it keeps.
+		{"interpreted-filter", plan.Aggregate{
+			Child: orders(expr.Conj(lt(1, 900_000), expr.Or{Preds: []expr.Pred{lt(2, 100), lt(7, 300)}}), 11, 2, 6, 7),
+			Aggs:  []expr.AggSpec{count, sum(1), sum(2), sum(3)},
+		}, true},
+		{"interpreted-filter-grouped", plan.Aggregate{
+			Child:   orders(expr.Or{Preds: []expr.Pred{lt(1, 200_000), lt(6, 100)}}, 11, 6),
+			GroupBy: []int{0},
+			Aggs:    []expr.AggSpec{sum(1), count},
+		}, true},
 		{"grouped-no-nulls", plan.Aggregate{Child: orders(nil, 10, 2), GroupBy: []int{0}, Aggs: []expr.AggSpec{sum(1)}}, true},
 		{"non-dictionary-key", plan.Aggregate{Child: orders(nil, 2, 6), GroupBy: []int{0}, Aggs: []expr.AggSpec{sum(1)}}, false},
 		{"two-key-columns", plan.Aggregate{Child: orders(nil, 10, 11, 6), GroupBy: []int{0, 1}, Aggs: []expr.AggSpec{sum(2)}}, false},

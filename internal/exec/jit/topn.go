@@ -62,9 +62,10 @@ func prepareTopN(srt plan.Sort, k int, c *plan.Catalog, opt par.Options, tb *tra
 type topSink []*topWorker
 
 type topWorker struct {
-	heap *sortpar.TopN
-	seq  int
-	_    [48]byte // a cache line of its own: seq moves on every row
+	heap  *sortpar.TopN
+	seq   int
+	block []storage.Word // the register block a stage-free pipe's rows are gathered into
+	_     [24]byte       // a cache line of its own: seq moves on every row
 }
 
 func (s topSink) emit(w, m int, regs []storage.Word) {
@@ -73,8 +74,8 @@ func (s topSink) emit(w, m int, regs []storage.Word) {
 	t.seq++
 }
 
-func (s topSink) emitBlock(w, m int, block []storage.Word, n int) {
-	for width, r := len(block)/n, 0; r < n; r++ {
-		s.emit(w, m, block[r*width:(r+1)*width])
+func (s topSink) emitRows(w, m int, b batch) {
+	for regs := range b.gathered(&s[w].block) {
+		s.emit(w, m, regs)
 	}
 }

@@ -3,19 +3,17 @@ package jit
 import (
 	"time"
 
-	"repro/internal/exec/par"
 	"repro/internal/obs"
 )
 
 // Tracing in the jit engine reads the counts of the loops that serve every
 // query: the source loops (runRange, runIndex) and the body they share
-// (runRows, pushStages) count, traced or not, into their worker's
-// private pipe clone — the source's rows scanned and rows past the fused
-// filter in the pipe, each stage's survivors in the stage. An armed trace
-// (tr != nil) reads the clock and flushes those counts once per morsel (a
-// serial or index-backed run is one morsel), never per row; a disarmed
-// execution reads no clock and flushes nothing, so it pays only the
-// increments themselves.
+// (runRows, pushStages) count, traced or not, into their worker's private
+// pipe clone — the source's rows scanned and rows past the fused filter in
+// the pipe, each stage's survivors in the stage. An armed trace (tr != nil)
+// reads the clock and flushes those counts once per morsel (a serial or
+// index-backed run is one morsel) in flushCounts, never per row; a
+// disarmed execution reads no clock and flushes nothing.
 //
 // An operator's input is its predecessor's output, so the chain of counts
 // reconstructs per-operator rows in/out exactly. Wall time is measured
@@ -57,42 +55,30 @@ func since(start time.Time) int64 {
 	return time.Since(start).Nanoseconds()
 }
 
-// stolen reports whether worker w claimed morsel m of an n-row scan away
-// from the worker a static block partitioning would have given it.
-func stolen(opt par.Options, n, w, m int) bool {
-	return par.ExpectedWorker(m, opt.Morsels(n), opt.WorkerCount()) != w
-}
-
-// addMorsel accounts one morsel of a fused operator:
-// totals via atomics, the claiming worker's lane directly (lane w is only
-// ever written by worker w).
-func addMorsel(op *obs.OpTrace, worker int, rowsIn, rowsOut, nanos int64, stolen bool) {
-	op.Add(rowsIn, rowsOut, nanos)
-	if l := op.Lane(worker); l != nil {
-		l.Rows += rowsOut
-		l.Nanos += nanos
-		l.Morsels++
-		if stolen {
-			l.Stolen++
-		}
-	}
-}
-
 // flushCounts folds the counts this clone gathered in the morsel started at
-// start into the trace as worker's, zeroes them, and returns the rows the
-// pipeline emitted. A disarmed trace gets nothing and it returns 0.
-func (p *pipe) flushCounts(tr *obs.QueryTrace, worker int, stolen bool, start time.Time) int64 {
+// start into the trace, zeroes them, and returns the rows the pipeline
+// emitted; disarmed, it books nothing and returns 0. Each fused operator
+// books the morsel on the lane of the clone's worker (written only by it),
+// stolen if a static block partitioning would have given it another worker.
+func (p *pipe) flushCounts(tr *obs.QueryTrace, stolen bool, start time.Time) int64 {
 	if tr == nil {
 		return 0
 	}
-	nanos := since(start)
-	addMorsel(tr.Op(p.srcOp), worker, p.scanned, p.passed, nanos, stolen)
-	in := p.passed
+	nanos, op, in, out := since(start), p.srcOp, p.scanned, p.passed
 	p.scanned, p.passed = 0, 0
-	for i := range p.stages {
+	for i := 0; ; i++ {
+		o := tr.Op(op)
+		o.Add(in, out, nanos)
+		if l := o.Lane(p.w); l != nil {
+			l.Rows, l.Nanos, l.Morsels = l.Rows+out, l.Nanos+nanos, l.Morsels+1
+			if stolen {
+				l.Stolen++
+			}
+		}
+		if i == len(p.stages) {
+			return out
+		}
 		st := &p.stages[i]
-		addMorsel(tr.Op(st.opIdx), worker, in, st.out, nanos, stolen)
-		in, st.out = st.out, 0
+		op, in, out, st.out = st.opIdx, out, st.out, 0
 	}
-	return in
 }

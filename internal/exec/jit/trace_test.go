@@ -139,6 +139,16 @@ func oraclePlans() []oraclePlan {
 			},
 		}},
 		{"grouped-aggregate", grouped},
+		// The kernel behind the interpreted fallback: an Or conjunct
+		// shrinks each chunk's selection before the kernel folds it.
+		{"kernel-complex-filter", plan.Aggregate{
+			Child: scanR(expr.Conj(cmp(0, expr.Lt, 80), expr.Or{Preds: []expr.Pred{cmp(1, expr.Lt, 20), cmp(2, expr.Ge, 70)}}), 1, 2, 3),
+			Aggs: []expr.AggSpec{
+				{Kind: expr.Count, Name: "n"},
+				{Kind: expr.Sum, Arg: expr.IntCol(0), Name: "sb"},
+				{Kind: expr.Sum, Arg: expr.IntCol(2), Name: "sd"},
+			},
+		}},
 		// The kernel's grouped form: dictionary codes as group slots, Null
 		// keys in a slot of their own.
 		{"dict-grouped-null-keys", plan.Aggregate{
