@@ -58,7 +58,7 @@ func BenchmarkFig03(b *testing.B) {
 	cat := setup.Catalogs["column"]
 	q := setup.Query(0.5)
 	for _, w := range workerCounts() {
-		e := jit.NewParallel(par.Options{Workers: w})
+		e := jit.NewParallel(poolOptions(b, w))
 		b.Run(fmt.Sprintf("jit/column/sel=0.5/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e.Run(q, cat)
@@ -80,38 +80,38 @@ func workerCounts() []int {
 	return counts
 }
 
+// poolOptions returns options on a pool of w workers that b closes when
+// it ends; one worker runs serially.
+func poolOptions(b *testing.B, w int) par.Options {
+	pool := par.NewPool(w)
+	b.Cleanup(pool.Close)
+	return par.WithPool(pool)
+}
+
 // BenchmarkParallelScaling measures the morsel scheduler: the Figure 3
 // aggregate (jit's scan-aggregate kernel) and the bare filtered scan
-// (chunk-backed row emit) on the column layout, for the JiT and vectorized
-// engines across the worker sweep. workers=1 is the serial engine — the paper's
-// configuration — so each series' first entry is the scaling baseline.
+// (chunk-backed row emit) on the column layout, for the JiT engine, the
+// one parallel engine, across the worker sweep. workers=1 is the serial
+// engine — the paper's configuration — so each series' first entry is the
+// scaling baseline.
 func BenchmarkParallelScaling(b *testing.B) {
 	setup := experiments.NewFig3Setup(1_000_000)
 	cat := setup.Catalogs["column"]
 	agg := setup.Query(0.5)
 	scan := agg.(plan.Aggregate).Child
 	for _, w := range workerCounts() {
-		opt := par.Options{Workers: w}
-		engines := map[string]interface {
-			Run(plan.Node, *plan.Catalog) *result.Set
-		}{
-			"jit":    jit.NewParallel(opt),
-			"vector": vector.NewParallel(opt),
-		}
-		for _, name := range []string{"jit", "vector"} {
-			e := engines[name]
-			b.Run(fmt.Sprintf("%s/aggregate/workers=%d", name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					e.Run(agg, cat)
-				}
-			})
-			b.Run(fmt.Sprintf("%s/scan/workers=%d", name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					e.Run(scan, cat)
-				}
-			})
-		}
+		e := jit.NewParallel(poolOptions(b, w))
+		b.Run(fmt.Sprintf("jit/aggregate/workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Run(agg, cat)
+			}
+		})
+		b.Run(fmt.Sprintf("jit/scan/workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Run(scan, cat)
+			}
+		})
 	}
 }
 
@@ -119,8 +119,9 @@ func BenchmarkParallelScaling(b *testing.B) {
 // Figure 3 relation: the full parallel merge sort, the fused top-N
 // (ORDER BY … LIMIT 100 — compare its ns/op and bytes/op against sort to
 // see the O(k) bound), and the radix-partitioned hash-join build+probe,
-// for both parallel-capable engines across the worker sweep. workers=1 is
-// the serial engine, each series' scaling baseline.
+// for the JiT engine across the worker sweep and the serial vectorized
+// engine beside it. workers=1 is the serial engine, each series' scaling
+// baseline.
 func BenchmarkBreakers(b *testing.B) {
 	setup := experiments.NewFig3Setup(1_000_000)
 	cat := setup.Catalogs["column"]
@@ -149,22 +150,22 @@ func BenchmarkBreakers(b *testing.B) {
 			RightKey: 0,
 		}},
 	}
+	engines := map[string]exec.Engine{"vector/workers=1": vector.New()}
+	names := []string{"vector/workers=1"}
+	for _, w := range workerCounts() {
+		name := fmt.Sprintf("jit/workers=%d", w)
+		engines[name] = jit.NewParallel(poolOptions(b, w))
+		names = append(names, name)
+	}
 	for _, spec := range plans {
-		for _, w := range workerCounts() {
-			opt := par.Options{Workers: w}
-			engines := map[string]exec.Engine{"jit": jit.NewParallel(opt), "vector": vector.NewParallel(opt)}
-			if w == 1 {
-				engines = map[string]exec.Engine{"jit": jit.New(), "vector": vector.New()}
-			}
-			for _, name := range []string{"jit", "vector"} {
-				e := engines[name]
-				b.Run(fmt.Sprintf("%s/%s/workers=%d", spec.name, name, w), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						e.Run(spec.p, cat)
-					}
-				})
-			}
+		for _, name := range names {
+			e := engines[name]
+			b.Run(spec.name+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					e.Run(spec.p, cat)
+				}
+			})
 		}
 	}
 }

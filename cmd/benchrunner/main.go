@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/exec/par"
 	"repro/internal/experiments"
 )
 
@@ -38,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		all     = fs.Bool("all", false, "run every experiment")
 		quick   = fs.Bool("quick", false, "shrink data sets for a fast pass")
 		list    = fs.Bool("list", false, "list experiment ids")
-		workers = fs.Int("workers", 0, "morsel-scheduler workers for the JiT engine (0 or 1 = serial, as the paper measures; -1 = all cores)")
+		workers = fs.Int("workers", 0, "size of the worker pool the JiT engine runs on (0 or 1 = serial, as the paper measures; -1 = all cores)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -51,7 +52,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "experiments:", strings.Join(experiments.IDs(), " "))
 		return 0
 	}
-	opt := experiments.Options{Quick: *quick, Workers: *workers}
+	opt := experiments.Options{Quick: *quick}
+	if *workers < 0 || *workers > 1 {
+		pool := par.NewPool(max(*workers, 0)) // 0 = GOMAXPROCS
+		defer pool.Close()
+		opt.Par = par.WithPool(pool)
+	}
 	switch {
 	case *all:
 		for _, rep := range experiments.All(opt) {

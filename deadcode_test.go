@@ -30,7 +30,6 @@ var deadAllowed = map[string]string{
 	"internal/service.DB.{AddWorkload,SetLogger,Unwrap}": "benchmark/ sets up the served database through them",
 	"internal/service.Stats.{Checkpoints,Epoch,PlanCacheHits,PlanCacheMiss,PlanEvictions,Queued,Rejected}": "benchmark/ reads these DB.Stats fields",
 
-	"internal/exec/vector.NewParallel":                           "the parallel vector engine is the differential oracle of the engine and experiments tests",
 	"internal/layout.Exhaustive":                                 "exhaustive layout search is the oracle the layout and plan tests hold BPi to",
 	"internal/mem.Hierarchy.{Reset,Stats}":                       "the mem and pattern tests reset the simulator and read its per-level counters",
 	"internal/mem.Stats.{Accesses,Evictions,Hits,PrefetchFills}": "simulator counters the mem and pattern tests assert",

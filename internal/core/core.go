@@ -80,18 +80,14 @@ func Open() *DB {
 
 // SetParOptions installs the compiled engine with explicit morsel-
 // scheduler options — the way to share one process-wide par.Pool across
-// databases or with the service layer. Options that resolve to a single
-// worker select the serial engine (the paper's single-core
-// configuration); the parallel engine returns identical rows in
-// identical order. Write transactions run their relayouts, clips and
-// index builds on the same options.
+// databases or with the service layer. Serial options, or a pool of one
+// worker, run the engine serially (the paper's single-core
+// configuration); a larger pool returns identical rows in identical
+// order. Write transactions run their relayouts, clips and index builds
+// on the same options.
 func (db *DB) SetParOptions(opt par.Options) *DB {
 	db.opt = opt
-	if !opt.Parallel() {
-		db.engine = jit.New()
-	} else {
-		db.engine = jit.NewParallel(opt)
-	}
+	db.engine = jit.NewParallel(opt)
 	return db
 }
 

@@ -320,7 +320,9 @@ func TestSnapshotStableAcrossAppendRows(t *testing.T) {
 func indexedDB(t *testing.T, rows int) (*DB, *storage.Schema) {
 	t.Helper()
 	db, schema := buildDB(rows)
-	db.SetParOptions(par.Options{Workers: 2, MorselRows: 1000})
+	pool := par.NewPool(2)
+	t.Cleanup(pool.Close)
+	db.SetParOptions(par.Options{Pool: pool, MorselRows: 1000})
 	db.CreateHashIndex("events", 0)
 	tx := db.BeginWrite()
 	if err := tx.CreateIndex("events", 2, index.KindRBTree); err != nil {

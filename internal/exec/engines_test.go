@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -20,13 +21,24 @@ import (
 	"repro/internal/storage"
 )
 
+// testPool is the one pool the morsel-parallel jit engine of every
+// differential test runs on.
+var testPool *par.Pool
+
+func TestMain(m *testing.M) {
+	testPool = par.NewPool(3)
+	code := m.Run()
+	testPool.Close()
+	os.Exit(code)
+}
+
 func engines() []exec.Engine {
-	// The morsel-parallel engines ride along in every differential test;
-	// tiny morsels force real multi-morsel merges on these small tables.
-	popt := par.Options{Workers: 3, MorselRows: 128}
+	// The morsel-parallel jit engine rides along in every differential
+	// test; tiny morsels force real multi-morsel merges on these small
+	// tables.
 	return []exec.Engine{
 		volcano.New(), bulk.New(), hyrise.New(), jit.New(), vector.New(),
-		jit.NewParallel(popt), vector.NewParallel(popt),
+		jit.NewParallel(par.Options{Pool: testPool, MorselRows: 128}),
 	}
 }
 

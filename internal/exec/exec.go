@@ -8,9 +8,10 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/exec/par"
 	"repro/internal/exec/result"
+	"repro/internal/exec/sortpar"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -90,25 +91,13 @@ func PlanIndexAccess(c *plan.Catalog, table string, filter expr.Pred) (IndexAcce
 	return IndexAccess{}, false
 }
 
-// SortRows orders rows in place by the sort keys (encoded words are
-// order-preserving for every type). The serial baseline engines (volcano,
-// bulk, hyrise) sort through it; jit and vector use sortpar.Sort, whose
-// output is bit-identical — equal-key order included — for any worker
-// count.
+// SortRows orders rows in place by the sort keys, stably (encoded words
+// are order-preserving for every type). The serial baseline engines
+// (volcano, bulk, hyrise) sort through it; it is sortpar.Sort under
+// serial options, the order jit's parallel sort reproduces for any
+// worker count.
 func SortRows(rows [][]storage.Word, keys []plan.SortKey) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			a, b := rows[i][k.Pos], rows[j][k.Pos]
-			if a == b {
-				continue
-			}
-			if k.Desc {
-				return a > b
-			}
-			return a < b
-		}
-		return false
-	})
+	sortpar.Sort(rows, keys, par.Serial())
 }
 
 // MaxGroupCols bounds the group-by arity of the fixed-size group key.

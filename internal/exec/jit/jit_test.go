@@ -17,6 +17,17 @@ import (
 // the scan-aggregate kernel (its full contract is in scanagg_test.go), how
 // pipelines decompose, index sources and multi-match probe behaviour.
 
+// testPools starts one pool per worker count, each closed when the test
+// ends.
+func testPools(t testing.TB, workers ...int) []*par.Pool {
+	pools := make([]*par.Pool, len(workers))
+	for i, w := range workers {
+		pools[i] = par.NewPool(w)
+		t.Cleanup(pools[i].Close)
+	}
+	return pools
+}
+
 func buildIdx(rel *storage.Relation) index.Index {
 	return index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0, par.Serial())
 }

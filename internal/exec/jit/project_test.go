@@ -98,6 +98,7 @@ func TestProjectGatherMatchesSerial(t *testing.T) {
 			Exprs: []expr.Expr{expr.IntCol(1), expr.Col{Attr: 5, Ty: storage.Float64}},
 		},
 	}
+	pools := testPools(t, 1, 2, 4)
 	for name, n := range plans {
 		serial := New().Run(n, c)
 		if want := bulk.New().Run(n, c); !result.EqualUnordered(serial, want) {
@@ -106,9 +107,9 @@ func TestProjectGatherMatchesSerial(t *testing.T) {
 		if serial.Len() == 0 {
 			t.Fatalf("%s: no rows pass", name)
 		}
-		for _, workers := range []int{1, 2, 4} {
+		for _, pool := range pools {
 			for _, morsel := range []int{0, 1000} {
-				got := NewParallel(par.Options{Workers: workers, MorselRows: morsel}).Run(n, c)
+				workers, got := pool.Workers(), NewParallel(par.Options{Pool: pool, MorselRows: morsel}).Run(n, c)
 				if !result.Equal(got, serial) {
 					t.Errorf("%s, workers=%d morsel=%d: %d rows differ from serial jit's %d", name, workers, morsel, got.Len(), serial.Len())
 				}
@@ -119,7 +120,7 @@ func TestProjectGatherMatchesSerial(t *testing.T) {
 	// With 4,096-row morsels, id < 8,192 passes every row of morsels 0 and
 	// 1 and none of the others: the first two fill their last chunk, capped
 	// at the rows left, exactly, and the others allocate nothing.
-	n, opt := widePlan(8_192), par.Options{Workers: 2, MorselRows: 4096}
+	n, opt := widePlan(8_192), par.Options{Pool: pools[1], MorselRows: 4096}
 	p := compilePipe(n, c, opt, &traceBuild{}, 0)
 	s := newRowSink(p, opt)
 	p.run(opt, nil, s)
@@ -148,7 +149,7 @@ func BenchmarkProject(b *testing.B) {
 	c := plan.NewCatalog().Add(recentRelation(100_000, 1, false))
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prep := PrepareOpt(widePlan(50_000), c, par.Options{Workers: workers})
+			prep := PrepareOpt(widePlan(50_000), c, par.WithPool(testPools(b, workers)[0]))
 			b.ReportAllocs()
 			for b.Loop() {
 				if prep.Exec().Len() != 50_000 {

@@ -14,20 +14,19 @@ import (
 	"repro/internal/storage"
 )
 
-// Engine is the JiT-compilation engine. The zero value runs scans on every
-// core; use New for the serial engine or NewParallel to pick a worker
-// count.
+// Engine is the JiT-compilation engine, the one engine that runs in
+// parallel. The zero value is serial; NewParallel runs it on a pool.
 type Engine struct {
 	opt par.Options
 }
 
-// New returns the serial engine (workers = 1), the configuration of the
-// paper's single-core measurements.
+// New returns the serial engine, the configuration of the paper's
+// single-core measurements.
 func New() Engine { return Engine{opt: par.Serial()} }
 
 // NewParallel returns an engine whose table scans run under the morsel
-// scheduler with the given options (Workers == 0 means GOMAXPROCS).
-// Results are identical to the serial engine's, row order included.
+// scheduler with the given options, on their pool. Results are identical
+// to the serial engine's, row order included.
 func NewParallel(opt par.Options) Engine { return Engine{opt: opt} }
 
 // Name returns "jit".

@@ -191,7 +191,7 @@ func TestScanAggKernel(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, opt := range []par.Options{par.Serial(), {Workers: 2, MorselRows: 1000}} {
+			for _, opt := range []par.Options{par.Serial(), {Pool: testPools(t, 2)[0], MorselRows: 1000}} {
 				p := compilePipe(tc.v.Child, c, opt, &traceBuild{}, 0)
 				var got [][]storage.Word
 				served := false
@@ -250,11 +250,12 @@ func TestScanAggDifferential(t *testing.T) {
 	for _, s := range []float64{0, 0.001, 0.5, 1} {
 		filters[fmt.Sprintf("s=%g", s)] = expr.Cmp{Attr: 1, Op: expr.Lt, Val: storage.EncodeInt(int64(s * ordersCustomers))}
 	}
+	pools := testPools(t, 1, 2, 4)
 	for name, layout := range layouts {
 		c := plan.NewCatalog().Add(rel.WithLayout(layout, par.Serial()))
-		for _, workers := range []int{1, 2, 4} {
+		for _, pool := range pools {
 			for _, morsel := range []int{512, 1000, 0} {
-				opt := par.Options{Workers: workers, MorselRows: morsel}
+				workers, opt := pool.Workers(), par.Options{Pool: pool, MorselRows: morsel}
 				for fname, filter := range filters {
 					t.Run(fmt.Sprintf("%s/workers=%d/morsel=%d/%s", name, workers, morsel, fname), func(t *testing.T) {
 						checkKernel(t, plan.Aggregate{
@@ -299,6 +300,7 @@ func TestScanAggTests(t *testing.T) {
 		expr.NotNull{Attr: 1},
 	)
 	outer := expr.Cmp{Attr: 6, Op: expr.Ge, Val: storage.EncodeInt(100)}
+	pools := testPools(t, 1, 2)
 	for _, p := range preds {
 		for _, filter := range []expr.Pred{p, expr.And{Preds: []expr.Pred{outer, p}}} {
 			v := plan.Aggregate{
@@ -306,8 +308,8 @@ func TestScanAggTests(t *testing.T) {
 				GroupBy: []int{0},
 				Aggs:    []expr.AggSpec{{Kind: expr.Sum, Arg: expr.IntCol(1), Name: "m5"}, {Kind: expr.Count, Name: "n"}},
 			}
-			for _, workers := range []int{1, 2} {
-				checkKernel(t, v, c, par.Options{Workers: workers, MorselRows: 1000})
+			for _, pool := range pools {
+				checkKernel(t, v, c, par.Options{Pool: pool, MorselRows: 1000})
 			}
 		}
 	}
@@ -324,7 +326,7 @@ func TestScanAggDictionaryGrowth(t *testing.T) {
 		GroupBy: []int{0},
 		Aggs:    []expr.AggSpec{{Kind: expr.Count, Name: "n"}, {Kind: expr.Sum, Arg: expr.IntCol(1), Name: "m5"}},
 	}
-	opt := par.Options{Workers: 2, MorselRows: 512}
+	opt := par.Options{Pool: testPools(t, 2)[0], MorselRows: 512}
 	old := PrepareOpt(v, c, opt)
 	before := old.Exec()
 
@@ -376,6 +378,7 @@ func TestScanAggKeysOutsideDictionary(t *testing.T) {
 		GroupBy: []int{0},
 		Aggs:    []expr.AggSpec{{Kind: expr.Count, Name: "n"}, {Kind: expr.Sum, Arg: expr.IntCol(1), Name: "m5"}},
 	}
+	pool := testPools(t, 2)[0]
 	for _, key := range []storage.Word{n, n + 10, 1<<32 | 3, storage.EncodeInt(5)} {
 		next := rel.CloneForWrite()
 		vals := make([]storage.Word, 12)
@@ -385,7 +388,7 @@ func TestScanAggKeysOutsideDictionary(t *testing.T) {
 		vals[10], vals[11] = 0, key
 		next.AppendRows(vals)
 		c := plan.NewCatalog().Add(next)
-		for _, opt := range []par.Options{par.Serial(), {Workers: 2, MorselRows: 512}} {
+		for _, opt := range []par.Options{par.Serial(), {Pool: pool, MorselRows: 512}} {
 			t.Run(fmt.Sprintf("key=%#x/workers=%d", key, opt.WorkerCount()), func(t *testing.T) {
 				checkKernel(t, v, c, opt)
 				checkTrace(t, v, c, opt)
@@ -415,7 +418,7 @@ func BenchmarkScanAgg(b *testing.B) {
 	for i, n := range scanAggPlans() {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("plan=%d/workers=%d", i, workers), func(b *testing.B) {
-				prep := PrepareOpt(n, c, par.Options{Workers: workers})
+				prep := PrepareOpt(n, c, par.WithPool(testPools(b, workers)[0]))
 				b.ReportAllocs()
 				for b.Loop() {
 					prep.Exec()

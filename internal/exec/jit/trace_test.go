@@ -246,9 +246,10 @@ func pipeSource(n plan.Node) (plan.Scan, bool) {
 // as the bulk engine, and every operator's rowsIn/rowsOut and per-worker
 // lanes are those of the subplans it stands for.
 func TestTraceOracle(t *testing.T) {
+	pools := testPools(t, 1, 2, 4)
 	for layout, c := range oracleCatalogs() {
-		for _, workers := range []int{1, 2, 4} {
-			opt := par.Options{Workers: workers, MorselRows: oracleMorsel}
+		for _, pool := range pools {
+			workers, opt := pool.Workers(), par.Options{Pool: pool, MorselRows: oracleMorsel}
 			for _, pl := range oraclePlans() {
 				t.Run(fmt.Sprintf("%s/workers=%d/%s", layout, workers, pl.name), func(t *testing.T) {
 					checkTrace(t, pl.node, c, opt)

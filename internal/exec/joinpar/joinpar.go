@@ -1,5 +1,7 @@
-// Package joinpar parallelizes the hash-join build — the second pipeline
-// breaker — on the shared morsel scheduler: build rows are radix-
+// Package joinpar builds the hash-join table — the second pipeline
+// breaker — from materialized build rows, the one form every engine
+// drains its build side into. Under parallel options (jit on a shared
+// pool) the build runs on the morsel scheduler: build rows are radix-
 // partitioned by a hash of the join key (parallel histogram over morsels,
 // prefix sums, then an order-preserving parallel scatter into cache-sized
 // partitions), and the per-partition hash tables are built in parallel,
@@ -9,8 +11,8 @@
 // Determinism contract: within a partition, rows land in original build
 // order (morsel ranges are scattered at offsets ordered by morsel index,
 // and a key's rows all hash to one partition), so every key's match list
-// enumerates build rows in exactly the order the serial flat-buffer build
-// produced — probe outputs are bit-identical to the serial engines'.
+// enumerates build rows in exactly the order the serial build produces —
+// probe outputs are bit-identical to the serial engines'.
 package joinpar
 
 import (
@@ -45,75 +47,22 @@ type part struct {
 	table map[storage.Word][]int32
 }
 
-// source abstracts how build rows are addressed, so the slice-of-rows
-// (jit) and flat-buffer (vector) producers share one partitioning
-// pipeline. buildFrom instantiates per concrete type, keeping the hot
-// loops devirtualized.
-type source interface {
-	keyAt(i int) storage.Word
-	rowAt(i int) []storage.Word
-}
-
-type sliceSrc struct {
-	rows [][]storage.Word
-	key  int
-}
-
-func (s sliceSrc) keyAt(i int) storage.Word   { return s.rows[i][s.key] }
-func (s sliceSrc) rowAt(i int) []storage.Word { return s.rows[i] }
-
-type flatSrc struct {
-	flat       []storage.Word
-	key, width int
-}
-
-func (s flatSrc) keyAt(i int) storage.Word   { return s.flat[i*s.width+s.key] }
-func (s flatSrc) rowAt(i int) []storage.Word { return s.flat[i*s.width : (i+1)*s.width] }
-
 // Build constructs the join table over materialized build rows. key is
 // the join-key column, width the row arity. Serial options (or a small
-// build) produce a single flat partition — exactly the layout the engines
-// built inline before partitioning existed.
+// build) produce a single flat partition; parallel options run a
+// histogram, prefix sums, an order-preserving scatter and per-partition
+// tables on the pool.
 func Build(rows [][]storage.Word, key, width int, opt par.Options) *Table {
-	return buildFrom(sliceSrc{rows: rows, key: key}, len(rows), key, width, opt)
-}
-
-// BuildFlat constructs the join table from an already-flat row-major
-// buffer (stride width), the form batch-at-a-time producers assemble
-// directly. Serial options adopt the buffer as the single partition
-// without copying; parallel options radix-partition out of it.
-func BuildFlat(flat []storage.Word, key, width int, opt par.Options) *Table {
-	n := 0
-	if width > 0 {
-		n = len(flat) / width
-	}
-	if pickBits(n, opt) == 0 {
-		t := &Table{shift: 64, parts: make([]part, 1)}
-		p := &t.parts[0]
-		p.build = flat
-		p.table = make(map[storage.Word][]int32, n)
-		for i := 0; i < n; i++ {
-			k := flat[i*width+key]
-			p.table[k] = append(p.table[k], int32(i))
-		}
-		return t
-	}
-	return buildFrom(flatSrc{flat: flat, key: key, width: width}, n, key, width, opt)
-}
-
-// buildFrom is the shared pipeline: serial fallback, or histogram →
-// prefix sums → order-preserving scatter → per-partition tables.
-func buildFrom[S source](src S, n, key, width int, opt par.Options) *Table {
+	n := len(rows)
 	bits := pickBits(n, opt)
 	if bits == 0 {
 		t := &Table{shift: 64, parts: make([]part, 1)}
 		p := &t.parts[0]
 		p.build = make([]storage.Word, 0, n*width)
 		p.table = make(map[storage.Word][]int32, n)
-		for i := 0; i < n; i++ {
-			p.build = append(p.build, src.rowAt(i)...)
-			k := src.keyAt(i)
-			p.table[k] = append(p.table[k], int32(i))
+		for i, row := range rows {
+			p.build = append(p.build, row...)
+			p.table[row[key]] = append(p.table[row[key]], int32(i))
 		}
 		return t
 	}
@@ -128,7 +77,7 @@ func buildFrom[S source](src S, n, key, width int, opt par.Options) *Table {
 	par.Run(n, opt, func(_, m, lo, hi int) {
 		c := counts[m*P : (m+1)*P]
 		for i := lo; i < hi; i++ {
-			c[(src.keyAt(i)*hashMul)>>shift]++
+			c[(rows[i][key]*hashMul)>>shift]++
 		}
 	})
 
@@ -150,7 +99,7 @@ func buildFrom[S source](src S, n, key, width int, opt par.Options) *Table {
 	par.Run(n, opt, func(_, m, lo, hi int) {
 		cur := offsets[m*P : (m+1)*P]
 		for i := lo; i < hi; i++ {
-			row := src.rowAt(i)
+			row := rows[i]
 			p := (row[key] * hashMul) >> shift
 			copy(t.parts[p].build[int(cur[p])*width:], row)
 			cur[p]++
@@ -159,7 +108,7 @@ func buildFrom[S source](src S, n, key, width int, opt par.Options) *Table {
 
 	// Phase 3: per-partition tables, one partition per scheduler unit
 	// (partitions are independent).
-	par.Run(P, par.Options{Workers: opt.Workers, MorselRows: 1, Pool: opt.Pool}, func(_, p, _, _ int) {
+	par.Run(P, par.Options{Pool: opt.Pool, MorselRows: 1}, func(_, p, _, _ int) {
 		pt := &t.parts[p]
 		rowsIn := len(pt.build) / width
 		tbl := make(map[storage.Word][]int32, rowsIn)

@@ -23,6 +23,14 @@ func genBuild(n, distinct int, seed int64) [][]storage.Word {
 	return rows
 }
 
+// newTestPool starts a pool of n workers that the test closes when it
+// ends.
+func newTestPool(t testing.TB, n int) *par.Pool {
+	pool := par.NewPool(n)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
 // serialMatches replays the pre-partitioning flat build: per key, build row
 // indices in input order.
 func serialMatches(rows [][]storage.Word, key int) map[storage.Word][]int {
@@ -79,10 +87,14 @@ func assertTableMatchesSerial(t *testing.T, label string, rows [][]storage.Word,
 // morsels force many morsels so the scatter's morsel-order guarantee is
 // exercised, not bypassed.
 func TestPartitionedBuildMatchesSerial(t *testing.T) {
+	var pools []*par.Pool
+	for _, workers := range []int{1, 2, 4, 8} {
+		pools = append(pools, newTestPool(t, workers))
+	}
 	for _, n := range []int{0, 1, 100, minPartitionRows, 60_000} {
 		rows := genBuild(n, 97, int64(n)+5)
-		for _, workers := range []int{1, 2, 4, 8} {
-			opt := par.Options{Workers: workers, MorselRows: 2048}
+		for _, pool := range pools {
+			workers, opt := pool.Workers(), par.Options{Pool: pool, MorselRows: 2048}
 			tbl := Build(rows, 0, 2, opt)
 			label := fmt.Sprintf("n=%d workers=%d parts=%d", n, workers, len(tbl.parts))
 			if workers > 1 && n >= minPartitionRows && len(tbl.parts) == 1 {
@@ -96,41 +108,10 @@ func TestPartitionedBuildMatchesSerial(t *testing.T) {
 	}
 }
 
-func flatten(rows [][]storage.Word) []storage.Word {
-	var flat []storage.Word
-	for _, r := range rows {
-		flat = append(flat, r...)
-	}
-	return flat
-}
-
-// TestBuildFlatMatchesSerial: the batch-producer entry point must behave
-// identically to Build — including adopting the caller's buffer (no copy)
-// on the serial path.
-func TestBuildFlatMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 100, minPartitionRows, 50_000} {
-		rows := genBuild(n, 53, int64(n)+9)
-		for _, workers := range []int{1, 2, 8} {
-			opt := par.Options{Workers: workers, MorselRows: 2048}
-			flat := flatten(rows)
-			tbl := BuildFlat(flat, 0, 2, opt)
-			label := fmt.Sprintf("flat n=%d workers=%d parts=%d", n, workers, len(tbl.parts))
-			assertTableMatchesSerial(t, label, rows, tbl, 0, 2)
-			if workers == 1 && n > 0 {
-				if _, got := tbl.Lookup(rows[0][0]); &got[0] != &flat[0] {
-					t.Fatalf("%s: serial BuildFlat must adopt the caller's buffer", label)
-				}
-			}
-		}
-	}
-}
-
 // TestBuildOnPool runs the three build phases on a shared pool.
 func TestBuildOnPool(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
 	rows := genBuild(40_000, 1000, 11)
-	tbl := Build(rows, 0, 2, par.Options{Pool: pool, MorselRows: 4096})
+	tbl := Build(rows, 0, 2, par.Options{Pool: newTestPool(t, 4), MorselRows: 4096})
 	assertTableMatchesSerial(t, "pool", rows, tbl, 0, 2)
 }
 
@@ -146,7 +127,7 @@ func TestBuildWideRowsNonZeroKey(t *testing.T) {
 			storage.EncodeInt(int64(i % 3)),
 		}
 	}
-	tbl := Build(rows, 1, 4, par.Options{Workers: 4, MorselRows: 1024})
+	tbl := Build(rows, 1, 4, par.Options{Pool: newTestPool(t, 4), MorselRows: 1024})
 	assertTableMatchesSerial(t, "wide", rows, tbl, 1, 4)
 }
 
@@ -156,8 +137,8 @@ func TestBuildWideRowsNonZeroKey(t *testing.T) {
 func BenchmarkBuild(b *testing.B) {
 	rows := genBuild(1_000_000, 1_000_000, 1)
 	for _, w := range []int{1, 2, 4, 8} {
-		opt := par.Options{Workers: w}
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			opt := par.WithPool(newTestPool(b, w))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Build(rows, 0, 2, opt)

@@ -1,51 +1,76 @@
 package par
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 )
 
-// TestRunCoversAllRowsExactlyOnce: the morsel ranges partition [0, n) for
-// awkward sizes (not multiples of the morsel, smaller than one morsel,
-// empty).
+// newTestPool starts a pool of n workers that the test closes when it
+// ends.
+func newTestPool(t testing.TB, n int) *Pool {
+	pool := NewPool(n)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// TestRunCoversAllRowsExactlyOnce: without a pool the morsel ranges
+// still partition [0, n) for awkward sizes (not multiples of the morsel,
+// smaller than one morsel, empty), each morsel runs once, and every call
+// is worker 0 on the caller's goroutine.
 func TestRunCoversAllRowsExactlyOnce(t *testing.T) {
+	opt := Options{MorselRows: 4096}
 	for _, n := range []int{0, 1, 7, 4096, 4097, 100_000} {
-		for _, workers := range []int{1, 2, 3, 8} {
-			opt := Options{Workers: workers, MorselRows: 4096}
-			var mu sync.Mutex
-			seen := make([]int, n)
-			morsels := map[int]bool{}
-			Run(n, opt, func(worker, morsel, lo, hi int) {
-				if worker < 0 || worker >= opt.WorkerCount() {
-					t.Errorf("worker id %d out of range", worker)
-				}
-				mu.Lock()
-				if morsels[morsel] {
-					t.Errorf("morsel %d claimed twice", morsel)
-				}
-				morsels[morsel] = true
-				for r := lo; r < hi; r++ {
-					seen[r]++
-				}
-				mu.Unlock()
-			})
-			for r, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d workers=%d: row %d processed %d times", n, workers, r, c)
-				}
+		seen := make([]int, n)
+		morsels := map[int]bool{}
+		Run(n, opt, func(worker, morsel, lo, hi int) {
+			if worker != 0 {
+				t.Errorf("serial run called worker %d, want 0", worker)
 			}
-			if len(morsels) != opt.Morsels(n) {
-				t.Fatalf("n=%d workers=%d: %d morsels ran, want %d", n, workers, len(morsels), opt.Morsels(n))
+			if morsels[morsel] {
+				t.Errorf("morsel %d claimed twice", morsel)
+			}
+			morsels[morsel] = true
+			for r := lo; r < hi; r++ {
+				seen[r]++
+			}
+		})
+		for r, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: row %d processed %d times", n, r, c)
 			}
 		}
+		if len(morsels) != opt.Morsels(n) {
+			t.Fatalf("n=%d: %d morsels ran, want %d", n, len(morsels), opt.Morsels(n))
+		}
+	}
+}
+
+// TestPanicPropagates: a panic inside a body must surface on the caller,
+// on the serial inline path and on a pool alike.
+func TestPanicPropagates(t *testing.T) {
+	for name, opt := range map[string]Options{
+		"serial": {MorselRows: 100},
+		"pool":   {Pool: newTestPool(t, 4), MorselRows: 100},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: body panic did not propagate", name)
+				}
+			}()
+			Run(10_000, opt, func(_, morsel, _, _ int) {
+				if morsel == 7 {
+					panic("boom")
+				}
+			})
+		}()
 	}
 }
 
 // TestMorselIndexMatchesRange: morsel i must always be the range starting
 // at i*MorselRows — the invariant the deterministic output merge rests on.
 func TestMorselIndexMatchesRange(t *testing.T) {
-	opt := Options{Workers: 4, MorselRows: 1000}
+	opt := Options{Pool: newTestPool(t, 4), MorselRows: 1000}
 	Run(10_500, opt, func(_, morsel, lo, hi int) {
 		if lo != morsel*1000 {
 			t.Errorf("morsel %d starts at %d, want %d", morsel, lo, morsel*1000)
@@ -56,18 +81,24 @@ func TestMorselIndexMatchesRange(t *testing.T) {
 	})
 }
 
+// TestWorkerCountDefaults: the zero value is serial, and options with a
+// pool run on that pool's workers.
 func TestWorkerCountDefaults(t *testing.T) {
-	if got := (Options{}).WorkerCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("zero options workers = %d, want GOMAXPROCS", got)
+	if (Options{}) != Serial() {
+		t.Error("the zero value must be the serial options")
 	}
-	if got := Serial().WorkerCount(); got != 1 {
-		t.Errorf("Serial workers = %d, want 1", got)
+	if got := (Options{}).WorkerCount(); got != 1 {
+		t.Errorf("zero options workers = %d, want 1", got)
 	}
 	if Serial().Parallel() {
 		t.Error("Serial must not report parallel")
 	}
-	if !(Options{Workers: 2}).Parallel() {
-		t.Error("two workers must report parallel")
+	pool := newTestPool(t, 2)
+	if opt := WithPool(pool); opt.WorkerCount() != 2 || !opt.Parallel() {
+		t.Errorf("a two-worker pool: %d workers, parallel %v", opt.WorkerCount(), opt.Parallel())
+	}
+	if WithPool(newTestPool(t, 1)).Parallel() {
+		t.Error("a one-worker pool must not report parallel")
 	}
 }
 
@@ -79,21 +110,6 @@ func TestMorselsOf(t *testing.T) {
 			t.Errorf("Morsels(%d) = %d, want %d", n, got, want)
 		}
 	}
-}
-
-// TestPanicPropagates: a panic inside a worker must surface on the caller,
-// not crash the process from a goroutine.
-func TestPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic did not propagate")
-		}
-	}()
-	Run(10_000, Options{Workers: 4, MorselRows: 100}, func(_, morsel, _, _ int) {
-		if morsel == 7 {
-			panic("boom")
-		}
-	})
 }
 
 // TestDefaultMorselRule: with MorselRows unset a scan is cut into at least
@@ -110,9 +126,10 @@ func TestDefaultMorselRule(t *testing.T) {
 		100_000:   {4, 8, 13},
 		2_000_000: {31, 31, 31},
 	}
+	pools := []*Pool{newTestPool(t, 1), newTestPool(t, 2), newTestPool(t, 4)}
 	for n, counts := range want {
-		for i, workers := range []int{1, 2, 4} {
-			opt := Options{Workers: workers}
+		for i, pool := range pools {
+			opt, workers := WithPool(pool), pool.Workers()
 			if got := opt.Morsels(n); got != counts[i] {
 				t.Errorf("n=%d workers=%d: %d morsels, want %d", n, workers, got, counts[i])
 			}
@@ -150,10 +167,10 @@ func TestDefaultMorselRule(t *testing.T) {
 			}
 		}
 	}
-	if got := (Options{Workers: 2}).Morsels(2_000_000); got != 31 || (Options{Workers: 2}).morselRows(2_000_000) != DefaultMorselRows {
-		t.Errorf("2,000,000 rows at 2 workers: %d morsels, want 31 of %d rows", got, DefaultMorselRows)
+	if two := WithPool(pools[1]); two.Morsels(2_000_000) != 31 || two.morselRows(2_000_000) != DefaultMorselRows {
+		t.Errorf("2,000,000 rows at 2 workers: %d morsels, want 31 of %d rows", two.Morsels(2_000_000), DefaultMorselRows)
 	}
-	explicit := Options{Workers: 2, MorselRows: 2048}
+	explicit := Options{Pool: pools[1], MorselRows: 2048}
 	if got := explicit.Morsels(50_000); got != 25 {
 		t.Errorf("MorselRows 2048 over 50,000 rows: %d morsels, want 25", got)
 	}

@@ -8,16 +8,15 @@ import (
 	"time"
 )
 
-// Pool is a process-wide morsel scheduler shared by concurrent queries.
-// Where the per-query path of Run spins up workers for one scan and tears
-// them down again, a Pool keeps a fixed set of worker goroutines alive and
-// multiplexes every submitted job (one job = one parallel scan) across
-// them: workers claim morsels from the active jobs in round-robin order,
-// so two queries submitted together each make progress instead of the
-// first monopolizing the machine until it finishes.
+// Pool is a process-wide morsel scheduler shared by concurrent queries and
+// the only place the execution and storage layers start goroutines. It
+// keeps a fixed set of worker goroutines alive and multiplexes every
+// submitted job (one job = one parallel scan) across them: workers claim
+// morsels from the active jobs in round-robin order, so two queries
+// submitted together each make progress instead of the first
+// monopolizing the machine until it finishes.
 //
-// The determinism contract of Run is unchanged under a Pool: morsels are
-// still numbered in row order and callers still merge per-morsel output
+// Morsels are numbered in row order and callers merge per-morsel output
 // buffers in morsel order, so which worker runs which morsel — and how
 // jobs interleave — never shows up in results.
 //

@@ -6,29 +6,39 @@ import (
 	"time"
 )
 
-// TestPoolRunCoversAllMorsels checks that pool-backed Run visits every row
-// exactly once with in-range worker ids.
+// TestPoolRunCoversAllMorsels: the morsel ranges partition [0, n) for
+// awkward sizes (not multiples of the morsel, smaller than one morsel,
+// empty), every morsel is claimed once, and worker ids are in range.
 func TestPoolRunCoversAllMorsels(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	opt := Options{Pool: pool, MorselRows: 128}
-
-	const n = 10_000
-	var mu sync.Mutex
-	seen := make([]int, n)
-	Run(n, opt, func(worker, morsel, lo, hi int) {
-		if worker < 0 || worker >= pool.Workers() {
-			t.Errorf("worker id %d out of range [0,%d)", worker, pool.Workers())
-		}
-		mu.Lock()
-		for r := lo; r < hi; r++ {
-			seen[r]++
-		}
-		mu.Unlock()
-	})
-	for r, c := range seen {
-		if c != 1 {
-			t.Fatalf("row %d visited %d times", r, c)
+	for _, workers := range []int{1, 2, 3, 8} {
+		pool := newTestPool(t, workers)
+		opt := Options{Pool: pool, MorselRows: 4096}
+		for _, n := range []int{0, 1, 7, 4096, 4097, 100_000} {
+			var mu sync.Mutex
+			seen := make([]int, n)
+			morsels := map[int]bool{}
+			Run(n, opt, func(worker, morsel, lo, hi int) {
+				if worker < 0 || worker >= pool.Workers() {
+					t.Errorf("worker id %d out of range [0,%d)", worker, pool.Workers())
+				}
+				mu.Lock()
+				if morsels[morsel] {
+					t.Errorf("morsel %d claimed twice", morsel)
+				}
+				morsels[morsel] = true
+				for r := lo; r < hi; r++ {
+					seen[r]++
+				}
+				mu.Unlock()
+			})
+			for r, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d workers=%d: row %d processed %d times", n, workers, r, c)
+				}
+			}
+			if len(morsels) != opt.Morsels(n) {
+				t.Fatalf("n=%d workers=%d: %d morsels ran, want %d", n, workers, len(morsels), opt.Morsels(n))
+			}
 		}
 	}
 }

@@ -45,10 +45,10 @@ func Less(a, b []storage.Word, keys []plan.SortKey) bool {
 	return false
 }
 
-// Sort orders rows in place by the sort keys. The result is bit-identical
-// to exec.SortRows (sort.SliceStable): equal-key rows keep their input
-// order. With a single worker — or a small input — it is exactly
-// sort.SliceStable; otherwise contiguous runs are sorted stably on the
+// Sort orders rows in place by the sort keys, stably: equal-key rows keep
+// their input order. With a single worker — or a small input — it is
+// sort.SliceStable (exec.SortRows, the baseline engines' sort, is this
+// case); otherwise contiguous runs are sorted stably on the
 // scheduler's workers and merged pairwise, ties taken from the
 // lower-index (earlier) run.
 func Sort(rows [][]storage.Word, keys []plan.SortKey, opt par.Options) {
@@ -66,7 +66,7 @@ func Sort(rows [][]storage.Word, keys []plan.SortKey, opt par.Options) {
 	for i := range bounds {
 		bounds[i] = i * n / runs
 	}
-	runOpt := par.Options{Workers: opt.Workers, MorselRows: 1, Pool: opt.Pool}
+	runOpt := par.Options{Pool: opt.Pool, MorselRows: 1}
 	par.Run(runs, runOpt, func(_, r, _, _ int) {
 		sortRun(rows[bounds[r]:bounds[r+1]], keys)
 	})

@@ -59,18 +59,30 @@ var keySweeps = [][]plan.SortKey{
 	{{Pos: 1, Desc: true}, {Pos: 0}},
 }
 
+// newTestPool starts a pool of n workers that the test closes when it
+// ends.
+func newTestPool(t testing.TB, n int) *par.Pool {
+	pool := par.NewPool(n)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
 // TestSortMatchesSliceStable differentially checks Sort against
 // sort.SliceStable on duplicate-heavy data: the unique id column makes any
 // tie reordering visible.
 func TestSortMatchesSliceStable(t *testing.T) {
+	var pools []*par.Pool
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		pools = append(pools, newTestPool(t, workers))
+	}
 	for _, n := range []int{0, 1, 2, 5, 100, minParallelRows, 50_000} {
 		rows := genRows(n, int64(n)+1)
 		for ki, keys := range keySweeps {
 			want := cloneRows(rows)
 			sort.SliceStable(want, func(i, j int) bool { return Less(want[i], want[j], keys) })
-			for _, workers := range []int{1, 2, 3, 4, 8} {
-				got := cloneRows(rows)
-				Sort(got, keys, par.Options{Workers: workers})
+			for _, pool := range pools {
+				workers, got := pool.Workers(), cloneRows(rows)
+				Sort(got, keys, par.WithPool(pool))
 				if !rowsEqual(want, got) {
 					t.Fatalf("n=%d keys=%d workers=%d: parallel sort diverges from SliceStable", n, ki, workers)
 				}
@@ -172,7 +184,7 @@ func BenchmarkSort(b *testing.B) {
 	keys := []plan.SortKey{{Pos: 0}, {Pos: 1}}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := par.Options{Workers: workers}
+			opt := par.WithPool(newTestPool(b, workers))
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				in := cloneRows(rows)

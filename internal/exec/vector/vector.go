@@ -10,7 +10,9 @@
 // This engine is not one of the paper's three measured models — the paper
 // discusses it as related work — and is provided for the ablation
 // benchmarks (vectorization vs. compilation) and as a fifth differential
-// witness for the correctness suite.
+// witness for the correctness suite. Like volcano, bulk and hyrise it is
+// a serial witness: it runs on the calling goroutine, and jit is the one
+// engine that runs in parallel.
 package vector
 
 import (
@@ -28,19 +30,11 @@ import (
 // fit in L1/L2, large enough to amortize per-batch dispatch.
 const BatchSize = 1024
 
-// Engine is the vectorized engine. The zero value scans on every core;
-// use New for the serial engine or NewParallel to pick a worker count.
-type Engine struct {
-	opt par.Options
-}
+// Engine is the vectorized engine.
+type Engine struct{}
 
-// New returns the serial engine (workers = 1).
-func New() Engine { return Engine{opt: par.Serial()} }
-
-// NewParallel returns an engine whose base-table scans run under the
-// morsel scheduler (Workers == 0 means GOMAXPROCS). Operators above the
-// scan stay batch-serial; results are identical to the serial engine's.
-func NewParallel(opt par.Options) Engine { return Engine{opt: opt} }
+// New returns the engine.
+func New() Engine { return Engine{} }
 
 // Name returns "vector".
 func (Engine) Name() string { return "vector" }
@@ -59,12 +53,12 @@ type biter interface {
 
 // Run executes the plan batch-at-a-time. Result rows are materialized
 // through the set's arena — one allocation per arena chunk, not per row.
-func (e Engine) Run(n plan.Node, c *plan.Catalog) *result.Set {
+func (Engine) Run(n plan.Node, c *plan.Catalog) *result.Set {
 	if ins, ok := n.(plan.Insert); ok {
 		return exec.RunInsert(ins, c)
 	}
 	out := result.New(plan.Output(n, c))
-	it := build(n, c, e.opt)
+	it := build(n, c)
 	for {
 		b, ok := it.next()
 		if !ok {
@@ -80,7 +74,7 @@ func (e Engine) Run(n plan.Node, c *plan.Catalog) *result.Set {
 	return out
 }
 
-func build(n plan.Node, c *plan.Catalog, opt par.Options) biter {
+func build(n plan.Node, c *plan.Catalog) biter {
 	switch v := n.(type) {
 	case plan.Scan:
 		if acc, ok := exec.PlanIndexAccess(c, v.Table, v.Filter); ok {
@@ -88,30 +82,26 @@ func build(n plan.Node, c *plan.Catalog, opt par.Options) biter {
 			rows := c.Index(v.Table, acc.Attr).Lookup(acc.Key, nil)
 			return &indexScan{rel: rel, rows: rows, rest: acc.Rest, cols: v.Cols}
 		}
-		if opt.Parallel() {
-			return newParScan(c.Table(v.Table), v.Filter, v.Cols, opt)
-		}
 		return newScan(c.Table(v.Table), v.Filter, v.Cols)
 	case plan.Select:
-		return &selectIt{child: build(v.Child, c, opt), pred: v.Pred, out: batch{}}
+		return &selectIt{child: build(v.Child, c), pred: v.Pred, out: batch{}}
 	case plan.Project:
-		return &projectIt{child: build(v.Child, c, opt), exprs: v.Exprs}
+		return &projectIt{child: build(v.Child, c), exprs: v.Exprs}
 	case plan.HashJoin:
-		return newJoin(v, c, opt)
+		return newJoin(v, c)
 	case plan.Aggregate:
-		return newAgg(build(v.Child, c, opt), v)
+		return newAgg(build(v.Child, c), v)
 	case plan.Sort:
-		return newMaterialized(build(v.Child, c, opt), func(rows [][]storage.Word) [][]storage.Word {
-			sortpar.Sort(rows, v.Keys, opt)
-			return rows
-		})
+		rows := drain(build(v.Child, c))
+		sortpar.Sort(rows, v.Keys, par.Serial())
+		return &materializedIt{rows: rows}
 	case plan.Limit:
 		// ORDER BY … LIMIT k fuses into a bounded top-N heap: the sort
 		// retains at most k rows instead of materializing the child.
 		if srt, ok := v.Child.(plan.Sort); ok {
-			return newTopN(build(srt.Child, c, opt), srt.Keys, v.N)
+			return newTopN(build(srt.Child, c), srt.Keys, v.N)
 		}
-		return &limitIt{child: build(v.Child, c, opt), n: v.N}
+		return &limitIt{child: build(v.Child, c), n: v.N}
 	}
 	panic("vector: unsupported plan node")
 }
@@ -120,7 +110,7 @@ func build(n plan.Node, c *plan.Catalog, opt par.Options) biter {
 // primitive loop per conjunct per batch (selection vectors stay in
 // cache). The filter is pre-split into conjuncts; an empty conjunct list
 // (nil or trivially-true filter) passes every row, matching the other
-// engines and the parallel scan.
+// engines.
 type scanIt struct {
 	rel   *storage.Relation
 	conjs []expr.Pred
@@ -334,9 +324,9 @@ func (p *projectIt) next() (batch, bool) {
 	return p.out, true
 }
 
-// joinIt builds the left side eagerly — through joinpar.Build, which
-// radix-partitions the rows under parallel options and mirrors the jit
-// engine's flat probe table when serial — and probes right batches.
+// joinIt builds the left side eagerly — drained into rows and indexed by
+// joinpar.Build serially, the jit engine's flat probe table — and probes
+// right batches.
 type joinIt struct {
 	right      biter
 	jt         *joinpar.Table
@@ -346,35 +336,15 @@ type joinIt struct {
 	out        batch
 }
 
-func newJoin(v plan.HashJoin, c *plan.Catalog, opt par.Options) *joinIt {
+func newJoin(v plan.HashJoin, c *plan.Catalog) *joinIt {
 	leftWidth := len(plan.Output(v.Left, c))
-	jt := buildSide(build(v.Left, c, opt), leftWidth, v.LeftKey, opt)
 	return &joinIt{
-		right:      build(v.Right, c, opt),
-		jt:         jt,
+		jt:         joinpar.Build(drain(build(v.Left, c)), v.LeftKey, leftWidth, par.Serial()),
+		right:      build(v.Right, c),
 		rkey:       v.RightKey,
 		leftWidth:  leftWidth,
 		rightWidth: len(plan.Output(v.Right, c)),
 	}
-}
-
-// buildSide drains the build child into the flat row-major form BuildFlat
-// consumes (serial builds adopt the buffer without another copy) and
-// returns the probe table.
-func buildSide(leftIt biter, leftWidth, leftKey int, opt par.Options) *joinpar.Table {
-	var flat []storage.Word
-	for {
-		b, ok := leftIt.next()
-		if !ok {
-			break
-		}
-		for r := 0; r < b.n; r++ {
-			for i := 0; i < leftWidth; i++ {
-				flat = append(flat, b.cols[i][r])
-			}
-		}
-	}
-	return joinpar.BuildFlat(flat, leftKey, leftWidth, opt)
 }
 
 func (j *joinIt) next() (batch, bool) {
@@ -492,19 +462,20 @@ func (a *aggIt) next() (batch, bool) {
 	return b, true
 }
 
-// materializedIt drains a child, transforms rows, and re-emits batches.
+// materializedIt re-emits drained rows as batches.
 type materializedIt struct {
 	rows [][]storage.Word
 	pos  int
 }
 
-func newMaterialized(it biter, transform func([][]storage.Word) [][]storage.Word) *materializedIt {
+// drain materializes every row of it, carved from one arena.
+func drain(it biter) [][]storage.Word {
 	var rows [][]storage.Word
 	var arena result.Arena
 	for {
 		b, ok := it.next()
 		if !ok {
-			break
+			return rows
 		}
 		for r := 0; r < b.n; r++ {
 			row := arena.NewRow(len(b.cols))
@@ -514,7 +485,6 @@ func newMaterialized(it biter, transform func([][]storage.Word) [][]storage.Word
 			rows = append(rows, row)
 		}
 	}
-	return &materializedIt{rows: transform(rows)}
 }
 
 func (m *materializedIt) next() (batch, bool) {

@@ -15,32 +15,25 @@ import (
 	"repro/internal/storage"
 )
 
-// breakerWorkerCounts is the ISSUE-mandated sweep for the pipeline-breaker
+// breakerWorkerCounts is the worker sweep of the pipeline-breaker
 // differential suites.
 var breakerWorkerCounts = []int{1, 2, 4, 8}
 
-// assertOrderedMatchesSerial compares the parallel engines' output to their
-// serial forms row-for-row — Equal, not Sorted — because the parallel
-// sort, top-N and partitioned join-build all promise bit-identical row
-// order, tie resolution included.
+// assertOrderedMatchesSerial compares the parallel jit engine's output to
+// the serial engine's row-for-row — Equal, not Sorted — because the
+// parallel sort, top-N and partitioned join-build all promise
+// bit-identical row order, tie resolution included. The serial vector
+// engine's rows must be the same too.
 func assertOrderedMatchesSerial(t *testing.T, label string, p plan.Node, cat *plan.Catalog) {
 	t.Helper()
+	want := jit.New().Run(p, cat)
+	if got := vector.New().Run(p, cat); !result.Equal(want, got) {
+		t.Fatalf("%s: vector diverges from jit in ordered compare (jit %d rows, vector %d rows)", label, want.Len(), got.Len())
+	}
 	for _, workers := range breakerWorkerCounts {
-		// Small morsels force multi-morsel schedules on test-sized data.
-		opt := par.Options{Workers: workers, MorselRows: 4096}
-		for _, pair := range []struct {
-			serial   exec.Engine
-			parallel exec.Engine
-		}{
-			{serial: jit.New(), parallel: jit.NewParallel(opt)},
-			{serial: vector.New(), parallel: vector.NewParallel(opt)},
-		} {
-			want := pair.serial.Run(p, cat)
-			got := pair.parallel.Run(p, cat)
-			if !result.Equal(want, got) {
-				t.Fatalf("%s: %s with %d workers diverges from serial in ordered compare (serial %d rows, parallel %d rows)",
-					label, pair.serial.Name(), workers, want.Len(), got.Len())
-			}
+		if got := parallelJIT(workers).Run(p, cat); !result.Equal(want, got) {
+			t.Fatalf("%s: jit with %d workers diverges from serial in ordered compare (serial %d rows, parallel %d rows)",
+				label, workers, want.Len(), got.Len())
 		}
 	}
 }
@@ -154,7 +147,7 @@ func TestTopNAllocationBounded(t *testing.T) {
 	engines := []exec.Engine{
 		jit.New(),
 		vector.New(),
-		jit.NewParallel(par.Options{Workers: 4, MorselRows: 16 * 1024}),
+		jit.NewParallel(par.Options{Pool: testPool(4), MorselRows: 16 * 1024}),
 	}
 	for _, e := range engines {
 		name := e.Name()

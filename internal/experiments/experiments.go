@@ -21,45 +21,25 @@ import (
 )
 
 // Options sizes the experiments. Quick shrinks the data sets for CI;
-// Full approaches the paper's cardinalities. Workers selects the morsel
-// scheduler's worker count for the parallel-capable engines: 0 or 1
-// reproduce the paper's single-core configuration, > 1 runs scans
-// morsel-parallel, < 0 means GOMAXPROCS.
+// Full approaches the paper's cardinalities. Par is the morsel
+// scheduler the JiT engine runs on: serial (the zero value) reproduces
+// the paper's single-core configuration, a pool of more than one worker
+// runs scans morsel-parallel.
 type Options struct {
-	Quick   bool
-	Workers int
+	Quick bool
+	Par   par.Options
 }
 
-// parOptions translates the experiment-level workers knob into scheduler
-// options.
-func (o Options) parOptions() par.Options {
-	switch {
-	case o.Workers < 0:
-		return par.Options{} // GOMAXPROCS
-	case o.Workers == 0:
-		return par.Serial()
-	default:
-		return par.Options{Workers: o.Workers}
-	}
-}
+// jitEngine returns the JiT engine configured by opt.Par; every figure
+// driver that measures the JiT processor goes through it.
+func jitEngine(opt Options) exec.Engine { return jit.NewParallel(opt.Par) }
 
-// jitEngine returns the JiT engine configured by the workers knob; every
-// figure driver that measures the JiT processor goes through it.
-func jitEngine(opt Options) exec.Engine {
-	p := opt.parOptions()
-	if !p.Parallel() {
-		return jit.New()
-	}
-	return jit.NewParallel(p)
-}
-
-// workersNote renders the knob for report footnotes, or "" when serial.
+// workersNote renders opt.Par for report footnotes, or "" when serial.
 func workersNote(opt Options) string {
-	p := opt.parOptions()
-	if !p.Parallel() {
+	if !opt.Par.Parallel() {
 		return ""
 	}
-	return fmt.Sprintf("jit engine ran morsel-parallel with %d workers", p.WorkerCount())
+	return fmt.Sprintf("jit engine ran morsel-parallel with %d workers", opt.Par.WorkerCount())
 }
 
 // Report is a regenerated table or figure.

@@ -88,7 +88,7 @@ func Fig12(opt Options) *Report {
 				rng := rand.New(rand.NewSource(9))
 				prepared := make([]*jit.Prepared, variants)
 				for i := range prepared {
-					prepared[i] = jit.PrepareOpt(setup.Data.Q4For(int64(rng.Intn(setup.Data.Products.Rows()))), setup.Catalogs[l], opt.parOptions())
+					prepared[i] = jit.PrepareOpt(setup.Data.Q4For(int64(rng.Intn(setup.Data.Products.Rows()))), setup.Catalogs[l], opt.Par)
 				}
 				d = medianTime(repeats, func() {
 					for _, pq := range prepared {
@@ -96,7 +96,7 @@ func Fig12(opt Options) *Report {
 					}
 				}) / time.Duration(variants)
 			} else {
-				pq := jit.PrepareOpt(setup.Queries[qi], setup.Catalogs[l], opt.parOptions())
+				pq := jit.PrepareOpt(setup.Queries[qi], setup.Catalogs[l], opt.Par)
 				d = medianTime(repeats, func() { pq.Exec() })
 			}
 			weighted := time.Duration(float64(d) * freq)

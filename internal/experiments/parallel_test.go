@@ -9,7 +9,6 @@ import (
 	"repro/internal/exec/jit"
 	"repro/internal/exec/par"
 	"repro/internal/exec/result"
-	"repro/internal/exec/vector"
 	"repro/internal/plan"
 )
 
@@ -23,37 +22,24 @@ func parallelWorkerCounts() []int {
 	return counts
 }
 
-// parallelEngines pairs each parallel-capable engine's serial form with a
-// factory for its parallel form.
-func parallelEngines(workers int) []struct {
-	serial   exec.Engine
-	parallel exec.Engine
-} {
-	// Small morsels force many morsels even on test-sized tables, so the
-	// morsel-order merge is exercised rather than degenerating to one slot.
-	opt := par.Options{Workers: workers, MorselRows: 4096}
-	return []struct {
-		serial   exec.Engine
-		parallel exec.Engine
-	}{
-		{serial: jit.New(), parallel: jit.NewParallel(opt)},
-		{serial: vector.New(), parallel: vector.NewParallel(opt)},
-	}
+// parallelJIT is the jit engine on the package's shared pool of the
+// given size. Small morsels force many morsels even on test-sized
+// tables, so the morsel-order merge is exercised rather than
+// degenerating to one slot.
+func parallelJIT(workers int) exec.Engine {
+	return jit.NewParallel(par.Options{Pool: testPool(workers), MorselRows: 4096})
 }
 
-// assertParallelMatches fails unless each parallel engine returns the
+// assertParallelMatches fails unless the parallel jit engine returns the
 // serial engine's rows in the serial order: the morsel-order merge makes
 // them identical row for row, not only as a multiset.
 func assertParallelMatches(t *testing.T, label string, p plan.Node, cat *plan.Catalog) {
 	t.Helper()
+	want := jit.New().Run(p, cat)
 	for _, workers := range parallelWorkerCounts() {
-		for _, pair := range parallelEngines(workers) {
-			want := pair.serial.Run(p, cat)
-			got := pair.parallel.Run(p, cat)
-			if !result.Equal(want, got) {
-				t.Fatalf("%s: %s with %d workers diverges from serial (serial %d rows, parallel %d rows)",
-					label, pair.serial.Name(), workers, want.Len(), got.Len())
-			}
+		if got := parallelJIT(workers).Run(p, cat); !result.Equal(want, got) {
+			t.Fatalf("%s: jit with %d workers diverges from serial (serial %d rows, parallel %d rows)",
+				label, workers, want.Len(), got.Len())
 		}
 	}
 }

@@ -2,24 +2,28 @@ package index
 
 import (
 	mbits "math/bits"
+	"slices"
 
 	"repro/internal/exec/par"
 	"repro/internal/storage"
 )
 
 // HashIndex is an open-addressing hash table with linear probing from key
-// word to row id. Duplicate keys occupy separate slots, so Lookup probes
-// until the first empty slot; the structure therefore supports non-unique
-// keys while keeping the unique-key fast path allocation-free.
+// word to row ids. Every distinct key takes one slot. A key's one row sits
+// in its slot; a key with more rows keeps them, in the order they were
+// put, in a list of dups, so a unique-key Lookup reads one slot and
+// inserting n rows of one key costs O(n), not O(n²) probes.
 type HashIndex struct {
 	slots []hashSlot
+	dups  [][]int32 // the row lists of keys with more than one row
 	mask  uint64
-	n     int
+	n     int // rows
+	keys  int // used slots
 }
 
 type hashSlot struct {
 	key  storage.Word
-	row  int32
+	row  int32 // the key's row, or ^i for the rows in dups[i]
 	used bool
 }
 
@@ -44,39 +48,47 @@ func hashWord(w storage.Word) uint64 {
 
 // Insert registers row under key, growing at 70% load.
 func (h *HashIndex) Insert(key storage.Word, row int32) {
-	if h.n*10 >= len(h.slots)*7 {
+	if h.keys*10 >= len(h.slots)*7 {
 		h.grow(len(h.slots) * 2)
 	}
 	h.put(key, row)
 	h.n++
 }
 
-// put stores row under key in the first free slot from the key's home
-// slot on, wrapping at the end of the table. Duplicates of a key land
-// further along its probe path than the ones put before them, so Lookup
-// returns a key's rows in the order they were put.
+// put adds row to key's slot, or to the first free slot from the key's
+// home slot on, wrapping at the end of the table. A key's rows are kept
+// in the order they were put.
 func (h *HashIndex) put(key storage.Word, row int32) {
 	pos := hashWord(key) & h.mask
-	for h.slots[pos].used {
+	for h.slots[pos].used && h.slots[pos].key != key {
 		pos = (pos + 1) & h.mask
 	}
-	h.slots[pos] = hashSlot{key: key, row: row, used: true}
+	s := &h.slots[pos]
+	switch {
+	case !s.used:
+		*s = hashSlot{key: key, row: row, used: true}
+		h.keys++
+	case s.row >= 0:
+		h.dups = append(h.dups, []int32{s.row, row})
+		s.row = ^int32(len(h.dups) - 1)
+	default:
+		h.dups[^s.row] = append(h.dups[^s.row], row)
+	}
 }
 
-// grow rehashes into size slots. It walks the old table from an empty
-// slot, so no probe run is split at the wrap and every key's rows are
-// put again in their old order.
+// grow rehashes the slots into size slots; the row lists stay where they
+// are.
 func (h *HashIndex) grow(size int) {
 	old := h.slots
-	start := 0
-	for old[start].used {
-		start++
-	}
 	h.slots = make([]hashSlot, size)
 	h.mask = uint64(size - 1)
-	for i := range old {
-		if s := old[(start+i)&(len(old)-1)]; s.used {
-			h.put(s.key, s.row)
+	for _, s := range old {
+		if s.used {
+			pos := hashWord(s.key) & h.mask
+			for h.slots[pos].used {
+				pos = (pos + 1) & h.mask
+			}
+			h.slots[pos] = s
 		}
 	}
 }
@@ -85,14 +97,15 @@ func (h *HashIndex) grow(size int) {
 // parallel options the row ids are first partitioned by the top bits of
 // their key's home slot (partition), and each partition fills its own
 // slot range as one morsel on opt's workers; with one partition the
-// whole table is that range. A probe that would run past its range is
-// deferred, and the deferred rows are put afterwards in row order,
-// wrapping like Insert. All rows of a key share a partition, and a key's
-// deferred rows follow its placed ones, so Lookup returns each key's rows
-// in ascending order, the same lists a serial build gives.
+// whole table is that range. A row whose key already has a slot, or
+// whose probe would run past its range, is deferred, and the deferred
+// rows are put afterwards in row order, wrapping like Insert. All rows of
+// a key share a partition, and a key's deferred rows follow its placed
+// one, so Lookup returns each key's rows in ascending order, the same
+// lists a serial build gives.
 func (h *HashIndex) build(acc storage.Accessor, rows int, opt par.Options) {
 	size := len(h.slots)
-	for (h.n+rows)*10 >= size*7 {
+	for (h.keys+rows)*10 >= size*7 {
 		size *= 2
 	}
 	if size > len(h.slots) {
@@ -108,7 +121,7 @@ func (h *HashIndex) build(acc storage.Accessor, rows int, opt par.Options) {
 	}
 
 	deferred := make([][]hashSlot, parts)
-	par.Run(parts, par.Options{Workers: opt.Workers, MorselRows: 1, Pool: opt.Pool}, func(_, p, _, _ int) {
+	par.Run(parts, par.Options{Pool: opt.Pool, MorselRows: 1}, func(_, p, _, _ int) {
 		end := uint64(p+1) << shift
 		for i := start[p]; i < start[p+1]; i++ {
 			var e hashSlot
@@ -118,17 +131,18 @@ func (h *HashIndex) build(acc storage.Accessor, rows int, opt par.Options) {
 				e = hashSlot{key: acc.At(i), row: int32(i), used: true}
 			}
 			pos := hashWord(e.key) & h.mask
-			for pos < end && h.slots[pos].used {
+			for pos < end && h.slots[pos].used && h.slots[pos].key != e.key {
 				pos++
 			}
-			if pos == end {
+			if pos == end || h.slots[pos].used {
 				deferred[p] = append(deferred[p], e)
 				continue
 			}
 			h.slots[pos] = e
 		}
 	})
-	for _, es := range deferred {
+	for p, es := range deferred {
+		h.keys += start[p+1] - start[p] - len(es)
 		for _, e := range es {
 			h.put(e.key, e.row)
 		}
@@ -201,9 +215,12 @@ const minPartitionRows = 16 << 10
 // Lookup appends all row ids stored under key to dst.
 func (h *HashIndex) Lookup(key storage.Word, dst []int32) []int32 {
 	pos := hashWord(key) & h.mask
-	for h.slots[pos].used {
-		if h.slots[pos].key == key {
-			dst = append(dst, h.slots[pos].row)
+	for s := &h.slots[pos]; s.used; s = &h.slots[pos] {
+		if s.key == key {
+			if s.row < 0 {
+				return append(dst, h.dups[^s.row]...)
+			}
+			return append(dst, s.row)
 		}
 		pos = (pos + 1) & h.mask
 	}
@@ -213,10 +230,16 @@ func (h *HashIndex) Lookup(key storage.Word, dst []int32) []int32 {
 // Len returns the number of entries.
 func (h *HashIndex) Len() int { return h.n }
 
-// Clone copies the slot array; the copy grows and accepts inserts
-// independently of the original.
+// Clone copies the slot array and the row lists' headers, capped at their
+// lengths: an append through the copy copies a list first, and one
+// through the original writes past what the copy reads. The copy grows
+// and accepts inserts independently of the original.
 func (h *HashIndex) Clone() Index {
-	return &HashIndex{slots: append([]hashSlot(nil), h.slots...), mask: h.mask, n: h.n}
+	dups := make([][]int32, len(h.dups))
+	for i, d := range h.dups {
+		dups[i] = slices.Clip(d)
+	}
+	return &HashIndex{slots: slices.Clone(h.slots), dups: dups, mask: h.mask, n: h.n, keys: h.keys}
 }
 
 // Kind returns "hash".

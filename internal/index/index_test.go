@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/exec/par"
 	"repro/internal/storage"
@@ -174,68 +175,113 @@ func keyRelation(keys []int64) *storage.Relation {
 	return storage.NewBuilder(schema).SetInts(0, keys).Build(storage.NSM(1))
 }
 
-// lookupAll returns Lookup of every key in [0, keys).
-func lookupAll(idx Index, keys int) [][]int32 {
-	out := make([][]int32, keys)
-	for k := range out {
-		out[k] = idx.Lookup(storage.EncodeInt(int64(k)), nil)
+// lookupAll returns Lookup of every key of domain.
+func lookupAll(idx Index, domain []int64) [][]int32 {
+	out := make([][]int32, len(domain))
+	for k, key := range domain {
+		out[k] = idx.Lookup(storage.EncodeInt(key), nil)
 	}
 	return out
 }
 
+// keyDomain returns n distinct keys for a hash index built over rows
+// rows. When n > 1 the first two are negative and have the last slot as
+// their home, so a build's probe for the second runs past every
+// partition's range and wraps; the rest count up from 0.
+func keyDomain(rows, n int) []int64 {
+	h := NewHashIndex(rows)
+	var domain []int64
+	for v := int64(-1); n > 1 && len(domain) < 2; v-- {
+		if hashWord(storage.EncodeInt(v))&h.mask == h.mask {
+			domain = append(domain, v)
+		}
+	}
+	for v := int64(0); len(domain) < n; v++ {
+		domain = append(domain, v)
+	}
+	return domain
+}
+
 // TestHashBuildLookupOrder: a hash index built serially or on morsel
 // workers returns every key's rows in ascending order, also after a clone
-// grows under inserts. Keys repeat heavily so probe
-// runs are long and cross partition ranges, and the morsel sizes are not
-// multiples of a block.
+// grows under inserts, and inserts into the clone never show in its
+// source. Keys repeat heavily, two keys' probe runs cross partition
+// ranges, and the morsel sizes are not multiples of a block. 50,000 rows
+// of one key build and take inserts in well under a second: a key's rows
+// share one slot.
 func TestHashBuildLookupOrder(t *testing.T) {
-	for _, tc := range []struct{ rows, keys int }{{20_000, 300}, {40_001, 10_000}, {17_000, 100}} {
+	var opts []par.Options
+	for _, o := range []struct{ workers, morsel int }{{2, 1000}, {4, 4097}, {2, 333}} {
+		pool := par.NewPool(o.workers)
+		t.Cleanup(pool.Close)
+		opts = append(opts, par.Options{Pool: pool, MorselRows: o.morsel})
+	}
+	for _, tc := range []struct{ rows, keys int }{{20_000, 300}, {40_001, 10_000}, {17_000, 100}, {50_000, 1}} {
+		start := time.Now()
 		rng := rand.New(rand.NewSource(int64(tc.rows)))
-		keys := make([]int64, tc.rows)
+		domain := keyDomain(tc.rows, tc.keys)
+		keys := make([]int, tc.rows)
 		for i := range keys {
-			keys[i] = int64(rng.Intn(tc.keys))
+			keys[i] = rng.Intn(tc.keys)
 		}
-		rel := keyRelation(keys)
+		copy(keys, []int{0, 1}[:min(tc.keys, 2)]) // both wrapping keys occur
+		rel := keyRelation(keyValues(domain, keys))
 		want := make([][]int32, tc.keys)
 		for row, k := range keys {
 			want[k] = append(want[k], int32(row))
 		}
-		if got := lookupAll(BuildOn(NewHashIndex(tc.rows), rel, 0, par.Serial()), tc.keys); !slices.EqualFunc(got, want, slices.Equal) {
+		if got := lookupAll(BuildOn(NewHashIndex(tc.rows), rel, 0, par.Serial()), domain); !slices.EqualFunc(got, want, slices.Equal) {
 			t.Fatalf("rows=%d: a serial build does not return every key's rows in ascending order", tc.rows)
 		}
-		for i, opt := range []par.Options{{Workers: 2, MorselRows: 1000}, {Workers: 4, MorselRows: 4097}, {Workers: 2, MorselRows: 333}} {
+		for i, opt := range opts {
 			idx := BuildOn(NewHashIndex(tc.rows), rel, 0, opt)
 			if idx.Len() != tc.rows {
 				t.Fatalf("rows=%d %+v: Len = %d", tc.rows, opt, idx.Len())
 			}
-			if tc.keys < 1000 && !crossesPartition(idx.(*HashIndex), tc.rows, opt) {
+			if tc.keys > 1 && !crossesPartition(idx.(*HashIndex), tc.rows, opt) {
 				t.Fatalf("rows=%d %+v: no probe run left its partition; the deferred path went untested", tc.rows, opt)
 			}
-			got := lookupAll(idx, tc.keys)
+			got := lookupAll(idx, domain)
 			for k := range want {
 				if !slices.Equal(got[k], want[k]) {
-					t.Fatalf("rows=%d %+v: Lookup(%d) = %d rows, want %d rows in ascending order", tc.rows, opt, k, len(got[k]), len(want[k]))
+					t.Fatalf("rows=%d %+v: Lookup(%d) = %d rows, want %d rows in ascending order", tc.rows, opt, domain[k], len(got[k]), len(want[k]))
 				}
 			}
 			if i > 0 {
 				continue
 			}
 			// A clone that grows keeps every key's rows ascending, old
-			// rows first.
+			// rows first. Every other insert is a new key, so it grows.
 			clone := idx.Clone().(*HashIndex)
 			for size, row := len(clone.slots), tc.rows; len(clone.slots) == size; row++ {
-				clone.Insert(storage.EncodeInt(int64(row%tc.keys)), int32(row))
+				key := domain[row%tc.keys]
+				if row%2 == 1 {
+					key = int64(row)
+				}
+				clone.Insert(storage.EncodeInt(key), int32(row))
 			}
-			for k, rows := range lookupAll(clone, tc.keys) {
+			for k, rows := range lookupAll(clone, domain) {
 				if !slices.IsSorted(rows) || !slices.Equal(rows[:len(want[k])], want[k]) {
-					t.Fatalf("rows=%d %+v: after grow Lookup(%d) is out of order", tc.rows, opt, k)
+					t.Fatalf("rows=%d %+v: after grow Lookup(%d) is out of order", tc.rows, opt, domain[k])
 				}
 			}
-			if got := lookupAll(idx, tc.keys); !slices.EqualFunc(got, want, slices.Equal) {
+			if got := lookupAll(idx, domain); !slices.EqualFunc(got, want, slices.Equal) {
 				t.Fatalf("rows=%d %+v: inserts into the clone changed the original", tc.rows, opt)
 			}
 		}
+		if d := time.Since(start); tc.keys == 1 && d > time.Second {
+			t.Fatalf("%d rows of one key took %v to build, look up and insert into", tc.rows, d)
+		}
 	}
+}
+
+// keyValues maps each row's key index into domain.
+func keyValues(domain []int64, keys []int) []int64 {
+	out := make([]int64, len(keys))
+	for i, k := range keys {
+		out[i] = domain[k]
+	}
+	return out
 }
 
 // crossesPartition reports whether some entry of h, built from rows
@@ -251,22 +297,27 @@ func crossesPartition(h *HashIndex, rows int, opt par.Options) bool {
 	return false
 }
 
-// TestHashGrowKeepsWrappedRunsInOrder: a probe run that wraps past the
-// end of the slot array keeps its insertion order through a grow.
+// TestHashGrowKeepsWrappedRunsInOrder: keys whose probe run wraps past
+// the end of the slot array keep their rows, in insertion order, through
+// a grow.
 func TestHashGrowKeepsWrappedRunsInOrder(t *testing.T) {
 	h := NewHashIndex(8)
-	var key storage.Word
-	for hashWord(key)&h.mask != h.mask { // home slot is the last one
-		key++
+	var keys []storage.Word
+	for key := storage.Word(0); len(keys) < 12; key++ {
+		if hashWord(key)&h.mask == h.mask { // home slot is the last one
+			keys = append(keys, key)
+		}
 	}
-	for row := int32(0); row < 20; row++ {
-		h.Insert(key, row)
+	for row := int32(0); row < 36; row++ {
+		h.Insert(keys[row%12], row)
 	}
 	if len(h.slots) == 16 {
-		t.Fatal("20 inserts did not grow a 16-slot index")
+		t.Fatal("12 keys did not grow a 16-slot index")
 	}
-	if got := h.Lookup(key, nil); len(got) != 20 || !slices.IsSorted(got) {
-		t.Fatalf("Lookup after grow = %v, want 0..19 ascending", got)
+	for i, key := range keys {
+		if got, want := h.Lookup(key, nil), []int32{int32(i), int32(i + 12), int32(i + 24)}; !slices.Equal(got, want) {
+			t.Fatalf("Lookup after grow = %v, want %v", got, want)
+		}
 	}
 }
 
@@ -287,7 +338,9 @@ func BenchmarkHashIndexBuild(b *testing.B) {
 	rel.AppendRows(words)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := par.Options{Workers: workers}
+			pool := par.NewPool(workers)
+			defer pool.Close()
+			opt := par.WithPool(pool)
 			for i := 0; i < b.N; i++ {
 				BuildOn(NewHashIndex(rows), rel, 0, opt)
 			}

@@ -400,8 +400,23 @@ func TestWithLayoutRoundTrip(t *testing.T) {
 }
 
 // morselOptions are parallel options whose morsels are not multiples
-// of a relayout block, so blocks end early at morsel boundaries.
-var morselOptions = []par.Options{{Workers: 2, MorselRows: 1000}, {Workers: 3, MorselRows: relayoutBlock + 1}, {Workers: 4, MorselRows: 7}}
+// of a relayout block, so blocks end early at morsel boundaries. Their
+// pools close when the test ends.
+func morselOptions(t testing.TB) []par.Options {
+	opts := []par.Options{{MorselRows: 1000}, {MorselRows: relayoutBlock + 1}, {MorselRows: 7}}
+	for i := range opts {
+		opts[i].Pool = newTestPool(t, i+2)
+	}
+	return opts
+}
+
+// newTestPool starts a pool of n workers that the test closes when it
+// ends.
+func newTestPool(t testing.TB, n int) *par.Pool {
+	pool := par.NewPool(n)
+	t.Cleanup(pool.Close)
+	return pool
+}
 
 // TestWithLayoutMorselsMatchSerial: WithLayout on morsel workers writes
 // the same words as on one.
@@ -412,7 +427,7 @@ func TestWithLayoutMorselsMatchSerial(t *testing.T) {
 	src.AppendRows(words)
 	for _, l := range []Layout{DSM(6), PDSM([]int{5, 1}, []int{0}, []int{2, 4, 3}), NSM(6)} {
 		want := partWords(src.WithLayout(l, par.Serial()))
-		for _, opt := range morselOptions {
+		for _, opt := range morselOptions(t) {
 			if got := partWords(src.WithLayout(l, opt)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("layout %v %+v: words differ from a serial relayout", l, opt)
 			}
@@ -425,7 +440,7 @@ func TestWithLayoutMorselsMatchSerial(t *testing.T) {
 // older versions.
 func TestClipMorselsMatchSerial(t *testing.T) {
 	schema, words := wideRows(2*relayoutBlock + 5)
-	for _, opt := range morselOptions {
+	for _, opt := range morselOptions(t) {
 		r := NewRelation(schema, PDSM([]int{4, 0}, []int{1}, []int{5, 3, 2}))
 		r.AppendRows(words[:6])
 		r.AppendRows(words[6:])
@@ -466,7 +481,7 @@ func BenchmarkWithLayout(b *testing.B) {
 	hybrid := PDSM([]int{0}, []int{1, 2, 3, 4, 5, 6, 7}, []int{8, 9, 10, 11})
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := par.Options{Workers: workers}
+			opt := par.WithPool(newTestPool(b, workers))
 			for i := 0; i < b.N; i++ {
 				r.WithLayout(hybrid, opt)
 			}
@@ -481,7 +496,7 @@ func BenchmarkClip(b *testing.B) {
 	data := slices.Grow(r.Parts[0].Data, 1) // spare capacity for Clip to drop
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := par.Options{Workers: workers}
+			opt := par.WithPool(newTestPool(b, workers))
 			for i := 0; i < b.N; i++ {
 				r.Parts[0].Data = data
 				r.Clip(opt)
