@@ -1,25 +1,25 @@
-// Package repro's root benchmark suite regenerates every series of the
-// paper's evaluation section as Go benchmarks: one Benchmark function per
-// table/figure, with sub-benchmarks for each (processor, layout,
-// parameter) combination the corresponding plot shows. Run
+// Package repro's root benchmark suite times the paper's evaluation
+// section as Go benchmarks. A timed figure (Figures 3 and 9-12, and the
+// sparse-storage ablation) is one list of cells that internal/experiments
+// builds once; its benchmark runs one sub-benchmark per cell, the same
+// cells cmd/benchrunner's report and the shape tests time. The other
+// benchmarks time what no report does: the simulator (Figures 6 and 8),
+// the layout optimizer (Table 4), the morsel scheduler, the pipeline
+// breakers and the result path. Run
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench=. -benchmem
 //
-// for the full sweep, or select one artefact, e.g.
+// for everything, or select one artefact, e.g.
 //
-//	go test -bench BenchmarkFig03
-//
-// The cmd/benchrunner binary prints the same series as paper-style tables.
+//	go test -run xxx -bench BenchmarkFig03
 package repro
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
-	"repro/internal/bench/chbench"
-	"repro/internal/bench/cnet"
-	"repro/internal/bench/sapsd"
 	"repro/internal/costmodel"
 	"repro/internal/exec"
 	"repro/internal/exec/jit"
@@ -31,41 +31,30 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pattern"
 	"repro/internal/plan"
-	"repro/internal/sparse"
 	"repro/internal/storage"
 )
 
-// BenchmarkFig03 regenerates Figure 3: the example query under every
-// processing model and storage layout across the selectivity sweep. The
-// trailing workers sub-benchmarks add the morsel-parallel JiT engine on
-// the paper's headline cell (column layout, sel = 0.5) so serial and
-// parallel numbers land in one run.
-func BenchmarkFig03(b *testing.B) {
-	setup := experiments.NewFig3Setup(1_000_000)
-	for _, e := range experiments.Fig3EnginesOpt(experiments.Options{}) {
-		for _, layout := range []string{"row", "column", "hybrid"} {
-			cat := setup.Catalogs[layout]
-			for _, s := range []float64{0.0001, 0.01, 0.5, 1.0} {
-				q := setup.Query(s)
-				b.Run(fmt.Sprintf("%s/%s/sel=%g", e.Name(), layout, s), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						e.Run(q, cat)
-					}
-				})
+// benchFigure runs one sub-benchmark per cell of a timed figure at its
+// full size, in the clock's order, each after a collection and one
+// untimed run as experiments.Time does, and reports ns per execution of
+// what the figure plots.
+func benchFigure(b *testing.B, figure func(experiments.Options) ([]experiments.Cell, func(map[string]time.Duration) *experiments.Report)) {
+	cells, _ := figure(experiments.Options{})
+	for _, c := range experiments.Order(cells) {
+		b.Run(c.Name(), func(b *testing.B) {
+			runtime.GC()
+			c.Run()
+			for b.Loop() {
+				c.Run()
 			}
-		}
-	}
-	cat := setup.Catalogs["column"]
-	q := setup.Query(0.5)
-	for _, w := range workerCounts() {
-		e := jit.NewParallel(poolOptions(b, w))
-		b.Run(fmt.Sprintf("jit/column/sel=0.5/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Run(q, cat)
-			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Execs), "ns/op")
 		})
 	}
 }
+
+// BenchmarkFig03 times Figure 3: the example query under every processing
+// model and storage layout across the selectivity sweep.
+func BenchmarkFig03(b *testing.B) { benchFigure(b, experiments.Fig3Cells) }
 
 // workerCounts is the scaling sweep: 1 (serial baseline), powers of two up
 // to the machine, and the machine itself.
@@ -222,99 +211,22 @@ func BenchmarkFig08(b *testing.B) {
 	}
 }
 
-// BenchmarkFig09 regenerates Figure 9: SAP-SD queries under the JiT and
+// BenchmarkFig09 times Figure 9: SAP-SD queries under the JiT and
 // HYRISE-style processors on row, column and hybrid layouts.
-func BenchmarkFig09(b *testing.B) {
-	setup := experiments.NewFig9Setup(5000)
-	for _, e := range experiments.Fig9ProcessorsOpt(experiments.Options{}) {
-		for _, layout := range []string{"row", "column", "hybrid"} {
-			cat := setup.Catalogs[layout]
-			for qi, p := range setup.Queries.Plans {
-				if qi == 5 {
-					continue // the mutating Q6 is covered by BenchmarkFig10
-				}
-				q := p
-				b.Run(fmt.Sprintf("%s/%s/Q%d", e.Name(), layout, qi+1), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						e.Run(q, cat)
-					}
-				})
-			}
-		}
-	}
-}
+func BenchmarkFig09(b *testing.B) { benchFigure(b, experiments.Fig9Cells) }
 
-// BenchmarkFig10 regenerates Figure 10: the index-sensitive SAP-SD
-// queries with and without indexes (JiT processor).
-func BenchmarkFig10(b *testing.B) {
-	for _, variant := range []string{"unindexed", "indexed"} {
-		setup := experiments.NewFig9Setup(5000)
-		if variant == "indexed" {
-			for _, l := range []string{"row", "column", "hybrid"} {
-				sapsd.RegisterIndexes(setup.Catalogs[l])
-			}
-		}
-		engine := jit.New()
-		for _, l := range []string{"row", "column", "hybrid"} {
-			cat := setup.Catalogs[l]
-			for _, spec := range []struct {
-				name string
-				ix   int
-			}{{"Q7", 6}, {"Q8", 7}} {
-				q := setup.Queries.Plans[spec.ix]
-				b.Run(fmt.Sprintf("%s/%s/%s", variant, l, spec.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						engine.Run(q, cat)
-					}
-				})
-			}
-			b.Run(fmt.Sprintf("%s/%s/Q6-insert", variant, l), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					engine.Run(setup.Data.InsertPlan(1_000_000+i), cat)
-				}
-			})
-		}
-	}
-}
+// BenchmarkFig10 times Figure 10: the index-sensitive SAP-SD queries with
+// and without indexes (JiT processor).
+func BenchmarkFig10(b *testing.B) { benchFigure(b, experiments.Fig10Cells) }
 
-// BenchmarkFig11 regenerates Figure 11: CH-benchmark analytical queries
-// on row, column and hybrid layouts (JiT processor).
-func BenchmarkFig11(b *testing.B) {
-	cfg := chbench.Config{Warehouses: 2, DistrictsPerW: 10, CustomersPerD: 150, OrdersPerD: 150, Items: 1000, Suppliers: 100, Seed: 1}
-	setup := experiments.NewFig11Setup(cfg, 500)
-	engine := jit.New()
-	for _, l := range []string{"row", "column", "hybrid"} {
-		cat := setup.Catalogs[l]
-		for _, qi := range chbench.QueryOrder {
-			q := setup.Queries[qi]
-			b.Run(fmt.Sprintf("%s/Q%d", l, qi), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					engine.Run(q, cat)
-				}
-			})
-		}
-	}
-}
+// BenchmarkFig11 times Figure 11: CH-benchmark analytical queries on row,
+// column and hybrid layouts (JiT processor).
+func BenchmarkFig11(b *testing.B) { benchFigure(b, experiments.Fig11Cells) }
 
-// BenchmarkFig12 regenerates Figure 12: the CNET catalog queries on row,
-// column and hybrid layouts (JiT processor; weight by Table V frequencies
-// when reading the results).
-func BenchmarkFig12(b *testing.B) {
-	cfg := cnet.Config{Products: 50_000, Attrs: 200, Categories: 40, MeanSparse: 6, Seed: 1}
-	setup := experiments.NewFig12Setup(cfg)
-	engine := jit.New()
-	for _, l := range []string{"row", "column", "hybrid"} {
-		cat := setup.Catalogs[l]
-		for qi := 1; qi <= 4; qi++ {
-			q := setup.Queries[qi]
-			b.Run(fmt.Sprintf("%s/Q%d-freq%g", l, qi, cnet.Frequencies[qi]), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					engine.Run(q, cat)
-				}
-			})
-		}
-	}
-}
+// BenchmarkFig12 times Figure 12: the CNET catalog queries on row, column
+// and hybrid layouts (JiT processor), unweighted; the Q4 cells report per
+// prepared execution over distinct ids.
+func BenchmarkFig12(b *testing.B) { benchFigure(b, experiments.Fig12Cells) }
 
 // BenchmarkAblationVectorVsJit reproduces the vectorization-vs-compilation
 // comparison (Sompolski et al. [32], which the paper cites for Figure 3's
@@ -341,42 +253,9 @@ func BenchmarkAblationVectorVsJit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSparse compares the paper's proposed key-value storage
-// for sparse data against dense scans on the CNET catalog shape.
-func BenchmarkAblationSparse(b *testing.B) {
-	d := cnet.Generate(cnet.Config{Products: 50_000, Attrs: 200, Categories: 40, MeanSparse: 6, Seed: 2})
-	rel := d.Products
-	store := sparse.FromRelation(rel)
-	attr := 100
-	b.Run("dense/sum-sparse-attr", func(b *testing.B) {
-		a := rel.Access(attr)
-		for i := 0; i < b.N; i++ {
-			var sum int64
-			for row := 0; row < rel.Rows(); row++ {
-				if v := a.Data[row*a.Stride+a.Off]; v != storage.Null {
-					sum += storage.DecodeInt(v)
-				}
-			}
-		}
-	})
-	b.Run("sparse/sum-sparse-attr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			store.SumAttr(attr)
-		}
-	})
-	b.Run("dense/point-fetch", func(b *testing.B) {
-		buf := make([]storage.Word, rel.Schema.Width())
-		for i := 0; i < b.N; i++ {
-			rel.RowValues(i%rel.Rows(), buf)
-		}
-	})
-	b.Run("sparse/point-fetch", func(b *testing.B) {
-		var buf []storage.Word
-		for i := 0; i < b.N; i++ {
-			buf = store.MaterializeRow(i%rel.Rows(), buf)
-		}
-	})
-}
+// BenchmarkAblationSparse times the sparse-storage ablation: dense and
+// key-value storage on the CNET catalog shape.
+func BenchmarkAblationSparse(b *testing.B) { benchFigure(b, experiments.AblationSparseCells) }
 
 // BenchmarkTable4 measures the layout optimizer itself: cut derivation
 // plus the BPi search on the ADRC table.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/bench/cnet"
 	"repro/internal/bench/sapsd"
@@ -98,55 +99,52 @@ func AblationCuts(opt Options) *Report {
 	return rep
 }
 
-// AblationSparse compares the paper's proposed dense key-value storage
-// (conclusion, "beyond schema decomposition") against the dense layouts on
-// the CNET catalog: footprint, a single-attribute aggregation, and the
-// detail-page tuple reconstruction.
-func AblationSparse(opt Options) *Report {
+// AblationSparseCells builds the comparison of the paper's proposed dense
+// key-value storage (conclusion, "beyond schema decomposition") against
+// the dense layouts on the CNET catalog: footprint, a single-attribute
+// aggregation, and the detail-page tuple reconstruction.
+func AblationSparseCells(opt Options) ([]Cell, func(map[string]time.Duration) *Report) {
 	cfg := cnet.Config{Products: 50000, Attrs: 200, Categories: 40, MeanSparse: 6, Seed: 2}
 	if opt.Quick {
 		cfg.Products = 8000
 		cfg.Attrs = 80
 	}
-	d := cnet.Generate(cfg)
-	rel := d.Products
+	rel := cnet.Generate(cfg).Products
 	store := sparse.FromRelation(rel)
 	attr := cfg.Attrs / 2 // a representative sparse attribute
-	denseBytes := int64(rel.Rows()) * int64(rel.Schema.Width()) * 8
-
-	scanDense := medianTime(3, func() {
-		a := rel.Access(attr)
-		var sum int64
-		for row := 0; row < rel.Rows(); row++ {
-			if v := a.Data[row*a.Stride+a.Off]; v != storage.Null {
-				sum += storage.DecodeInt(v)
+	const sumRow, fetchRow = "sum over one sparse attribute", "100 full-tuple reconstructions"
+	const dense, kv = "dense (NSM)", "sparse KV"
+	cells := []Cell{
+		{Row: []string{sumRow}, Col: dense, Execs: 1, Run: func() {
+			a := rel.Access(attr)
+			var sum int64
+			for row := 0; row < rel.Rows(); row++ {
+				if v := a.Data[row*a.Stride+a.Off]; v != storage.Null {
+					sum += storage.DecodeInt(v)
+				}
 			}
-		}
-		_ = sum
-	})
-	scanSparse := medianTime(3, func() { store.SumAttr(attr) })
-	fetchDense := medianTime(3, func() {
-		buf := make([]storage.Word, rel.Schema.Width())
-		for i := 0; i < 100; i++ {
-			rel.RowValues((i*37)%rel.Rows(), buf)
-		}
-	})
-	fetchSparse := medianTime(3, func() {
-		var buf []storage.Word
-		for i := 0; i < 100; i++ {
-			buf = store.MaterializeRow((i*37)%rel.Rows(), buf)
-		}
-	})
-
-	rep := &Report{
-		ID:     "ablation-sparse",
-		Title:  fmt.Sprintf("Dense key-value lists vs. dense storage (CNET, %d x %d, ~%d non-null/row)", cfg.Products, cfg.Attrs, cfg.MeanSparse+5),
-		Header: []string{"metric", "dense (NSM)", "sparse KV"},
+			_ = sum
+		}},
+		{Row: []string{sumRow}, Col: kv, Execs: 1, Run: func() { store.SumAttr(attr) }},
+		{Row: []string{fetchRow}, Col: dense, Execs: 1, Run: func() {
+			buf := make([]storage.Word, rel.Schema.Width())
+			for i := 0; i < 100; i++ {
+				rel.RowValues((i*37)%rel.Rows(), buf)
+			}
+		}},
+		{Row: []string{fetchRow}, Col: kv, Execs: 1, Run: func() {
+			var buf []storage.Word
+			for i := 0; i < 100; i++ {
+				buf = store.MaterializeRow((i*37)%rel.Rows(), buf)
+			}
+		}},
 	}
-	rep.Rows = append(rep.Rows,
-		[]string{"footprint", fmtBytes(denseBytes), fmtBytes(store.Bytes())},
-		[]string{"sum over one sparse attribute", fmtDur(scanDense), fmtDur(scanSparse)},
-		[]string{"100 full-tuple reconstructions", fmtDur(fetchDense), fmtDur(fetchSparse)},
-	)
-	return rep
+	return cells, func(times map[string]time.Duration) *Report {
+		rep := &Report{
+			ID:    "ablation-sparse",
+			Title: fmt.Sprintf("Dense key-value lists vs. dense storage (CNET, %d x %d, ~%d non-null/row)", cfg.Products, cfg.Attrs, cfg.MeanSparse+5),
+			Rows:  [][]string{{"footprint", fmtBytes(int64(rel.Rows()) * int64(rel.Schema.Width()) * 8), fmtBytes(store.Bytes())}},
+		}
+		return rep.grid([]string{"metric"}, cells, times)
+	}
 }

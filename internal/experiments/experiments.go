@@ -4,13 +4,18 @@
 // benchmarks beside the code they time and in the HTTP workloads of
 // BENCHMARK.json. Each experiment regenerates the corresponding rows/series
 // (workload generation, parameter sweep, baselines, and the measurement
-// itself) and returns a printable Report. The cmd/benchrunner binary
-// prints these reports; the repository-level benchmarks in bench_test.go
-// time the same setups under go test -bench.
+// itself) and returns a printable Report, which cmd/benchrunner prints.
+//
+// A timed figure (Figures 3 and 9-12, the sparse-storage ablation) is one
+// list of cells from its FigNCells (AblationSparseCells) function, which
+// fixes the setup, the sizes, the sweep and the body each cell times. The
+// figure's report times the list with Time; its Go benchmark in the
+// repository's bench_test.go and the shape tests read the same list.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -20,8 +25,9 @@ import (
 	"repro/internal/exec/par"
 )
 
-// Options sizes the experiments. Quick shrinks the data sets for CI;
-// Full approaches the paper's cardinalities. Par is the morsel
+// Options sizes the experiments. The zero value approaches the paper's
+// cardinalities; Quick shrinks the data sets, and a timed figure's
+// rounds, for a fast pass. Par is the morsel
 // scheduler the JiT engine runs on: serial (the zero value) reproduces
 // the paper's single-core configuration, a pool of more than one worker
 // runs scans morsel-parallel.
@@ -91,19 +97,19 @@ var experimentList = []struct {
 	id  string
 	run func(Options) *Report
 }{
-	{"fig3", Fig3},
+	{"fig3", timed(Fig3Cells)},
 	{"fig6", Fig6},
 	{"fig8", Fig8},
 	{"table3", Table3},
 	{"table4", Table4},
-	{"fig9", Fig9},
-	{"fig10", Fig10},
-	{"fig11", Fig11},
-	{"fig12", Fig12},
+	{"fig9", timed(Fig9Cells)},
+	{"fig10", timed(Fig10Cells)},
+	{"fig11", timed(Fig11Cells)},
+	{"fig12", timed(Fig12Cells)},
 	{"table5", Table5},
 	{"ablation-costfn", AblationCostFunction},
 	{"ablation-cuts", AblationCuts},
-	{"ablation-sparse", AblationSparse},
+	{"ablation-sparse", timed(AblationSparseCells)},
 }
 
 // All runs every experiment in paper order.
@@ -135,19 +141,36 @@ func IDs() []string {
 	return ids
 }
 
-// medianTime runs f repeats times and returns the median duration.
-func medianTime(repeats int, f func()) time.Duration {
-	if repeats < 1 {
-		repeats = 1
+// timed is a timed figure's driver: it times the figure's cells, one
+// round in a quick pass and five otherwise, and renders their times.
+func timed(figure func(Options) ([]Cell, func(map[string]time.Duration) *Report)) func(Options) *Report {
+	return func(opt Options) *Report {
+		cells, render := figure(opt)
+		rounds := 5
+		if opt.Quick {
+			rounds = 1
+		}
+		return render(Time(cells, rounds))
 	}
-	times := make([]time.Duration, repeats)
-	for i := range times {
-		start := time.Now()
-		f()
-		times[i] = time.Since(start)
+}
+
+// grid lays timed cells out as the report's table: one row per run of
+// consecutive cells with the same row labels, holding the labels and then
+// each cell's time. labels heads the label columns; the first row's cells
+// name the rest. It returns r.
+func (r *Report) grid(labels []string, cells []Cell, times map[string]time.Duration) *Report {
+	r.Header = slices.Clone(labels)
+	for i, c := range cells {
+		if slices.Equal(c.Row, cells[0].Row) {
+			r.Header = append(r.Header, c.Col)
+		}
+		if i == 0 || !slices.Equal(c.Row, cells[i-1].Row) {
+			r.Rows = append(r.Rows, slices.Clone(c.Row))
+		}
+		last := len(r.Rows) - 1
+		r.Rows[last] = append(r.Rows[last], fmtDur(times[c.Name()]))
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2]
+	return r
 }
 
 func fmtDur(d time.Duration) string {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/exec/result"
 	"repro/internal/mem"
-	"repro/internal/plan"
 )
 
 // TestFig3SetupCorrectness: the example query returns the same sums on all
@@ -50,14 +48,16 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	setup, rounds := NewFig3Setup(300_000), 7
+	cells, rounds := fig3Sweep(NewFig3Setup(300_000), Options{}), 7
 	if raceEnabled {
 		rounds = 3
 	}
 	for _, s := range Fig3Selectivities {
+		col := fmt.Sprintf("s=%g", s)
+		at := slices.DeleteFunc(slices.Clone(cells), func(c Cell) bool { return c.Col != col })
 		var errs []string
 		for attempt := 0; attempt < 3; attempt++ {
-			if errs = fig3ShapeErrors(fig3Cells(setup, setup.Query(s), rounds)); len(errs) == 0 {
+			if errs = fig3ShapeErrors(Time(at, rounds), "/"+col); len(errs) == 0 {
 				break
 			}
 		}
@@ -67,10 +67,11 @@ func TestFig3Shape(t *testing.T) {
 	}
 }
 
-// fig3ShapeErrors lists how the cell medians depart from Figure 3's shape.
-func fig3ShapeErrors(times map[string]time.Duration) []string {
+// fig3ShapeErrors lists how the medians of one selectivity's cells, whose
+// names end in sel, depart from Figure 3's shape.
+func fig3ShapeErrors(times map[string]time.Duration, sel string) []string {
 	var errs []string
-	jit := times["jit/hybrid"]
+	jit := times["jit/hybrid"+sel]
 	for cell, d := range times {
 		if !raceEnabled && float64(jit) > 1.2*float64(d) {
 			errs = append(errs, fmt.Sprintf("jit/hybrid (%v) should be within 1.2x of the fastest cell, %s takes %v", jit, cell, d))
@@ -79,38 +80,10 @@ func fig3ShapeErrors(times map[string]time.Duration) []string {
 			errs = append(errs, fmt.Sprintf("jit/hybrid (%v) should be at least 5x faster than %s (%v)", jit, cell, d))
 		}
 	}
-	if times["bulk/hybrid"] > times["volcano/hybrid"] {
-		errs = append(errs, fmt.Sprintf("bulk (%v) should not be slower than volcano (%v) on PDSM", times["bulk/hybrid"], times["volcano/hybrid"]))
+	if bulk, volcano := times["bulk/hybrid"+sel], times["volcano/hybrid"+sel]; bulk > volcano {
+		errs = append(errs, fmt.Sprintf("bulk (%v) should not be slower than volcano (%v) on PDSM", bulk, volcano))
 	}
 	return errs
-}
-
-// fig3Cells times q on every engine × layout cell of Figure 3 and returns
-// each cell's median. Each of rounds rounds times every cell once, so a
-// noisy moment lands on all cells alike. Each timed run follows a
-// collection and then an untimed run: the cell starts from its own data in
-// cache, the collector's aftermath lands on the untimed run, and no other
-// cell's garbage is charged to it.
-func fig3Cells(setup *Fig3Setup, q plan.Node, rounds int) map[string]time.Duration {
-	samples := map[string][]time.Duration{}
-	for range rounds {
-		for _, e := range Fig3EnginesOpt(Options{}) {
-			for layout, cat := range setup.Catalogs {
-				runtime.GC()
-				e.Run(q, cat)
-				start := time.Now()
-				e.Run(q, cat)
-				cell := e.Name() + "/" + layout
-				samples[cell] = append(samples[cell], time.Since(start))
-			}
-		}
-	}
-	medians := map[string]time.Duration{}
-	for cell, ds := range samples {
-		slices.Sort(ds)
-		medians[cell] = ds[len(ds)/2]
-	}
-	return medians
 }
 
 // TestFig6Shape: the model-vs-simulator sweep reproduces the paper's
@@ -190,6 +163,33 @@ func TestReportsRender(t *testing.T) {
 	}
 }
 
+// TestTimedFigureCells: a timed figure's cells have non-empty labels, and
+// its quick report shows exactly one value per cell, in the cell's row and
+// column (so no two cells share a name).
+func TestTimedFigureCells(t *testing.T) {
+	for _, figure := range []func(Options) ([]Cell, func(map[string]time.Duration) *Report){
+		Fig3Cells, Fig9Cells, Fig10Cells, Fig11Cells, Fig12Cells, AblationSparseCells,
+	} {
+		cells, render := figure(Options{Quick: true})
+		rep := render(nil)
+		shown := map[string]int{} // values the report shows by the name of their row and column
+		labels := len(cells[0].Row)
+		for _, row := range rep.Rows {
+			if len(row) != len(rep.Header) {
+				t.Fatalf("%s: row %v does not fit header %v", rep.ID, row, rep.Header)
+			}
+			for col := labels; col < len(row); col++ {
+				shown[strings.Join(row[:labels], "/")+"/"+rep.Header[col]]++
+			}
+		}
+		for _, c := range cells {
+			if c.Col == "" || len(c.Row) == 0 || slices.Contains(c.Row, "") || shown[c.Name()] != 1 {
+				t.Errorf("%s: cell %q has an empty label or %d values in the report", rep.ID, c.Name(), shown[c.Name()])
+			}
+		}
+	}
+}
+
 // TestQ6CellsTimeOneInsert: a Figure 9/10 Q6 cell times a single-row
 // insert, a few microseconds. The first insert on a catalog also copies
 // every partition (Relation.AppendRows appends to full slices), which takes
@@ -201,16 +201,22 @@ func TestQ6CellsTimeOneInsert(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the SAP-SD data several times")
 	}
-	for _, c := range []struct {
-		fig   func(Options) *Report
-		first int // index of the first timed cell in a row
-	}{
-		{Fig9, 1},
-		{Fig10, 2},
-	} {
+	const bound = 100 * time.Microsecond
+	for _, figure := range []func(Options) ([]Cell, func(map[string]time.Duration) *Report){Fig9Cells, Fig10Cells} {
 		var errs []string
 		for attempt := 0; attempt < 3; attempt++ {
-			if errs = q6Errors(t, c.fig(Options{Quick: true}), c.first); len(errs) == 0 {
+			cells, _ := figure(Options{Quick: true})
+			q6 := slices.DeleteFunc(cells, func(c Cell) bool { return !c.Writes })
+			if len(q6) != 6 || slices.ContainsFunc(q6, func(c Cell) bool { return c.Row[0] != "Q6" }) {
+				t.Fatalf("the cells that write are %d, want the six Q6 cells", len(q6))
+			}
+			errs = nil
+			for name, d := range Time(q6, 1) {
+				if d >= bound {
+					errs = append(errs, fmt.Sprintf("cell %s: %v, want under %v", name, d, bound))
+				}
+			}
+			if len(errs) == 0 {
 				break
 			}
 		}
@@ -218,27 +224,6 @@ func TestQ6CellsTimeOneInsert(t *testing.T) {
 			t.Error(err)
 		}
 	}
-}
-
-// q6Errors lists the report's Q6 cells at or over 100µs.
-func q6Errors(t *testing.T, rep *Report, first int) []string {
-	const bound = 100 * time.Microsecond
-	var errs []string
-	for _, row := range rep.Rows {
-		if row[0] != "Q6" {
-			continue
-		}
-		for i := first; i < len(row); i++ {
-			d, err := time.ParseDuration(row[i])
-			if err != nil {
-				t.Fatalf("%s %s: %v", rep.ID, rep.Header[i], err)
-			}
-			if d >= bound {
-				errs = append(errs, fmt.Sprintf("%s %s %s: %v, want under %v", rep.ID, strings.Join(row[:first], " "), rep.Header[i], d, bound))
-			}
-		}
-	}
-	return errs
 }
 
 func TestByIDAndIDs(t *testing.T) {

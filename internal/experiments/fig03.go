@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/exec/bulk"
@@ -87,57 +87,51 @@ func Fig3EnginesOpt(opt Options) []exec.Engine {
 	return []exec.Engine{volcano.New(), bulk.New(), jitEngine(opt)}
 }
 
-// Fig3 regenerates Figure 3: evaluation time of the example query under
+// Fig3Cells builds Figure 3: evaluation time of the example query under
 // every processing model × storage layout combination across the
-// selectivity sweep. The paper's claims: Volcano is 1-2 orders of
-// magnitude slower regardless of layout; bulk is competitive at low
-// selectivity and degrades with materialization volume; JiT on the
-// hand-optimized PDSM wins across the sweep.
-func Fig3(opt Options) *Report {
+// selectivity sweep, on 1M tuples (100K quick). The paper's claims: Volcano
+// is 1-2 orders of magnitude slower regardless of layout; bulk is
+// competitive at low selectivity and degrades with materialization volume;
+// JiT on the hand-optimized PDSM wins across the sweep.
+func Fig3Cells(opt Options) ([]Cell, func(map[string]time.Duration) *Report) {
 	rows := 1_000_000
-	repeats := 5
 	if opt.Quick {
 		rows = 100_000
-		repeats = 1
 	}
-	setup := NewFig3Setup(rows)
-	layoutOrder := []string{"row", "column", "hybrid"}
-
-	rep := &Report{
-		ID:     "fig3",
-		Title:  fmt.Sprintf("Example query cost vs. selectivity (%d tuples)", rows),
-		Header: append([]string{"processor/layout"}, selLabels()...),
-		Notes: []string{
-			"paper: Volcano slowest by 1-2 orders of magnitude (storage-model independent);",
-			"bulk degrades with selectivity (materialization); JiT+PDSM best across the sweep",
-		},
-	}
-	if n := workersNote(opt); n != "" {
-		rep.Notes = append(rep.Notes, n)
-	}
-	for _, e := range Fig3EnginesOpt(opt) {
-		for _, ln := range layoutOrder {
-			cat := setup.Catalogs[ln]
-			row := []string{e.Name() + "/" + ln}
-			for _, s := range Fig3Selectivities {
-				q := setup.Query(s)
-				// The bulk engine's materialization churns the heap; collect
-				// between cells so one engine's garbage is not charged to the
-				// next measurement.
-				runtime.GC()
-				d := medianTime(repeats, func() { e.Run(q, cat) })
-				row = append(row, fmtDur(d))
-			}
-			rep.Rows = append(rep.Rows, row)
+	cells := fig3Sweep(NewFig3Setup(rows), opt)
+	return cells, func(times map[string]time.Duration) *Report {
+		rep := &Report{
+			ID:    "fig3",
+			Title: fmt.Sprintf("Example query cost vs. selectivity (%d tuples)", rows),
+			Notes: []string{
+				"paper: Volcano slowest by 1-2 orders of magnitude (storage-model independent);",
+				"bulk degrades with selectivity (materialization); JiT+PDSM best across the sweep",
+			},
 		}
+		if n := workersNote(opt); n != "" {
+			rep.Notes = append(rep.Notes, n)
+		}
+		return rep.grid([]string{"processor/layout"}, cells, times)
 	}
-	return rep
 }
 
-func selLabels() []string {
-	out := make([]string, len(Fig3Selectivities))
-	for i, s := range Fig3Selectivities {
-		out[i] = fmt.Sprintf("s=%g", s)
+// fig3Sweep is Figure 3's cells over setup: one per engine, layout and
+// selectivity, each running the example query once.
+func fig3Sweep(setup *Fig3Setup, opt Options) []Cell {
+	var cells []Cell
+	for _, e := range Fig3EnginesOpt(opt) {
+		for _, layout := range []string{"row", "column", "hybrid"} {
+			cat := setup.Catalogs[layout]
+			for _, s := range Fig3Selectivities {
+				q := setup.Query(s)
+				cells = append(cells, Cell{
+					Row:   []string{e.Name() + "/" + layout},
+					Col:   fmt.Sprintf("s=%g", s),
+					Execs: 1,
+					Run:   func() { e.Run(q, cat) },
+				})
+			}
+		}
 	}
-	return out
+	return cells
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/bench/sapsd"
 	"repro/internal/costmodel"
@@ -19,6 +20,7 @@ type Fig9Setup struct {
 	Data     *sapsd.Data
 	Catalogs map[string]*plan.Catalog // row, column, hybrid
 	Queries  sapsd.QuerySet
+	inserts  int // Q6 rows inserted so far
 }
 
 // NewFig9Setup generates the data and runs BPi over the query-relevant
@@ -46,67 +48,57 @@ func NewFig9Setup(customers int) *Fig9Setup {
 	}
 }
 
-// Fig9ProcessorsOpt lists Figure 9's processors, with the workers knob
-// applied to the JiT engine — the single source of the figure's
-// processor list.
-func Fig9ProcessorsOpt(opt Options) []exec.Engine {
-	return []exec.Engine{jitEngine(opt), hyrise.New()}
+// q6 is the Q6 body on cat: each run inserts one order line under an
+// order number no run has used, bumping the key of a plan built once, so
+// a cell times the insert alone. Time's untimed run takes the first
+// insert's copy of every partition.
+func (s *Fig9Setup) q6(e exec.Engine, cat *plan.Catalog) func() {
+	ins := s.Data.InsertPlan(0).(plan.Insert)
+	key := &ins.Rows[0][s.Data.VBAP.Schema.Col("VBELN")]
+	first := storage.DecodeInt(*key)
+	return func() {
+		*key = storage.EncodeInt(first + int64(s.inserts))
+		s.inserts++
+		e.Run(ins, cat)
+	}
 }
 
-// Fig9 regenerates Figure 9: SAP-SD queries Q1-Q12 under {HyPer-style
-// JiT, HYRISE-style bulk-with-calls} × {row, column, hybrid}.
-func Fig9(opt Options) *Report {
+// Fig9Cells builds Figure 9: SAP-SD queries Q1-Q12 under {HyPer-style
+// JiT, HYRISE-style bulk-with-calls} × {row, column, hybrid}, over 20,000
+// customers (2,000 quick).
+func Fig9Cells(opt Options) ([]Cell, func(map[string]time.Duration) *Report) {
 	customers := 20000
-	repeats := 3
 	if opt.Quick {
 		customers = 2000
-		repeats = 1
 	}
 	setup := NewFig9Setup(customers)
-	layouts := []string{"row", "column", "hybrid"}
-	procs := Fig9ProcessorsOpt(opt)
 	procName := map[string]string{"jit": "HyPer", "hyrise": "HYRISE"}
-
-	rep := &Report{
-		ID:     "fig9",
-		Title:  fmt.Sprintf("SAP-SD Q1..Q12 (%d customers): JiT vs bulk-with-function-calls", customers),
-		Header: []string{"query"},
-		Notes: []string{
-			"paper: JiT outperforms the HYRISE-style processor by up to >1 order of magnitude on scan-heavy",
-			"queries; relative layout ranking is similar across processors; the insert Q6 is cheap under JiT",
-		},
-	}
-	if n := workersNote(opt); n != "" {
-		rep.Notes = append(rep.Notes, n)
-	}
-	for _, e := range procs {
-		for _, l := range layouts {
-			rep.Header = append(rep.Header, procName[e.Name()]+" "+l)
-		}
-	}
-	insertSeq := 0
-	for qi := 0; qi < 12; qi++ {
-		row := []string{fmt.Sprintf("Q%d", qi+1)}
+	procs := []exec.Engine{jitEngine(opt), hyrise.New()}
+	var cells []Cell
+	for qi, p := range setup.Queries.Plans {
 		for _, e := range procs {
-			for _, l := range layouts {
+			for _, l := range []string{"row", "column", "hybrid"} {
 				cat := setup.Catalogs[l]
-				var p plan.Node
-				if qi == 5 { // Q6: fresh insert per execution
-					// One untimed insert first. Relation.AppendRows appends
-					// to full partition slices, so the first insert on a
-					// catalog copies every partition, and whichever
-					// processor ran first would report that copy as Q6.
-					e.Run(setup.Data.InsertPlan(insertSeq), cat)
-					p = setup.Data.InsertPlan(insertSeq + 1)
-					insertSeq += 2
-				} else {
-					p = setup.Queries.Plans[qi]
+				run := func() { e.Run(p, cat) }
+				if qi == 5 {
+					run = setup.q6(e, cat)
 				}
-				d := medianTime(repeats, func() { e.Run(p, cat) })
-				row = append(row, fmtDur(d))
+				cells = append(cells, Cell{Row: []string{fmt.Sprintf("Q%d", qi+1)}, Col: procName[e.Name()] + " " + l, Execs: 1, Writes: qi == 5, Run: run})
 			}
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
-	return rep
+	return cells, func(times map[string]time.Duration) *Report {
+		rep := &Report{
+			ID:    "fig9",
+			Title: fmt.Sprintf("SAP-SD Q1..Q12 (%d customers): JiT vs bulk-with-function-calls", customers),
+			Notes: []string{
+				"paper: JiT outperforms the HYRISE-style processor by up to >1 order of magnitude on scan-heavy",
+				"queries; relative layout ranking is similar across processors; the insert Q6 is cheap under JiT",
+			},
+		}
+		if n := workersNote(opt); n != "" {
+			rep.Notes = append(rep.Notes, n)
+		}
+		return rep.grid([]string{"query"}, cells, times)
+	}
 }

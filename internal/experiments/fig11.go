@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/bench/chbench"
 	"repro/internal/costmodel"
@@ -55,42 +56,37 @@ func NewFig11Setup(cfg chbench.Config, txns int) *Fig11Setup {
 	}
 }
 
-// Fig11 regenerates Figure 11: CH-benchmark analytical queries 1, 2, 3,
+// Fig11Cells builds Figure 11: CH-benchmark analytical queries 1, 2, 3,
 // 4, 5, 6, 8, 10 on row, column and hybrid layouts under the JiT
-// processor. The paper's (negative-ish) finding: because JiT row scans
-// are already tight loops, full decomposition only buys ~30% on the
-// analytical queries, and the hybrid tracks the column store closely.
-func Fig11(opt Options) *Report {
+// processor, at W=4 after 2,000 transactions (W=2 after 200 quick). The
+// paper's (negative-ish) finding: because JiT row scans are already tight
+// loops, full decomposition only buys ~30% on the analytical queries, and
+// the hybrid tracks the column store closely.
+func Fig11Cells(opt Options) ([]Cell, func(map[string]time.Duration) *Report) {
 	cfg := chbench.Config{Warehouses: 4, DistrictsPerW: 10, CustomersPerD: 300, OrdersPerD: 300, Items: 2000, Suppliers: 200, Seed: 1}
 	txns := 2000
-	repeats := 3
 	if opt.Quick {
 		cfg = chbench.Config{Warehouses: 2, DistrictsPerW: 4, CustomersPerD: 50, OrdersPerD: 60, Items: 500, Suppliers: 50, Seed: 1}
 		txns = 200
-		repeats = 1
 	}
 	setup := NewFig11Setup(cfg, txns)
 	engine := jitEngine(opt)
-	layouts := []string{"row", "column", "hybrid"}
-
-	rep := &Report{
-		ID:     "fig11",
-		Title:  fmt.Sprintf("CH-benchmark analytical queries (W=%d, after %d transactions, JiT)", cfg.Warehouses, txns),
-		Header: append([]string{"CH query"}, layouts...),
-		Notes: []string{
-			"paper: decomposition buys only ~30% over N-ary storage here — JiT-compiled row scans",
-			"are already tight loops, so there is little left for the layout to win on this workload",
-		},
-	}
+	var cells []Cell
 	for _, qi := range chbench.QueryOrder {
-		row := []string{fmt.Sprintf("%d", qi)}
-		for _, l := range layouts {
-			cat := setup.Catalogs[l]
-			q := setup.Queries[qi]
-			d := medianTime(repeats, func() { engine.Run(q, cat) })
-			row = append(row, fmtDur(d))
+		for _, l := range []string{"row", "column", "hybrid"} {
+			q, cat := setup.Queries[qi], setup.Catalogs[l]
+			cells = append(cells, Cell{Row: []string{fmt.Sprint(qi)}, Col: l, Execs: 1, Run: func() { engine.Run(q, cat) }})
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
-	return rep
+	return cells, func(times map[string]time.Duration) *Report {
+		rep := &Report{
+			ID:    "fig11",
+			Title: fmt.Sprintf("CH-benchmark analytical queries (W=%d, after %d transactions, JiT)", cfg.Warehouses, txns),
+			Notes: []string{
+				"paper: decomposition buys only ~30% over N-ary storage here — JiT-compiled row scans",
+				"are already tight loops, so there is little left for the layout to win on this workload",
+			},
+		}
+		return rep.grid([]string{"CH query"}, cells, times)
+	}
 }

@@ -43,74 +43,80 @@ func NewFig12Setup(cfg cnet.Config) *Fig12Setup {
 	return &Fig12Setup{Data: d, Catalogs: cats, Queries: d.Queries(3), Hybrid: best}
 }
 
-// Fig12 regenerates Figure 12: the CNET product-catalog queries weighted
-// by their Table V frequencies, on row, column and hybrid layouts. The
-// paper's headline: hybrid beats N-ary by more than an order of magnitude
-// and full decomposition by ~4x on the weighted sum.
-func Fig12(opt Options) *Report {
+// Fig12Cells builds Figure 12: the CNET product-catalog queries weighted
+// by their Table V frequencies, on row, column and hybrid layouts, over
+// 100,000 products x 300 attributes (10,000 x 100 quick). The paper's
+// headline: hybrid beats N-ary by more than an order of magnitude and full
+// decomposition by ~4x on the weighted sum.
+func Fig12Cells(opt Options) ([]Cell, func(map[string]time.Duration) *Report) {
 	cfg := cnet.Config{Products: 100_000, Attrs: 300, Categories: 50, MeanSparse: 6, Seed: 1}
-	repeats := 3
+	variants := 1000
 	if opt.Quick {
 		cfg = cnet.Config{Products: 10_000, Attrs: 100, Categories: 20, MeanSparse: 6, Seed: 1}
-		repeats = 1
+		variants = 200
 	}
 	setup := NewFig12Setup(cfg)
-	layouts := []string{"row", "column", "hybrid"}
-
-	rep := &Report{
-		ID:     "fig12",
-		Title:  fmt.Sprintf("CNET catalog, weighted query times (%d products x %d attrs)", cfg.Products, cfg.Attrs),
-		Header: append([]string{"query (freq)"}, layouts...),
-		Notes: []string{
-			"weighted time = median single-execution time x Table V frequency;",
-			"paper: analytics best on DSM; Q3 slightly better on hybrid (id,name collocated); Q4 best on",
-			"row with slight hybrid degradation; weighted sum: hybrid >10x over row, ~4x over column",
-			fmt.Sprintf("BPi hybrid layout: %v", setup.Hybrid),
-		},
-	}
-	totals := map[string]time.Duration{}
+	var cells []Cell
+	var freqs []float64 // each cell's Table V frequency
 	for qi := 1; qi <= 4; qi++ {
-		freq := cnet.Frequencies[qi]
-		row := []string{fmt.Sprintf("Q%d (%gx)", qi, freq)}
-		for _, l := range layouts {
+		for _, l := range []string{"row", "column", "hybrid"} {
 			// The web application prepares its statements once and executes
 			// them many times (Q4: 10000x), so the compiled form is reused —
 			// exactly HyPer's compile-once-execute-parameterized model. Q4 is
 			// executed over distinct product ids: sequential identical
 			// lookups would measure a hot cache line instead of tuple
 			// reconstruction.
-			var d time.Duration
+			plans := []plan.Node{setup.Queries[qi]}
 			if qi == 4 {
-				variants := 1000
-				if opt.Quick {
-					variants = 200
-				}
 				rng := rand.New(rand.NewSource(9))
-				prepared := make([]*jit.Prepared, variants)
-				for i := range prepared {
-					prepared[i] = jit.PrepareOpt(setup.Data.Q4For(int64(rng.Intn(setup.Data.Products.Rows()))), setup.Catalogs[l], opt.Par)
+				plans = make([]plan.Node, variants)
+				for i := range plans {
+					plans[i] = setup.Data.Q4For(int64(rng.Intn(setup.Data.Products.Rows())))
 				}
-				d = medianTime(repeats, func() {
+			}
+			prepared := make([]*jit.Prepared, len(plans))
+			for i, p := range plans {
+				prepared[i] = jit.PrepareOpt(p, setup.Catalogs[l], opt.Par)
+			}
+			cells = append(cells, Cell{
+				Row:   []string{fmt.Sprintf("Q%d (%gx)", qi, cnet.Frequencies[qi])},
+				Col:   l,
+				Execs: len(prepared),
+				Run: func() {
 					for _, pq := range prepared {
 						pq.Exec()
 					}
-				}) / time.Duration(variants)
-			} else {
-				pq := jit.PrepareOpt(setup.Queries[qi], setup.Catalogs[l], opt.Par)
-				d = medianTime(repeats, func() { pq.Exec() })
-			}
-			weighted := time.Duration(float64(d) * freq)
-			totals[l] += weighted
-			row = append(row, fmtDur(weighted))
+				},
+			})
+			freqs = append(freqs, cnet.Frequencies[qi])
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
-	sum := []string{"Sum"}
-	for _, l := range layouts {
-		sum = append(sum, fmtDur(totals[l]))
+	return cells, func(times map[string]time.Duration) *Report {
+		rep := &Report{
+			ID:    "fig12",
+			Title: fmt.Sprintf("CNET catalog, weighted query times (%d products x %d attrs)", cfg.Products, cfg.Attrs),
+			Notes: []string{
+				"weighted time = median single-execution time x Table V frequency;",
+				"paper: analytics best on DSM; Q3 slightly better on hybrid (id,name collocated); Q4 best on",
+				"row with slight hybrid degradation; weighted sum: hybrid >10x over row, ~4x over column",
+				fmt.Sprintf("BPi hybrid layout: %v", setup.Hybrid),
+			},
+		}
+		weighted := map[string]time.Duration{}
+		totals := map[string]time.Duration{}
+		for i, c := range cells {
+			w := time.Duration(float64(times[c.Name()]) * freqs[i])
+			weighted[c.Name()] = w
+			totals[c.Col] += w
+		}
+		rep.grid([]string{"query (freq)"}, cells, weighted)
+		sum := []string{"Sum"}
+		for _, l := range rep.Header[1:] {
+			sum = append(sum, fmtDur(totals[l]))
+		}
+		rep.Rows = append(rep.Rows, sum)
+		return rep
 	}
-	rep.Rows = append(rep.Rows, sum)
-	return rep
 }
 
 // Table5 prints the CNET workload definition (paper Table V).

@@ -23,7 +23,7 @@ func startFaultReplica(t *testing.T, url string, tr *faultinject.Transport) (*se
 	svc.SetReadOnly(url)
 	rep := NewReplica(svc, url)
 	fastTune(rep)
-	rep.SetTransport(tr)
+	rep.hc.Transport = tr
 	ctx, cancel := context.WithCancel(context.Background())
 	go rep.Run(ctx)
 	t.Cleanup(func() {

@@ -46,10 +46,6 @@ type NodeConfig struct {
 	// the per-follower lag histograms). Default is a process-unique name.
 	FollowerID string
 
-	// Transport, when set, replaces the replica's HTTP transport — the
-	// fault-injection seam.
-	Transport http.RoundTripper
-
 	// Tune, when set, adjusts each newly built Replica (backoff, state
 	// thresholds, timeouts) before its tail loop starts.
 	Tune func(*Replica)
@@ -216,9 +212,6 @@ func (n *Node) startReplicaLocked(primaryURL string) {
 	rep := NewReplica(n.svc, primaryURL)
 	if n.cfg.FollowerID != "" {
 		rep.ID = n.cfg.FollowerID
-	}
-	if n.cfg.Transport != nil {
-		rep.SetTransport(n.cfg.Transport)
 	}
 	if n.cfg.Tune != nil {
 		n.cfg.Tune(rep)

@@ -128,13 +128,8 @@ func NewReplica(svc *service.DB, base string) *Replica {
 	return r
 }
 
-// SetTransport replaces the HTTP transport — the fault-injection seam
-// (wrap with faultinject.Transport to drop, delay or tear the stream).
-// Call before the tail loop starts.
-func (r *Replica) SetTransport(rt http.RoundTripper) { r.hc.Transport = rt }
-
 func (r *Replica) bootstrap(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, r.timeout(r.SnapshotTimeout, 5*time.Minute))
+	ctx, cancel := context.WithTimeout(ctx, r.SnapshotTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+SnapshotPath, nil)
 	if err != nil {
@@ -235,7 +230,7 @@ func (r *Replica) Drain(wait time.Duration) int {
 func (r *Replica) poll(ctx context.Context) error {
 	start := time.Now()
 	defer func() { r.svc.ObserveReplPoll(time.Since(start).Seconds()) }()
-	ctx, cancel := context.WithTimeout(ctx, r.timeout(r.PollTimeout, 90*time.Second))
+	ctx, cancel := context.WithTimeout(ctx, r.PollTimeout)
 	defer cancel()
 	url := fmt.Sprintf("%s%s?epoch=%d&offset=%d", r.base, WALPath, r.epoch, r.offset)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -391,9 +386,9 @@ func (r *Replica) noteFailure(ctx context.Context) {
 	r.fails++
 	r.svc.NoteReplicaRetry()
 	switch {
-	case r.fails >= r.threshold(r.PromoteAfter, 8):
+	case r.fails >= r.PromoteAfter:
 		r.setState(service.ReplStatePromoteEligible)
-	case r.fails >= r.threshold(r.DegradedAfter, 3):
+	case r.fails >= r.DegradedAfter:
 		r.setState(service.ReplStateDegraded)
 	}
 	r.bo.base, r.bo.cap = r.Backoff, r.BackoffCap
@@ -406,20 +401,6 @@ func (r *Replica) noteFailure(ctx context.Context) {
 }
 
 func (r *Replica) setState(s string) { r.svc.SetReplicaState(s) }
-
-func (r *Replica) timeout(d, def time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return def
-}
-
-func (r *Replica) threshold(n, def int) int {
-	if n > 0 {
-		return n
-	}
-	return def
-}
 
 func readErrBody(r io.Reader) string {
 	b, _ := io.ReadAll(io.LimitReader(r, 512))

@@ -95,9 +95,6 @@ type Config struct {
 	// QueueTimeout is how long an admitted-over-capacity request waits
 	// for a slot before ErrOverloaded; 0 means one second.
 	QueueTimeout time.Duration
-	// PlanCacheSize caps the compiled-plan LRU by entry count; 0 means
-	// 1024. The whole cache is still dropped on DDL.
-	PlanCacheSize int
 }
 
 // DB is a concurrency-safe serving wrapper around one core.DB. Create it
@@ -244,9 +241,6 @@ type planLRUEntry struct {
 }
 
 func newPlanLRU(capacity int) *planLRU {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheSize
-	}
 	return &planLRU{
 		cap:    capacity,
 		ll:     list.New(),
@@ -352,7 +346,7 @@ func New(db *core.DB, cfg Config) *DB {
 	s := &DB{
 		pool:         pool,
 		opt:          opt,
-		plans:        newPlanLRU(cfg.PlanCacheSize),
+		plans:        newPlanLRU(defaultPlanCacheSize),
 		stmts:        map[string]*Stmt{},
 		sem:          make(chan struct{}, inFlight),
 		queueTimeout: timeout,

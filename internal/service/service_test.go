@@ -61,8 +61,9 @@ func TestServiceQueryMatchesDirect(t *testing.T) {
 // db_plan_cache_entries / db_plan_cache_shapes signal for parameter-sweep
 // cache blowup.
 func TestServicePlanCacheShapes(t *testing.T) {
-	s := New(NewDemoDB(testRows), Config{Workers: 1, PlanCacheSize: 8})
+	s := New(NewDemoDB(testRows), Config{Workers: 1})
 	defer s.Close()
+	s.plans = newPlanLRU(8)
 	for i := 0; i < 5; i++ {
 		if _, err := s.Query(DemoQuery(float64(i+1) * 0.01)); err != nil {
 			t.Fatal(err)
