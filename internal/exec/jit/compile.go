@@ -184,7 +184,7 @@ func compilePipe(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 		probeIdx := tb.add("join-probe", "", depth)
 		buildIdx := tb.add("join-build", "", depth+1)
 		start := time.Now()
-		leftRows := prepareNode(v.Left, c, opt, &traceBuild{}, 0)(nil)
+		leftRows := prepareNode(v.Left, c, opt, &traceBuild{}, 0)(nil, nil)
 		leftWidth := len(plan.Output(v.Left, c))
 		jt := joinpar.Build(leftRows, v.LeftKey, leftWidth, opt)
 		tb.setStatic(buildIdx, int64(len(leftRows)), int64(len(leftRows)), time.Since(start).Nanoseconds())

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/exec/par"
+	"repro/internal/exec/result"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -89,9 +90,13 @@ const (
 // rowSink materializes the emitted rows. Each morsel lays its rows end to
 // end in chunks of its own; rows cuts the row views from them in morsel
 // order into one exactly sized slice. A one-morsel run, an index lookup's
-// say, keeps its morsel in one, so the sink is a single allocation.
+// say, keeps its morsel in one, so the sink is a single allocation. The
+// chunks and the views come from out, the set the rows go to (nil where
+// they are not the plan's result): large ones are recycled memory that
+// out keeps, so the sink writes every word it hands out.
 type rowSink struct {
 	width   int
+	out     *result.Set
 	morsels []morselRows
 	one     [1]morselRows
 }
@@ -105,8 +110,8 @@ type morselRows struct {
 	_     [8]byte // pads to 64 bytes: workers fill neighbouring morsels at once
 }
 
-func newRowSink(p *pipe, opt par.Options) *rowSink {
-	s := &rowSink{width: p.outWidth}
+func newRowSink(p *pipe, opt par.Options, out *result.Set) *rowSink {
+	s := &rowSink{width: p.outWidth, out: out}
 	if _, morsels := p.shape(opt); morsels == 1 {
 		s.morsels = s.one[:]
 	} else {
@@ -116,8 +121,8 @@ func newRowSink(p *pipe, opt par.Options) *rowSink {
 }
 
 // room makes room for a row of width words at the end of the chunk,
-// setting a full one aside for a new one of at most limit words.
-func (o *morselRows) room(width, limit int) {
+// setting a full one aside for a new one from out of at most limit words.
+func (o *morselRows) room(out *result.Set, width, limit int) {
 	if cap(o.chunk)-len(o.chunk) >= width {
 		return
 	}
@@ -125,13 +130,13 @@ func (o *morselRows) room(width, limit int) {
 		o.full = append(o.full, o.chunk)
 	}
 	size := min(max(2*cap(o.chunk), firstRowChunkWords), maxRowChunkWords, limit)
-	o.chunk = make([]storage.Word, 0, max(size, width))
+	o.chunk = out.Chunk(max(size, width))
 }
 
 func (s *rowSink) emit(_, m int, regs []storage.Word) {
 	o := &s.morsels[m]
 	o.rows++
-	o.room(s.width, maxRowChunkWords)
+	o.room(s.out, s.width, maxRowChunkWords)
 	o.chunk = append(o.chunk, regs...)
 }
 
@@ -140,7 +145,7 @@ func (s *rowSink) emitRows(_, m int, b batch) {
 	o, w := &s.morsels[m], s.width
 	o.rows += b.n
 	for i := 0; i < b.n && w > 0; {
-		o.room(w, (b.n-i+b.rest)*w)
+		o.room(s.out, w, (b.n-i+b.rest)*w)
 		k, end := min(b.n-i, blockRows, (cap(o.chunk)-len(o.chunk))/w), len(o.chunk)
 		o.chunk = o.chunk[:end+k*w]
 		b.gather(o.chunk[end:], i)
@@ -153,7 +158,7 @@ func (s *rowSink) rows() [][]storage.Word {
 	for _, o := range s.morsels {
 		total += o.rows
 	}
-	rows, k := make([][]storage.Word, total), 0
+	rows, k := s.out.RowViews(total), 0
 	for _, o := range s.morsels {
 		for _, c := range o.full {
 			k = cutRows(rows, k, c, s.width)

@@ -84,15 +84,16 @@ func TestProjectGatherMatchesSerial(t *testing.T) {
 	// About 6,000 of status 3's 12,500 index rows have id < 50,000: many blocks.
 	byStatus := plan.Scan{Table: "recent", Filter: expr.Conj(expr.Cmp{Attr: 6, Op: expr.Eq, Val: 3}, cmp(0, expr.Lt, 50_000)), Cols: []int{0, 2, 7}}
 	plans := map[string]plan.Node{
-		"wide":          widePlan(50_000),
-		"unfiltered":    plan.Scan{Table: "recent", Cols: []int{7, 0, 6}},
-		"no-columns":    plan.Scan{Table: "recent", Filter: cmp(0, expr.Lt, 3_000)},
-		"interpreted":   plan.Scan{Table: "recent", Filter: expr.Conj(cmp(0, expr.Lt, 50_000), orCustomers), Cols: []int{0, 1, 7}},
-		"only-complex":  plan.Scan{Table: "recent", Filter: orCustomers, Cols: []int{1, 4}},
-		"select-stage":  plan.Select{Child: widePlan(50_000), Pred: expr.Conj(cmp(2, expr.Lt, 500), expr.NotNull{Attr: 7})},
-		"project-stage": plan.Project{Child: widePlan(40_000), Exprs: []expr.Expr{expr.Arith{Op: expr.Add, L: expr.IntCol(2), R: expr.IntCol(3)}, expr.Col{Attr: 7, Ty: storage.String}, expr.IntCol(0)}},
-		"index":         byStatus,
-		"index-stage":   plan.Select{Child: byStatus, Pred: cmp(1, expr.Lt, 500)},
+		"wide":             widePlan(50_000),
+		"unfiltered":       plan.Scan{Table: "recent", Cols: []int{7, 0, 6}},
+		"no-columns":       plan.Scan{Table: "recent", Filter: cmp(0, expr.Lt, 3_000)},
+		"interpreted":      plan.Scan{Table: "recent", Filter: expr.Conj(cmp(0, expr.Lt, 50_000), orCustomers), Cols: []int{0, 1, 7}},
+		"only-complex":     plan.Scan{Table: "recent", Filter: orCustomers, Cols: []int{1, 4}},
+		"select-stage":     plan.Select{Child: widePlan(50_000), Pred: expr.Conj(cmp(2, expr.Lt, 500), expr.NotNull{Attr: 7})},
+		"project-stage":    plan.Project{Child: widePlan(40_000), Exprs: []expr.Expr{expr.Arith{Op: expr.Add, L: expr.IntCol(2), R: expr.IntCol(3)}, expr.Col{Attr: 7, Ty: storage.String}, expr.IntCol(0)}},
+		"index":            byStatus,
+		"index-stage":      plan.Select{Child: byStatus, Pred: cmp(1, expr.Lt, 500)},
+		"no-columns-stage": plan.Project{Child: plan.Scan{Table: "recent", Filter: cmp(0, expr.Lt, 3_000)}, Exprs: []expr.Expr{expr.IntConst(7)}},
 		"project-select": plan.Project{
 			Child: plan.Select{Child: widePlan(60_000), Pred: orCustomers},
 			Exprs: []expr.Expr{expr.IntCol(1), expr.Col{Attr: 5, Ty: storage.Float64}},
@@ -122,7 +123,7 @@ func TestProjectGatherMatchesSerial(t *testing.T) {
 	// at the rows left, exactly, and the others allocate nothing.
 	n, opt := widePlan(8_192), par.Options{Pool: pools[1], MorselRows: 4096}
 	p := compilePipe(n, c, opt, &traceBuild{}, 0)
-	s := newRowSink(p, opt)
+	s := newRowSink(p, opt, nil)
 	p.run(opt, nil, s)
 	for m, o := range s.morsels {
 		words := cap(o.chunk)
@@ -144,7 +145,9 @@ func TestProjectGatherMatchesSerial(t *testing.T) {
 
 // BenchmarkProject is wide_result's execution below the service: its plan
 // (id < 50,000, eight columns) prepared over a 100,000-row recent table in
-// the served layout, at 1 and 2 workers.
+// the served layout, at 1 and 2 workers. Each result is released, as the
+// service releases it once the reply is written, so its rows' memory is
+// recycled.
 func BenchmarkProject(b *testing.B) {
 	c := plan.NewCatalog().Add(recentRelation(100_000, 1, false))
 	for _, workers := range []int{1, 2} {
@@ -152,9 +155,11 @@ func BenchmarkProject(b *testing.B) {
 			prep := PrepareOpt(widePlan(50_000), c, par.WithPool(testPools(b, workers)[0]))
 			b.ReportAllocs()
 			for b.Loop() {
-				if prep.Exec().Len() != 50_000 {
+				res := prep.Exec()
+				if res.Len() != 50_000 {
 					b.Fatal("the plan must return 50,000 rows")
 				}
+				res.Release()
 			}
 		})
 	}

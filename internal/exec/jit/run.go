@@ -52,7 +52,7 @@ func (e Engine) Run(n plan.Node, c *plan.Catalog) *result.Set {
 // many simultaneous requests.
 type Prepared struct {
 	cols     []plan.Column
-	exec     func(tr *obs.QueryTrace) [][]storage.Word
+	exec     execFunc
 	protos   []obs.OpProto
 	workers  int
 	accesses []exec.TableAccess
@@ -87,7 +87,7 @@ func (p *Prepared) Exec() *result.Set { return p.ExecTraced(nil) }
 // trace reads no clock and flushes no counts.
 func (p *Prepared) ExecTraced(tr *obs.QueryTrace) *result.Set {
 	out := result.New(p.cols)
-	out.Rows = p.exec(tr)
+	out.Rows = p.exec(tr, out)
 	return out
 }
 
@@ -99,15 +99,24 @@ func (p *Prepared) NewTrace() *obs.QueryTrace {
 	return obs.NewTrace(p.protos, p.workers)
 }
 
+// An execFunc runs a compiled plan subtree under trace tr and returns its
+// rows. out is the set those rows are returned in where the subtree is
+// the plan's root, and nil elsewhere: a pipe at the root lays its rows in
+// memory out keeps (result.Set.Chunk and RowViews), so a service that
+// releases the set once its reply is written recycles that memory. Every
+// other operator passes nil to its children and returns rows the
+// collector owns.
+type execFunc func(tr *obs.QueryTrace, out *result.Set) [][]storage.Word
+
 // prepareNode compiles a plan subtree into an executable closure. Pipeline
 // breakers (aggregate, sort, limit, insert) sit between compiled pipelines. tb
 // collects operator descriptors in plan pre-order; depth is the subtree's
 // depth in the rendered trace.
-func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, depth int) func(*obs.QueryTrace) [][]storage.Word {
+func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, depth int) execFunc {
 	switch v := n.(type) {
 	case plan.Insert:
 		idx := tb.add("insert", "table="+v.Table, depth)
-		return func(tr *obs.QueryTrace) [][]storage.Word {
+		return func(tr *obs.QueryTrace, _ *result.Set) [][]storage.Word {
 			start := clock(tr)
 			rows := exec.RunInsert(v, c).Rows
 			tr.Op(idx).Add(int64(len(v.Rows)), int64(len(rows)), since(start))
@@ -116,8 +125,8 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 	case plan.Sort:
 		idx := tb.add("sort", fmt.Sprintf("keys=%d", len(v.Keys)), depth)
 		child := prepareNode(v.Child, c, opt, tb, depth+1)
-		return func(tr *obs.QueryTrace) [][]storage.Word {
-			rows := child(tr)
+		return func(tr *obs.QueryTrace, _ *result.Set) [][]storage.Word {
+			rows := child(tr, nil)
 			start := clock(tr)
 			sortpar.Sort(rows, v.Keys, opt)
 			tr.Op(idx).Add(int64(len(rows)), int64(len(rows)), since(start))
@@ -131,8 +140,8 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 		}
 		idx := tb.add("limit", fmt.Sprintf("n=%d", v.N), depth)
 		child := prepareNode(v.Child, c, opt, tb, depth+1)
-		return func(tr *obs.QueryTrace) [][]storage.Word {
-			rows := child(tr)
+		return func(tr *obs.QueryTrace, _ *result.Set) [][]storage.Word {
+			rows := child(tr, nil)
 			in := int64(len(rows))
 			if len(rows) > v.N {
 				rows = rows[:v.N]
@@ -144,18 +153,18 @@ func prepareNode(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 		idx := tb.add("group-by", fmt.Sprintf("groupBy=%d aggs=%d", len(v.GroupBy), len(v.Aggs)), depth)
 		p := compilePipe(v.Child, c, opt, tb, depth+1)
 		if k := compileScanAgg(p, v); k != nil {
-			return func(tr *obs.QueryTrace) [][]storage.Word {
+			return func(tr *obs.QueryTrace, _ *result.Set) [][]storage.Word {
 				rows, _ := k.run(opt, tr, idx)
 				return rows
 			}
 		}
-		return func(tr *obs.QueryTrace) [][]storage.Word { return genericAggregate(p, v, opt, tr, idx) }
+		return func(tr *obs.QueryTrace, _ *result.Set) [][]storage.Word { return genericAggregate(p, v, opt, tr, idx) }
 	default:
 		p := compilePipe(n, c, opt, tb, depth)
-		return func(tr *obs.QueryTrace) [][]storage.Word {
-			out := newRowSink(p, opt)
-			p.run(opt, tr, out)
-			return out.rows()
+		return func(tr *obs.QueryTrace, out *result.Set) [][]storage.Word {
+			s := newRowSink(p, opt, out)
+			p.run(opt, tr, s)
+			return s.rows()
 		}
 	}
 }
@@ -311,17 +320,40 @@ func (p *pipe) keep(rows passing) passing {
 // row j's registers at dst[j*len(loads):], one loop per load.
 func (b batch) gather(dst []storage.Word, i int) {
 	w := len(b.loads)
+	if w == 0 || len(dst) == 0 {
+		return
+	}
+	n := len(dst) / w
 	for _, l := range b.loads {
-		d, st, out, n := l.data[l.off:], l.stride, dst[l.reg:], len(dst)/w
+		out := dst[l.reg : l.reg+(n-1)*w+1]
 		if b.sel == nil {
-			for j, src := 0, d[(b.lo+i)*st:]; j < n; j++ {
-				out[j*w] = src[j*st]
-			}
-			continue
+			gatherRange(out, w, l.data[l.off+(b.lo+i)*l.stride:], l.stride)
+		} else {
+			gatherSel(out, w, l.data[l.off:], l.stride, b.sel[i:i+n])
 		}
-		for j, r := range b.sel[i : i+n] {
-			out[j*w] = d[int(r)*st]
-		}
+	}
+}
+
+// gatherRange copies src[0], src[st], ... into out[0], out[w], ... up to
+// out's end. gather's loops are leaves of their own, kept out of line, so
+// that the compiler holds their indexes in registers: inside gather an
+// index went to the stack and back around every word.
+//
+//go:noinline
+func gatherRange(out []storage.Word, w int, src []storage.Word, st int) {
+	for o, s := 0, 0; o < len(out); o, s = o+w, s+st {
+		out[o] = src[s]
+	}
+}
+
+// gatherSel copies d[r*st] for each row r of sel into out[0], out[w], ...
+//
+//go:noinline
+func gatherSel(out []storage.Word, w int, d []storage.Word, st int, sel []int32) {
+	o := 0
+	for _, r := range sel {
+		out[o] = d[int(r)*st]
+		o += w
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/exec/par"
+	"repro/internal/exec/result"
 	"repro/internal/exec/sortpar"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -17,15 +18,15 @@ import (
 // top-N queries. The merged result is bit-identical to stable-sort-then-
 // truncate: heaps break key ties by emission ordinal (morsel, seq), the
 // serial emission order under the scheduler's determinism contract.
-func prepareTopN(srt plan.Sort, k int, c *plan.Catalog, opt par.Options, tb *traceBuild, depth int) func(*obs.QueryTrace) [][]storage.Word {
+func prepareTopN(srt plan.Sort, k int, c *plan.Catalog, opt par.Options, tb *traceBuild, depth int) execFunc {
 	idx := tb.add("top-n", fmt.Sprintf("k=%d keys=%d", k, len(srt.Keys)), depth)
 	switch srt.Child.(type) {
 	case plan.Aggregate, plan.Sort, plan.Limit, plan.Insert:
 		// The sort child is itself a breaker: its output is already
 		// materialized, so the heap only bounds the sorted copy.
 		child := prepareNode(srt.Child, c, opt, tb, depth+1)
-		return func(tr *obs.QueryTrace) [][]storage.Word {
-			rows := child(tr)
+		return func(tr *obs.QueryTrace, _ *result.Set) [][]storage.Word {
+			rows := child(tr, nil)
 			start := clock(tr)
 			t := sortpar.NewTopN(srt.Keys, k)
 			for i, r := range rows {
@@ -37,7 +38,7 @@ func prepareTopN(srt plan.Sort, k int, c *plan.Catalog, opt par.Options, tb *tra
 		}
 	}
 	p := compilePipe(srt.Child, c, opt, tb, depth+1)
-	return func(tr *obs.QueryTrace) [][]storage.Word {
+	return func(tr *obs.QueryTrace, _ *result.Set) [][]storage.Word {
 		start := clock(tr)
 		workers, _ := p.shape(opt)
 		tops := make(topSink, workers)

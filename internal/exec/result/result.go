@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -52,13 +53,15 @@ func (a *Arena) NewRow(width int) []storage.Word {
 }
 
 // Set is a materialized query result: column metadata plus word-encoded
-// rows. Rows appended through NewRow share the set's arena;
+// rows. Rows appended through NewRow share the set's arena, and an engine
+// may lay rows in chunks the set keeps for recycling (Chunk, RowViews);
 // Rows remains a plain [][]Word of views, so consumers (differential
 // tests, hash-join builds) are unaffected by where the words live.
 type Set struct {
 	Cols  []plan.Column
 	Rows  [][]storage.Word
 	arena Arena
+	kept  atomic.Pointer[kept] // recycled memory holding the rows; nil until the first buffer
 }
 
 // New creates a result set with the given columns.

@@ -480,37 +480,49 @@ func EncodeRows(rel *storage.Relation, b *Batch) (grown [][]string) {
 		if a.Type != storage.String {
 			continue
 		}
-		d, base := rel.Dicts[ai], 0
-		if d != nil {
-			base = d.Len()
+		d := rel.Dicts[ai]
+		if d == nil {
+			grown = encodeColumn(b, ai, 0, nil, grown)
+			continue
 		}
-		var staged map[string]storage.Word // new value -> code
-		for i := ai; i < len(b.Words); i += len(attrs) {
-			if b.Words[i] == storage.Null {
+		d.Lookup(func(code func([]byte) (storage.Word, bool)) {
+			grown = encodeColumn(b, ai, d.Len(), code, grown)
+		})
+	}
+	return grown
+}
+
+// encodeColumn is EncodeRows for column ai of b: a cell whose value code
+// finds takes that code (code is nil for a column without a dictionary),
+// and each value it does not find is staged in grown[ai], coded from base
+// on.
+func encodeColumn(b *Batch, ai, base int, code func([]byte) (storage.Word, bool), grown [][]string) [][]string {
+	var staged map[string]storage.Word // new value -> code
+	for i := ai; i < len(b.Words); i += b.width {
+		if b.Words[i] == storage.Null {
+			continue
+		}
+		text := b.Str(b.Words[i])
+		if code != nil {
+			if c, ok := code(text); ok {
+				b.Words[i] = c
 				continue
 			}
-			text := b.Str(b.Words[i])
-			if d != nil {
-				if c, ok := d.CodeOf(text); ok {
-					b.Words[i] = c
-					continue
-				}
-			}
-			c, ok := staged[string(text)]
-			if !ok {
-				if grown == nil {
-					grown = make([][]string, len(attrs))
-				}
-				if staged == nil {
-					staged = map[string]storage.Word{}
-				}
-				v := string(text)
-				c = storage.Word(base + len(grown[ai]))
-				staged[v] = c
-				grown[ai] = append(grown[ai], v)
-			}
-			b.Words[i] = c
 		}
+		c, ok := staged[string(text)]
+		if !ok {
+			if grown == nil {
+				grown = make([][]string, b.width)
+			}
+			if staged == nil {
+				staged = map[string]storage.Word{}
+			}
+			v := string(text)
+			c = storage.Word(base + len(grown[ai]))
+			staged[v] = c
+			grown[ai] = append(grown[ai], v)
+		}
+		b.Words[i] = c
 	}
 	return grown
 }

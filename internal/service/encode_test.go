@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,7 +86,8 @@ type reply struct {
 }
 
 // wantDocument is encoding/json's rendering of the reply for res, built
-// cell by cell from the source words.
+// cell by cell from the source words; a cell beyond the declared columns
+// is an int64.
 func wantDocument(t *testing.T, res *result.Set, micros int64) []byte {
 	t.Helper()
 	ref := reply{Cols: make([]colJSON, len(res.Cols)), Rows: make([][]json.RawMessage, len(res.Rows)), RowCount: len(res.Rows), Micros: micros}
@@ -95,7 +97,11 @@ func wantDocument(t *testing.T, res *result.Set, micros int64) []byte {
 	for i, row := range res.Rows {
 		ref.Rows[i] = make([]json.RawMessage, len(row))
 		for j, word := range row {
-			ref.Rows[i][j] = json.RawMessage(wantCell(t, word, res.Cols[j]))
+			c := plan.Column{Type: storage.Int64} // a cell beyond the declared columns
+			if j < len(res.Cols) {
+				c = res.Cols[j]
+			}
+			ref.Rows[i][j] = json.RawMessage(wantCell(t, word, c))
 		}
 	}
 	want, err := json.Marshal(ref)
@@ -420,7 +426,7 @@ func FuzzAppendJSONFloat(f *testing.F) {
 	})
 }
 
-// FuzzAppendJSONInt: for any int64 the digit-pair formatter is
+// FuzzAppendJSONInt: for any int64 the three-digit table formatter is
 // strconv.AppendInt, appending to what the buffer already holds; so is
 // appendJSONUint for the same bits read unsigned.
 func FuzzAppendJSONInt(f *testing.F) {
@@ -439,6 +445,115 @@ func FuzzAppendJSONInt(f *testing.F) {
 		}
 		if got, want := appendJSONUint(roomy, uint64(i)), strconv.AppendUint([]byte("x,"), uint64(i), 10); !bytes.Equal(got, want) {
 			t.Fatalf("appendJSONUint(%d) = %q, want %q", uint64(i), got, want)
+		}
+	})
+}
+
+// fuzzBytes hands out a fuzz input a byte or a word at a time, zeros once
+// it runs dry.
+type fuzzBytes []byte
+
+func (r *fuzzBytes) byte() byte {
+	if len(*r) == 0 {
+		return 0
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return b
+}
+
+func (r *fuzzBytes) word() uint64 {
+	var b [8]byte
+	*r = (*r)[copy(b[:], *r):]
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// fuzzDicts returns the dictionaries fuzzSet's string columns use: one
+// smaller than most replies (quoted once), one larger than any (quoted
+// cell by cell), and none.
+func fuzzDicts() []*storage.Dict {
+	large := make([]string, 300)
+	for i := range large {
+		large[i] = fmt.Sprintf("v%03d<%s>", i, edgeStrings[i%len(edgeStrings)])
+	}
+	return []*storage.Dict{storage.BuildDict(edgeStrings), storage.BuildDict(large), nil}
+}
+
+// fuzzSet builds a result set from a fuzz input: up to six columns of
+// every type, string columns over one of dicts; then rows until the input
+// runs dry, one in eight wider than the columns. Cells are Null, edge
+// values, raw bits, integers either side of 1e9, decimals of two and six
+// fraction digits, and codes in and out of range.
+func fuzzSet(data []byte, dicts []*storage.Dict) *result.Set {
+	r := fuzzBytes(data)
+	cols := make([]plan.Column, r.byte()%7)
+	for j := range cols {
+		k := int(r.byte() % 6)
+		cols[j] = plan.Column{Name: fmt.Sprint("c", j), Type: storage.String}
+		if k < 3 {
+			cols[j].Type = []storage.Type{storage.Int64, storage.Float64, storage.Bool}[k]
+		} else {
+			cols[j].Dict = dicts[k-3]
+		}
+	}
+	res := result.New(cols)
+	for len(r) > 0 {
+		row := make([]storage.Word, len(cols))
+		if r.byte()%8 == 0 {
+			row = append(row, make([]storage.Word, 1+r.byte()%2)...)
+		}
+		for j := range row {
+			tag, v := r.byte(), r.word()
+			typ := storage.Int64
+			if j < len(cols) {
+				typ = cols[j].Type
+			}
+			switch {
+			case tag%8 == 0:
+				row[j] = storage.Null
+			case typ == storage.Int64:
+				row[j] = storage.EncodeInt([]int64{edgeInts[v%uint64(len(edgeInts))], int64(v), int64(v%4e9) - 2e9, int64(int16(v))}[tag>>3%4])
+			case typ == storage.Float64:
+				row[j] = storage.EncodeFloat([]float64{edgeFloats[v%uint64(len(edgeFloats))], math.Float64frombits(v), float64(int64(v%4e11)-2e11) / 100, float64(int32(v)) / 1e6}[tag>>3%4])
+			case typ == storage.Bool:
+				row[j] = storage.Word(v % 2)
+			case cols[j].Dict != nil:
+				row[j] = storage.Word(v % uint64(cols[j].Dict.Len()+3))
+			default:
+				row[j] = storage.Word(v % (1 << 40))
+			}
+		}
+		res.Append(row)
+	}
+	return res
+}
+
+// FuzzStreamResult: for rows built from the fuzz input, the streamed
+// document is encoding/json's, serially and on a two-worker pool.
+func FuzzStreamResult(f *testing.F) {
+	pool := par.NewPool(2)
+	f.Cleanup(pool.Close)
+	dicts := fuzzDicts()
+	for i := range max(len(edgeInts), len(edgeFloats), len(edgeStrings)) {
+		var seed []byte
+		seed = append(seed, 6, 0, 1, 2, 3, 4, 5) // one column of each kind
+		for k := range 24 {
+			seed = append(seed, byte(i+k), byte(8*(k%4)+1))
+			seed = binary.LittleEndian.AppendUint64(seed, uint64(i+k))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res := fuzzSet(data, dicts)
+		want := wantDocument(t, res, 5)
+		for _, opt := range []par.Options{par.Serial(), par.WithPool(pool)} {
+			var buf bytes.Buffer
+			if err := streamResult(&buf, opt, res, 5, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%d workers: document differs from encoding/json's:\n got %s\nwant %s", opt.WorkerCount(), buf.Bytes(), want)
+			}
 		}
 	})
 }

@@ -69,13 +69,17 @@ func (d *Dict) Code(v string) (Word, bool) {
 	return c, ok
 }
 
-// CodeOf is Code for a value given as bytes; the lookup does not
-// allocate.
-func (d *Dict) CodeOf(v []byte) (Word, bool) {
+// Lookup calls fn with a code lookup for values given as bytes, holding
+// d's read lock around the call: code takes no lock of its own and does
+// not allocate, so a load coding a batch column locks once, not once a
+// cell. fn must not add values to d.
+func (d *Dict) Lookup(fn func(code func(v []byte) (Word, bool))) {
 	d.mu.RLock()
-	c, ok := d.code[string(v)]
-	d.mu.RUnlock()
-	return c, ok
+	defer d.mu.RUnlock()
+	fn(func(v []byte) (Word, bool) {
+		c, ok := d.code[string(v)]
+		return c, ok
+	})
 }
 
 // MustCode returns the code of v or panics; for benchmark parameter
