@@ -191,6 +191,10 @@ func (tx *WriteTxn) AppendRows(table string, words []storage.Word) *result.Set {
 	return exec.AppendRows(tx.cat, table, words)
 }
 
+// Reserve makes room for rows more rows in table's partitions (see
+// storage.Relation.Reserve) in this transaction's version.
+func (tx *WriteTxn) Reserve(table string, rows int) { tx.rel(table).Reserve(rows) }
+
 // Clip drops the spare capacity of table's partitions (see
 // storage.Relation.Clip) in this transaction's version, copying on the
 // database's morsel workers.

@@ -93,19 +93,18 @@ func (h *HashIndex) grow(size int) {
 	}
 }
 
-// build inserts every row of acc as if one by one in row order. Under
-// parallel options the row ids are first partitioned by the top bits of
-// their key's home slot (partition), and each partition fills its own
-// slot range as one morsel on opt's workers; with one partition the
-// whole table is that range. A row whose key already has a slot, or
-// whose probe would run past its range, is deferred, and the deferred
-// rows are put afterwards in row order, wrapping like Insert. All rows of
-// a key share a partition, and a key's deferred rows follow its placed
-// one, so Lookup returns each key's rows in ascending order, the same
-// lists a serial build gives.
+// build inserts every row of acc into the empty index as if one by one
+// in row order. Under parallel options the row ids are first partitioned
+// by the top bits of their key's home slot (partition), and each
+// partition fills its own slot range as one morsel on opt's workers
+// (fill); with one partition the whole table is that range. A row whose
+// probe would run past its range is put afterwards, in row order,
+// wrapping like Insert. All rows of a key share a partition, so Lookup
+// returns each key's rows in ascending order, the same lists a serial
+// build gives.
 func (h *HashIndex) build(acc storage.Accessor, rows int, opt par.Options) {
 	size := len(h.slots)
-	for (h.keys+rows)*10 >= size*7 {
+	for rows*10 >= size*7 {
 		size *= 2
 	}
 	if size > len(h.slots) {
@@ -120,34 +119,110 @@ func (h *HashIndex) build(acc storage.Accessor, rows int, opt par.Options) {
 		start, moved = h.partition(acc, rows, parts, shift, opt)
 	}
 
-	deferred := make([][]hashSlot, parts)
+	fills := make([]partFill, parts)
 	par.Run(parts, par.Options{Pool: opt.Pool, MorselRows: 1}, func(_, p, _, _ int) {
-		end := uint64(p+1) << shift
-		for i := start[p]; i < start[p+1]; i++ {
-			var e hashSlot
-			if moved != nil {
-				e = moved[i]
-			} else {
-				e = hashSlot{key: acc.At(i), row: int32(i), used: true}
-			}
-			pos := hashWord(e.key) & h.mask
-			for pos < end && h.slots[pos].used && h.slots[pos].key != e.key {
-				pos++
-			}
-			if pos == end || h.slots[pos].used {
-				deferred[p] = append(deferred[p], e)
-				continue
-			}
-			h.slots[pos] = e
-		}
+		fills[p] = h.fill(acc, moved, start[p], start[p+1], uint64(p+1)<<shift)
 	})
-	for p, es := range deferred {
-		h.keys += start[p+1] - start[p] - len(es)
-		for _, e := range es {
+	lists := 0
+	for _, f := range fills {
+		lists += len(f.lists)
+	}
+	h.dups = slices.Grow(h.dups, lists)
+	for _, f := range fills {
+		h.keys += f.keys
+		for i, pos := range f.pos {
+			h.slots[pos].row = ^int32(len(h.dups))
+			h.dups = append(h.dups, f.lists[i])
+		}
+	}
+	for _, f := range fills {
+		for _, e := range f.over {
 			h.put(e.key, e.row)
 		}
 	}
 	h.n += rows
+}
+
+// partFill is what one partition's fill leaves for build to merge.
+type partFill struct {
+	keys  int        // slots taken
+	pos   []uint64   // the slots of keys with more than one row
+	lists [][]int32  // those keys' rows, ascending
+	over  []hashSlot // the rows whose probe ran past the range, in row order
+}
+
+// fill puts entries [lo, hi) of a build (moved's, or acc's rows when
+// moved is nil) into the slots below end. A row takes a free slot, or
+// counts towards its key's row list when the key has a slot already; a
+// key's slot then numbers its list within the partition until build
+// renumbers it. The lists are cut from one array sized by those counts,
+// and a second pass over the entries fills them, so a build allocates
+// one row-list entry per row of a repeated key and nothing per row else.
+func (h *HashIndex) fill(acc storage.Accessor, moved []hashSlot, lo, hi int, end uint64) (f partFill) {
+	var firsts []int32 // each list's first row, the one in its slot
+	var counts []int   // each list's rows after the first
+	for i := lo; i < hi; i++ {
+		e := buildEntry(acc, moved, i)
+		pos := h.probe(e.key, end)
+		if pos == end {
+			f.over = append(f.over, e)
+			continue
+		}
+		switch s := &h.slots[pos]; {
+		case !s.used:
+			*s = e
+			f.keys++
+		case s.row >= 0:
+			firsts = append(firsts, s.row)
+			counts = append(counts, 1)
+			f.pos = append(f.pos, pos)
+			s.row = ^int32(len(counts) - 1)
+		default:
+			counts[^s.row]++
+		}
+	}
+	if len(counts) == 0 {
+		return f
+	}
+	n := 0
+	for _, c := range counts {
+		n += 1 + c
+	}
+	flat := make([]int32, 0, n)
+	f.lists = make([][]int32, len(counts))
+	for k, c := range counts {
+		at := len(flat)
+		flat = append(flat, firsts[k])
+		f.lists[k] = flat[at : at+1 : at+1+c]
+		flat = flat[:at+1+c]
+	}
+	for i := lo; i < hi; i++ {
+		e := buildEntry(acc, moved, i)
+		if pos := h.probe(e.key, end); pos < end {
+			if s := h.slots[pos]; s.row < 0 && e.row != firsts[^s.row] {
+				f.lists[^s.row] = append(f.lists[^s.row], e.row)
+			}
+		}
+	}
+	return f
+}
+
+// buildEntry is entry i of a build: moved's, or row i of acc.
+func buildEntry(acc storage.Accessor, moved []hashSlot, i int) hashSlot {
+	if moved != nil {
+		return moved[i]
+	}
+	return hashSlot{key: acc.At(i), row: int32(i), used: true}
+}
+
+// probe returns the slot of key, or the first free slot, from key's home
+// slot on but below end; end when there is neither.
+func (h *HashIndex) probe(key storage.Word, end uint64) uint64 {
+	pos := hashWord(key) & h.mask
+	for pos < end && h.slots[pos].used && h.slots[pos].key != key {
+		pos++
+	}
+	return pos
 }
 
 // partition radix-partitions the rows by the top bits of their key's

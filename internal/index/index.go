@@ -51,12 +51,13 @@ func New(kind string, expected int) (Index, error) {
 }
 
 // BuildOn inserts every row of an existing relation attribute into idx
-// and returns it. A hash index is filled as morsels on opt's workers
-// (HashIndex.build); a red-black tree is built on the calling goroutine.
-// Either way Lookup returns each key's rows in ascending order.
+// and returns it. An empty hash index is filled as morsels on opt's
+// workers (HashIndex.build); any other index is filled on the calling
+// goroutine. Either way Lookup returns each key's rows in ascending
+// order.
 func BuildOn(idx Index, rel *storage.Relation, attr int, opt par.Options) Index {
 	acc := rel.Access(attr)
-	if h, ok := idx.(*HashIndex); ok {
+	if h, ok := idx.(*HashIndex); ok && h.Len() == 0 {
 		h.build(acc, rel.Rows(), opt)
 		return h
 	}

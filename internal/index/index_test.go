@@ -321,29 +321,41 @@ func TestHashGrowKeepsWrappedRunsInOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkHashIndexBuild times BuildOn of a hash index over 2M unique
-// keys in a row-store relation of 12 words a row (the served orders
-// table's shape), serial and on two morsel workers.
+// BenchmarkHashIndexBuild times BuildOn of a hash index over 2M rows of
+// a row-store relation of 12 words a row (the served orders table's
+// shape), serial and on two morsel workers. unique keys every row apart,
+// as the served orders' ids are; keys=1000 spreads the rows over 1,000
+// keys, so all but 1,000 rows join a key's row list.
 func BenchmarkHashIndexBuild(b *testing.B) {
 	const rows, width = 2_000_000, 12
 	attrs := make([]storage.Attribute, width)
 	for i := range attrs {
 		attrs[i] = storage.Attribute{Name: fmt.Sprintf("a%d", i), Type: storage.Int64}
 	}
-	rel := storage.NewRelation(storage.NewSchema("orders", attrs...), storage.NSM(width))
-	words := make([]storage.Word, rows*width)
-	for i, id := range rand.New(rand.NewSource(1)).Perm(rows) {
-		words[i*width] = storage.EncodeInt(int64(id))
-	}
-	rel.AppendRows(words)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pool := par.NewPool(workers)
-			defer pool.Close()
-			opt := par.WithPool(pool)
-			for i := 0; i < b.N; i++ {
-				BuildOn(NewHashIndex(rows), rel, 0, opt)
-			}
-		})
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name string
+		key  func(row, id int) int
+	}{
+		{"unique", func(_, id int) int { return id }},
+		{"keys=1000", func(int, int) int { return rng.Intn(1000) }},
+	} {
+		rel := storage.NewRelation(storage.NewSchema("orders", attrs...), storage.NSM(width))
+		words := make([]storage.Word, rows*width)
+		for i, id := range rng.Perm(rows) {
+			words[i*width] = storage.EncodeInt(int64(c.key(i, id)))
+		}
+		rel.AppendRows(words)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				pool := par.NewPool(workers)
+				defer pool.Close()
+				opt := par.WithPool(pool)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					BuildOn(NewHashIndex(rows), rel, 0, opt)
+				}
+			})
+		}
 	}
 }

@@ -8,23 +8,24 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/exec/par"
 	"repro/internal/storage"
 )
 
-// Streaming bulk ingestion in two steps. A reader (CSVReader,
-// NDJSONReader) turns a byte stream into Batches for one schema: flat
-// word rows, every numeric and bool cell decoded into its word as the
-// reader scans the record, with no allocation per row or per cell.
-// EncodeRows then maps a batch's string cells to dictionary codes. The
-// steps are split so a caller can read outside its catalog lock and
-// encode inside it; the dictionary growth a batch needs is returned
-// rather than applied, so the caller can log it before it touches shared
-// state. A caller done with a batch releases it, and the reader's later
-// batches reuse its buffers, so a load's garbage does not grow with its
-// size.
+// Streaming bulk ingestion in two steps. A BlockReader turns a byte
+// stream into Batches for one schema: flat word rows, every numeric and
+// bool cell decoded into its word as the parser scans the record, with
+// no allocation per row or per cell. EncodeRows then maps a batch's
+// string cells to dictionary codes. The steps are split so a caller can
+// read outside its catalog lock and encode inside it; the dictionary
+// growth a batch needs is returned rather than applied, so the caller
+// can log it before it touches shared state. A caller done with a batch
+// releases it, and the reader's later batches reuse its buffers, so a
+// load's garbage does not grow with its size.
 
 // Batch is a run of rows read from an ingest stream: Words holds Rows()
 // rows of schema-width words, row-major in schema attribute order. A
@@ -32,18 +33,13 @@ import (
 // numbers the cell among the batch's string cells, whose text Str
 // returns, until EncodeRows replaces it with a dictionary code.
 type Batch struct {
-	Words []storage.Word
-	text  []byte // the string cells' text, back to back
-	ends  []int  // end offset in text of each string cell
-	width int
-	max   int         // rows the batch is filled to
-	free  chan *Batch // its reader's released batches
+	Words  []storage.Word
+	text   []byte // the string cells' text, back to back
+	ends   []int  // end offset in text of each string cell
+	width  int
+	stream int         // see StreamRows
+	free   chan *Batch // its reader's released batches
 }
-
-// newFreeList returns a reader's list of released batches. Its size is
-// the most batches a pipelined load holds at once: one committing, one
-// waiting to commit and one being read.
-func newFreeList() chan *Batch { return make(chan *Batch, 3) }
 
 // newBatch returns an empty batch for up to max rows of width words,
 // reusing the buffers of a batch released to free when there is one.
@@ -57,7 +53,7 @@ func newBatch(free chan *Batch, width, max int) *Batch {
 	if cap(b.Words) < width*max {
 		b.Words = make([]storage.Word, 0, width*max)
 	}
-	b.Words, b.text, b.ends, b.width, b.max = b.Words[:0], b.text[:0], b.ends[:0], width, max
+	b.Words, b.text, b.ends, b.width, b.stream = b.Words[:0], b.text[:0], b.ends[:0], width, 0
 	return b
 }
 
@@ -73,6 +69,12 @@ func (b *Batch) Release() {
 // Rows returns the number of rows in the batch.
 func (b *Batch) Rows() int { return len(b.Words) / b.width }
 
+// StreamRows is, on the first batch of a stream that reported its
+// length, an estimate of the rows the whole stream holds, rounded up by
+// a sixteenth so that it errs high; it is 0 on every other batch. A
+// table can then be grown once for the whole load.
+func (b *Batch) StreamRows() int { return b.stream }
+
 // Str returns the text of the string cell numbered w. It aliases the
 // batch.
 func (b *Batch) Str(w storage.Word) []byte {
@@ -82,8 +84,6 @@ func (b *Batch) Str(w storage.Word) []byte {
 	}
 	return b.text[start:b.ends[w]]
 }
-
-func (b *Batch) full() bool { return len(b.Words) == b.max*b.width }
 
 // row extends the batch by one row and returns its words.
 func (b *Batch) row() []storage.Word {
@@ -121,81 +121,352 @@ type BatchReader interface {
 	ReadBatch(max int) (*Batch, error)
 }
 
-// CSVReader streams comma-separated rows of a fixed schema in the
+// BlockReader is the one ingest driver, for both formats. The caller's
+// goroutine reads the stream in blocks and cuts what it has read after
+// every max-th record, so that each piece holds exactly the records of
+// one batch (the stream's last piece may hold fewer). The pieces are
+// then parsed as morsels on the workers of SetParOptions (serially
+// without), each by its worker's parser seeded with the piece's first
+// line number. Batches, their boundaries and their errors therefore come
+// out as one pass over the stream gives them, at any worker count; they
+// are handed out in stream order, and the first piece that fails to
+// parse ends the stream with its error.
+//
+// A block is whatever the reads since the last cut delivered: as soon as
+// a read completes at least one batch, the whole batches are parsed, so
+// a stream that stalls still yields every batch it has sent. Once the
+// first piece is cut, the buffer grows to hold BlockBatches pieces of its
+// size, so a stream that delivers as much as is asked (a file, a byte
+// slice) gives every worker several pieces per block.
+type BlockReader struct {
+	r       io.Reader
+	format  string // "csv" or "ndjson"
+	attrs   []storage.Attribute
+	opt     par.Options
+	parsers []parser    // one per worker
+	free    chan *Batch // released batches, shared by the workers
+	left    int         // the stream's unread length when it reports one, else -1
+
+	buf    []byte // read and not yet parsed; buf[:scan] is whole lines
+	scan   int
+	seek   int     // buf[scan:seek] holds no '\n': a long line's reads are searched once
+	line   int     // lines before buf[0]
+	lines  int     // lines in buf[:scan]
+	recs   int     // records in buf[:scan] after the last cut
+	quotes int     // CSV: the quotes of a record still open at scan, else 0
+	cuts   []piece // the whole batches in buf[:scan]
+	read   int     // bytes of the stream before buf[0]
+	block  int     // the buffer's size once the first piece is cut
+
+	ready []parsed // the last block's batches, in stream order
+	next  int      // the first of ready not yet handed out
+	err   error    // ends the stream once ready is handed out
+}
+
+// piece is a run of whole records in a BlockReader's buffer: buf[:end]
+// from the previous piece's end, after lines lines of buf.
+type piece struct{ end, lines int }
+
+// parsed is one piece's outcome: its batch, or the error that stopped it.
+type parsed struct {
+	b   *Batch
+	err error
+}
+
+// parser decodes pieces of one format into batches. A parser belongs to
+// one worker at a time.
+type parser interface {
+	// parse decodes every record of data, whose first line is the
+	// stream's line+1, into new rows of b.
+	parse(b *Batch, data []byte, line int) error
+}
+
+// Block sizes: the first read asks for firstBlock bytes, or the stream's
+// length when it reports a shorter one; every later block holds
+// BlockBatches pieces the size of the first.
+const firstBlock = 1 << 20
+
+// BlockBatches is how many batches a BlockReader aims to cut from each
+// block on opt's workers: four per worker, so that the pieces balance
+// across them. A consumer that queues this many batches keeps the next
+// block's parse going while it works through the last one's.
+func BlockBatches(opt par.Options) int { return 4 * opt.WorkerCount() }
+
+// NewCSVReader reads CSV rows of the given attributes from r, in the
 // dialect of encoding/csv's defaults: empty lines are skipped, a "\r\n"
 // line end counts as "\n", and a record must have one field per
 // attribute. Empty cells are NULL for non-string columns; there is no
-// quoting convention for NULL strings.
-//
-// A record without a '"' is split and decoded in one pass over its bytes
-// in the read buffer. A record with one is handed whole to encoding/csv,
-// the only parser of quoted fields.
-type CSVReader struct {
-	r     *bufio.Reader
-	attrs []storage.Attribute
-	line  int    // physical lines read
-	long  []byte // a line longer than r's buffer
-	cell  []byte // a quoted record's field
-	free  chan *Batch
+// quoting convention for NULL strings. A quoted field may span lines; a
+// record's quote count tells where it ends, as it does for encoding/csv.
+func NewCSVReader(r io.Reader, attrs []storage.Attribute) *BlockReader {
+	return newBlockReader(r, "csv", attrs)
+}
 
-	rec    []byte        // a quoted record's lines
-	recSrc bytes.Reader  // reads rec
+// NewNDJSONReader reads newline-delimited JSON arrays of the given
+// attributes from r, one row per line: [1, "a", 2.5, null]. Blank lines
+// are skipped. Numbers keep their literal text (json.Number), so float
+// values round-trip exactly; null becomes the NULL word. Every other
+// value is decoded from its text like a CSV cell.
+func NewNDJSONReader(r io.Reader, attrs []storage.Attribute) *BlockReader {
+	return newBlockReader(r, "ndjson", attrs)
+}
+
+func newBlockReader(r io.Reader, format string, attrs []storage.Attribute) *BlockReader {
+	d := &BlockReader{r: r, format: format, attrs: attrs, left: -1}
+	if l, ok := r.(interface{ Len() int }); ok {
+		d.left = l.Len()
+	}
+	return d
+}
+
+// newParser returns a parser of the reader's format for one worker.
+func (d *BlockReader) newParser() parser {
+	if d.format == "ndjson" {
+		return &ndjsonParser{attrs: d.attrs}
+	}
+	return newCSVParser(d.attrs)
+}
+
+// SetParOptions parses each block's pieces as morsels on opt's workers.
+// It must be called before the first ReadBatch.
+func (d *BlockReader) SetParOptions(opt par.Options) { d.opt = opt }
+
+// ReadBatch implements BatchReader. max is read when a block is cut, so a
+// caller keeps it the same for a whole stream.
+func (d *BlockReader) ReadBatch(max int) (*Batch, error) {
+	for d.next == len(d.ready) {
+		if d.err != nil {
+			return nil, d.err
+		}
+		d.readBlock(max)
+	}
+	p := d.ready[d.next]
+	d.ready[d.next] = parsed{}
+	d.next++
+	if p.err != nil {
+		for _, q := range d.ready[d.next:] {
+			if q.b != nil {
+				q.b.Release()
+			}
+		}
+		d.ready, d.next, d.err = nil, 0, p.err
+		return nil, p.err
+	}
+	return p.b, nil
+}
+
+// readBlock reads until the reads since the last cut complete at least
+// one batch or the stream ends, then parses every whole batch read (and,
+// at the end, the rest).
+func (d *BlockReader) readBlock(batchRows int) {
+	if d.buf == nil {
+		size := firstBlock
+		if d.left >= 0 && d.left < size {
+			size = d.left + 1 // room to see the end without a second buffer
+		}
+		d.buf = make([]byte, 0, size)
+		d.parsers = make([]parser, d.opt.WorkerCount())
+		// The batches a load holds at once: a block being parsed, a
+		// block queued for the committer, the committer's held and
+		// committing batches, and one in hand.
+		d.free = make(chan *Batch, 2*BlockBatches(d.opt)+3)
+	}
+	for empty := 0; ; {
+		if len(d.buf) == cap(d.buf) {
+			d.buf = slices.Grow(d.buf, cap(d.buf)) // a batch longer than the buffer
+		}
+		n, err := d.r.Read(d.buf[len(d.buf):cap(d.buf)])
+		if empty++; n > 0 || err != nil {
+			empty = 0
+		} else if empty == 100 { // as bufio gives up on a reader
+			err = io.ErrNoProgress
+		}
+		d.buf = d.buf[:len(d.buf)+n]
+		d.cut(batchRows)
+		switch {
+		case errors.Is(err, io.EOF):
+			if d.scan = len(d.buf); d.scan > d.end() {
+				d.cuts = append(d.cuts, piece{end: d.scan, lines: d.lines})
+			}
+			d.err = io.EOF
+		case err != nil:
+			d.err = fmt.Errorf("persist: %s: %w", d.format, err)
+		case len(d.cuts) == 0:
+			continue
+		}
+		d.parse(batchRows)
+		return
+	}
+}
+
+// end is where the last cut piece ends in buf.
+func (d *BlockReader) end() int {
+	if len(d.cuts) == 0 {
+		return 0
+	}
+	return d.cuts[len(d.cuts)-1].end
+}
+
+// cut counts the whole lines read since the last call and cuts a piece
+// after every batchRows-th record.
+func (d *BlockReader) cut(batchRows int) {
+	for {
+		from := max(d.scan, d.seek)
+		i := bytes.IndexByte(d.buf[from:], '\n')
+		if i < 0 {
+			d.seek = len(d.buf)
+			return
+		}
+		line := d.buf[d.scan : from+i+1]
+		d.scan = from + i + 1
+		d.lines++
+		if d.endsRecord(line) {
+			if d.recs++; d.recs == batchRows {
+				d.cuts = append(d.cuts, piece{end: d.scan, lines: d.lines})
+				d.recs = 0
+			}
+		}
+	}
+}
+
+// endsRecord reports whether line ends a record, as the format's parser
+// reads it: CSV skips an empty line and runs a record on while its quote
+// count is odd; NDJSON skips a blank line.
+func (d *BlockReader) endsRecord(line []byte) bool {
+	if d.format == "ndjson" {
+		return len(bytes.TrimSpace(line)) > 0
+	}
+	if d.quotes == 0 && bytes.IndexByte(line, '"') < 0 {
+		return len(trimLineEnd(line)) > 0
+	}
+	if d.quotes += bytes.Count(line, []byte{'"'}); d.quotes%2 == 1 {
+		return false
+	}
+	d.quotes = 0
+	return true
+}
+
+// parse decodes the cut pieces into ready as morsels on the reader's
+// workers, then moves the bytes after the last piece to the front of the
+// buffer. A last piece of blank lines yields no batch.
+func (d *BlockReader) parse(batchRows int) {
+	cuts := d.cuts
+	d.ready, d.next = make([]parsed, len(cuts)), 0
+	par.Run(len(cuts), par.Options{Pool: d.opt.Pool, MorselRows: 1}, func(w, m, _, _ int) {
+		start, line := 0, d.line
+		if m > 0 {
+			start, line = cuts[m-1].end, d.line+cuts[m-1].lines
+		}
+		if d.parsers[w] == nil {
+			d.parsers[w] = d.newParser()
+		}
+		b := newBatch(d.free, len(d.attrs), batchRows)
+		if err := d.parsers[w].parse(b, d.buf[start:cuts[m].end], line); err != nil {
+			b.Release()
+			d.ready[m].err = err
+			return
+		}
+		d.ready[m].b = b
+	})
+	if last := len(d.ready) - 1; last >= 0 && d.ready[last].b != nil && d.ready[last].b.Rows() == 0 {
+		d.ready[last].b.Release()
+		d.ready = d.ready[:last]
+	}
+
+	var end, lines int
+	if n := len(cuts); n > 0 {
+		end, lines = cuts[n-1].end, cuts[n-1].lines
+		if d.read == 0 {
+			d.first(cuts[0].end, batchRows)
+		}
+	}
+	rest, buf := d.buf[end:], d.buf
+	if size := d.block; cap(buf) < size && d.err == nil {
+		if d.left >= 0 { // no more than the rest of the stream
+			size = min(size, d.left-d.read-end+1)
+		}
+		buf = make([]byte, 0, max(size, len(rest)+1))
+	}
+	d.buf = buf[:copy(buf[:len(rest)], rest)]
+	d.read += end
+	d.scan -= end
+	d.seek = max(d.seek-end, d.scan)
+	d.line += lines
+	d.lines -= lines
+	d.cuts = d.cuts[:0]
+}
+
+// first sizes later blocks from the stream's first piece, of size bytes,
+// and gives the stream's first batch its StreamRows: the rows of every
+// batch when this block holds the whole stream, else an estimate from
+// the first piece's bytes per record.
+func (d *BlockReader) first(size, batchRows int) {
+	d.block = BlockBatches(d.opt) * size
+	if d.left <= 0 || len(d.ready) == 0 || d.ready[0].b == nil {
+		return
+	}
+	rows := 0
+	if errors.Is(d.err, io.EOF) {
+		for _, p := range d.ready {
+			if p.b != nil {
+				rows += p.b.Rows()
+			}
+		}
+	} else {
+		rows = int(int64(d.left) * int64(batchRows) / int64(size))
+		rows += rows / 16
+	}
+	d.ready[0].b.stream = rows
+}
+
+// csvParser decodes CSV pieces. A record without a '"' is split and
+// decoded in one pass over its bytes. A record with one is handed whole
+// to encoding/csv, the only parser of quoted fields.
+type csvParser struct {
+	attrs  []storage.Attribute
+	rest   []byte // the piece's lines not yet read
+	line   int    // lines read
+	cell   []byte // a quoted record's field
+	recSrc bytes.Reader
 	recBuf *bufio.Reader // buffers recSrc for encoding/csv
 }
 
-// NewCSVReader reads CSV rows of the given attributes from r.
-func NewCSVReader(r io.Reader, attrs []storage.Attribute) *CSVReader {
-	c := &CSVReader{r: bufio.NewReaderSize(r, 64<<10), attrs: attrs, free: newFreeList()}
+func newCSVParser(attrs []storage.Attribute) *csvParser {
+	c := &csvParser{attrs: attrs}
 	c.recBuf = bufio.NewReader(&c.recSrc)
 	return c
 }
 
-// ReadBatch implements BatchReader.
-func (c *CSVReader) ReadBatch(max int) (*Batch, error) {
-	b := newBatch(c.free, len(c.attrs), max)
-	for !b.full() {
-		line, err := c.readLine()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("persist: csv: %w", err)
-		}
-		if bytes.IndexByte(line, '"') >= 0 {
+func (c *csvParser) parse(b *Batch, data []byte, line int) error {
+	c.rest, c.line = data, line
+	quoted := bytes.IndexByte(data, '"') >= 0
+	for len(c.rest) > 0 {
+		var err error
+		line := c.readLine()
+		if quoted && bytes.IndexByte(line, '"') >= 0 {
 			err = c.quotedRecord(b, line)
 		} else if line = trimLineEnd(line); len(line) > 0 {
 			err = c.plainRecord(b, line)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if len(b.Words) == 0 {
-		return nil, io.EOF
-	}
-	return b, nil
+	return nil
 }
 
-// readLine returns the next physical line, '\n' included unless the
-// input ends without one. The line is valid until the next read.
-func (c *CSVReader) readLine() ([]byte, error) {
-	line, err := c.r.ReadSlice('\n')
-	if errors.Is(err, bufio.ErrBufferFull) {
-		c.long = append(c.long[:0], line...)
-		for errors.Is(err, bufio.ErrBufferFull) {
-			line, err = c.r.ReadSlice('\n')
-			c.long = append(c.long, line...)
-		}
-		line = c.long
+// readLine returns the piece's next line, '\n' included unless the
+// stream ends without one. The line aliases the piece, and its capacity
+// runs at least to the piece's end, so a record's lines can be resliced
+// from its first.
+func (c *csvParser) readLine() []byte {
+	line := c.rest
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line = line[:i+1]
 	}
-	if len(line) > 0 && errors.Is(err, io.EOF) {
-		err = nil
-	}
-	if err != nil {
-		return nil, err
-	}
+	c.rest = c.rest[len(line):]
 	c.line++
-	return line, nil
+	return line
 }
 
 // trimLineEnd drops a line's '\n' and then one '\r', as encoding/csv
@@ -214,7 +485,7 @@ func trimLineEnd(line []byte) []byte {
 // of b, scanning its bytes once: an int64 or float64 cell in the common
 // shape accumulates as its digits go by; other cells are cut at their
 // comma and go through Batch.cell.
-func (c *CSVReader) plainRecord(b *Batch, line []byte) error {
+func (c *csvParser) plainRecord(b *Batch, line []byte) error {
 	row := b.row()
 	p := 0
 	for ai := range c.attrs {
@@ -257,30 +528,23 @@ func (c *CSVReader) plainRecord(b *Batch, line []byte) error {
 
 // quotedRecord hands the record starting with line to encoding/csv and
 // decodes its fields into a new row of b. While the record's quote count
-// is odd, a quoted field is still open, so the next physical line
-// belongs to the record too.
-func (c *CSVReader) quotedRecord(b *Batch, line []byte) error {
-	first := c.line
-	c.rec = append(c.rec[:0], line...)
-	for q := bytes.Count(line, []byte{'"'}); q%2 == 1; {
-		more, err := c.readLine()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("persist: csv: %w", err)
-		}
-		c.rec = append(c.rec, more...)
+// is odd, a quoted field is still open, so the next line belongs to the
+// record too.
+func (c *csvParser) quotedRecord(b *Batch, line []byte) error {
+	first, n := c.line, len(line)
+	for q := bytes.Count(line, []byte{'"'}); q%2 == 1 && len(c.rest) > 0; {
+		more := c.readLine()
+		n += len(more)
 		q += bytes.Count(more, []byte{'"'})
 	}
-	c.recSrc.Reset(c.rec)
+	c.recSrc.Reset(line[:n])
 	c.recBuf.Reset(&c.recSrc)
 	cr := csv.NewReader(c.recBuf) // reuses recBuf: no buffer per record
 	cr.FieldsPerRecord = len(c.attrs)
 	fields, err := cr.Read()
 	if err != nil {
 		var pe *csv.ParseError
-		if errors.As(err, &pe) { // number lines in the stream, not in rec
+		if errors.As(err, &pe) { // number lines in the stream, not in the record
 			pe.StartLine += first - 1
 			pe.Line += first - 1
 		}
@@ -300,11 +564,11 @@ func (c *CSVReader) quotedRecord(b *Batch, line []byte) error {
 
 // fieldCount is the error encoding/csv returns for a record with the
 // wrong number of fields.
-func (c *CSVReader) fieldCount(line int) error {
+func (c *csvParser) fieldCount(line int) error {
 	return fmt.Errorf("persist: csv: %w", &csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount})
 }
 
-func (c *CSVReader) cellError(line, attr int, err error) error {
+func (c *csvParser) cellError(line, attr int, err error) error {
 	return fmt.Errorf("persist: csv line %d col %q: %w", line, c.attrs[attr].Name, err)
 }
 
@@ -384,52 +648,33 @@ func scanFloat(line []byte, p int) (w storage.Word, end int, ok bool) {
 	return storage.EncodeFloat(f), p, true
 }
 
-// NDJSONReader streams newline-delimited JSON arrays, one row per line:
-// [1, "a", 2.5, null]. Numbers keep their literal text (json.Number), so
-// float values round-trip exactly; null becomes the NULL word. Every
-// other value is decoded from its text like a CSV cell.
-type NDJSONReader struct {
-	sc    *bufio.Scanner
+// ndjsonParser decodes NDJSON pieces.
+type ndjsonParser struct {
 	attrs []storage.Attribute
-	line  int
+	line  int // lines read
 	cell  []byte
-	free  chan *Batch
 }
 
-// NewNDJSONReader reads JSON array lines of the given attributes from r.
-func NewNDJSONReader(r io.Reader, attrs []storage.Attribute) *NDJSONReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	return &NDJSONReader{sc: sc, attrs: attrs, free: newFreeList()}
-}
-
-// ReadBatch implements BatchReader.
-func (n *NDJSONReader) ReadBatch(max int) (*Batch, error) {
-	b := newBatch(n.free, len(n.attrs), max)
-	for !b.full() {
-		if !n.sc.Scan() {
-			if err := n.sc.Err(); err != nil {
-				return nil, fmt.Errorf("persist: ndjson: %w", err)
-			}
-			break
+func (n *ndjsonParser) parse(b *Batch, data []byte, line int) error {
+	n.line = line
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i+1]
 		}
+		data = data[len(line):]
 		n.line++
-		line := bytes.TrimSpace(n.sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if err := n.record(b, line); err != nil {
-			return nil, err
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			if err := n.record(b, line); err != nil {
+				return err
+			}
 		}
 	}
-	if len(b.Words) == 0 {
-		return nil, io.EOF
-	}
-	return b, nil
+	return nil
 }
 
 // record decodes one JSON array line into a new row of b.
-func (n *NDJSONReader) record(b *Batch, line []byte) error {
+func (n *ndjsonParser) record(b *Batch, line []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.UseNumber()
 	var vals []any

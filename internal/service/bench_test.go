@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -149,7 +150,8 @@ func ordersCSV(rows int) []byte {
 // 200,000-row CSV of the orders shape streamed through Load into a fresh
 // row table, reported as rows/s. memory loads into a service without
 // persistence; wal attaches a persist.Manager (fsync off), so every
-// batch's WAL append lands on the committer too.
+// batch's WAL append lands on the committer too. workers=1 parses on the
+// caller; workers=2 parses each block's batches on a two-worker pool.
 func BenchmarkServiceLoad(b *testing.B) {
 	const rows = 200_000
 	data := ordersCSV(rows)
@@ -158,43 +160,47 @@ func BenchmarkServiceLoad(b *testing.B) {
 		if durable {
 			name = "wal"
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db, mgr := core.Open(), (*persist.Manager)(nil)
-				if durable {
-					var err error
-					if db, mgr, err = persist.Open(persist.Options{Dir: b.TempDir()}); err != nil {
-						b.Fatal(err)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					db, mgr := core.Open(), (*persist.Manager)(nil)
+					if durable {
+						var err error
+						if db, mgr, err = persist.Open(persist.Options{Dir: b.TempDir()}); err != nil {
+							b.Fatal(err)
+						}
 					}
+					s := New(db, Config{Workers: workers})
+					if mgr != nil {
+						s.AttachPersist(mgr, -1)
+					}
+					b.StartTimer()
+					res, err := s.Load(LoadSpec{Table: "orders", Format: "csv", CreateSpec: ordersSpec}, bytes.NewReader(data))
+					b.StopTimer()
+					if err != nil || res.Rows != rows {
+						b.Fatalf("load: %+v, %v", res, err)
+					}
+					s.Close()
+					if mgr != nil {
+						mgr.Close()
+					}
+					b.StartTimer()
 				}
-				s := New(db, Config{Workers: 1})
-				if mgr != nil {
-					s.AttachPersist(mgr, -1)
-				}
-				b.StartTimer()
-				res, err := s.Load(LoadSpec{Table: "orders", Format: "csv", CreateSpec: ordersSpec}, bytes.NewReader(data))
-				b.StopTimer()
-				if err != nil || res.Rows != rows {
-					b.Fatalf("load: %+v, %v", res, err)
-				}
-				s.Close()
-				if mgr != nil {
-					mgr.Close()
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+				b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
 	}
 }
 
 // BenchmarkLoadStages times the two stages of BenchmarkServiceLoad/memory
-// apart, each on one goroutine: read is the caller's CSV reader turning
-// the 200,000 rows into batches, commit is the committer's writes of
-// those batches. Load overlaps them on two CPUs, so its time is about
-// the larger of the two: stage balance, not their sum, sets it.
+// apart: read is the caller's block reader turning the 200,000 rows into
+// batches, commit is the committer's writes of those batches. At
+// workers=2 read parses each block's batches on a two-worker pool and
+// commit clips on it. Load overlaps the stages, so its time is about the
+// larger of the two when the CPUs suffice: stage balance, not their sum,
+// sets it.
 func BenchmarkLoadStages(b *testing.B) {
 	const rows = 200_000
 	data := ordersCSV(rows)
@@ -202,9 +208,11 @@ func BenchmarkLoadStages(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// read streams data through a CSV reader, handing each batch to use.
-	read := func(tb testing.TB, use func(*persist.Batch)) {
+	// read streams data through a block reader on opt, handing each batch
+	// to use.
+	read := func(tb testing.TB, opt par.Options, use func(*persist.Batch)) {
 		br := persist.NewCSVReader(bytes.NewReader(data), attrs)
+		br.SetParOptions(opt)
 		for {
 			batch, err := br.ReadBatch(loadBatchRows)
 			if err == io.EOF {
@@ -216,38 +224,43 @@ func BenchmarkLoadStages(b *testing.B) {
 			use(batch)
 		}
 	}
-	b.Run("read", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			read(b, (*persist.Batch).Release) // as the committer does
-		}
-		b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
-	})
-	b.Run("commit", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			var batches []*persist.Batch
-			read(b, func(batch *persist.Batch) { batches = append(batches, batch) })
-			s := New(core.Open(), Config{Workers: 1})
-			if _, _, err := s.loadTarget(LoadSpec{Table: "orders", CreateSpec: ordersSpec}); err != nil {
-				b.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		pool := par.NewPool(workers)
+		defer pool.Close()
+		opt := par.WithPool(pool)
+		b.Run(fmt.Sprintf("read/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				read(b, opt, (*persist.Batch).Release) // as the committer does
 			}
-			b.StartTimer()
-			loaded := 0
-			for j, batch := range batches {
-				if err := s.applyLoadBatch("orders", batch, j == len(batches)-1, loaded, ""); err != nil {
+			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+		b.Run(fmt.Sprintf("commit/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var batches []*persist.Batch
+				read(b, opt, func(batch *persist.Batch) { batches = append(batches, batch) })
+				s := New(core.Open(), Config{Workers: workers})
+				if _, _, err := s.loadTarget(LoadSpec{Table: "orders", CreateSpec: ordersSpec}); err != nil {
 					b.Fatal(err)
 				}
-				loaded += batch.Rows()
-				batch.Release()
+				b.StartTimer()
+				loaded := 0
+				for j, batch := range batches {
+					if err := s.applyLoadBatch("orders", batch, j == len(batches)-1, loaded, ""); err != nil {
+						b.Fatal(err)
+					}
+					loaded += batch.Rows()
+					batch.Release()
+				}
+				b.StopTimer()
+				s.Close()
+				b.StartTimer()
 			}
-			b.StopTimer()
-			s.Close()
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
-	})
+			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
 }
 
 // BenchmarkRestart is a clock on recovery: it times persist.Open of a

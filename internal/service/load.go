@@ -14,17 +14,23 @@ import (
 
 // Bulk ingestion: the streaming counterpart of plan.Insert. Rows arrive
 // as CSV or NDJSON and enter the table batch-by-batch through a two-stage
-// pipeline. The calling goroutine reads the stream outside any lock into
-// flat word batches (persist.Batch), every number and bool already
-// decoded. One committer goroutine runs each batch, in stream order, as
-// one write (write.go): string cells to dictionary codes, WAL logging,
-// one copy-on-write storage.Relation.AppendRows and the atomic publish,
-// all under the commit mutex. The committer holds each batch until the
-// next arrives, so it knows the last one: that batch's write also clips
-// the table's partitions to their length, dropping the spare capacity
-// AppendRows's doubling leaves. A gigabyte load therefore publishes one
-// version per batch, concurrent queries run lock-free on whichever
-// version they pinned, and only other writers ever wait on a batch.
+// pipeline. The calling goroutine reads the stream outside any lock in
+// blocks, cuts each block into whole batches at record boundaries, and
+// has the service's pool parse the batches as morsels into flat word
+// batches (persist.Batch, every number and bool already decoded;
+// persist.BlockReader). One committer goroutine runs each batch, in
+// stream order, as one write (write.go): string cells to dictionary
+// codes, WAL logging, one copy-on-write storage.Relation.AppendRows and
+// the atomic publish, all under the commit mutex. Batch boundaries, codes
+// and errors are those of a serial load at any worker count. When the
+// stream reports its length, the first batch's write reserves the
+// table's estimated rows, so the partitions grow once rather than by
+// doubling. The committer holds each batch until the next arrives, so it
+// knows the last one: that batch's write also clips the table's
+// partitions to their length, dropping the spare capacity the growth
+// left. A gigabyte load therefore publishes one version per batch,
+// concurrent queries run lock-free on whichever version they pinned, and
+// only other writers ever wait on a batch.
 
 // loadBatchRows is the ingest batch size: large enough to amortize
 // commit-mutex acquisition and WAL commit, small enough to bound how
@@ -80,12 +86,13 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 	}
 	res.Created = created
 
-	var br persist.BatchReader
+	var br *persist.BlockReader
 	if spec.Format == "csv" {
 		br = persist.NewCSVReader(r, attrs)
 	} else {
 		br = persist.NewNDJSONReader(r, attrs)
 	}
+	br.SetParOptions(s.opt)
 
 	res.Rows, err = s.pipelineBatches(br, spec)
 	if err != nil {
@@ -100,9 +107,10 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 // batch with applyLoadBatch on one committer goroutine, in stream order,
 // so dictionary codes come out exactly as a serial load assigns them.
 // Reading stays on the caller because an HTTP handler's request body may
-// not be read after the handler returns. The channel is unbuffered, so
-// while one batch commits, one waits in the committer and the reader
-// reads or offers the next.
+// not be read after the handler returns. Up to a block's batches wait
+// for the committer (persist.BlockBatches), so the caller reads and the
+// pool parses the next block while the committer works through the last
+// one's.
 //
 // The committer holds each batch until the next one arrives or the
 // stream ends, so it knows which batch is the last; it commits the held
@@ -114,7 +122,7 @@ func (s *DB) Load(spec LoadSpec, r io.Reader) (LoadResult, error) {
 // error wins over a later read error, as in a serial load, and a
 // committer panic is re-raised here.
 func (s *DB) pipelineBatches(br persist.BatchReader, spec LoadSpec) (rows int, err error) {
-	batches := make(chan *persist.Batch)
+	batches := make(chan *persist.Batch, persist.BlockBatches(s.opt))
 	done := make(chan struct{})
 	var commitErr error
 	var panicked any
@@ -239,7 +247,8 @@ func (s *DB) loadTarget(spec LoadSpec) (attrs []storage.Attribute, created bool,
 // earlier batches) also clips the table's partitions, copying them as
 // morsels on the service's pool: the copy then costs at most what the
 // load did, while a small load into a large table keeps the table's
-// spare capacity for the next append instead of copying it.
+// spare capacity for the next append instead of copying it. A stream's
+// first batch that carries the stream's estimated rows reserves them.
 func (s *DB) applyLoadBatch(table string, b *persist.Batch, last bool, loaded int, qid string) error {
 	return s.write(qid, func(tx *core.WriteTxn, log logFn) error {
 		rel := tx.Catalog().Table(table)
@@ -260,6 +269,9 @@ func (s *DB) applyLoadBatch(table string, b *persist.Batch, last bool, loaded in
 			return m.LogInsertWords(table, rel.Schema.Width(), b.Words)
 		}); err != nil {
 			return err
+		}
+		if n := b.StreamRows(); n > 0 {
+			tx.Reserve(table, n)
 		}
 		tx.AppendRows(table, b.Words)
 		if clip {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -348,6 +349,122 @@ func TestLoadLeavesNoSlack(t *testing.T) {
 			for i, p := range s.Unwrap().Table("ev").Parts {
 				if want := 2 * (len(p.Data) - 10*p.Stride); cap(p.Data) != want {
 					t.Errorf("after a 10-row load, partition %d: capacity %d, want %d", i, cap(p.Data), want)
+				}
+			}
+		})
+	}
+}
+
+// chunkReader hands out at most n bytes a Read and hides its input's
+// length, as a network body does.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), c.n)]) }
+
+// TestLoadParallelMatchesSerial loads each stream on services whose pools
+// have 1, 2 and 4 workers, through readers of different read sizes. The
+// block reader cuts what it reads into whole batches and parses them on
+// the pool, so every load must publish a byte-identical catalog and
+// report the same rows and error text as the one-worker load of the
+// whole stream. The CSV streams cross the reader's first block (1 MiB)
+// and carry quoted fields spanning lines, blank lines and CRLF line
+// ends; one stream is NDJSON with blank lines; four carry a bad cell in the first record of a batch, one of
+// them the first batch after the block's edge, which must name its line
+// and leave exactly the batches before it.
+func TestLoadParallelMatchesSerial(t *testing.T) {
+	const batches = 12
+	rows := mixedRows(batches*loadBatchRows + 301)
+
+	quoted := make([][]string, len(rows))
+	for i, row := range rows {
+		quoted[i] = row
+		if i%97 == 5 {
+			quoted[i] = slices.Clone(row)
+			quoted[i][2] = fmt.Sprintf("\"k%d\nspans \"\"lines\"\"\"", i%13)
+		}
+	}
+	var crlf strings.Builder
+	for i, row := range rows {
+		if i%50 == 0 {
+			crlf.WriteString("\r\n\n")
+		}
+		crlf.WriteString(strings.Join(row, ","))
+		crlf.WriteString("\r\n")
+	}
+	var ndjson strings.Builder
+	ndRows := 4*loadBatchRows + 17 // decoding JSON is slow; 4,099-byte reads cross many blocks
+	for i, line := range strings.SplitAfter(mixedNDJSON(rows[:ndRows]), "\n") {
+		if i%77 == 0 {
+			ndjson.WriteString("  \n")
+		}
+		ndjson.WriteString(line)
+	}
+
+	type stream struct {
+		name, format, data string
+		chunks             []int // read sizes besides the whole stream's
+		wantErr            string
+		wantRows           int
+	}
+	streams := []stream{
+		{"quoted", "csv", mixedCSV(quoted), []int{65537}, "", len(rows)},
+		{"quoted-trickle", "csv", mixedCSV(quoted[:3*loadBatchRows+17]), []int{7}, "", 3*loadBatchRows + 17},
+		{"crlf-blank", "csv", crlf.String(), []int{65537}, "", len(rows)},
+		{"ndjson", "ndjson", ndjson.String(), []int{4099}, "", ndRows},
+		{"short", "csv", mixedCSV(rows[:100]), []int{7}, "", 100},
+	}
+	// The batches whose first record the bad cell sits in: the first two,
+	// the one the first block's edge cuts through, and the next.
+	edge := strings.Count(mixedCSV(rows)[:1<<20], "\n") / loadBatchRows
+	for _, b := range []int{0, 1, edge, edge + 1} {
+		bad := slices.Clone(rows)
+		bad[b*loadBatchRows] = slices.Clone(bad[b*loadBatchRows])
+		bad[b*loadBatchRows][0] = "x1"
+		streams = append(streams, stream{fmt.Sprintf("bad-cell-batch-%d", b), "csv", mixedCSV(bad), nil,
+			fmt.Sprintf(`persist: csv line %d col "id": `, b*loadBatchRows+1), b * loadBatchRows})
+	}
+
+	type outcome struct {
+		res  LoadResult
+		err  string
+		snap []byte
+	}
+	load := func(t *testing.T, workers int, format string, r io.Reader) outcome {
+		s := New(core.Open(), Config{Workers: workers})
+		defer s.Close()
+		res, err := s.Load(LoadSpec{Table: "ev", Format: format, CreateSpec: pipelineSpec}, r)
+		o := outcome{res: res, snap: snapshotBytes(t, s)}
+		if err != nil {
+			o.err = err.Error()
+		}
+		return o
+	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			want := load(t, 1, st.format, strings.NewReader(st.data))
+			if !strings.HasPrefix(want.err, st.wantErr) || (st.wantErr == "") != (want.err == "") {
+				t.Fatalf("load error %q, want it to start %q", want.err, st.wantErr)
+			}
+			if want.res.Rows != st.wantRows {
+				t.Fatalf("load reports %d rows, want %d", want.res.Rows, st.wantRows)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, chunk := range append([]int{0}, st.chunks...) {
+					if workers == 1 && chunk == 0 {
+						continue
+					}
+					var r io.Reader = strings.NewReader(st.data)
+					if chunk > 0 {
+						r = &chunkReader{r: r, n: chunk}
+					}
+					got := load(t, workers, st.format, r)
+					if got.res != want.res || got.err != want.err || !bytes.Equal(got.snap, want.snap) {
+						t.Fatalf("workers=%d reads of %d bytes: %+v, error %q; one worker: %+v, error %q; catalogs equal: %v",
+							workers, chunk, got.res, got.err, want.res, want.err, bytes.Equal(got.snap, want.snap))
+					}
 				}
 			}
 		})

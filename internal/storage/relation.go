@@ -101,13 +101,9 @@ func (r *Relation) AppendRows(words []Word) int {
 	}
 	n, first := len(words)/width, r.rows
 	for gi, p := range r.Parts {
-		old, need := len(p.Data), len(p.Data)+n*p.Stride
-		if need > cap(p.Data) {
-			grown := make([]Word, need, max(need, 2*cap(p.Data)))
-			copy(grown, p.Data)
-			p.Data = grown
-		}
-		p.Data = p.Data[:need]
+		old := len(p.Data)
+		p.grow(n)
+		p.Data = p.Data[:old+n*p.Stride]
 		dst, g := p.Data[old:], r.Layout.Groups[gi]
 		if p.Stride == width && isIdentity(g) {
 			copy(dst, words)
@@ -122,6 +118,29 @@ func (r *Relation) AppendRows(words []Word) int {
 	}
 	r.rows += n
 	return first
+}
+
+// Reserve makes room for rows more rows in every partition, so that
+// appending them copies no partition. A partition without that room
+// grows once, as AppendRows grows it: to at least twice its capacity.
+// The same copy-on-write rule holds: the words an older version bounds
+// are never rewritten.
+func (r *Relation) Reserve(rows int) {
+	for _, p := range r.Parts {
+		p.grow(rows)
+	}
+}
+
+// grow gives p room for rows more rows beyond its length: when it lacks
+// it, p moves to a fresh array of at least twice its capacity.
+func (p *Partition) grow(rows int) {
+	need := len(p.Data) + rows*p.Stride
+	if need <= cap(p.Data) {
+		return
+	}
+	grown := make([]Word, len(p.Data), max(need, 2*cap(p.Data)))
+	copy(grown, p.Data)
+	p.Data = grown
 }
 
 // isIdentity reports whether the group holds every attribute in schema
