@@ -107,7 +107,9 @@ func BenchmarkParallelScaling(b *testing.B) {
 // BenchmarkBreakers measures the parallelized pipeline breakers on the
 // Figure 3 relation: the full parallel merge sort, the fused top-N
 // (ORDER BY … LIMIT 100 — compare its ns/op and bytes/op against sort to
-// see the O(k) bound), and the radix-partitioned hash-join build+probe,
+// see the O(k) bound), and the hash join, whose build fills an
+// index.HashIndex over the 1M build rows (radix-partitioned by home slot
+// on more than one worker) and whose probe looks up 100K keys in it,
 // for the JiT engine across the worker sweep and the serial vectorized
 // engine beside it. workers=1 is the serial engine, each series' scaling
 // baseline.

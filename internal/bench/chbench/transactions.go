@@ -45,9 +45,9 @@ func NewTx(d *Data, cat *plan.Catalog, seed int64) *Tx {
 		orderline: cat.Table("orderline"),
 		stock:     cat.Table("stock"),
 	}
-	t.custIdx = index.BuildOn(index.NewHashIndex(t.customer.Rows()), t.customer, customerSchema.Col("c_key"), par.Serial())
-	t.distIdx = index.BuildOn(index.NewHashIndex(t.district.Rows()), t.district, districtSchema.Col("d_key"), par.Serial())
-	t.stockIdx = index.BuildOn(index.NewHashIndex(t.stock.Rows()), t.stock, stockSchema.Col("s_key"), par.Serial())
+	t.custIdx = index.BuildHash(t.customer.Access(customerSchema.Col("c_key")), t.customer.Rows(), par.Serial())
+	t.distIdx = index.BuildHash(t.district.Access(districtSchema.Col("d_key")), t.district.Rows(), par.Serial())
+	t.stockIdx = index.BuildHash(t.stock.Access(stockSchema.Col("s_key")), t.stock.Rows(), par.Serial())
 	t.nextOID = make([]int, t.district.Rows())
 	for i := range t.nextOID {
 		t.nextOID[i] = d.Config.OrdersPerD

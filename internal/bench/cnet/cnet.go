@@ -149,7 +149,7 @@ func (d *Data) Catalog(kind string, override *storage.Layout) *plan.Catalog {
 // slightly degraded on PDSM, worst on DSM, the paper's Figure 12 shape.
 func RegisterIndexes(c *plan.Catalog) {
 	rel := c.Table("products")
-	c.AddIndex("products", ColID, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, ColID, par.Serial()))
+	c.AddIndex("products", ColID, index.BuildHash(rel.Access(ColID), rel.Rows(), par.Serial()))
 }
 
 // Queries builds the Table V query set. The price-bucket equality of Q3,

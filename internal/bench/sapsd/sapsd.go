@@ -334,7 +334,7 @@ func (d *Data) Catalog(kind string, overrides map[string]storage.Layout) *plan.C
 func RegisterIndexes(c *plan.Catalog) {
 	for _, tbl := range []string{"ADRC", "KNA1", "VBAK", "MARA"} {
 		rel := c.Table(tbl)
-		c.AddIndex(tbl, 0, index.BuildOn(index.NewHashIndex(rel.Rows()), rel, 0, par.Serial()))
+		c.AddIndex(tbl, 0, index.BuildHash(rel.Access(0), rel.Rows(), par.Serial()))
 	}
 	vbap := c.Table("VBAP")
 	c.AddIndex("VBAP", 0, index.BuildOn(index.NewRBTree(), vbap, 0, par.Serial()))

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/mem"
 	"repro/internal/pattern"
 	"repro/internal/plan"
@@ -118,12 +119,18 @@ func (t *translator) node(n plan.Node) tnode {
 	case plan.HashJoin:
 		left := t.node(v.Left)
 		right := t.node(v.Right)
-		htW := int64(left.cols+1) * storage.WordBytes
-		htN := int64(left.rows) + 1
-		// Build phase: left pipeline ⊙ r_trav of the hash table, then a
-		// pipeline break; probe phase: right pipeline ⊙ rr_acc of the table.
-		build := pattern.Concurrent(left.pat, pattern.RTrav{N: htN, W: htW, U: htW})
-		probe := pattern.Concurrent(right.pat, pattern.RRAcc{N: htN, W: htW, U: htW, R: int64(right.rows) + 1})
+		// Build phase: left pipeline ⊙ r_trav of the flat build rows, then
+		// a pipeline break; probe phase: right pipeline ⊙ rr_acc of the
+		// hash index's 16-byte slots (as many as index.NewHashIndex gives
+		// the build) ⊙ rr_acc of the build rows.
+		rowW := int64(left.cols) * storage.WordBytes
+		rowN := int64(left.rows) + 1
+		slotW := int64(2 * storage.WordBytes)
+		probes := int64(right.rows) + 1
+		build := pattern.Concurrent(left.pat, pattern.RTrav{N: rowN, W: rowW, U: rowW})
+		probe := pattern.Concurrent(right.pat,
+			pattern.RRAcc{N: int64(index.HashSlots(int(left.rows))), W: slotW, U: slotW, R: probes},
+			pattern.RRAcc{N: rowN, W: rowW, U: rowW, R: probes})
 		// Join selectivity: assume foreign-key join (each probe row finds
 		// one build match) capped by the cross product.
 		rows := math.Min(right.rows, left.rows*right.rows)

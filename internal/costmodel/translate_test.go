@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,19 +179,22 @@ func TestTranslateRegionsCarryAttrs(t *testing.T) {
 }
 
 // TestTranslateJoinEmitsBuildAndProbe: hash joins must emit the build
-// r_trav, a pipeline break, and the probe rr_acc (Table II).
+// r_trav, a pipeline break, and the probe rr_acc (Table II), at the
+// widths of the table the engines build: the flat build rows (three
+// words each) and the hash index's 16-byte slots.
 func TestTranslateJoinEmitsBuildAndProbe(t *testing.T) {
 	c := exampleCatalog(1000, storage.NSM(16))
 	// Second table.
 	schema := storage.NewSchema("S",
 		storage.Attribute{Name: "k", Type: storage.Int64},
-		storage.Attribute{Name: "v", Type: storage.Int64})
+		storage.Attribute{Name: "v", Type: storage.Int64},
+		storage.Attribute{Name: "w", Type: storage.Int64})
 	b := storage.NewBuilder(schema)
-	b.SetInts(0, []int64{1, 2, 3}).SetInts(1, []int64{10, 20, 30})
-	c.Add(b.Build(storage.NSM(2)))
+	b.SetInts(0, []int64{1, 2, 3}).SetInts(1, []int64{10, 20, 30}).SetInts(2, []int64{7, 8, 9})
+	c.Add(b.Build(storage.NSM(3)))
 
 	q := plan.HashJoin{
-		Left:     plan.Scan{Table: "S", Cols: []int{0, 1}},
+		Left:     plan.Scan{Table: "S", Cols: []int{0, 1, 2}},
 		Right:    plan.Scan{Table: "R", Cols: []int{0, 1}},
 		LeftKey:  0,
 		RightKey: 0,
@@ -203,19 +207,28 @@ func TestTranslateJoinEmitsBuildAndProbe(t *testing.T) {
 	if len(seq.Ps) != 2 {
 		t.Fatalf("join pattern has %d phases, want 2", len(seq.Ps))
 	}
-	hasRTrav, hasRRAcc := false, false
+	const rowW = 3 * storage.WordBytes
+	var builds []pattern.RTrav
 	for _, a := range pattern.Atoms(seq.Ps[0]) {
-		if _, ok := a.(pattern.RTrav); ok {
-			hasRTrav = true
+		if r, ok := a.(pattern.RTrav); ok {
+			builds = append(builds, r)
 		}
 	}
+	if want := []pattern.RTrav{{N: 4, W: rowW, U: rowW}}; !reflect.DeepEqual(builds, want) {
+		t.Errorf("build phase r_trav = %v, want %v: %v", builds, want, p)
+	}
+	var probes []pattern.RRAcc
 	for _, a := range pattern.Atoms(seq.Ps[1]) {
-		if _, ok := a.(pattern.RRAcc); ok {
-			hasRRAcc = true
+		if r, ok := a.(pattern.RRAcc); ok {
+			probes = append(probes, r)
 		}
 	}
-	if !hasRTrav || !hasRRAcc {
-		t.Errorf("build must contain r_trav (got %v) and probe rr_acc (got %v): %v", hasRTrav, hasRRAcc, p)
+	want := []pattern.RRAcc{
+		{N: int64(index.HashSlots(3)), W: 16, U: 16, R: 1001},
+		{N: 4, W: rowW, U: rowW, R: 1001},
+	}
+	if !reflect.DeepEqual(probes, want) {
+		t.Errorf("probe phase rr_acc = %v, want %v: %v", probes, want, p)
 	}
 }
 

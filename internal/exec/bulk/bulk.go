@@ -12,8 +12,10 @@ package bulk
 
 import (
 	"repro/internal/exec"
+	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -400,18 +402,15 @@ func arithF(op expr.ArithOp, l, r storage.Word) storage.Word {
 func evalJoin(v plan.HashJoin, c *plan.Catalog) chunk {
 	left := eval(v.Left, c)
 	right := eval(v.Right, c)
-	// Build on the left key column.
-	table := make(map[storage.Word][]int32, left.n)
-	lk := left.cols[v.LeftKey]
-	for row := 0; row < left.n; row++ {
-		table[lk[row]] = append(table[lk[row]], int32(row))
-	}
+	// Build a hash index on the left key column.
+	table := index.BuildHash(storage.Accessor{Data: left.cols[v.LeftKey], Stride: 1}, left.n, par.Serial())
 	// Probe with the right key column, materializing the match index pair.
 	var lidx, ridx []int32
 	rk := right.cols[v.RightKey]
 	for row := 0; row < right.n; row++ {
-		for _, l := range table[rk[row]] {
-			lidx = append(lidx, l)
+		matched := len(lidx)
+		lidx = table.Lookup(rk[row], lidx)
+		for range lidx[matched:] {
 			ridx = append(ridx, int32(row))
 		}
 	}

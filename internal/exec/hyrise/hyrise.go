@@ -15,8 +15,10 @@ package hyrise
 
 import (
 	"repro/internal/exec"
+	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -340,16 +342,13 @@ func arithF(op expr.ArithOp, l, r storage.Word) storage.Word {
 func evalJoin(v plan.HashJoin, c *plan.Catalog) chunk {
 	left := eval(v.Left, c)
 	right := eval(v.Right, c)
-	table := make(map[storage.Word][]int32, left.n)
-	lk := left.getter(v.LeftKey)
-	for row := int32(0); int(row) < left.n; row++ {
-		table[lk(row)] = append(table[lk(row)], row)
-	}
+	table := index.BuildHash(storage.Accessor{Data: left.cols[v.LeftKey], Stride: 1}, left.n, par.Serial())
 	var lidx, ridx []int32
 	rk := right.getter(v.RightKey)
 	for row := int32(0); int(row) < right.n; row++ {
-		for _, l := range table[rk(row)] {
-			lidx = append(lidx, l)
+		matched := len(lidx)
+		lidx = table.Lookup(rk(row), lidx)
+		for range lidx[matched:] {
 			ridx = append(ridx, row)
 		}
 	}

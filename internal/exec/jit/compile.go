@@ -22,10 +22,10 @@ package jit
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/exec/joinpar"
 	"repro/internal/exec/par"
 	"repro/internal/expr"
 	"repro/internal/index"
@@ -79,12 +79,13 @@ type stage struct {
 	tests   []test
 	complex expr.Pred
 
-	// stProbe: regs become buildRow ++ oldRegs. The build side is a
-	// (radix-partitioned when built in parallel) joinpar.Table: flat
-	// row-major partition buffers of stride addWidth, with per-partition
-	// tables mapping join keys to local row indices, so building costs one
-	// slice per key instead of one per key plus one per row.
-	jt       *joinpar.Table
+	// stProbe: regs become buildRow ++ oldRegs. The build rows lie
+	// row-major in build, addWidth words each, and jt, a hash index over
+	// their join keys, maps a key to its build rows in build order;
+	// matches is the clone's scratch for one lookup's rows.
+	jt       *index.HashIndex
+	build    []storage.Word
+	matches  []int32
 	keyReg   int
 	addWidth int
 
@@ -172,9 +173,9 @@ func compilePipe(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 		return p
 
 	case plan.HashJoin:
-		// Build side: materialize (pipeline breaker) and radix-partition
-		// the rows into per-partition flat buffers + hash tables; under
-		// serial options this degenerates to the single flat buffer.
+		// Build side: materialize (pipeline breaker), lay the rows out
+		// row-major and build a hash index over their join keys, as
+		// morsels on opt's workers.
 		//
 		// The build executes here, at compile time, so its trace entry is
 		// Static: measured once and replayed by every cached execution. The
@@ -186,13 +187,15 @@ func compilePipe(n plan.Node, c *plan.Catalog, opt par.Options, tb *traceBuild, 
 		start := time.Now()
 		leftRows := prepareNode(v.Left, c, opt, &traceBuild{}, 0)(nil, nil)
 		leftWidth := len(plan.Output(v.Left, c))
-		jt := joinpar.Build(leftRows, v.LeftKey, leftWidth, opt)
+		build := slices.Concat(leftRows...)
+		jt := index.BuildHash(storage.Accessor{Data: build, Stride: leftWidth, Off: v.LeftKey}, len(leftRows), opt)
 		tb.setStatic(buildIdx, int64(len(leftRows)), int64(len(leftRows)), time.Since(start).Nanoseconds())
 		// Probe side: continue the pipeline.
 		p := compilePipe(v.Right, c, opt, tb, depth+1)
 		p.stages = append(p.stages, stage{
 			kind:     stProbe,
 			jt:       jt,
+			build:    build,
 			keyReg:   v.RightKey,
 			addWidth: leftWidth,
 			buf:      make([]storage.Word, leftWidth+p.outWidth),

@@ -63,15 +63,17 @@ func (p *pipe) run(opt par.Options, tr *obs.QueryTrace, out sink) int64 {
 
 // cloneForWorker gives worker w its own executable view of the pipe — the
 // view every run executes, so concurrent Execs never share one. Stage
-// output buffers, the register block, the selection vector and the
-// operator counts are the only state the loops mutate, so the clone shares
-// the compiled tests, loads and probe tables with the original and
-// replaces just those (the loops size the selection and the block).
+// output buffers, probe match lists, the register block, the selection
+// vector and the operator counts are the only state the loops mutate, so
+// the clone shares the compiled tests, loads and probe tables with the
+// original and replaces just those (the loops size the selection, the
+// block and the match lists).
 func (p *pipe) cloneForWorker(w int) *pipe {
 	q := *p
 	q.w, q.sel, q.block = w, nil, nil
 	q.stages = append([]stage(nil), p.stages...)
 	for i := range q.stages {
+		q.stages[i].matches = nil
 		if q.stages[i].buf != nil {
 			q.stages[i].buf = make([]storage.Word, len(q.stages[i].buf))
 		}

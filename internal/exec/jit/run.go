@@ -409,7 +409,8 @@ func (p *pipe) pushStages(si int, regs []storage.Word, out stageSink) {
 			}
 			regs = buf
 		case stProbe:
-			matches, build := st.jt.Lookup(regs[st.keyReg])
+			st.matches = st.jt.Lookup(regs[st.keyReg], st.matches[:0])
+			matches := st.matches
 			if len(matches) == 0 {
 				return
 			}
@@ -419,12 +420,12 @@ func (p *pipe) pushStages(si int, regs []storage.Word, out stageSink) {
 			if len(matches) > 1 {
 				st.out += int64(len(matches))
 				for _, m := range matches {
-					copy(buf[:w], build[int(m)*w:])
+					copy(buf[:w], st.build[int(m)*w:])
 					p.pushStages(si+1, buf, out)
 				}
 				return
 			}
-			copy(buf[:w], build[int(matches[0])*w:])
+			copy(buf[:w], st.build[int(matches[0])*w:])
 			regs = buf
 		}
 		st.out++

@@ -16,12 +16,14 @@
 package vector
 
 import (
+	"slices"
+
 	"repro/internal/exec"
-	"repro/internal/exec/joinpar"
 	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/exec/sortpar"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -324,12 +326,14 @@ func (p *projectIt) next() (batch, bool) {
 	return p.out, true
 }
 
-// joinIt builds the left side eagerly — drained into rows and indexed by
-// joinpar.Build serially, the jit engine's flat probe table — and probes
-// right batches.
+// joinIt builds the left side eagerly — drained into row-major words and
+// indexed serially by the hash index over their join keys, the jit
+// engine's probe table — and probes right batches.
 type joinIt struct {
 	right      biter
-	jt         *joinpar.Table
+	jt         *index.HashIndex
+	build      []storage.Word
+	matches    []int32
 	rkey       int
 	leftWidth  int
 	rightWidth int
@@ -338,8 +342,11 @@ type joinIt struct {
 
 func newJoin(v plan.HashJoin, c *plan.Catalog) *joinIt {
 	leftWidth := len(plan.Output(v.Left, c))
+	rows := drain(build(v.Left, c))
+	flat := slices.Concat(rows...)
 	return &joinIt{
-		jt:         joinpar.Build(drain(build(v.Left, c)), v.LeftKey, leftWidth, par.Serial()),
+		jt:         index.BuildHash(storage.Accessor{Data: flat, Stride: leftWidth, Off: v.LeftKey}, len(rows), par.Serial()),
+		build:      flat,
 		right:      build(v.Right, c),
 		rkey:       v.RightKey,
 		leftWidth:  leftWidth,
@@ -361,9 +368,9 @@ func (j *joinIt) next() (batch, bool) {
 		}
 		n := 0
 		for r := 0; r < in.n; r++ {
-			matches, flat := j.jt.Lookup(in.cols[j.rkey][r])
-			for _, m := range matches {
-				l := flat[int(m)*j.leftWidth:]
+			j.matches = j.jt.Lookup(in.cols[j.rkey][r], j.matches[:0])
+			for _, m := range j.matches {
+				l := j.build[int(m)*j.leftWidth:]
 				for i := 0; i < j.leftWidth; i++ {
 					j.out.cols[i] = append(j.out.cols[i], l[i])
 				}

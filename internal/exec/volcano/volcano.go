@@ -10,8 +10,10 @@ package volcano
 
 import (
 	"repro/internal/exec"
+	"repro/internal/exec/par"
 	"repro/internal/exec/result"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
@@ -92,7 +94,7 @@ func build(n plan.Node, c *plan.Catalog) iterator {
 	case plan.Project:
 		return &projectIter{child: build(v.Child, c), exprs: v.Exprs}
 	case plan.HashJoin:
-		return &hashJoinIter{left: build(v.Left, c), right: build(v.Right, c), lkey: v.LeftKey, rkey: v.RightKey}
+		return &hashJoinIter{left: build(v.Left, c), right: build(v.Right, c), lkey: v.LeftKey, rkey: v.RightKey, width: len(plan.Output(v.Left, c))}
 	case plan.Aggregate:
 		return &aggIter{child: build(v.Child, c), groupBy: v.GroupBy, aggs: v.Aggs}
 	case plan.Sort:
@@ -208,13 +210,17 @@ func (p *projectIter) Next() ([]storage.Word, bool) {
 	return p.buf, true
 }
 
-// hashJoinIter drains the left child into a hash table on Open and streams
-// the right child through it on Next.
+// hashJoinIter drains the left child into row-major words and a hash
+// index over their join keys on Open, and streams the right child
+// through it on Next.
 type hashJoinIter struct {
 	left, right iterator
 	lkey, rkey  int
-	table       map[storage.Word][][]storage.Word
-	pending     [][]storage.Word
+	width       int // words per left row
+	build       []storage.Word
+	table       *index.HashIndex
+	matches     []int32 // the current right row's matches
+	pending     []int32 // the ones not yet returned
 	cur         []storage.Word
 	buf         []storage.Word
 }
@@ -222,25 +228,25 @@ type hashJoinIter struct {
 func (j *hashJoinIter) Open() {
 	j.left.Open()
 	j.right.Open()
-	j.table = make(map[storage.Word][][]storage.Word)
+	j.build = j.build[:0]
 	for {
 		row, ok := j.left.Next()
 		if !ok {
 			break
 		}
-		cp := append([]storage.Word(nil), row...)
-		j.table[cp[j.lkey]] = append(j.table[cp[j.lkey]], cp)
+		j.build = append(j.build, row...)
 	}
+	j.table = index.BuildHash(storage.Accessor{Data: j.build, Stride: j.width, Off: j.lkey}, len(j.build)/j.width, par.Serial())
 	j.pending = nil
 }
 
 func (j *hashJoinIter) Next() ([]storage.Word, bool) {
 	for {
 		if len(j.pending) > 0 {
-			l := j.pending[0]
+			at := int(j.pending[0]) * j.width
 			j.pending = j.pending[1:]
 			j.buf = j.buf[:0]
-			j.buf = append(j.buf, l...)
+			j.buf = append(j.buf, j.build[at:at+j.width]...)
 			j.buf = append(j.buf, j.cur...)
 			return j.buf, true
 		}
@@ -248,9 +254,9 @@ func (j *hashJoinIter) Next() ([]storage.Word, bool) {
 		if !ok {
 			return nil, false
 		}
-		if matches := j.table[row[j.rkey]]; len(matches) > 0 {
+		if j.matches = j.table.Lookup(row[j.rkey], j.matches[:0]); len(j.matches) > 0 {
 			j.cur = append(j.cur[:0], row...)
-			j.pending = matches
+			j.pending = j.matches
 		}
 	}
 }

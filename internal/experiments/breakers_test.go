@@ -88,25 +88,55 @@ func TestTopNMatchesSerial(t *testing.T) {
 	assertOrderedMatchesSerial(t, "topn-over-aggregate", p, setup.Catalogs["column"])
 }
 
-// TestPartitionedJoinMatchesSerial: the radix-partitioned build must
-// preserve per-key match order, which the ordered compare of a
-// multi-match join (60 build rows per key) observes directly. The 60K-row
-// build side exceeds the partitioning threshold, so parallel runs
-// exercise the histogram+scatter path, not the serial fallback.
+// TestPartitionedJoinMatchesSerial: the partitioned build of the join's
+// hash table must preserve per-key match order, which the ordered compare
+// of a multi-match join (60 build rows per key) observes directly. The
+// 60K-row build side exceeds the partitioning threshold, so parallel runs
+// exercise the histogram+scatter path, not the serial fallback. The other
+// inputs join a four-column build side on its third column, a ~42K-row
+// build side of ~1,000 keys, an empty build side, and a probe side whose
+// keys match none.
 func TestPartitionedJoinMatchesSerial(t *testing.T) {
 	setup := NewFig3Setup(60_000)
-	join := plan.HashJoin{
-		Left: plan.Scan{Table: "R", Cols: []int{1, 0}},
-		Right: plan.Scan{
-			Table:  "R",
-			Filter: expr.Cmp{Attr: 0, Op: expr.Lt, Val: storage.EncodeInt(30_000)},
-			Cols:   []int{1, 2},
-		},
-		LeftKey:  0,
-		RightKey: 0,
+	below := func(a int64) expr.Pred { return expr.Cmp{Attr: 0, Op: expr.Lt, Val: storage.EncodeInt(a)} }
+	joins := []struct {
+		name  string
+		join  plan.HashJoin
+		empty bool // the join yields no row
+	}{
+		{"multi-match", plan.HashJoin{
+			Left:  plan.Scan{Table: "R", Cols: []int{1, 0}},
+			Right: plan.Scan{Table: "R", Filter: below(30_000), Cols: []int{1, 2}},
+		}, false},
+		{"wide-key-2", plan.HashJoin{
+			Left:    plan.Scan{Table: "R", Filter: below(333_333), Cols: []int{0, 3, 1, 4}},
+			Right:   plan.Scan{Table: "R", Filter: below(20_000), Cols: []int{5, 1}},
+			LeftKey: 2, RightKey: 1,
+		}, false},
+		{"1000-keys", plan.HashJoin{
+			Left:  plan.Scan{Table: "R", Filter: below(700_000), Cols: []int{2, 5}},
+			Right: plan.Scan{Table: "R", Filter: below(10_000), Cols: []int{2, 0}},
+		}, false},
+		{"empty-build", plan.HashJoin{
+			Left:  plan.Scan{Table: "R", Filter: below(0), Cols: []int{1, 0}},
+			Right: plan.Scan{Table: "R", Cols: []int{1, 2}},
+		}, true},
+		{"no-match", plan.HashJoin{
+			Left: plan.Scan{Table: "R", Filter: below(500_000), Cols: []int{0, 1}},
+			Right: plan.Scan{
+				Table:  "R",
+				Filter: expr.Cmp{Attr: 0, Op: expr.Ge, Val: storage.EncodeInt(500_000)},
+				Cols:   []int{0, 2},
+			},
+		}, true},
 	}
-	for _, layoutName := range []string{"row", "column", "hybrid"} {
-		assertOrderedMatchesSerial(t, "join "+layoutName, join, setup.Catalogs[layoutName])
+	for _, j := range joins {
+		if n := jit.New().Run(j.join, setup.Catalogs["row"]).Len(); (n == 0) != j.empty {
+			t.Fatalf("join %s yields %d rows, want empty=%v", j.name, n, j.empty)
+		}
+		for _, layoutName := range []string{"row", "column", "hybrid"} {
+			assertOrderedMatchesSerial(t, "join "+j.name+" "+layoutName, j.join, setup.Catalogs[layoutName])
+		}
 	}
 }
 

@@ -29,11 +29,28 @@ type hashSlot struct {
 
 // NewHashIndex creates a hash index sized for the expected entry count.
 func NewHashIndex(expected int) *HashIndex {
+	capacity := HashSlots(expected)
+	return &HashIndex{slots: make([]hashSlot, capacity), mask: uint64(capacity - 1)}
+}
+
+// HashSlots is how many 16-byte slots NewHashIndex gives expected
+// entries: the least power of two, at least 16, at most half full.
+func HashSlots(expected int) int {
 	capacity := 16
 	for capacity < expected*2 {
 		capacity <<= 1
 	}
-	return &HashIndex{slots: make([]hashSlot, capacity), mask: uint64(capacity - 1)}
+	return capacity
+}
+
+// BuildHash builds a hash index over rows keys of acc, row i under key
+// acc.At(i), as morsels on opt's workers, with the build BuildOn runs on
+// an empty hash index. Lookup returns each key's rows in ascending order.
+// Every hash join's table is built here.
+func BuildHash(acc storage.Accessor, rows int, opt par.Options) *HashIndex {
+	h := NewHashIndex(rows)
+	h.build(acc, rows, opt)
+	return h
 }
 
 // hashWord mixes the key (SplitMix64 finalizer).

@@ -3,7 +3,9 @@
 // lookups) and a red-black tree (the RB-tree on VBAP.VBELN). Both map an
 // encoded key word to the row ids holding it and support incremental
 // maintenance on insert, which is what the paper measures on the modifying
-// query Q6.
+// query Q6. The hash index is also the table of every hash join: the
+// engines build it over the join's materialized build rows (BuildHash)
+// and probe it with Lookup.
 package index
 
 import (
@@ -52,9 +54,9 @@ func New(kind string, expected int) (Index, error) {
 
 // BuildOn inserts every row of an existing relation attribute into idx
 // and returns it. An empty hash index is filled as morsels on opt's
-// workers (HashIndex.build); any other index is filled on the calling
-// goroutine. Either way Lookup returns each key's rows in ascending
-// order.
+// workers by the build BuildHash runs (HashIndex.build); any other index
+// is filled on the calling goroutine. Either way Lookup returns each
+// key's rows in ascending order.
 func BuildOn(idx Index, rel *storage.Relation, attr int, opt par.Options) Index {
 	acc := rel.Access(attr)
 	if h, ok := idx.(*HashIndex); ok && h.Len() == 0 {
