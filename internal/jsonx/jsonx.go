@@ -1,6 +1,6 @@
-// Package jsonx is a byte-cursor JSON scanner for the serving path: the
-// request envelope and the plan decoder read their documents through it in
-// one pass, with no intermediate maps, RawMessages or reflection, and the
+// Package jsonx is the server's one JSON reader, a byte-cursor scanner:
+// plans, request bodies and NDJSON load lines are read through it in one
+// pass, with no intermediate maps, RawMessages or reflection, and the
 // canonical encoders write strings through AppendString.
 //
 // What it accepts is encoding/json's grammar exactly — the same literals,
@@ -261,6 +261,12 @@ func (s *Scanner) number() (lit []byte, integer, ok bool) {
 	}
 	lit, s.Pos = d[s.Pos:i], i
 	return lit, integer, true
+}
+
+// Number reads a number literal of any form and returns its text.
+func (s *Scanner) Number() ([]byte, bool) {
+	lit, _, ok := s.number()
+	return lit, ok
 }
 
 // Uint reads an unsigned integer literal. As in encoding/json, a fraction,

@@ -3,11 +3,13 @@ package persist
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -79,32 +81,35 @@ func referenceCSV(data []byte, attrs []storage.Attribute) (words []storage.Word,
 		}
 		line, _ := r.FieldPos(0)
 		for i, cell := range rec {
-			var w storage.Word
-			var err error
-			switch t := attrs[i].Type; {
-			case t == storage.String:
+			if attrs[i].Type == storage.String {
 				strs = append(strs, cell)
-			case cell == "":
-				w = storage.Null
-			case t == storage.Int64:
-				var v int64
-				v, err = strconv.ParseInt(cell, 10, 64)
-				w = storage.EncodeInt(v)
-			case t == storage.Float64:
-				var v float64
-				v, err = strconv.ParseFloat(cell, 64)
-				w = storage.EncodeFloat(v)
-			default:
-				var v bool
-				v, err = strconv.ParseBool(cell)
-				w = storage.EncodeBool(v)
 			}
+			w, err := referenceCell(attrs[i].Type, cell)
 			if err != nil {
 				return nil, nil, fmt.Errorf("persist: csv line %d col %q: %w", line, attrs[i].Name, err)
 			}
 			words = append(words, w)
 		}
 	}
+}
+
+// referenceCell decodes one cell's text with strconv, an empty non-string
+// cell as NULL. A string cell's word is zero.
+func referenceCell(t storage.Type, cell string) (storage.Word, error) {
+	switch {
+	case t == storage.String:
+		return 0, nil
+	case cell == "":
+		return storage.Null, nil
+	case t == storage.Int64:
+		v, err := strconv.ParseInt(cell, 10, 64)
+		return storage.EncodeInt(v), err
+	case t == storage.Float64:
+		v, err := strconv.ParseFloat(cell, 64)
+		return storage.EncodeFloat(v), err
+	}
+	v, err := strconv.ParseBool(cell)
+	return storage.EncodeBool(v), err
 }
 
 // FuzzCSVReader checks the one-pass CSV reader against referenceCSV on
@@ -185,6 +190,123 @@ func FuzzCSVReader(f *testing.F) {
 			if errors.As(wantErr, &pe) && !errors.Is(err, pe.Err) {
 				t.Fatalf("reader error %v is not of class %v", err, pe.Err)
 			}
+		case !slices.Equal(words, wantWords):
+			t.Fatalf("words\n%x\nwant\n%x", words, wantWords)
+		case !slices.Equal(strs, wantStrs):
+			t.Fatalf("strings %q, want %q", strs, wantStrs)
+		}
+	})
+}
+
+// referenceNDJSON is FuzzNDJSON's oracle for one line: encoding/json used
+// strictly (one array decoded with UseNumber and nothing but whitespace
+// after it), then the NDJSON cell rules: null is NULL, any other scalar's
+// text (a number's literal, a string's value, true or false) is decoded as
+// a CSV cell is, and a nested array or object is rejected. A blank line is
+// no row. String cells come back in strs, with a zero word in words.
+func referenceNDJSON(line []byte, attrs []storage.Attribute) (words []storage.Word, strs []string, ok bool) {
+	if line = bytes.TrimSpace(line); len(line) == 0 {
+		return nil, nil, true
+	}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber()
+	var vals []any
+	if err := dec.Decode(&vals); err != nil || len(vals) != len(attrs) {
+		return nil, nil, false
+	}
+	if len(bytes.Trim(line[dec.InputOffset():], " \t\r\n")) > 0 {
+		return nil, nil, false
+	}
+	for i, v := range vals {
+		var cell string
+		switch v := v.(type) {
+		case nil:
+			words = append(words, storage.Null)
+			continue
+		case json.Number:
+			cell = string(v)
+		case string:
+			cell = v
+		case bool:
+			cell = strconv.FormatBool(v)
+		default:
+			return nil, nil, false
+		}
+		if attrs[i].Type == storage.String {
+			strs = append(strs, cell)
+		}
+		w, err := referenceCell(attrs[i].Type, cell)
+		if err != nil {
+			return nil, nil, false
+		}
+		words = append(words, w)
+	}
+	return words, strs, true
+}
+
+// FuzzNDJSON checks the NDJSON reader against referenceNDJSON on one
+// line of arbitrary bytes: both accept it or both reject it, a rejection
+// names line 1, and an accepted line gives the same words bit for bit and
+// the same string cells.
+func FuzzNDJSON(f *testing.F) {
+	for _, seed := range []string{
+		`[1, "berlin", 3.6, true]`,
+		`[2, null, null, false]`,
+		``,
+		`[3, "munich", 1.5, null]`,
+		`[1, "é", 1, true]`,
+		"[1, \"\xff\xfe\", 1, true]",
+		`[1, "a\u00e9\ud800\n\"", 1, true]`,
+		`[-0, "a", -0, false]`,
+		`[1, "a", 1e400, true]`,
+		`[1, 2.50, "2.5", "t"]`,
+		`["7", "", "", ""]`,
+		`[1,[2]]`,
+		`[1, "a", 1.5, {}]`,
+		`{}`,
+		`null`,
+		`[]`,
+		`[1, "a", 1.5, true] [2, "b", 2.5, false]`,
+		`[1, "a", 1.5, true]x`,
+		`[1, "a", 1.5, true],`,
+		`[1, "a", 1.5, true,]`,
+		"  [1 , \"a\" ,1.5,\ttrue ] \r",
+	} {
+		f.Add([]byte(seed))
+	}
+	attrs := loadTestRel().Schema.Attrs
+	f.Fuzz(func(t *testing.T, line []byte) {
+		if bytes.IndexByte(line, '\n') >= 0 {
+			return // one line
+		}
+		wantWords, wantStrs, wantOK := referenceNDJSON(line, attrs)
+
+		var words []storage.Word
+		var strs []string
+		br := NewNDJSONReader(bytes.NewReader(line), attrs)
+		b, err := br.ReadBatch(3)
+		if err == nil {
+			for i, w := range b.Words {
+				if attrs[i%len(attrs)].Type == storage.String && w != storage.Null {
+					strs = append(strs, string(b.Str(w)))
+					w = 0
+				}
+				words = append(words, w)
+			}
+			_, err = br.ReadBatch(3)
+		}
+		if !errors.Is(err, io.EOF) {
+			if wantOK {
+				t.Fatalf("reader error %v, reference accepts", err)
+			}
+			if !strings.HasPrefix(err.Error(), "persist: ndjson line 1: ") && !strings.HasPrefix(err.Error(), "persist: ndjson line 1 col ") {
+				t.Fatalf("reader error %v does not name line 1", err)
+			}
+			return
+		}
+		switch {
+		case !wantOK:
+			t.Fatalf("reader accepts %q (%d words), reference rejects", line, len(words))
 		case !slices.Equal(words, wantWords):
 			t.Fatalf("words\n%x\nwant\n%x", words, wantWords)
 		case !slices.Equal(strs, wantStrs):

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/exec/par"
+	"repro/internal/jsonx"
 	"repro/internal/storage"
 )
 
@@ -203,10 +203,10 @@ func NewCSVReader(r io.Reader, attrs []storage.Attribute) *BlockReader {
 }
 
 // NewNDJSONReader reads newline-delimited JSON arrays of the given
-// attributes from r, one row per line: [1, "a", 2.5, null]. Blank lines
-// are skipped. Numbers keep their literal text (json.Number), so float
-// values round-trip exactly; null becomes the NULL word. Every other
-// value is decoded from its text like a CSV cell.
+// attributes from r, one row per line and nothing after it: [1, "a", 2.5,
+// null]. Blank lines are skipped. null becomes the NULL word; any other
+// value's text (a number's literal, a string's decoded bytes, true or
+// false) is decoded like a CSV cell, so float values round-trip exactly.
 func NewNDJSONReader(r io.Reader, attrs []storage.Attribute) *BlockReader {
 	return newBlockReader(r, "ndjson", attrs)
 }
@@ -652,17 +652,11 @@ func scanFloat(line []byte, p int) (w storage.Word, end int, ok bool) {
 type ndjsonParser struct {
 	attrs []storage.Attribute
 	line  int // lines read
-	cell  []byte
 }
 
 func (n *ndjsonParser) parse(b *Batch, data []byte, line int) error {
 	n.line = line
-	for len(data) > 0 {
-		line := data
-		if i := bytes.IndexByte(line, '\n'); i >= 0 {
-			line = line[:i+1]
-		}
-		data = data[len(line):]
+	for line := range bytes.Lines(data) {
 		n.line++
 		if line = bytes.TrimSpace(line); len(line) > 0 {
 			if err := n.record(b, line); err != nil {
@@ -673,39 +667,51 @@ func (n *ndjsonParser) parse(b *Batch, data []byte, line int) error {
 	return nil
 }
 
-// record decodes one JSON array line into a new row of b.
+// record decodes one JSON array line into a new row of b. A malformed
+// line is reported before a wrong value count, and that before a bad cell.
 func (n *ndjsonParser) record(b *Batch, line []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.UseNumber()
-	var vals []any
-	if err := dec.Decode(&vals); err != nil {
-		return fmt.Errorf("persist: ndjson line %d: %w", n.line, err)
-	}
-	if len(vals) != len(n.attrs) {
-		return fmt.Errorf("persist: ndjson line %d: %d values, want %d", n.line, len(vals), len(n.attrs))
-	}
-	row := b.row()
-	for i, v := range vals {
-		switch t := v.(type) {
-		case nil:
-			row[i] = storage.Null
-			continue
-		case json.Number:
-			n.cell = append(n.cell[:0], t...)
-		case string:
-			n.cell = append(n.cell[:0], t...)
-		case bool:
-			n.cell = strconv.AppendBool(n.cell[:0], t)
+	s := jsonx.Scanner{Data: line}
+	row, k := b.row(), 0
+	var cellErr error
+	ok := s.Consume('[')
+	for first := true; ok; first, k = false, k+1 {
+		var more bool
+		if more, ok = s.More(first, ']'); !ok || !more {
+			break
+		}
+		var text []byte
+		null := false
+		switch s.Peek() {
+		case '"':
+			text, ok = s.String()
+		case 't', 'f':
+			start := s.Pos
+			_, ok = s.Bool()
+			text = line[start:s.Pos]
+		case 'n':
+			ok, null = s.Literal("null"), true
 		default:
-			return fmt.Errorf("persist: ndjson line %d col %d: unsupported value %v", n.line, i, v)
+			text, ok = s.Number()
 		}
-		w, err := b.cell(n.attrs[i].Type, n.cell)
-		if err != nil {
-			return fmt.Errorf("persist: ndjson line %d col %q: %w", n.line, n.attrs[i].Name, err)
+		switch {
+		case !ok || k >= len(n.attrs):
+		case null:
+			row[k] = storage.Null
+		default:
+			w, err := b.cell(n.attrs[k].Type, text)
+			if err != nil && cellErr == nil {
+				cellErr = fmt.Errorf("persist: ndjson line %d col %q: %w", n.line, n.attrs[k].Name, err)
+			}
+			row[k] = w
 		}
-		row[i] = w
 	}
-	return nil
+	switch {
+	case !ok || !s.End():
+		return fmt.Errorf("persist: ndjson line %d: want one JSON array of scalars, malformed near byte %d", n.line, s.Pos)
+	case k != len(n.attrs):
+		return fmt.Errorf("persist: ndjson line %d: %d values, want %d", n.line, k, len(n.attrs))
+	}
+	return cellErr
 }
 
 // EncodeRows replaces b's string cells with codes of rel's dictionaries,

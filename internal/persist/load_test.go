@@ -113,6 +113,20 @@ func TestLoadErrorsNameTheCell(t *testing.T) {
 		t.Fatalf("err = %v, want arity error", err)
 	}
 
+	// A line holds one array and nothing after it: a second array, a
+	// stray byte or a trailing comma is rejected at its line, not loaded.
+	for _, bad := range []string{
+		`[1, "a", 1.5, true] [2, "b", 2.5, false]`,
+		`[1, "a", 1.5, true]x`,
+		`[1, "a", 1.5, true],`,
+	} {
+		in := "[0, \"z\", 0.5, false]\n" + bad + "\n"
+		n, err := loadAll(loadTestRel(), NewNDJSONReader(strings.NewReader(in), rel.Schema.Attrs), 4096)
+		if err == nil || !strings.HasPrefix(err.Error(), "persist: ndjson line 2: ") {
+			t.Errorf("%s: loaded %d rows, err = %v, want a line 2 error", bad, n, err)
+		}
+	}
+
 	// A bad cell in the second batch is named by its line in the stream,
 	// not by its row within the batch. A blank line before it and a quoted
 	// record spanning two lines count as lines too.

@@ -368,6 +368,37 @@ func TestDemoteStaleTerm(t *testing.T) {
 	}
 }
 
+// TestDemoteRejectsMalformedBody: a /demote body is read by the request
+// envelope's rules, so a term that is not an unsigned integer, or bytes
+// after the object, are a 400 that leaves the primary unfenced.
+func TestDemoteRejectsMalformedBody(t *testing.T) {
+	a := startNodePrimary(t)
+	for _, body := range []string{
+		`{"primary": "http://example.invalid:1", "term": -1}`,
+		`{"primary": "http://example.invalid:1", "term": 1.5}`,
+		`{"primary": "http://example.invalid:1", "term": 18446744073709551616}`,
+		`{"primary": "http://example.invalid:1", "term": 2} x`,
+		`{"primary": "http://example.invalid:1", "term": 2}{"term": 3}`,
+		`{"primary": 5, "term": 2}`,
+	} {
+		resp, err := http.Post(a.srv.URL+DemotePath, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("demote %s: status %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+	}
+	if fenced, _ := a.svc.Fenced(); fenced {
+		t.Fatal("a malformed demote fenced the primary")
+	}
+	if a.svc.Replication().Role == "replica" {
+		t.Fatal("a malformed demote flipped the primary read-only")
+	}
+}
+
 // TestPromoteWithoutStorage: a replica with no data directory and no
 // OpenStorage hook cannot become a primary (it could not feed followers);
 // the promote fails cleanly and the tail loop resumes.

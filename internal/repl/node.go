@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/jsonx"
 	"repro/internal/persist"
+	"repro/internal/plan"
 	"repro/internal/service"
 )
 
@@ -268,20 +271,14 @@ func (n *Node) handleDemote(w http.ResponseWriter, r *http.Request) {
 		replError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
-	var req struct {
-		Primary string `json:"primary"`
-		Term    uint64 `json:"term"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	primary, term, err := readDemote(w, r)
+	if err != nil {
 		replError(w, http.StatusBadRequest, fmt.Errorf("bad demote body: %w", err))
 		return
 	}
-	if err := n.Demote(req.Primary, req.Term); err != nil {
-		status := http.StatusInternalServerError
-		if req.Term < n.svc.Term() || req.Primary == "" {
-			status = http.StatusConflict
-		}
-		if req.Primary == "" {
+	if err := n.Demote(primary, term); err != nil {
+		status := http.StatusConflict // Demote's one other failure: a stale term
+		if primary == "" {
 			status = http.StatusBadRequest
 		}
 		replError(w, status, err)
@@ -289,6 +286,36 @@ func (n *Node) handleDemote(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"role": "replica", "primary": req.Primary, "term": n.svc.Term(),
+		"role": "replica", "primary": primary, "term": n.svc.Term(),
 	})
+}
+
+// readDemote reads a /demote body of at most 64 KiB by the request
+// envelope's rules: names match exactly, other members and nulls are
+// skipped, and nothing may follow the object. term is an unsigned integer.
+func readDemote(w http.ResponseWriter, r *http.Request) (primary string, term uint64, err error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<10))
+	s := jsonx.Scanner{Data: body}
+	ok := err == nil && s.Consume('{')
+	for first := true; ok; first = false {
+		var more bool
+		var key, val []byte
+		if more, ok = s.More(first, '}'); !ok || !more {
+			break
+		}
+		switch key, ok = s.Key(); {
+		case !ok, s.Literal("null"):
+		case string(key) == "term":
+			term, ok = s.Uint()
+		case string(key) == "primary":
+			val, ok = s.String()
+			primary = string(val)
+		default:
+			ok = s.SkipValue(plan.MaxNesting)
+		}
+	}
+	if err == nil && (!ok || !s.End()) {
+		err = fmt.Errorf("malformed JSON near byte %d", s.Pos)
+	}
+	return primary, term, err
 }

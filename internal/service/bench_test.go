@@ -146,27 +146,45 @@ func ordersCSV(rows int) []byte {
 	return buf
 }
 
+// ordersNDJSON renders ordersCSV's rows as NDJSON arrays, the two string
+// cells quoted.
+func ordersNDJSON(rows int) []byte {
+	csv := ordersCSV(rows)
+	buf := make([]byte, 0, len(csv)+rows*8)
+	for _, line := range bytes.Split(bytes.TrimSuffix(csv, []byte("\n")), []byte("\n")) {
+		f := bytes.Split(line, []byte(","))
+		buf = append(append(buf, '['), bytes.Join(f[:10], []byte(","))...)
+		buf = fmt.Appendf(buf, ",%q,%q]\n", f[10], f[11])
+	}
+	return buf
+}
+
 // BenchmarkServiceLoad is the bulk-load path end to end below HTTP: a
 // 200,000-row CSV of the orders shape streamed through Load into a fresh
 // row table, reported as rows/s. memory loads into a service without
 // persistence; wal attaches a persist.Manager (fsync off), so every
-// batch's WAL append lands on the committer too. workers=1 parses on the
-// caller; workers=2 parses each block's batches on a two-worker pool.
+// batch's WAL append lands on the committer too; ndjson is memory over the
+// same rows as NDJSON. workers=1 parses on the caller; workers=2 parses
+// each block's batches on a two-worker pool.
 func BenchmarkServiceLoad(b *testing.B) {
 	const rows = 200_000
-	data := ordersCSV(rows)
-	for _, durable := range []bool{false, true} {
-		name := "memory"
-		if durable {
-			name = "wal"
-		}
+	csv, ndjson := ordersCSV(rows), ordersNDJSON(rows)
+	for _, c := range []struct {
+		name, format string
+		data         []byte
+		durable      bool
+	}{
+		{"memory", "csv", csv, false},
+		{"wal", "csv", csv, true},
+		{"ndjson", "ndjson", ndjson, false},
+	} {
 		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					db, mgr := core.Open(), (*persist.Manager)(nil)
-					if durable {
+					if c.durable {
 						var err error
 						if db, mgr, err = persist.Open(persist.Options{Dir: b.TempDir()}); err != nil {
 							b.Fatal(err)
@@ -177,7 +195,7 @@ func BenchmarkServiceLoad(b *testing.B) {
 						s.AttachPersist(mgr, -1)
 					}
 					b.StartTimer()
-					res, err := s.Load(LoadSpec{Table: "orders", Format: "csv", CreateSpec: ordersSpec}, bytes.NewReader(data))
+					res, err := s.Load(LoadSpec{Table: "orders", Format: c.format, CreateSpec: ordersSpec}, bytes.NewReader(c.data))
 					b.StopTimer()
 					if err != nil || res.Rows != rows {
 						b.Fatalf("load: %+v, %v", res, err)

@@ -192,10 +192,6 @@ func readPlanRequest(w http.ResponseWriter, r *http.Request) (planRequest, bool)
 	return req, true
 }
 
-type execRequest struct {
-	ID string `json:"id"`
-}
-
 type colJSON struct {
 	Name string `json:"name"`
 	Type string `json:"type"`
@@ -249,13 +245,45 @@ func (s *DB) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"id": st.ID, "cols": cols})
 }
 
+// parseExecRequest reads an /exec body, {"id": "<statement id>"}, by the
+// envelope's rules: names match exactly, other members are skipped, and
+// nothing may follow the object. A null id is no id.
+func parseExecRequest(body []byte) (id string, err error) {
+	s := jsonx.Scanner{Data: body}
+	ok := s.Consume('{')
+	for first := true; ok; first = false {
+		var more bool
+		var key, val []byte
+		if more, ok = s.More(first, '}'); !ok || !more {
+			break
+		}
+		switch key, ok = s.Key(); {
+		case !ok, s.Literal("null"):
+		case string(key) == "id":
+			val, ok = s.String()
+			id = string(val)
+		default:
+			ok = s.SkipValue(plan.MaxNesting)
+		}
+	}
+	if !ok || !s.End() {
+		return "", fmt.Errorf("malformed JSON body near byte %d", s.Pos)
+	}
+	return id, nil
+}
+
 func (s *DB) handleExec(w http.ResponseWriter, r *http.Request) {
-	var req execRequest
-	if !readJSON(w, r, &req) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	id, err := parseExecRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	start := time.Now()
-	res, err := s.Exec(req.ID)
+	res, err := s.Exec(id)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			writeError(w, http.StatusTooManyRequests, err)
@@ -528,20 +556,6 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 		return tooLarge()
 	}
 	return body, true
-}
-
-// readJSON decodes a POST body into dst, writing the error response on
-// failure.
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body, ok := readBody(w, r)
-	if !ok {
-		return false
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %v", err))
-		return false
-	}
-	return true
 }
 
 // writeQueryError maps service errors onto status codes: overload to

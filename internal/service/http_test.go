@@ -124,6 +124,26 @@ func TestHTTPPrepareExec(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown stmt status = %d, body = %v", resp.StatusCode, out)
 	}
+
+	// The body is read by the envelope's rules: malformed JSON or bytes
+	// after the object are a 400, names match exactly, other members are
+	// skipped, and a null id is no id.
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"id": `, http.StatusBadRequest},
+		{`{"id": 7}`, http.StatusBadRequest},
+		{fmt.Sprintf(`{"id": %q} x`, id), http.StatusBadRequest},
+		{fmt.Sprintf(`{"id": %q}{}`, id), http.StatusBadRequest},
+		{`{"id": null}`, http.StatusNotFound},
+		{fmt.Sprintf(`{"ID": %q}`, id), http.StatusNotFound},
+		{fmt.Sprintf(`{"args": [1, {"a": null}], "id": %q, "x": null}`, id), http.StatusOK},
+	} {
+		if resp, out := post(t, srv.URL+"/exec", c.body); resp.StatusCode != c.want {
+			t.Errorf("exec %s: status %d, want %d (body %v)", c.body, resp.StatusCode, c.want, out)
+		}
+	}
 }
 
 // TestHTTPPrepareCloseCycles runs twice as many prepare-then-close cycles
